@@ -6,12 +6,8 @@
 // (14.9%); the two RPC data pulls alone take 110 s + 207 s = 317 s, i.e.
 // ~69% of the total — Tendermint's serial RPC is the bottleneck.
 //
-// `--ablate-indexed-queries` reruns with an indexed query path (no
-// per-block event scan — cost proportional only to the returned payload),
-// quantifying how much of the latency the paper's query-cost pathology
-// explains. (A parallel-RPC ablation hook also exists via
-// ExperimentConfig::parallel_rpc_requests, but since Hermes issues its
-// queries serially it changes little on its own.)
+// The indexed-query and concurrent-RPC counterfactuals are the `I` and `W`
+// rows of bench_ablation_mitigations at its fig12_burst point.
 
 #include "common.hpp"
 
@@ -19,7 +15,7 @@
 
 namespace {
 
-xcc::ExperimentConfig fig12_config(bool indexed_queries) {
+xcc::ExperimentConfig fig12_config() {
   xcc::ExperimentConfig cfg;
   cfg.workload.total_transfers = 5'000;
   cfg.workload.spread_blocks = 1;
@@ -27,12 +23,6 @@ xcc::ExperimentConfig fig12_config(bool indexed_queries) {
   cfg.wait_for_drain = true;
   cfg.drain_no_progress_limit = sim::seconds(300);
   cfg.max_sim_time = sim::seconds(5'000);
-  if (indexed_queries) {
-    // The real indexed-tx_search mechanism (commit-time packet-event index;
-    // queries cost a probe plus the returned page) — formerly a
-    // zero-the-scan-constants counterfactual.
-    cfg.testbed.indexed_tx_search = true;
-  }
   return cfg;
 }
 
@@ -93,25 +83,14 @@ void report(const xcc::ExperimentResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool ablate = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--ablate-indexed-queries") ablate = true;
-  }
-  const bench::Options opt = bench::parse_options(
-      argc, argv, "fig12_latency_breakdown.csv",
-      {{"--ablate-indexed-queries", false,
-        "also run the indexed-query counterfactual"}});
+  const bench::Options opt =
+      bench::parse_options(argc, argv, "fig12_latency_breakdown.csv");
 
   bench::print_header(
       "Figure 12: 13-step breakdown of 5,000 transfers in one block",
       "455 s total; data pulls = 317 s (~69%)", opt);
 
-  // Base run plus (when ablating) the indexed-queries counterfactual —
-  // independent simulations, so they run concurrently.
-  const bool run_ablation = ablate || opt.full;
-  std::vector<xcc::ExperimentConfig> configs{fig12_config(false)};
-  if (run_ablation) configs.push_back(fig12_config(true));
-  const auto results = bench::run_sweep(opt, configs);
+  const auto results = bench::run_sweep(opt, {fig12_config()});
 
   const auto& res = results[0];
   if (!res.ok) {
@@ -151,31 +130,6 @@ int main(int argc, char** argv) {
   if (xcc::write_report("fig12_report.md", report_cfg, res,
                         "Fig. 12 run: 5,000 transfers in one block")) {
     std::cout << "execution report written to fig12_report.md\n";
-  }
-
-  if (run_ablation) {
-    std::cout << "\n-- ablation: indexed event queries (no block scans) --\n";
-    const auto& par = results[1];
-    if (par.ok) {
-      const auto b = par.steps.completion_times_seconds(
-          relayer::Step::kTransferBroadcast);
-      const double p_total =
-          par.steps.step_finish_seconds(relayer::Step::kAckConfirmation) -
-          (b.empty() ? 0 : b.front());
-      const auto base_b = res.steps.completion_times_seconds(
-          relayer::Step::kTransferBroadcast);
-      const double base_total =
-          res.steps.step_finish_seconds(relayer::Step::kAckConfirmation) -
-          base_b.front();
-      std::cout << "total latency with indexed queries: "
-                << util::fmt_double(p_total, 1) << " s vs "
-                << util::fmt_double(base_total, 1)
-                << " s with block-scanning queries -> the query pathology "
-                << "explains "
-                << util::fmt_percent(
-                       base_total > 0 ? (base_total - p_total) / base_total : 0)
-                << " of the latency\n";
-    }
   }
   return 0;
 }

@@ -400,19 +400,4 @@ inline xcc::ExperimentConfig relayer_config(double rps, int relayers,
   return cfg;
 }
 
-/// One inclusion-only run, executed immediately (kept for spot checks).
-inline xcc::ExperimentResult run_inclusion_point(double rps, int rep,
-                                                 int blocks = 15,
-                                                 bool resolve_workload = false) {
-  return xcc::run_experiment(
-      inclusion_config(rps, rep, blocks, resolve_workload));
-}
-
-/// One relayer-throughput run, executed immediately (kept for spot checks).
-inline xcc::ExperimentResult run_relayer_point(double rps, int relayers,
-                                               sim::Duration rtt, int rep,
-                                               int blocks = 50) {
-  return xcc::run_experiment(relayer_config(rps, relayers, rtt, rep, blocks));
-}
-
 }  // namespace bench

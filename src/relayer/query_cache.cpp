@@ -1,6 +1,8 @@
 #include "relayer/query_cache.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 namespace relayer {
@@ -27,6 +29,20 @@ std::size_t abci_bytes(const rpc::Server::AbciQueryResult& res) {
          res.proof.value.size();
 }
 
+// The Registry counter mirroring each Stats counter, named under
+// `<name>.query_cache.`.
+constexpr struct {
+  std::uint64_t QueryCache::Stats::*field;
+  const char* name;
+} kStatMetrics[] = {
+    {&QueryCache::Stats::hits, "hits"},
+    {&QueryCache::Stats::misses, "misses"},
+    {&QueryCache::Stats::insertions, "insertions"},
+    {&QueryCache::Stats::evictions, "evictions"},
+    {&QueryCache::Stats::invalidations, "invalidations"},
+    {&QueryCache::Stats::stale_rejections, "stale_rejections"},
+};
+
 }  // namespace
 
 void QueryCache::set_telemetry(telemetry::Hub* hub, const std::string& name) {
@@ -35,13 +51,21 @@ void QueryCache::set_telemetry(telemetry::Hub* hub, const std::string& name) {
     track_ = t->track(name, "query_cache");
   }
   if (auto* m = telemetry::metrics(hub_)) {
-    hits_ctr_ = m->counter(name + ".query_cache.hits");
-    misses_ctr_ = m->counter(name + ".query_cache.misses");
-    evictions_ctr_ = m->counter(name + ".query_cache.evictions");
-    invalidations_ctr_ = m->counter(name + ".query_cache.invalidations");
-    insertions_ctr_ = m->counter(name + ".query_cache.insertions");
-    stale_rejections_ctr_ = m->counter(name + ".query_cache.stale_rejections");
+    static_assert(std::size(kStatMetrics) ==
+                  std::extent_v<decltype(stat_ctr_)>);
+    for (std::size_t i = 0; i < std::size(kStatMetrics); ++i) {
+      stat_ctr_[i] = m->counter(name + ".query_cache." + kStatMetrics[i].name);
+    }
     bytes_gauge_ = m->gauge(name + ".query_cache.bytes");
+  }
+}
+
+void QueryCache::bump(std::uint64_t Stats::*field) {
+  ++(stats_.*field);
+  for (std::size_t i = 0; i < std::size(kStatMetrics); ++i) {
+    if (kStatMetrics[i].field != field) continue;
+    if (stat_ctr_[i]) stat_ctr_[i]->add();
+    return;
   }
 }
 
@@ -58,8 +82,7 @@ void QueryCache::insert(Key key, Payload payload, std::size_t bytes) {
   lru_.push_front(Entry{std::move(key), bytes, std::move(payload)});
   index_[lru_.front().key] = lru_.begin();
   stats_.bytes += bytes;
-  ++stats_.insertions;
-  if (insertions_ctr_) insertions_ctr_->add();
+  bump(&Stats::insertions);
   while (stats_.bytes > config_.max_bytes) evict_coldest();
   if (bytes_gauge_) bytes_gauge_->set(static_cast<double>(stats_.bytes));
 }
@@ -74,8 +97,7 @@ QueryCache::Index::iterator QueryCache::erase(Index::iterator it) {
 
 void QueryCache::evict_coldest() {
   if (lru_.empty()) return;
-  ++stats_.evictions;
-  if (evictions_ctr_) evictions_ctr_->add();
+  bump(&Stats::evictions);
   if (auto* t = telemetry::tracer(hub_)) {
     t->instant(track_, "evict", sched_.now());
   }
@@ -84,18 +106,12 @@ void QueryCache::evict_coldest() {
 
 void QueryCache::serve_hit(const rpc::Server& server, const char* what,
                            std::function<void()> deliver) {
-  ++stats_.hits;
-  if (hits_ctr_) hits_ctr_->add();
+  bump(&Stats::hits);
   const sim::Duration cost = server.cost_model().cache_hit_cost;
   if (auto* t = telemetry::tracer(hub_)) {
     t->complete(track_, what, sched_.now(), cost);
   }
   sched_.schedule_after(cost, std::move(deliver));
-}
-
-void QueryCache::count_miss() {
-  ++stats_.misses;
-  if (misses_ctr_) misses_ctr_->add();
 }
 
 void QueryCache::query_packet_events(
@@ -117,7 +133,7 @@ void QueryCache::query_packet_events(
               });
     return;
   }
-  count_miss();
+  bump(&Stats::misses);
   server.query_packet_events(
       client, height, event_type, seq_begin, seq_end,
       [this, key = std::move(key),
@@ -145,7 +161,7 @@ void QueryCache::query_header(
               });
     return;
   }
-  count_miss();
+  bump(&Stats::misses);
   server.query_header(
       client, height,
       [this, key = std::move(key), cb = std::move(cb)](
@@ -178,7 +194,7 @@ void QueryCache::abci_query(
         });
     return;
   }
-  count_miss();
+  bump(&Stats::misses);
   server.abci_query(
       client, key_str, prove,
       [this, &server, probe = std::move(probe), cb = std::move(cb)](
@@ -192,8 +208,7 @@ void QueryCache::abci_query(
           const auto seen = observed_height_.find(&server);
           if (seen != observed_height_.end() &&
               res.value().height < seen->second) {
-            ++stats_.stale_rejections;
-            if (stale_rejections_ctr_) stale_rejections_ctr_->add();
+            bump(&Stats::stale_rejections);
           } else {
             insert(std::move(probe), res.value(), abci_bytes(res.value()));
           }
@@ -212,8 +227,7 @@ void QueryCache::on_height_advance(const rpc::Server& server,
     if (k.kind == Kind::kAbci && k.server == &server &&
         std::get<rpc::Server::AbciQueryResult>(it->second->payload).height <
             height) {
-      ++stats_.invalidations;
-      if (invalidations_ctr_) invalidations_ctr_->add();
+      bump(&Stats::invalidations);
       it = erase(it);
     } else {
       ++it;
@@ -231,8 +245,7 @@ void QueryCache::invalidate_page(const rpc::Server& server,
                 event_type};
   const auto it = index_.find(key);
   if (it == index_.end()) return;
-  ++stats_.invalidations;
-  if (invalidations_ctr_) invalidations_ctr_->add();
+  bump(&Stats::invalidations);
   erase(it);
 }
 

@@ -150,7 +150,8 @@ class QueryCache {
   /// Books a hit and delivers `deliver` after cache_hit_cost of local work.
   void serve_hit(const rpc::Server& server, const char* what,
                  std::function<void()> deliver);
-  void count_miss();
+  /// The one increment site of a Stats counter and its Registry mirror.
+  void bump(std::uint64_t Stats::*field);
 
   sim::Scheduler& sched_;
   QueryCacheConfig config_;
@@ -167,12 +168,8 @@ class QueryCache {
 
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId track_ = 0;
-  telemetry::Counter* hits_ctr_ = nullptr;
-  telemetry::Counter* misses_ctr_ = nullptr;
-  telemetry::Counter* evictions_ctr_ = nullptr;
-  telemetry::Counter* invalidations_ctr_ = nullptr;
-  telemetry::Counter* insertions_ctr_ = nullptr;
-  telemetry::Counter* stale_rejections_ctr_ = nullptr;
+  // Registry mirrors of the Stats counters (kStatMetrics order).
+  telemetry::Counter* stat_ctr_[6] = {};
   telemetry::Gauge* bytes_gauge_ = nullptr;
 };
 

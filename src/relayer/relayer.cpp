@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <type_traits>
 
 #include "ibc/forward.hpp"
 #include "ibc/host.hpp"
@@ -11,6 +13,58 @@
 #include "util/log.hpp"
 
 namespace relayer {
+
+namespace {
+
+// Indexed by Op alternative: the op's span + counter name and its worker
+// lane (0 = recv, 1 = ack/timeout).
+constexpr struct {
+  const char* name;
+  int lane;
+} kOps[] = {{"relay_batch", 0}, {"ack_batch", 1},  {"timeout_batch", 1},
+            {"clear", 0},       {"retry_recv", 0}, {"retry_ack", 1},
+            {"ack_scan", 1}};
+
+// The Registry counter mirroring each Stats field, named under the
+// relayer's telemetry name.
+constexpr struct {
+  std::uint64_t Relayer::Stats::*field;
+  const char* name;
+} kStatMetrics[] = {
+    {&Relayer::Stats::packets_relayed, ".packets_relayed"},
+    {&Relayer::Stats::packets_completed, ".packets_completed"},
+    {&Relayer::Stats::packets_timed_out, ".packets_timed_out"},
+    {&Relayer::Stats::redundant_errors, ".redundant_errors"},
+    {&Relayer::Stats::frames_failed, ".frames_failed"},
+    {&Relayer::Stats::recv_txs_failed, ".recv_txs_failed"},
+    {&Relayer::Stats::ack_txs_failed, ".ack_txs_failed"},
+    {&Relayer::Stats::chunk_queries, ".pull.chunk_queries"},
+    {&Relayer::Stats::chunk_queries_skipped, ".pull.chunks_skipped"},
+    {&Relayer::Stats::pull_query_failures, ".pull.query_failures"},
+    {&Relayer::Stats::ack_decode_failures, ".pull.ack_decode_failures"},
+    {&Relayer::Stats::abandoned_packets, ".abandoned_packets"},
+    {&Relayer::Stats::coordination_skipped, ".coordination_skipped"},
+    {&Relayer::Stats::routing_skipped, ".routing_skipped"},
+};
+
+// A self-referencing step closure: run_chain(body) calls body(self), and a
+// callback continues the chain by calling *self. The closure holds itself
+// only weakly — queued callbacks carry the strong references — so when the
+// simulation tears down mid-chain the cycle collapses instead of leaking (a
+// strong self-capture is unreclaimable). A finished chain is nulled by a
+// Relayer::release_later() event.
+using StepFn = std::shared_ptr<std::function<void()>>;
+
+void run_chain(std::function<void(const StepFn&)> body) {
+  auto fn = std::make_shared<std::function<void()>>();
+  *fn = [body = std::move(body),
+         wself = std::weak_ptr<std::function<void()>>(fn)] {
+    if (const StepFn self = wself.lock()) body(self);
+  };
+  (*fn)();
+}
+
+}  // namespace
 
 Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
                  PathConfig path, RelayerConfig config, StepLog* step_log)
@@ -25,20 +79,30 @@ Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
   serves_path_ = config_.served_channels.empty() ||
                  config_.served_channels.count(path_.channel_a) > 0;
   fee_ok_ = config_.per_hop_fee_budget <= 0 ||
-            static_cast<double>(estimate_gas(1, 1, gas_.recv_packet)) *
+            static_cast<double>(estimate_gas(1, gas_.recv_packet)) *
                     config_.gas_price <=
                 config_.per_hop_fee_budget;
-  WalletConfig wa = config_.wallet;
-  wa.accounts = a_.wallet_accounts;
-  wa.gas_price = config_.gas_price;
-  wa.optimistic_sequencing = true;
-  wallet_a_ = std::make_unique<Wallet>(sched_, *a_.server, config_.machine, wa);
-
-  WalletConfig wb = config_.wallet;
-  wb.accounts = b_.wallet_accounts;
-  wb.gas_price = config_.gas_price;
-  wb.optimistic_sequencing = true;
-  wallet_b_ = std::make_unique<Wallet>(sched_, *b_.server, config_.machine, wb);
+  const auto make_wallet = [this](const ChainHandle& h) {
+    WalletConfig wc = config_.wallet;
+    wc.accounts = h.wallet_accounts;
+    wc.gas_price = config_.gas_price;
+    wc.optimistic_sequencing = true;
+    return std::make_unique<Wallet>(sched_, *h.server, config_.machine, wc);
+  };
+  wallet_a_ = make_wallet(a_);
+  wallet_b_ = make_wallet(b_);
+  recv_leg_ = Leg{a_.server, &ibc::host::packet_commitment_key,
+                  path_.channel_a, wallet_b_.get(), path_.client_on_b,
+                  Stage::kPulled, Stage::kRecvInFlight,
+                  Step::kRecvBuild, Step::kRecvBroadcast,
+                  /*needs_ack=*/false, &Relayer::recv_msg,
+                  &Relayer::recv_committed};
+  ack_leg_ = Leg{b_.server, &ibc::host::packet_ack_key,
+                 path_.channel_b, wallet_a_.get(), path_.client_on_a,
+                 Stage::kRecvDone, Stage::kAckInFlight,
+                 Step::kAckBuild, Step::kAckBroadcast,
+                 /*needs_ack=*/true, &Relayer::ack_msg,
+                 &Relayer::ack_committed};
 }
 
 Relayer::~Relayer() {
@@ -98,27 +162,13 @@ void Relayer::start() {
   // the destination (packets delivered but never acknowledged).
   a_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
     if (!running_ || info.height == 0) return;
-    const chain::Height from =
-        info.height > config_.startup_rescan_depth
-            ? info.height - config_.startup_rescan_depth + 1
-            : 1;
-    Op op;
-    op.kind = Op::Kind::kClear;
-    op.clear = ClearOp{from, info.height};
     last_clear_height_ = info.height;
-    enqueue(std::move(op));
+    enqueue(ClearOp{rescan_from(info.height), info.height});
   });
   b_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
     if (!running_ || info.height == 0) return;
     last_seen_b_height_ = std::max(last_seen_b_height_, info.height);
-    const chain::Height from =
-        info.height > config_.startup_rescan_depth
-            ? info.height - config_.startup_rescan_depth + 1
-            : 1;
-    Op op;
-    op.kind = Op::Kind::kAckScan;
-    op.ack_scan = ClearOp{from, info.height};
-    enqueue(std::move(op));
+    enqueue(AckScanOp{rescan_from(info.height), info.height});
   });
 }
 
@@ -129,41 +179,24 @@ void Relayer::stop() {
   b_.server->unsubscribe(sub_b_);
 }
 
-namespace {
-// Indexed by Op::Kind; span + counter names for the worker-lane telemetry.
-constexpr const char* kOpNames[7] = {"relay_batch",   "ack_batch",
-                                     "timeout_batch", "clear",
-                                     "retry_recv",    "retry_ack",
-                                     "ack_scan"};
-}  // namespace
-
 void Relayer::set_telemetry(telemetry::Hub* hub, const std::string& name) {
+  static_assert(std::size(kOps) == std::variant_size_v<Op>);
+  static_assert(std::size(kStatMetrics) == std::extent_v<decltype(stat_ctr_)>);
   hub_ = hub;
   if (auto* t = telemetry::tracer(hub_)) {
     lane_track_[0] = t->track(name, "recv");
     lane_track_[1] = t->track(name, "ack/timeout");
   }
   if (auto* m = telemetry::metrics(hub_)) {
-    for (int i = 0; i < 7; ++i) {
-      op_ctr_[i] = m->counter(name + ".ops." + kOpNames[i]);
+    for (std::size_t i = 0; i < std::size(kOps); ++i) {
+      op_ctr_[i] = m->counter(name + ".ops." + kOps[i].name);
+    }
+    for (std::size_t i = 0; i < std::size(kStatMetrics); ++i) {
+      stat_ctr_[i] = m->counter(name + kStatMetrics[i].name);
     }
     const std::vector<double> bounds = {1, 2, 5, 10, 20, 50, 100, 200};
     relay_batch_hist_ = m->histogram(name + ".relay_batch_size", bounds);
     ack_batch_hist_ = m->histogram(name + ".ack_batch_size", bounds);
-    chunk_queries_ctr_ = m->counter(name + ".pull.chunk_queries");
-    chunks_skipped_ctr_ = m->counter(name + ".pull.chunks_skipped");
-    pull_failures_ctr_ = m->counter(name + ".pull.query_failures");
-    ack_decode_failures_ctr_ = m->counter(name + ".pull.ack_decode_failures");
-    abandoned_ctr_ = m->counter(name + ".abandoned_packets");
-    relayed_ctr_ = m->counter(name + ".packets_relayed");
-    completed_ctr_ = m->counter(name + ".packets_completed");
-    timed_out_ctr_ = m->counter(name + ".packets_timed_out");
-    redundant_ctr_ = m->counter(name + ".redundant_errors");
-    frames_failed_ctr_ = m->counter(name + ".frames_failed");
-    recv_failed_ctr_ = m->counter(name + ".recv_txs_failed");
-    ack_failed_ctr_ = m->counter(name + ".ack_txs_failed");
-    routing_skipped_ctr_ = m->counter(name + ".routing_skipped");
-    coordination_skipped_ctr_ = m->counter(name + ".coordination_skipped");
   }
   flight_name_ = name;
   cache_.set_telemetry(hub, name);
@@ -216,11 +249,52 @@ void Relayer::record(Step step, ibc::Sequence seq) {
   }
 }
 
+void Relayer::bump(std::uint64_t Stats::*field) {
+  ++(stats_.*field);
+  for (std::size_t i = 0; i < std::size(kStatMetrics); ++i) {
+    if (kStatMetrics[i].field != field) continue;
+    if (stat_ctr_[i]) stat_ctr_[i]->add();
+    return;
+  }
+}
+
+std::vector<ibc::Sequence> Relayer::in_stage(
+    const std::vector<ibc::Sequence>& seqs, Stage stage) const {
+  std::vector<ibc::Sequence> out;
+  for (ibc::Sequence s : seqs) {
+    const auto it = packets_.find(s);
+    if (it != packets_.end() && it->second.stage == stage) out.push_back(s);
+  }
+  return out;
+}
+
+chain::Height Relayer::rescan_from(chain::Height to) const {
+  return to > config_.startup_rescan_depth
+             ? to - config_.startup_rescan_depth + 1
+             : 1;
+}
+
 void Relayer::release_later(std::shared_ptr<std::function<void()>> fn) {
   sched_.schedule_after(0, [fn] { *fn = nullptr; });
 }
 
 // --- Supervisor: frame handling ---------------------------------------------
+
+bool Relayer::admits(ibc::Sequence seq, chain::Height height) {
+  if (!serves_path_ || !fee_ok_) {
+    // Routing policy: this instance does not serve the channel (or the
+    // hop's fee exceeds its budget) — another placement covers it.
+    bump(&Stats::routing_skipped);
+    return false;
+  }
+  if (!coordination_.owns(path_.channel_a, seq, height)) {
+    // A coordinated peer owns this packet; never enter it in the table so
+    // no lane (pull, recv, ack, timeout, retry) ever touches it.
+    bump(&Stats::coordination_skipped);
+    return false;
+  }
+  return true;
+}
 
 void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
   // Chain A advanced: cached latest-height store responses (commitment
@@ -232,77 +306,46 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
     // WebSocket frame limit. The packets in this block are invisible to the
     // relayer until (if ever) a clear pass rediscovers them; with the
     // sticky-failure behaviour the event source stays broken afterwards.
-    ++stats_.frames_failed;
-    if (frames_failed_ctr_) frames_failed_ctr_->add();
+    bump(&Stats::frames_failed);
     if (config_.websocket_failure_sticky) ws_wedged_a_ = true;
     IBC_LOG(kWarn, "relayer") << "failed to collect events at height "
                               << frame.height;
   }
 
+  // A wedged event source extracts nothing; the block-height bookkeeping
+  // below still runs, so clearing can rediscover the packets.
   std::vector<ibc::Sequence> new_seqs;
-  if (ws_wedged_a_) {
-    // Event extraction disabled; block-height bookkeeping (below) still
-    // runs, so clearing can rediscover the packets.
-    check_timeouts();
-    if (config_.clear_interval > 0 &&
-        frame.height - last_clear_height_ >= config_.clear_interval) {
-      Op op;
-      op.kind = Op::Kind::kClear;
-      op.clear = ClearOp{1, frame.height};
-      last_clear_height_ = frame.height;
-      enqueue(std::move(op));
-    }
-    return;
-  }
-  for (const chain::Event& ev : frame.events) {
-    if (ev.type == "send_packet") {
+  if (!ws_wedged_a_) {
+    for (const chain::Event& ev : frame.events) {
+      const bool sent = ev.type == "send_packet";
+      if (!sent && ev.type != "acknowledge_packet") continue;
       if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
       const std::uint64_t seq =
           std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
-      if (seq == 0 || packets_.contains(seq)) continue;
-      if (!relays_packets()) {
-        // Routing policy: this instance does not serve the channel (or the
-        // hop's fee exceeds its budget) — another placement covers it.
-        ++stats_.routing_skipped;
-        if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-        continue;
+      if (!sent) {
+        record(Step::kAckExtraction, seq);
+      } else if (seq != 0 && !packets_.contains(seq) &&
+                 admits(seq, frame.height)) {
+        PacketState st;
+        st.src_height = frame.height;
+        packets_.emplace(seq, std::move(st));
+        record(Step::kTransferExtraction, seq);
+        new_seqs.push_back(seq);
       }
-      if (!coordination_.owns(path_.channel_a, seq, frame.height)) {
-        // A coordinated peer owns this packet; never enter it in the table
-        // so no lane (pull, recv, ack, timeout, retry) ever touches it.
-        ++stats_.coordination_skipped;
-        if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
-        continue;
-      }
-      PacketState st;
-      st.stage = Stage::kExtracted;
-      st.src_height = frame.height;
-      packets_.emplace(seq, std::move(st));
-      record(Step::kTransferExtraction, seq);
-      new_seqs.push_back(seq);
-    } else if (ev.type == "acknowledge_packet") {
-      if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
-      const std::uint64_t seq =
-          std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
-      record(Step::kAckExtraction, seq);
     }
   }
 
   if (!new_seqs.empty()) {
     // Confirm the transfers committed (one status round trip covers the
     // batch — near-instant in Fig. 12).
-    const chain::Height h = frame.height;
-    auto seqs = std::make_shared<std::vector<ibc::Sequence>>(new_seqs);
     a_.server->status(config_.machine,
-                      [this, seqs, h](rpc::Server::StatusInfo) {
+                      [this, h = frame.height, seqs = std::move(new_seqs)](
+                          rpc::Server::StatusInfo) {
                         if (!running_) return;
-                        for (ibc::Sequence s : *seqs) {
+                        for (ibc::Sequence s : seqs) {
                           record(Step::kTransferConfirmation, s);
                         }
-                        Op op;
-                        op.kind = Op::Kind::kRelay;
-                        op.relay = RelayBatchOp{h, *seqs};
-                        enqueue(std::move(op));
+                        enqueue(RelayBatchOp{h, seqs});
                       });
   }
 
@@ -310,11 +353,8 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
 
   if (config_.clear_interval > 0 &&
       frame.height - last_clear_height_ >= config_.clear_interval) {
-    Op op;
-    op.kind = Op::Kind::kClear;
-    op.clear = ClearOp{1, frame.height};
     last_clear_height_ = frame.height;
-    enqueue(std::move(op));
+    enqueue(ClearOp{1, frame.height});
   }
 }
 
@@ -322,8 +362,7 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
   cache_.on_height_advance(*b_.server, frame.height);
   last_seen_b_height_ = std::max(last_seen_b_height_, frame.height);
   if (!frame.events_ok) {
-    ++stats_.frames_failed;
-    if (frames_failed_ctr_) frames_failed_ctr_->add();
+    bump(&Stats::frames_failed);
     if (config_.websocket_failure_sticky) ws_wedged_b_ = true;
   }
   if (ws_wedged_b_) return;  // ack extraction disabled; commit-callback path
@@ -344,16 +383,10 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
     }
     record(Step::kRecvExtraction, seq);
     st.stage = Stage::kRecvDone;
-    st.dst_height = frame.height;
     ack_seqs.push_back(seq);
   }
 
-  if (!ack_seqs.empty()) {
-    Op op;
-    op.kind = Op::Kind::kAck;
-    op.ack = AckBatchOp{frame.height, std::move(ack_seqs)};
-    enqueue(std::move(op));
-  }
+  if (!ack_seqs.empty()) enqueue(AckBatchOp{frame.height, std::move(ack_seqs)});
 }
 
 void Relayer::check_timeouts() {
@@ -368,22 +401,13 @@ void Relayer::check_timeouts() {
       expired.push_back(seq);
     }
   }
-  if (!expired.empty()) {
-    Op op;
-    op.kind = Op::Kind::kTimeout;
-    op.timeout = TimeoutBatchOp{std::move(expired)};
-    enqueue(std::move(op));
-  }
+  if (!expired.empty()) enqueue(TimeoutBatchOp{std::move(expired)});
 }
 
 // --- Worker loop ----------------------------------------------------------------
 
 void Relayer::enqueue(Op op) {
-  const int lane = (op.kind == Op::Kind::kRelay ||
-                    op.kind == Op::Kind::kClear ||
-                    op.kind == Op::Kind::kRetryRecv)
-                       ? 0
-                       : 1;
+  const int lane = kOps[op.index()].lane;
   ops_[lane].push_back(std::move(op));
   pump(lane);
 }
@@ -403,8 +427,7 @@ void Relayer::enqueue_retry(Op op) {
 void Relayer::abandon_packet(ibc::Sequence seq, PacketState& ps,
                              const char* why) {
   ps.stage = Stage::kAbandoned;
-  ++stats_.abandoned_packets;
-  if (abandoned_ctr_) abandoned_ctr_->add();
+  bump(&Stats::abandoned_packets);
   timeout_candidates_.erase(seq);
   IBC_LOG(kWarn, "relayer")
       << "abandoning packet " << seq << " after bounded retries (" << why
@@ -426,8 +449,8 @@ void Relayer::pump(int lane) {
   op_running_[lane] = true;
   Op op = std::move(ops_[lane].front());
   ops_[lane].pop_front();
-  const int kind_idx = static_cast<int>(op.kind);
-  if (op_ctr_[kind_idx]) op_ctr_[kind_idx]->add();
+  const std::size_t kind = op.index();
+  if (op_ctr_[kind]) op_ctr_[kind]->add();
   std::function<void()> done = [this, lane, epoch = lane_epoch_]() {
     // A done() surviving from before a restart must not unlock the lane the
     // new life is using.
@@ -439,38 +462,15 @@ void Relayer::pump(int lane) {
   if (telemetry::tracer(hub_)) {
     // Span covers the whole op, queries and submission included — emitted at
     // completion (trace viewers sort by ts, so out-of-order append is fine).
-    done = [this, lane, kind_idx, start = sched_.now(),
-            inner = std::move(done)]() {
+    done = [this, lane, kind, start = sched_.now(), inner = std::move(done)]() {
       if (auto* t = telemetry::tracer(hub_)) {
-        t->complete(lane_track_[lane], kOpNames[kind_idx], start,
+        t->complete(lane_track_[lane], kOps[kind].name, start,
                     sched_.now() - start);
       }
       inner();
     };
   }
-  switch (op.kind) {
-    case Op::Kind::kRelay:
-      run_relay_batch(std::move(op.relay), std::move(done));
-      break;
-    case Op::Kind::kAck:
-      run_ack_batch(std::move(op.ack), std::move(done));
-      break;
-    case Op::Kind::kTimeout:
-      run_timeout_batch(std::move(op.timeout), std::move(done));
-      break;
-    case Op::Kind::kClear:
-      run_clear(std::move(op.clear), std::move(done));
-      break;
-    case Op::Kind::kRetryRecv:
-      build_and_send_recv(std::move(op.retry.seqs), std::move(done));
-      break;
-    case Op::Kind::kRetryAck:
-      build_and_send_ack(std::move(op.retry.seqs), std::move(done));
-      break;
-    case Op::Kind::kAckScan:
-      run_ack_scan(std::move(op.ack_scan), std::move(done));
-      break;
-  }
+  std::visit([&](auto& o) { run(std::move(o), std::move(done)); }, op);
 }
 
 // --- Data pulls -------------------------------------------------------------------
@@ -507,8 +507,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
     while (begin < seqs.size() &&
            chunk_satisfied(event_type, seqs, begin,
                            std::min(begin + chunk, seqs.size()))) {
-      ++stats_.chunk_queries_skipped;
-      if (chunks_skipped_ctr_) chunks_skipped_ctr_->add();
+      bump(&Stats::chunk_queries_skipped);
       ++chunk_index;
       begin = chunk_index * chunk;
     }
@@ -526,8 +525,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                              ? Step::kTransferDataPull
                              : Step::kRecvDataPull;
 
-  ++stats_.chunk_queries;
-  if (chunk_queries_ctr_) chunk_queries_ctr_->add();
+  bump(&Stats::chunk_queries);
   cache_.query_packet_events(
       *server, config_.machine, height, event_type, lo, hi,
       [this, server, height, event_type, seqs = std::move(seqs), chunk_index,
@@ -569,8 +567,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                   // this packet cannot be acknowledged. Count it, drop any
                   // cached copy of the bad page, and let the ack batch's
                   // completion handler schedule a bounded re-pull.
-                  ++stats_.ack_decode_failures;
-                  if (ack_decode_failures_ctr_) ack_decode_failures_ctr_->add();
+                  bump(&Stats::ack_decode_failures);
                   st.ack_decode_failed = true;
                   cache_.invalidate_page(*server, height, event_type, lo, hi);
                   IBC_LOG(kWarn, "relayer")
@@ -585,8 +582,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
           // packets stuck with no trace; count and log it, and report the
           // pull as partial so callers can tell.
           failed = true;
-          ++stats_.pull_query_failures;
-          if (pull_failures_ctr_) pull_failures_ctr_->add();
+          bump(&Stats::pull_query_failures);
           IBC_LOG(kWarn, "relayer")
               << event_type << " pull chunk [" << lo << ", " << hi
               << "] at height " << height
@@ -600,13 +596,11 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
 // --- Gas ------------------------------------------------------------------------
 
 std::uint64_t Relayer::estimate_gas(std::size_t updates,
-                                    std::size_t packet_msgs,
-                                    std::uint64_t per_packet_gas,
-                                    std::uint64_t extra_gas) const {
-  const double raw =
-      69'000.0 + static_cast<double>(updates) * static_cast<double>(gas_.update_client) +
-      static_cast<double>(packet_msgs) * static_cast<double>(per_packet_gas) +
-      static_cast<double>(extra_gas);
+                                    std::uint64_t msgs_gas) const {
+  const double raw = 69'000.0 +
+                     static_cast<double>(updates) *
+                         static_cast<double>(gas_.update_client) +
+                     static_cast<double>(msgs_gas);
   return static_cast<std::uint64_t>(std::ceil(raw * config_.gas_headroom));
 }
 
@@ -642,16 +636,10 @@ void Relayer::fetch_update(rpc::Server* server, const ibc::ClientId& client_id,
       });
 }
 
-// --- Relay batches -----------------------------------------------------------------
+// --- Relay and ack batches ---------------------------------------------------
 
-void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs;
-  for (ibc::Sequence s : op.seqs) {
-    const auto it = packets_.find(s);
-    if (it != packets_.end() && it->second.stage == Stage::kExtracted) {
-      seqs.push_back(s);
-    }
-  }
+void Relayer::run(RelayBatchOp op, std::function<void()> done) {
+  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kExtracted);
   if (seqs.empty()) {
     done();
     return;
@@ -660,13 +648,7 @@ void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
     relay_batch_hist_->observe(static_cast<double>(seqs.size()));
   }
   auto after_pull = [this, seqs, done = std::move(done)](PullResult pr) mutable {
-    std::vector<ibc::Sequence> pulled;
-    for (ibc::Sequence s : seqs) {
-      const auto it = packets_.find(s);
-      if (it != packets_.end() && it->second.stage == Stage::kPulled) {
-        pulled.push_back(s);
-      }
-    }
+    std::vector<ibc::Sequence> pulled = in_stage(seqs, Stage::kPulled);
     if (pr == PullResult::kPartialFailure) {
       // Per-chunk errors were already counted/logged; packets left in
       // kExtracted are rediscovered by the next clear pass.
@@ -678,269 +660,14 @@ void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
       done();
       return;
     }
-    build_and_send_recv(std::move(pulled), std::move(done));
+    build_and_submit(recv_leg_, std::move(pulled), std::move(done));
   };
   pull_chunks(a_.server, op.src_height, "send_packet", std::move(seqs), 0,
               /*any_failed=*/false, std::move(after_pull));
 }
 
-void Relayer::build_and_send_recv(std::vector<ibc::Sequence> seqs,
-                                  std::function<void()> done) {
-  // Stage 1: per-packet commitment proof queries (sequential — the RPC node
-  // serves one request at a time anyway) + per-message CPU.
-  struct BuildState {
-    std::vector<ibc::Sequence> seqs;
-    std::size_t next = 0;
-    std::vector<ibc::MsgRecvPacket> msgs;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<BuildState>();
-  st->seqs = std::move(seqs);
-  st->done = std::move(done);
-
-  // The closure holds itself only weakly: queued callbacks carry the strong
-  // references, so when the simulation tears down mid-chain the cycle
-  // collapses instead of leaking (a strong self-capture is unreclaimable).
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)]() {
-    auto step = wstep.lock();
-    if (!step || !running_) return;
-    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-    if (st->next >= st->seqs.size()) {
-      release_later(step);
-      // Stage 2: group into transactions and submit.
-      if (st->msgs.empty()) {
-        st->done();
-        return;
-      }
-      struct SendState {
-        std::vector<ibc::MsgRecvPacket> msgs;
-        std::size_t next_tx_begin = 0;
-        std::function<void()> done;
-      };
-      auto send = std::make_shared<SendState>();
-      send->msgs = std::move(st->msgs);
-      send->done = std::move(st->done);
-
-      auto send_step = std::make_shared<std::function<void()>>();
-      *send_step = [this, send,
-                    wsend = std::weak_ptr<std::function<void()>>(send_step)]() {
-        auto send_step = wsend.lock();
-        if (!send_step) return;
-        if (!running_ || send->next_tx_begin >= send->msgs.size()) {
-          if (send->next_tx_begin >= send->msgs.size()) {
-            release_later(send_step);
-            send->done();
-          }
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-        const std::size_t begin = send->next_tx_begin;
-        const std::size_t end = std::min(
-            begin + config_.max_msgs_per_tx, send->msgs.size());
-        send->next_tx_begin = end;
-
-        // Distinct proof heights in this tx need client updates.
-        std::vector<chain::Height> heights;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto h = static_cast<chain::Height>(send->msgs[i].proof_height);
-          if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-            heights.push_back(h);
-          }
-        }
-        std::sort(heights.begin(), heights.end());
-
-        auto updates = std::make_shared<std::vector<chain::Msg>>();
-        auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-        *fetch_next = [this, send, send_step, heights, updates,
-                       wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                           fetch_next),
-                       begin, end](std::size_t hi) {
-          auto fetch_next = wfetch.lock();
-          if (!fetch_next) return;
-          if (hi >= heights.size()) {
-            // Chain complete: release the stored closure.
-            sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-          }
-          if (hi < heights.size()) {
-            fetch_update(a_.server, path_.client_on_b, heights[hi],
-                         [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                           if (u) updates->push_back(std::move(*u));
-                           if (*fetch_next) (*fetch_next)(hi + 1);
-                         });
-            return;
-          }
-          // Assemble and submit the tx.
-          std::vector<chain::Msg> msgs = *updates;
-          std::vector<ibc::Sequence> tx_seqs;
-          // A packet whose receiver encodes a forward route executes an
-          // onward transfer inside the destination's recv handler; without
-          // budgeting it the tx runs out of gas on every middle-chain hop.
-          std::uint64_t forward_gas = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (ibc::ForwardMiddleware::is_forward_packet(
-                    send->msgs[i].packet.data)) {
-              forward_gas += gas_.transfer;
-            }
-            msgs.push_back(send->msgs[i].to_msg());
-            tx_seqs.push_back(send->msgs[i].packet.sequence);
-          }
-          const std::uint64_t gas = estimate_gas(
-              updates->size(), end - begin, gas_.recv_packet, forward_gas);
-          // The pipeline advances to the next tx as soon as this one is in
-          // the mempool (optimistic submission); the commit callback only
-          // does bookkeeping. `advanced` guards the pipeline continuation if
-          // the broadcast itself fails.
-          auto advanced = std::make_shared<bool>(false);
-          wallet_b_->submit(
-              std::move(msgs), gas,
-              [this, tx_seqs, send_step, advanced](const Wallet::SubmitOutcome& out) {
-                if (!running_) return;
-                std::vector<ibc::Sequence> recv_done;
-                std::vector<ibc::Sequence> retry_seqs;
-                for (ibc::Sequence s : tx_seqs) {
-                  const auto it = packets_.find(s);
-                  if (it == packets_.end()) continue;
-                  PacketState& ps = it->second;
-                  if (out.status.is_ok()) {
-                    record(Step::kRecvConfirmation, s);
-                    ++stats_.packets_relayed;
-                    if (relayed_ctr_) relayed_ctr_->add();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      ps.stage = Stage::kRecvDone;
-                      ps.dst_height = out.height;
-                      recv_done.push_back(s);
-                    }
-                  } else if (out.status.code() ==
-                             util::ErrorCode::kRedundantPacket) {
-                    ++stats_.redundant_errors;
-                    if (redundant_ctr_) redundant_ctr_->add();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      if (ps.recv_retries <
-                          static_cast<std::uint8_t>(config_.max_packet_retries)) {
-                        // Hermes retries the failed batch, rebuilding the
-                        // proofs and resubmitting (wasted work when another
-                        // relayer actually delivered the packets); the cap
-                        // bounds what used to be a one-shot set.
-                        ++ps.recv_retries;
-                        ps.stage = Stage::kPulled;
-                        retry_seqs.push_back(s);
-                      } else {
-                        // Retries exhausted: treat as delivered elsewhere;
-                        // the destination's write_ack event drives the ack.
-                        ps.stage = Stage::kRecvDone;
-                      }
-                    }
-                  } else if (out.status.code() == util::ErrorCode::kTimeout &&
-                             out.committed) {
-                    // Packet expired before delivery.
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      ps.stage = Stage::kPulled;  // timeout path picks it up
-                    }
-                  } else {
-                    ++stats_.recv_txs_failed;
-                    if (recv_failed_ctr_) recv_failed_ctr_->add();
-                    IBC_LOG(kWarn, "relayer")
-                        << "recv tx failed: " << out.status.to_string();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      // Clearing rebuilds and resubmits kPulled packets; a
-                      // persistent fault (e.g. chronic under-gassing) used
-                      // to loop forever through that path. Bound it.
-                      if (++ps.recv_failures >
-                          static_cast<std::uint8_t>(config_.max_submit_failures)) {
-                        abandon_packet(s, ps, "recv submit failures");
-                      } else {
-                        ps.stage = Stage::kPulled;  // retried by clearing
-                      }
-                    }
-                  }
-                }
-                // Normally the destination's WebSocket frame announces the
-                // write_acks (batched per block, as Hermes sees them); the
-                // committed recv tx's own events are the fallback when that
-                // event stream is broken (oversized frames, §V).
-                if (ws_wedged_b_ && !recv_done.empty()) {
-                  Op ack_op;
-                  ack_op.kind = Op::Kind::kAck;
-                  ack_op.ack = AckBatchOp{out.height, std::move(recv_done)};
-                  enqueue(std::move(ack_op));
-                }
-                if (!retry_seqs.empty()) {
-                  Op retry;
-                  retry.kind = Op::Kind::kRetryRecv;
-                  retry.retry = RetryOp{std::move(retry_seqs)};
-                  enqueue_retry(std::move(retry));
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              },
-              [this, tx_seqs, send_step, advanced]() {
-                for (ibc::Sequence s : tx_seqs) {
-                  record(Step::kRecvBroadcast, s);
-                  const auto it = packets_.find(s);
-                  if (it != packets_.end() &&
-                      it->second.stage == Stage::kPulled) {
-                    it->second.stage = Stage::kRecvInFlight;
-                  }
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              });
-        };
-        if (*fetch_next) (*fetch_next)(0);
-      };
-      if (*send_step) (*send_step)();
-      return;
-    }
-
-    const ibc::Sequence seq = st->seqs[st->next++];
-    const auto it = packets_.find(seq);
-    if (it == packets_.end() || it->second.stage != Stage::kPulled ||
-        !it->second.packet) {
-      if (*step) (*step)();
-      return;
-    }
-    const std::string key =
-        ibc::host::packet_commitment_key(path_.port, path_.channel_a, seq);
-    cache_.abci_query(
-        *a_.server, config_.machine, key, /*prove=*/true,
-        [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
-          if (!running_) return;
-          telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-          const auto it2 = packets_.find(seq);
-          if (res.is_ok() && res.value().exists && it2 != packets_.end() &&
-              it2->second.packet) {
-            ibc::MsgRecvPacket msg;
-            msg.packet = *it2->second.packet;
-            msg.proof_commitment = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
-            // Per-message assembly CPU, then the next packet.
-            sched_.schedule_after(config_.build_cpu_per_msg, [this, step, seq] {
-              record(Step::kRecvBuild, seq);
-              if (*step) (*step)();
-            });
-            return;
-          }
-          // Commitment gone (acked/timed out already) or query failed.
-          if (*step) (*step)();
-        });
-  };
-  if (*step) (*step)();
-}
-
-void Relayer::run_ack_batch(AckBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs;
-  for (ibc::Sequence s : op.seqs) {
-    const auto it = packets_.find(s);
-    if (it != packets_.end() && it->second.stage == Stage::kRecvDone) {
-      seqs.push_back(s);
-    }
-  }
+void Relayer::run(AckBatchOp op, std::function<void()> done) {
+  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kRecvDone);
   if (seqs.empty()) {
     done();
     return;
@@ -979,316 +706,367 @@ void Relayer::run_ack_batch(AckBatchOp op, std::function<void()> done) {
       sched_.schedule_after(config_.ack_repull_backoff,
                             [this, dst_height, repull = std::move(repull)] {
                               if (!running_) return;
-                              Op op;
-                              op.kind = Op::Kind::kAck;
-                              op.ack = AckBatchOp{dst_height, repull};
-                              enqueue(std::move(op));
+                              enqueue(AckBatchOp{dst_height, repull});
                             });
     }
     if (ready.empty()) {
       done();
       return;
     }
-    build_and_send_ack(std::move(ready), std::move(done));
+    build_and_submit(ack_leg_, std::move(ready), std::move(done));
   };
   pull_chunks(b_.server, op.dst_height, "write_acknowledgement",
               std::move(seqs), 0, /*any_failed=*/false, std::move(after_pull));
 }
 
-void Relayer::build_and_send_ack(std::vector<ibc::Sequence> seqs,
-                                 std::function<void()> done) {
+void Relayer::run(RetryRecvOp op, std::function<void()> done) {
+  build_and_submit(recv_leg_, std::move(op.seqs), std::move(done));
+}
+
+void Relayer::run(RetryAckOp op, std::function<void()> done) {
+  build_and_submit(ack_leg_, std::move(op.seqs), std::move(done));
+}
+
+// --- Build and submit (both legs) --------------------------------------------
+
+void Relayer::build_and_submit(const Leg& leg, std::vector<ibc::Sequence> seqs,
+                               std::function<void()> done) {
+  // Stage 1: per-packet proof queries (sequential — the RPC node serves one
+  // request at a time anyway) + per-message CPU.
   struct BuildState {
     std::vector<ibc::Sequence> seqs;
     std::size_t next = 0;
-    std::vector<ibc::MsgAcknowledgementMsg> msgs;
+    std::vector<BuiltMsg> msgs;
     std::function<void()> done;
   };
   auto st = std::make_shared<BuildState>();
   st->seqs = std::move(seqs);
   st->done = std::move(done);
 
-  // The closure holds itself only weakly: queued callbacks carry the strong
-  // references, so when the simulation tears down mid-chain the cycle
-  // collapses instead of leaking (a strong self-capture is unreclaimable).
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)]() {
-    auto step = wstep.lock();
-    if (!step || !running_) return;
+  run_chain([this, &leg, st](const StepFn& step) {
+    if (!running_) return;
     telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
     if (st->next >= st->seqs.size()) {
       release_later(step);
+      // Stage 2: group into transactions and submit.
       if (st->msgs.empty()) {
         st->done();
-        return;
+      } else {
+        send_txs(leg, std::move(st->msgs), std::move(st->done));
       }
-      struct SendState {
-        std::vector<ibc::MsgAcknowledgementMsg> msgs;
-        std::size_t next_tx_begin = 0;
-        std::function<void()> done;
-      };
-      auto send = std::make_shared<SendState>();
-      send->msgs = std::move(st->msgs);
-      send->done = std::move(st->done);
-
-      auto send_step = std::make_shared<std::function<void()>>();
-      *send_step = [this, send,
-                    wsend = std::weak_ptr<std::function<void()>>(send_step)]() {
-        auto send_step = wsend.lock();
-        if (!send_step) return;
-        if (!running_ || send->next_tx_begin >= send->msgs.size()) {
-          if (send->next_tx_begin >= send->msgs.size()) {
-            release_later(send_step);
-            send->done();
-          }
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-        const std::size_t begin = send->next_tx_begin;
-        const std::size_t end = std::min(
-            begin + config_.max_msgs_per_tx, send->msgs.size());
-        send->next_tx_begin = end;
-
-        std::vector<chain::Height> heights;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto h = static_cast<chain::Height>(send->msgs[i].proof_height);
-          if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-            heights.push_back(h);
-          }
-        }
-        std::sort(heights.begin(), heights.end());
-
-        auto updates = std::make_shared<std::vector<chain::Msg>>();
-        auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-        *fetch_next = [this, send, send_step, heights, updates,
-                       wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                           fetch_next),
-                       begin, end](std::size_t hi) {
-          auto fetch_next = wfetch.lock();
-          if (!fetch_next) return;
-          if (hi >= heights.size()) {
-            // Chain complete: release the stored closure.
-            sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-          }
-          if (hi < heights.size()) {
-            fetch_update(b_.server, path_.client_on_a, heights[hi],
-                         [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                           if (u) updates->push_back(std::move(*u));
-                           if (*fetch_next) (*fetch_next)(hi + 1);
-                         });
-            return;
-          }
-          std::vector<chain::Msg> msgs = *updates;
-          std::vector<ibc::Sequence> tx_seqs;
-          for (std::size_t i = begin; i < end; ++i) {
-            msgs.push_back(send->msgs[i].to_msg());
-            tx_seqs.push_back(send->msgs[i].packet.sequence);
-          }
-          const std::uint64_t gas = estimate_gas(
-              updates->size(), end - begin, gas_.acknowledge);
-          auto advanced = std::make_shared<bool>(false);
-          wallet_a_->submit(
-              std::move(msgs), gas,
-              [this, tx_seqs, send_step, advanced](const Wallet::SubmitOutcome& out) {
-                if (!running_) return;
-                std::vector<ibc::Sequence> retry_seqs;
-                for (ibc::Sequence s : tx_seqs) {
-                  const auto it = packets_.find(s);
-                  if (it == packets_.end()) continue;
-                  PacketState& ps = it->second;
-                  if (out.status.is_ok()) {
-                    record(Step::kAckConfirmation, s);
-                    ++stats_.packets_completed;
-                    if (completed_ctr_) completed_ctr_->add();
-                    ps.stage = Stage::kDone;
-                  } else if (out.status.code() ==
-                             util::ErrorCode::kRedundantPacket) {
-                    ++stats_.redundant_errors;
-                    if (redundant_ctr_) redundant_ctr_->add();
-                    if (ps.stage == Stage::kAckInFlight &&
-                        ps.ack_retries <
-                            static_cast<std::uint8_t>(
-                                config_.max_packet_retries)) {
-                      ++ps.ack_retries;
-                      ps.stage = Stage::kRecvDone;  // rebuild + resubmit
-                      retry_seqs.push_back(s);
-                    } else {
-                      // Most likely another relayer completed it — but a
-                      // single genuinely-redundant msg fails the whole tx,
-                      // so batch-mates may NOT be acked yet. Park at
-                      // kRecvDone flagged for clearing: the clear pass only
-                      // sees still-outstanding commitments, so truly
-                      // completed packets drop out and stragglers get a
-                      // clean redrive.
-                      ps.stage = Stage::kRecvDone;
-                      ps.ack_tx_failed = true;
-                    }
-                  } else {
-                    ++stats_.ack_txs_failed;
-                    if (ack_failed_ctr_) ack_failed_ctr_->add();
-                    IBC_LOG(kWarn, "relayer")
-                        << "ack tx failed: " << out.status.to_string();
-                    // A censored/unreachable mempool fails submit before
-                    // broadcast, leaving the stage at kRecvDone; flag both
-                    // shapes so run_clear redrives the ack either way.
-                    if (ps.stage == Stage::kAckInFlight) {
-                      ps.stage = Stage::kRecvDone;
-                    }
-                    if (ps.stage == Stage::kRecvDone) {
-                      ps.ack_tx_failed = true;
-                    }
-                  }
-                }
-                if (!retry_seqs.empty()) {
-                  Op retry;
-                  retry.kind = Op::Kind::kRetryAck;
-                  retry.retry = RetryOp{std::move(retry_seqs)};
-                  enqueue_retry(std::move(retry));
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              },
-              [this, tx_seqs, send_step, advanced]() {
-                for (ibc::Sequence s : tx_seqs) {
-                  record(Step::kAckBroadcast, s);
-                  const auto it = packets_.find(s);
-                  if (it != packets_.end() &&
-                      it->second.stage == Stage::kRecvDone) {
-                    it->second.stage = Stage::kAckInFlight;
-                  }
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              });
-        };
-        if (*fetch_next) (*fetch_next)(0);
-      };
-      if (*send_step) (*send_step)();
       return;
     }
 
     const ibc::Sequence seq = st->seqs[st->next++];
     const auto it = packets_.find(seq);
-    if (it == packets_.end() || it->second.stage != Stage::kRecvDone ||
-        !it->second.packet || !it->second.ack) {
+    if (it == packets_.end() || it->second.stage != leg.ready ||
+        !has_msg_data(leg, it->second)) {
       if (*step) (*step)();
       return;
     }
-    const std::string key =
-        ibc::host::packet_ack_key(path_.port, path_.channel_b, seq);
     cache_.abci_query(
-        *b_.server, config_.machine, key, /*prove=*/true,
-        [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
+        *leg.server, config_.machine,
+        leg.proof_key(path_.port, leg.proof_channel, seq), /*prove=*/true,
+        [this, &leg, st, step, seq](
+            util::Result<rpc::Server::AbciQueryResult> res) {
           if (!running_) return;
           telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
           const auto it2 = packets_.find(seq);
-          if (res.is_ok() && res.value().exists && it2 != packets_.end()) {
-            ibc::MsgAcknowledgementMsg msg;
-            msg.packet = *it2->second.packet;
-            msg.ack = *it2->second.ack;
-            msg.proof_ack = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
-            sched_.schedule_after(config_.build_cpu_per_msg, [this, step, seq] {
-              record(Step::kAckBuild, seq);
-              if (*step) (*step)();
-            });
+          if (!res.is_ok() || !res.value().exists || it2 == packets_.end() ||
+              !has_msg_data(leg, it2->second)) {
+            // Proven state gone (acked/timed out already) or query failed.
+            if (*step) (*step)();
             return;
           }
-          if (*step) (*step)();
+          st->msgs.push_back((this->*leg.make_msg)(it2->second, res.value()));
+          // Per-message assembly CPU, then the next packet.
+          sched_.schedule_after(config_.build_cpu_per_msg,
+                                [this, &leg, step, seq] {
+                                  record(leg.build, seq);
+                                  if (*step) (*step)();
+                                });
         });
+  });
+}
+
+void Relayer::send_txs(const Leg& leg, std::vector<BuiltMsg> msgs,
+                       std::function<void()> done) {
+  struct SendState {
+    std::vector<BuiltMsg> msgs;
+    std::size_t next = 0;
+    std::function<void()> done;
   };
-  if (*step) (*step)();
+  auto send = std::make_shared<SendState>();
+  send->msgs = std::move(msgs);
+  send->done = std::move(done);
+
+  run_chain([this, &leg, send](const StepFn& step) {
+    if (send->next >= send->msgs.size()) {
+      release_later(step);
+      send->done();
+      return;
+    }
+    if (!running_) return;
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
+    const std::size_t begin = send->next;
+    send->next = std::min(begin + config_.max_msgs_per_tx, send->msgs.size());
+    std::vector<BuiltMsg> tx;
+    std::vector<ibc::Sequence> tx_seqs;
+    for (std::size_t i = begin; i < send->next; ++i) {
+      tx_seqs.push_back(send->msgs[i].seq);
+      tx.push_back(std::move(send->msgs[i]));
+    }
+    // The pipeline advances to the next tx as soon as this one is in the
+    // mempool (optimistic submission); the commit callback only does
+    // bookkeeping. `advanced` guards the pipeline continuation if the
+    // broadcast itself fails.
+    auto advanced = std::make_shared<bool>(false);
+    const auto advance = [step, advanced] {
+      if (*advanced) return;
+      *advanced = true;
+      if (*step) (*step)();
+    };
+    submit_tx(
+        leg, std::move(tx),
+        [this, &leg, tx_seqs, advance](const Wallet::SubmitOutcome& out) {
+          if (!running_) return;
+          (this->*leg.committed)(tx_seqs, out);
+          advance();
+        },
+        [this, &leg, tx_seqs, advance] {
+          for (ibc::Sequence s : tx_seqs) {
+            record(leg.broadcast, s);
+            const auto it = packets_.find(s);
+            if (it != packets_.end() && it->second.stage == leg.ready) {
+              it->second.stage = leg.in_flight;
+            }
+          }
+          advance();
+        });
+  });
+}
+
+void Relayer::submit_tx(const Leg& leg, std::vector<BuiltMsg> msgs,
+                        Wallet::SubmitCallback on_commit,
+                        std::function<void()> on_broadcast) {
+  struct SubmitState {
+    std::vector<chain::Height> heights;  // distinct proof heights, ascending
+    std::size_t next = 0;
+    std::vector<chain::Msg> tx;  // the client updates, then the messages
+    std::vector<BuiltMsg> msgs;
+    Wallet::SubmitCallback on_commit;
+    std::function<void()> on_broadcast;
+  };
+  auto sub = std::make_shared<SubmitState>();
+  for (const BuiltMsg& m : msgs) {
+    if (std::find(sub->heights.begin(), sub->heights.end(), m.proof_height) ==
+        sub->heights.end()) {
+      sub->heights.push_back(m.proof_height);
+    }
+  }
+  std::sort(sub->heights.begin(), sub->heights.end());
+  sub->msgs = std::move(msgs);
+  sub->on_commit = std::move(on_commit);
+  sub->on_broadcast = std::move(on_broadcast);
+
+  run_chain([this, &leg, sub](const StepFn& step) {
+    if (sub->next < sub->heights.size()) {
+      fetch_update(leg.server, leg.client, sub->heights[sub->next++],
+                   [sub, step](std::optional<chain::Msg> u) {
+                     if (u) sub->tx.push_back(std::move(*u));
+                     if (*step) (*step)();
+                   });
+      return;
+    }
+    release_later(step);
+    const std::size_t updates = sub->tx.size();
+    std::uint64_t msgs_gas = 0;
+    for (BuiltMsg& m : sub->msgs) {
+      msgs_gas += m.gas;
+      sub->tx.push_back(std::move(m.msg));
+    }
+    leg.wallet->submit(std::move(sub->tx), estimate_gas(updates, msgs_gas),
+                       std::move(sub->on_commit),
+                       std::move(sub->on_broadcast));
+  });
+}
+
+// --- Per-direction message constructors and commit bookkeeping ---------------
+
+Relayer::BuiltMsg Relayer::recv_msg(
+    const PacketState& ps, const rpc::Server::AbciQueryResult& proof) const {
+  ibc::MsgRecvPacket msg;
+  msg.packet = *ps.packet;
+  msg.proof_commitment = proof.proof;
+  msg.proof_height = proof.height;
+  // A packet whose receiver encodes a forward route executes an onward
+  // transfer inside the destination's recv handler; without budgeting it
+  // the tx runs out of gas on every middle-chain hop.
+  const std::uint64_t forward_gas =
+      ibc::ForwardMiddleware::is_forward_packet(msg.packet.data)
+          ? gas_.transfer
+          : 0;
+  return {msg.packet.sequence, proof.height, msg.to_msg(),
+          gas_.recv_packet + forward_gas};
+}
+
+Relayer::BuiltMsg Relayer::ack_msg(
+    const PacketState& ps, const rpc::Server::AbciQueryResult& proof) const {
+  ibc::MsgAcknowledgementMsg msg;
+  msg.packet = *ps.packet;
+  msg.ack = *ps.ack;
+  msg.proof_ack = proof.proof;
+  msg.proof_height = proof.height;
+  return {msg.packet.sequence, proof.height, msg.to_msg(), gas_.acknowledge};
+}
+
+void Relayer::recv_committed(const std::vector<ibc::Sequence>& seqs,
+                             const Wallet::SubmitOutcome& out) {
+  std::vector<ibc::Sequence> recv_done;
+  std::vector<ibc::Sequence> retry_seqs;
+  for (ibc::Sequence s : seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    PacketState& ps = it->second;
+    if (out.status.is_ok()) {
+      record(Step::kRecvConfirmation, s);
+      bump(&Stats::packets_relayed);
+      if (ps.stage == Stage::kRecvInFlight) {
+        ps.stage = Stage::kRecvDone;
+        recv_done.push_back(s);
+      }
+    } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
+      bump(&Stats::redundant_errors);
+      if (ps.stage != Stage::kRecvInFlight) continue;
+      if (ps.recv_retries <
+          static_cast<std::uint8_t>(config_.max_packet_retries)) {
+        // Hermes retries the failed batch, rebuilding the proofs and
+        // resubmitting (wasted work when another relayer actually delivered
+        // the packets); the cap bounds what used to be a one-shot set.
+        ++ps.recv_retries;
+        ps.stage = Stage::kPulled;
+        retry_seqs.push_back(s);
+      } else {
+        // Retries exhausted: treat as delivered elsewhere; the
+        // destination's write_ack event drives the ack.
+        ps.stage = Stage::kRecvDone;
+      }
+    } else if (out.status.code() == util::ErrorCode::kTimeout &&
+               out.committed) {
+      // Packet expired before delivery: the timeout path picks it up.
+      if (ps.stage == Stage::kRecvInFlight) ps.stage = Stage::kPulled;
+    } else {
+      bump(&Stats::recv_txs_failed);
+      IBC_LOG(kWarn, "relayer") << "recv tx failed: " << out.status.to_string();
+      if (ps.stage != Stage::kRecvInFlight) continue;
+      // Clearing rebuilds and resubmits kPulled packets; a persistent fault
+      // (e.g. chronic under-gassing) used to loop forever through that
+      // path. Bound it.
+      if (++ps.recv_failures >
+          static_cast<std::uint8_t>(config_.max_submit_failures)) {
+        abandon_packet(s, ps, "recv submit failures");
+      } else {
+        ps.stage = Stage::kPulled;  // retried by clearing
+      }
+    }
+  }
+  // Normally the destination's WebSocket frame announces the write_acks
+  // (batched per block, as Hermes sees them); the committed recv tx's own
+  // events are the fallback when that event stream is broken (oversized
+  // frames, §V).
+  if (ws_wedged_b_ && !recv_done.empty()) {
+    enqueue(AckBatchOp{out.height, std::move(recv_done)});
+  }
+  if (!retry_seqs.empty()) enqueue_retry(RetryRecvOp{std::move(retry_seqs)});
+}
+
+void Relayer::ack_committed(const std::vector<ibc::Sequence>& seqs,
+                            const Wallet::SubmitOutcome& out) {
+  std::vector<ibc::Sequence> retry_seqs;
+  for (ibc::Sequence s : seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    PacketState& ps = it->second;
+    if (out.status.is_ok()) {
+      record(Step::kAckConfirmation, s);
+      bump(&Stats::packets_completed);
+      ps.stage = Stage::kDone;
+    } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
+      bump(&Stats::redundant_errors);
+      if (ps.stage == Stage::kAckInFlight &&
+          ps.ack_retries <
+              static_cast<std::uint8_t>(config_.max_packet_retries)) {
+        ++ps.ack_retries;
+        ps.stage = Stage::kRecvDone;  // rebuild + resubmit
+        retry_seqs.push_back(s);
+      } else {
+        // Most likely another relayer completed it — but a single
+        // genuinely-redundant msg fails the whole tx, so batch-mates may NOT
+        // be acked yet. Park at kRecvDone flagged for clearing: the clear
+        // pass only sees still-outstanding commitments, so truly completed
+        // packets drop out and stragglers get a clean redrive.
+        ps.stage = Stage::kRecvDone;
+        ps.ack_tx_failed = true;
+      }
+    } else {
+      bump(&Stats::ack_txs_failed);
+      IBC_LOG(kWarn, "relayer") << "ack tx failed: " << out.status.to_string();
+      // A censored/unreachable mempool fails submit before broadcast,
+      // leaving the stage at kRecvDone; flag both shapes so the clear pass
+      // redrives the ack either way.
+      if (ps.stage == Stage::kAckInFlight) ps.stage = Stage::kRecvDone;
+      if (ps.stage == Stage::kRecvDone) ps.ack_tx_failed = true;
+    }
+  }
+  if (!retry_seqs.empty()) enqueue_retry(RetryAckOp{std::move(retry_seqs)});
 }
 
 // --- Timeouts --------------------------------------------------------------------
 
-void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
+void Relayer::run(TimeoutBatchOp op, std::function<void()> done) {
+  // Timeouts keep their own proof loop: the non-existence proofs are never
+  // cached, cost no build CPU, all go into one tx, and the op ends only when
+  // that tx commits. Timeout volume is small in practice.
   struct BuildState {
     std::vector<ibc::Sequence> seqs;
     std::size_t next = 0;
-    std::vector<ibc::MsgTimeout> msgs;
+    std::vector<BuiltMsg> msgs;
     std::function<void()> done;
   };
   auto st = std::make_shared<BuildState>();
   st->seqs = std::move(op.seqs);
   st->done = std::move(done);
 
-  // The closure holds itself only weakly: queued callbacks carry the strong
-  // references, so when the simulation tears down mid-chain the cycle
-  // collapses instead of leaking (a strong self-capture is unreclaimable).
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)]() {
-    auto step = wstep.lock();
-    if (!step || !running_) return;
+  run_chain([this, st](const StepFn& step) {
+    if (!running_) return;
     if (st->next >= st->seqs.size()) {
       release_later(step);
       if (st->msgs.empty()) {
         st->done();
         return;
       }
-      // One tx per batch chunk; timeout volume is small in practice.
-      std::vector<chain::Height> heights;
-      for (const auto& m : st->msgs) {
-        const auto h = static_cast<chain::Height>(m.proof_height);
-        if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-          heights.push_back(h);
-        }
-      }
-      std::sort(heights.begin(), heights.end());
-      auto updates = std::make_shared<std::vector<chain::Msg>>();
-      auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-      *fetch_next = [this, st, heights, updates,
-                     wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                         fetch_next)](std::size_t hi) {
-        auto fetch_next = wfetch.lock();
-        if (!fetch_next) return;
-        if (hi >= heights.size()) {
-          // Chain complete: release the stored closure.
-          sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-        }
-        if (hi < heights.size()) {
-          fetch_update(b_.server, path_.client_on_a, heights[hi],
-                       [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                         if (u) updates->push_back(std::move(*u));
-                         if (*fetch_next) (*fetch_next)(hi + 1);
-                       });
-          return;
-        }
-        std::vector<chain::Msg> msgs = *updates;
-        std::vector<ibc::Sequence> tx_seqs;
-        for (const auto& m : st->msgs) {
-          msgs.push_back(m.to_msg());
-          tx_seqs.push_back(m.packet.sequence);
-        }
-        const std::uint64_t gas =
-            estimate_gas(updates->size(), tx_seqs.size(), gas_.timeout);
-        wallet_a_->submit(
-            std::move(msgs), gas,
-            [this, tx_seqs, done = st->done](const Wallet::SubmitOutcome& out) {
-              if (!running_) return;
-              for (ibc::Sequence s : tx_seqs) {
-                const auto it = packets_.find(s);
-                if (it == packets_.end()) continue;
-                if (out.status.is_ok()) {
-                  ++stats_.packets_timed_out;
-                  if (timed_out_ctr_) timed_out_ctr_->add();
-                  it->second.stage = Stage::kTimedOut;
-                } else if (out.status.code() ==
-                           util::ErrorCode::kRedundantPacket) {
-                  ++stats_.redundant_errors;
-                  if (redundant_ctr_) redundant_ctr_->add();
-                  it->second.stage = Stage::kTimedOut;
-                }
-                timeout_candidates_.erase(s);
+      std::vector<ibc::Sequence> tx_seqs;
+      for (const BuiltMsg& m : st->msgs) tx_seqs.push_back(m.seq);
+      submit_tx(
+          ack_leg_, std::move(st->msgs),
+          [this, tx_seqs, done = st->done](const Wallet::SubmitOutcome& out) {
+            if (!running_) return;
+            for (ibc::Sequence s : tx_seqs) {
+              const auto it = packets_.find(s);
+              if (it == packets_.end()) continue;
+              if (out.status.is_ok()) {
+                bump(&Stats::packets_timed_out);
+                it->second.stage = Stage::kTimedOut;
+              } else if (out.status.code() ==
+                         util::ErrorCode::kRedundantPacket) {
+                bump(&Stats::redundant_errors);
+                it->second.stage = Stage::kTimedOut;
               }
-              done();
-            });
-      };
-      if (*fetch_next) (*fetch_next)(0);
+              timeout_candidates_.erase(s);
+            }
+            done();
+          },
+          {});
       return;
     }
 
@@ -1303,10 +1081,10 @@ void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
     // cached: a receipt can appear at any commit, and a stale "not received"
     // answer would produce a doomed MsgTimeout (timeouts are rare, so there
     // is no win to chase either).
-    const std::string key =
-        ibc::host::packet_receipt_key(path_.port, path_.channel_b, seq);
     b_.server->abci_query(
-        config_.machine, key, /*prove=*/true,
+        config_.machine,
+        ibc::host::packet_receipt_key(path_.port, path_.channel_b, seq),
+        /*prove=*/true,
         [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
           if (!running_) return;
           const auto it2 = packets_.find(seq);
@@ -1316,28 +1094,28 @@ void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
             msg.packet = *it2->second.packet;
             msg.proof_unreceived = res.value().proof;
             msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
+            st->msgs.push_back({msg.packet.sequence, res.value().height,
+                                msg.to_msg(), gas_.timeout});
           }
           if (*step) (*step)();
         });
-  };
-  if (*step) (*step)();
+  });
 }
 
 // --- Clearing ---------------------------------------------------------------------
 
-void Relayer::run_clear(ClearOp op, std::function<void()> done) {
+void Relayer::run(ClearOp op, std::function<void()> done) {
   // 1. Enumerate outstanding commitments on the source chain.
+  const std::string prefix =
+      ibc::host::packet_commitment_prefix(path_.port, path_.channel_a);
   a_.server->abci_query_prefix(
-      config_.machine,
-      ibc::host::packet_commitment_prefix(path_.port, path_.channel_a),
-      [this, op, done = std::move(done)](std::vector<std::string> keys) mutable {
+      config_.machine, prefix,
+      [this, op, prefix, done = std::move(done)](
+          std::vector<std::string> keys) mutable {
         if (!running_) return;
         std::vector<ibc::Sequence> unknown;
         std::vector<ibc::Sequence> stuck_acks;
         bool ackless = false;
-        const std::string prefix =
-            ibc::host::packet_commitment_prefix(path_.port, path_.channel_a);
         for (const std::string& key : keys) {
           const ibc::Sequence seq =
               std::strtoull(key.c_str() + prefix.size(), nullptr, 10);
@@ -1347,20 +1125,8 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
             // Never seen (e.g. lost in an oversized WebSocket frame). Under
             // coordination, only adopt strays this instance owns — the
             // owning peer's own clear pass covers the rest.
-            if (!relays_packets()) {
-              ++stats_.routing_skipped;
-              if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-              continue;
-            }
-            if (!coordination_.owns(path_.channel_a, seq,
-                                    last_seen_a_height_)) {
-              ++stats_.coordination_skipped;
-              if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
-              continue;
-            }
-            PacketState ps;
-            ps.stage = Stage::kExtracted;
-            packets_.emplace(seq, std::move(ps));
+            if (!admits(seq, last_seen_a_height_)) continue;
+            packets_.emplace(seq, PacketState{});
             unknown.push_back(seq);
           } else if (it->second.stage == Stage::kPulled ||
                      it->second.stage == Stage::kExtracted) {
@@ -1396,20 +1162,13 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
         if (ackless) {
           const chain::Height to =
               last_seen_b_height_ > 0 ? last_seen_b_height_ : 1;
-          Op scan;
-          scan.kind = Op::Kind::kAckScan;
-          scan.ack_scan = ClearOp{
-              to > config_.startup_rescan_depth
-                  ? to - config_.startup_rescan_depth + 1
-                  : 1,
-              to};
-          enqueue(std::move(scan));
+          enqueue(AckScanOp{rescan_from(to), to});
         }
         if (!stuck_acks.empty()) {
           std::sort(stuck_acks.begin(), stuck_acks.end());
           done = [this, acks = std::move(stuck_acks),
                   next = std::move(done)]() mutable {
-            build_and_send_ack(std::move(acks), std::move(next));
+            build_and_submit(ack_leg_, std::move(acks), std::move(next));
           };
         }
         if (unknown.empty()) {
@@ -1429,12 +1188,10 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
               if (!res.is_ok()) {
                 // Same defect class as the chunked pulls: a failed recovery
                 // scan used to disappear without a trace.
-                ++stats_.pull_query_failures;
-                if (pull_failures_ctr_) pull_failures_ctr_->add();
+                bump(&Stats::pull_query_failures);
                 IBC_LOG(kWarn, "relayer")
                     << "clear range scan failed: " << res.status().to_string();
-              }
-              if (res.is_ok()) {
+              } else {
                 for (const rpc::TxResponse& tx : res.value().txs) {
                   for (const chain::Event& ev : tx.result.events) {
                     if (ev.type != "send_packet") continue;
@@ -1452,26 +1209,20 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
                   }
                 }
               }
-              std::vector<ibc::Sequence> ready;
-              for (ibc::Sequence s : unknown) {
-                const auto it = packets_.find(s);
-                if (it != packets_.end() &&
-                    it->second.stage == Stage::kPulled) {
-                  ready.push_back(s);
-                }
-              }
+              std::vector<ibc::Sequence> ready =
+                  in_stage(unknown, Stage::kPulled);
               if (ready.empty()) {
                 done();
                 return;
               }
-              build_and_send_recv(std::move(ready), std::move(done));
+              build_and_submit(recv_leg_, std::move(ready), std::move(done));
             });
       });
 }
 
 // --- Startup ack re-scan ----------------------------------------------------------
 
-void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
+void Relayer::run(AckScanOp op, std::function<void()> done) {
   // Packets whose recv committed before the crash left a
   // write_acknowledgement event on the destination but no ack on the
   // source — and a restarted relayer has no in-memory PacketState for them,
@@ -1485,8 +1236,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
           util::Result<rpc::TxSearchPage> res) mutable {
         if (!running_) return;
         if (!res.is_ok()) {
-          ++stats_.pull_query_failures;
-          if (pull_failures_ctr_) pull_failures_ctr_->add();
+          bump(&Stats::pull_query_failures);
           IBC_LOG(kWarn, "relayer")
               << "startup ack scan failed: " << res.status().to_string();
           done();
@@ -1499,17 +1249,9 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
             auto pkt = ibc::packet_from_event(ev);
             if (!pkt || pkt->source_channel != path_.channel_a) continue;
             const ibc::Sequence seq = pkt->sequence;
-            if (!packets_.contains(seq) && !relays_packets()) {
-              ++stats_.routing_skipped;
-              if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-              continue;
-            }
-            if (!packets_.contains(seq) &&
-                !coordination_.owns(path_.channel_a, seq,
-                                    last_seen_a_height_)) {
-              // An unowned, unseen packet is a peer's to acknowledge.
-              ++stats_.coordination_skipped;
-              if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
+            // An unseen packet this instance does not admit is a peer's to
+            // acknowledge.
+            if (!packets_.contains(seq) && !admits(seq, last_seen_a_height_)) {
               continue;
             }
             PacketState& st = packets_[seq];  // inserts when unseen
@@ -1521,14 +1263,12 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
             ibc::Acknowledgement ack;
             if (!ibc::Acknowledgement::decode(
                     util::to_bytes(ev.attribute("packet_ack")), ack)) {
-              ++stats_.ack_decode_failures;
-              if (ack_decode_failures_ctr_) ack_decode_failures_ctr_->add();
+              bump(&Stats::ack_decode_failures);
               continue;
             }
             st.packet = std::move(*pkt);
             st.ack = std::move(ack);
             st.stage = Stage::kRecvDone;
-            st.dst_height = tx.height;
             ready.push_back(seq);
           }
         }
@@ -1537,7 +1277,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
           return;
         }
         std::sort(ready.begin(), ready.end());
-        build_and_send_ack(std::move(ready), std::move(done));
+        build_and_submit(ack_leg_, std::move(ready), std::move(done));
       });
 }
 

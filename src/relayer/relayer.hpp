@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <variant>
 
 #include "ibc/gas.hpp"
 #include "ibc/msgs.hpp"
@@ -217,7 +218,6 @@ class Relayer {
   struct PacketState {
     Stage stage = Stage::kExtracted;
     chain::Height src_height = 0;   // block containing the send_packet event
-    chain::Height dst_height = 0;   // block containing the recv event
     std::optional<ibc::Packet> packet;
     std::optional<ibc::Acknowledgement> ack;
     // Bounded-retry bookkeeping (per direction; see RelayerConfig caps).
@@ -229,7 +229,9 @@ class Relayer {
     bool ack_tx_failed = false;        // ack broadcast failed; clear redrives
   };
 
-  // Operations executed sequentially by the path worker.
+  // Operations executed sequentially by the path worker, one payload type
+  // per kind. The alternative fixes the op's worker lane, its trace span
+  // name and its `<name>.ops.<kind>` counter (kOps in relayer.cpp).
   struct RelayBatchOp {
     chain::Height src_height;
     std::vector<ibc::Sequence> seqs;
@@ -245,30 +247,57 @@ class Relayer {
     chain::Height scan_from;
     chain::Height scan_to;
   };
-  struct RetryOp {
+  struct RetryRecvOp {
     std::vector<ibc::Sequence> seqs;
   };
-  struct Op {
-    enum class Kind {
-      kRelay,
-      kAck,
-      kTimeout,
-      kClear,
-      kRetryRecv,
-      kRetryAck,
-      kAckScan,  // startup re-scan of dst write_acknowledgement events
-    } kind;
-    RelayBatchOp relay;
-    AckBatchOp ack;
-    TimeoutBatchOp timeout;
-    ClearOp clear;
-    RetryOp retry;
-    ClearOp ack_scan;  // height window for kAckScan
+  struct RetryAckOp {
+    std::vector<ibc::Sequence> seqs;
+  };
+  struct AckScanOp {  // height window of dst write_acknowledgement events
+    chain::Height scan_from;
+    chain::Height scan_to;
+  };
+  using Op = std::variant<RelayBatchOp, AckBatchOp, TimeoutBatchOp, ClearOp,
+                          RetryRecvOp, RetryAckOp, AckScanOp>;
+
+  /// One assembled packet message waiting for its transaction.
+  struct BuiltMsg {
+    ibc::Sequence seq;
+    chain::Height proof_height;  // the client update the message needs
+    chain::Msg msg;
+    std::uint64_t gas;  // estimated execution gas, before headroom
+  };
+
+  /// What one direction of the build-and-submit pipeline needs: the recv
+  /// leg proves commitments on A and submits to B, the ack leg proves acks
+  /// on B and submits to A (timeouts share its client update and wallet).
+  struct Leg {
+    rpc::Server* server;  // proofs and client-update headers come from here
+    std::string (*proof_key)(const ibc::PortId&, const ibc::ChannelId&,
+                             ibc::Sequence);
+    ibc::ChannelId proof_channel;  // the channel end proof_key names
+    Wallet* wallet;                // submits on the other chain
+    ibc::ClientId client;          // that chain's client of `server`'s chain
+    Stage ready;                   // packets are built from this stage...
+    Stage in_flight;               // ...and move here when broadcast
+    Step build;
+    Step broadcast;
+    bool needs_ack;  // the message carries the decoded acknowledgement
+    // Per direction: the message constructor and the commit bookkeeping.
+    BuiltMsg (Relayer::*make_msg)(const PacketState&,
+                                  const rpc::Server::AbciQueryResult&) const;
+    void (Relayer::*committed)(const std::vector<ibc::Sequence>&,
+                               const Wallet::SubmitOutcome&);
   };
 
   // Frame handling (Supervisor).
   void on_frame_a(const rpc::NewBlockFrame& frame);
   void on_frame_b(const rpc::NewBlockFrame& frame);
+
+  /// Admission of a packet this instance has not tracked yet: the routing
+  /// policy (served_channels membership + per-hop fee budget), then fleet
+  /// coordination at source height `height`. Counts the skip on refusal.
+  bool admits(ibc::Sequence seq, chain::Height height);
 
   // Worker loops. Hermes runs separate packet workers per direction of
   // work; we model that as two sequential pumps running concurrently: the
@@ -277,15 +306,18 @@ class Relayer {
   // blocks are handled in order, as the paper observes.
   void enqueue(Op op);
   void pump(int lane);
-  void run_relay_batch(RelayBatchOp op, std::function<void()> done);
-  void run_ack_batch(AckBatchOp op, std::function<void()> done);
-  void run_timeout_batch(TimeoutBatchOp op, std::function<void()> done);
-  void run_clear(ClearOp op, std::function<void()> done);
+  // One handler per op kind; pump() dispatches on the alternative.
+  void run(RelayBatchOp op, std::function<void()> done);
+  void run(AckBatchOp op, std::function<void()> done);
+  void run(TimeoutBatchOp op, std::function<void()> done);
+  void run(ClearOp op, std::function<void()> done);
+  void run(RetryRecvOp op, std::function<void()> done);
+  void run(RetryAckOp op, std::function<void()> done);
   /// Startup re-scan (RelayerConfig::startup_rescan): walks the destination
   /// chain's write_acknowledgement events over a height window and restores
   /// packets that were delivered but not yet acknowledged when the previous
   /// instance crashed, then drives their acks.
-  void run_ack_scan(ClearOp op, std::function<void()> done);
+  void run(AckScanOp op, std::function<void()> done);
 
   // Relay-batch stages.
   void pull_chunks(rpc::Server* server, chain::Height height,
@@ -306,10 +338,30 @@ class Relayer {
 
   /// Re-enqueues a retry op, after RelayerConfig::retry_backoff when set.
   void enqueue_retry(Op op);
-  void build_and_send_recv(std::vector<ibc::Sequence> seqs,
-                           std::function<void()> done);
-  void build_and_send_ack(std::vector<ibc::Sequence> seqs,
-                          std::function<void()> done);
+
+  // The build-and-submit pipeline, as Hermes' packet worker runs it for
+  // either direction: prove each packet still in leg.ready, cut txs of at
+  // most max_msgs_per_tx messages, and submit each behind one client update
+  // per proof height (submit_tx, which timeouts use too).
+  void build_and_submit(const Leg& leg, std::vector<ibc::Sequence> seqs,
+                        std::function<void()> done);
+  void send_txs(const Leg& leg, std::vector<BuiltMsg> msgs,
+                std::function<void()> done);
+  void submit_tx(const Leg& leg, std::vector<BuiltMsg> msgs,
+                 Wallet::SubmitCallback on_commit,
+                 std::function<void()> on_broadcast);
+  BuiltMsg recv_msg(const PacketState& ps,
+                    const rpc::Server::AbciQueryResult& proof) const;
+  BuiltMsg ack_msg(const PacketState& ps,
+                   const rpc::Server::AbciQueryResult& proof) const;
+  void recv_committed(const std::vector<ibc::Sequence>& seqs,
+                      const Wallet::SubmitOutcome& out);
+  void ack_committed(const std::vector<ibc::Sequence>& seqs,
+                     const Wallet::SubmitOutcome& out);
+  /// The packet data a leg's message carries is at hand.
+  static bool has_msg_data(const Leg& leg, const PacketState& ps) {
+    return ps.packet && (ps.ack || !leg.needs_ack);
+  }
 
   /// Fetches a header from `server` and assembles a MsgUpdateClient for
   /// `client_id`.
@@ -319,11 +371,13 @@ class Relayer {
 
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
-
-  /// Routing policy gate: does this instance relay packets of its path's
-  /// source channel at all (served_channels membership + per-hop fee
-  /// budget)? Computed once at construction; checked before coordination.
-  bool relays_packets() const { return serves_path_ && fee_ok_; }
+  /// The one increment site of a Stats field and its Registry mirror.
+  void bump(std::uint64_t Stats::*field);
+  /// The members of `seqs` whose tracked packet sits in `stage`.
+  std::vector<ibc::Sequence> in_stage(const std::vector<ibc::Sequence>& seqs,
+                                      Stage stage) const;
+  /// First height of the startup_rescan_depth-block window ending at `to`.
+  chain::Height rescan_from(chain::Height to) const;
 
   /// Clears a self-referential step closure once its chain has finished
   /// (deferred one tick so the currently-executing function is not destroyed
@@ -331,11 +385,9 @@ class Relayer {
   /// leak.
   void release_later(std::shared_ptr<std::function<void()>> fn);
 
-  /// `extra_gas` covers work the destination executes beyond the packet
-  /// handler itself (e.g. the forward middleware's onward transfer).
-  std::uint64_t estimate_gas(std::size_t updates, std::size_t packet_msgs,
-                             std::uint64_t per_packet_gas,
-                             std::uint64_t extra_gas = 0) const;
+  /// Gas limit for a tx of `updates` client updates plus packet messages
+  /// whose gas sums to `msgs_gas`.
+  std::uint64_t estimate_gas(std::size_t updates, std::uint64_t msgs_gas) const;
 
   sim::Scheduler& sched_;
   ChainHandle a_;
@@ -347,31 +399,20 @@ class Relayer {
 
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId lane_track_[2] = {0, 0};
-  telemetry::Counter* op_ctr_[7] = {};          // indexed by Op::Kind
+  telemetry::Counter* op_ctr_[std::variant_size_v<Op>] = {};
+  // Registry mirrors of the Stats fields (kStatMetrics order), so metrics.csv
+  // and the virtual-time sampler see them (Stats itself is only read at the
+  // end of a run).
+  telemetry::Counter* stat_ctr_[sizeof(Stats) / sizeof(std::uint64_t)] = {};
   telemetry::Histogram* relay_batch_hist_ = nullptr;
   telemetry::Histogram* ack_batch_hist_ = nullptr;
-  telemetry::Counter* chunk_queries_ctr_ = nullptr;
-  telemetry::Counter* chunks_skipped_ctr_ = nullptr;
-  telemetry::Counter* pull_failures_ctr_ = nullptr;
-  telemetry::Counter* ack_decode_failures_ctr_ = nullptr;
-  telemetry::Counter* abandoned_ctr_ = nullptr;
-  // Registry mirrors of the remaining Stats counters, so metrics.csv and
-  // the virtual-time sampler see them (Stats itself is only read at the end
-  // of a run).
-  telemetry::Counter* relayed_ctr_ = nullptr;
-  telemetry::Counter* completed_ctr_ = nullptr;
-  telemetry::Counter* timed_out_ctr_ = nullptr;
-  telemetry::Counter* redundant_ctr_ = nullptr;
-  telemetry::Counter* frames_failed_ctr_ = nullptr;
-  telemetry::Counter* recv_failed_ctr_ = nullptr;
-  telemetry::Counter* ack_failed_ctr_ = nullptr;
-  telemetry::Counter* routing_skipped_ctr_ = nullptr;
-  telemetry::Counter* coordination_skipped_ctr_ = nullptr;
   std::string flight_name_;  // journal tag for the flight recorder
 
   QueryCache cache_;
   std::unique_ptr<Wallet> wallet_a_;
   std::unique_ptr<Wallet> wallet_b_;
+  Leg recv_leg_{};
+  Leg ack_leg_{};
 
   std::map<ibc::Sequence, PacketState> packets_;
   std::deque<Op> ops_[2];        // lane 0: relay/clear; lane 1: ack/timeout

@@ -1,9 +1,13 @@
 // Focused relayer behaviour tests: event filtering, the two concurrent work
 // lanes, sticky vs non-sticky WebSocket failure, clearing of stalled
-// packets, stop() semantics, and fee accounting.
+// packets, stop() semantics, fee accounting, and pinned event schedules.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iostream>
+
+#include "crypto/sha256.hpp"
 #include "ibc/host.hpp"
 #include "xcc/analysis.hpp"
 #include "xcc/handshake.hpp"
@@ -49,6 +53,103 @@ struct RelayerFixture : ::testing::Test {
       if (!tb->scheduler().step()) break;
     }
     return r.stats().packets_completed;
+  }
+
+  // --- Pinned schedule (the PinnedSchedule* tests) -------------------------
+  //
+  // A small run whose whole outcome is pinned to constants: the executed DES
+  // event count, an FNV-1a hash of the step log, every Relayer::Stats field
+  // of every instance and both chains' store roots. A relayer change that
+  // adds, drops or moves one scheduled event (an RPC round trip, a build
+  // delay, the lane-pump deferral, a closure release) or changes any
+  // packet's fate fails these tests.
+  struct Pinned {
+    std::uint64_t events = 0;
+    std::uint64_t step_log_fnv = 0;
+    std::vector<std::array<std::uint64_t, 14>> stats;  // one row per relayer
+    std::string root_a;
+    std::string root_b;
+  };
+
+  static std::array<std::uint64_t, 14> stats_row(
+      const relayer::Relayer::Stats& s) {
+    return {s.packets_relayed,       s.packets_completed,
+            s.packets_timed_out,     s.redundant_errors,
+            s.frames_failed,         s.recv_txs_failed,
+            s.ack_txs_failed,        s.chunk_queries,
+            s.chunk_queries_skipped, s.pull_query_failures,
+            s.ack_decode_failures,   s.abandoned_packets,
+            s.coordination_skipped,  s.routing_skipped};
+  }
+
+  static std::uint64_t fnv1a(const relayer::StepLog& log) {
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    };
+    for (const relayer::StepRecord& r : log.records()) {
+      mix(static_cast<std::uint64_t>(r.time));
+      mix(static_cast<std::uint64_t>(r.step));
+      mix(r.sequence);
+      mix(r.hop);
+    }
+    return h;
+  }
+
+  /// Boots `cfg`, starts `relayers` uncoordinated instances (instance k on
+  /// machine k), submits `wl` and runs a fixed 240 s of virtual time.
+  Pinned run_pinned(xcc::TestbedConfig cfg, relayer::RelayerConfig rc,
+                    int relayers, xcc::WorkloadConfig wl) {
+    boot(cfg);
+    relayer::StepLog steps;
+    std::vector<std::unique_ptr<relayer::Relayer>> fleet;
+    for (int k = 0; k < relayers; ++k) {
+      const auto m = static_cast<std::size_t>(k);
+      relayer::ChainHandle ha{tb->chain_a().servers[m].get(),
+                              tb->chain_a().id, {tb->relayer_account_a(k)}};
+      relayer::ChainHandle hb{tb->chain_b().servers[m].get(),
+                              tb->chain_b().id, {tb->relayer_account_b(k)}};
+      rc.machine = static_cast<net::MachineId>(m);
+      fleet.push_back(std::make_unique<relayer::Relayer>(
+          tb->scheduler(), ha, hb, channel.path(), rc,
+          k == 0 ? &steps : nullptr));
+      fleet.back()->start();
+    }
+    xcc::TransferWorkload workload(*tb, channel, wl, &steps);
+    workload.start();
+    tb->run_until(tb->scheduler().now() + sim::seconds(240));
+
+    Pinned got;
+    got.events = tb->scheduler().executed_events();
+    got.step_log_fnv = fnv1a(steps);
+    for (const auto& r : fleet) got.stats.push_back(stats_row(r->stats()));
+    got.root_a = crypto::digest_hex(tb->chain_a().app->store().root());
+    got.root_b = crypto::digest_hex(tb->chain_b().app->store().root());
+    for (auto& r : fleet) r->stop();
+    return got;
+  }
+
+  static void expect_pinned(const Pinned& got, const Pinned& want) {
+    EXPECT_EQ(got.events, want.events);
+    EXPECT_EQ(got.step_log_fnv, want.step_log_fnv);
+    EXPECT_EQ(got.stats, want.stats);
+    EXPECT_EQ(got.root_a, want.root_a);
+    EXPECT_EQ(got.root_b, want.root_b);
+    if (!::testing::Test::HasFailure()) return;
+    // The actual outcome as a constant, for re-pinning a deliberate change.
+    std::cout << "actual: {" << got.events << "ULL, " << got.step_log_fnv
+              << "ULL, {";
+    for (const auto& row : got.stats) {
+      std::cout << "{";
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        std::cout << (i ? ", " : "") << row[i];
+      }
+      std::cout << "}, ";
+    }
+    std::cout << "}, \"" << got.root_a << "\", \"" << got.root_b << "\"}\n";
   }
 };
 
@@ -373,6 +474,67 @@ TEST_F(RelayerFixture, IgnoresPacketsFromOtherChannels) {
   EXPECT_EQ(r.stats().packets_completed, 0u);
   EXPECT_TRUE(steps.records().empty());
   r.stop();
+}
+
+// The pinned runs cover paths the benchmark workloads never take. Each burst
+// is 250 transfers in one block, so both directions cross the 100-msg tx cut.
+
+TEST_F(RelayerFixture, PinnedScheduleBurst) {
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 250;
+  expect_pinned(
+      run_pinned({}, {}, 1, wl),
+      {9201ULL, 12942132560927968269ULL,
+       {{250, 250, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0}},
+       "be9615e956055b0bd05288a9db00c0bce0d665994aa190530cdc553d145a6997",
+       "08ac83e7bf44801329271553f07bdda88824f5574c94958a5c70ad0e9d496e2f"});
+}
+
+TEST_F(RelayerFixture, PinnedScheduleRacingRelayers) {
+  // Two uncoordinated instances deliver the same packets: redundant-packet
+  // failures and the bounded rebuild-and-resubmit retries.
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 250;
+  expect_pinned(
+      run_pinned({}, {}, 2, wl),
+      {12789ULL, 4026742439495917187ULL,
+       {{0, 250, 0, 250, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0},
+        {250, 0, 0, 500, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0}},
+       "9ea24e301aba2d09b233206e2108dd5fb2650151f5d060bb355c846f6ffdfa22",
+       "ce4b0245b714318a15df9f876033e91a2c1421c243d452ce60b73b81aed4305a"});
+}
+
+TEST_F(RelayerFixture, PinnedScheduleTimeouts) {
+  // Packets expire 2 destination blocks after submission, before the
+  // relayer can deliver them: one timeout batch refunds all 250, with its
+  // uncached non-existence proofs.
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 250;
+  wl.timeout_height_offset = 2;
+  expect_pinned(
+      run_pinned({}, {}, 1, wl),
+      {8879ULL, 18444286763067483070ULL,
+       {{0, 0, 250, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0}},
+       "96a0db0df083c80f5c1cfaed02fdab5b6679e168812c7d85ca7ea4a9e15dc24b",
+       "27718c5376bc9bf4900efce1c34aaa5ec63f5330da78c6d3b33a492d8d9c009c"});
+}
+
+TEST_F(RelayerFixture, PinnedScheduleWedgedFrames) {
+  // The burst's event frames exceed the WebSocket limit and wedge both event
+  // sources (sticky): clearing finds the packets, and acks are driven from
+  // the committed recv txs instead of the destination's frames.
+  xcc::TestbedConfig cfg;
+  cfg.rpc_cost.websocket_max_frame_bytes = 64 * 1024;
+  relayer::RelayerConfig rc;
+  rc.clear_interval = 2;
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 250;
+  expect_pinned(
+      run_pinned(cfg, rc, 1, wl),
+      {9303ULL, 9304343334774632508ULL,
+       {{250, 250, 0, 0, 3, 0, 0, 5, 0, 0, 0, 0, 0, 0}},
+       "be9615e956055b0bd05288a9db00c0bce0d665994aa190530cdc553d145a6997",
+       "08ac83e7bf44801329271553f07bdda88824f5574c94958a5c70ad0e9d496e2f"});
 }
 
 }  // namespace
