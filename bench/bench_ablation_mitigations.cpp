@@ -10,12 +10,14 @@
 //                               relayers (vs Fig. 9's uncoordinated racing)
 //
 // The full 2^3 on/off matrix, plus the QueryCache-only row (the paper §VI
-// mitigation shipped earlier) and the stacked-all row (cache + W + I + C),
-// re-runs four fixed operating points:
+// mitigation: QueryCache + skip-satisfied-chunks, whose `base` vs `cache`
+// rows are the cached-relayer ablation) and the stacked-all row (cache + W
+// + I + C), re-runs four fixed operating points:
 //
 //   fig8_300    Fig. 8 overload: 300 RPS, 1 relayer, 200 ms RTT
 //   fig9_100    Fig. 9 contention: 100 RPS, TWO relayers, 200 ms RTT
-//   fig12_burst Fig. 12 latency: one-block burst, drained to completion
+//   fig12_burst Fig. 12 latency: one-block burst (2,000 transfers; the
+//               paper's 5,000 under --full), drained to completion
 //   fig6_incl   Fig. 6 control: inclusion-only, no relayer (mitigations
 //               target the relay path, so this row must stay ~flat)
 //
@@ -34,6 +36,9 @@
 //     point (the headline: the engineered mitigations compose)
 //   * every coordination row actually partitioned work
 //     (coordination_skipped > 0) and cut redundant-message errors
+//   * every cache/all relay row records cache hits, and on the burst the
+//     cache row completes as many transfers as base with strictly fewer
+//     chunk queries and a strictly lower data-pull share (paper: ~69%)
 
 #include "common.hpp"
 
@@ -122,6 +127,20 @@ double burst_total(const xcc::ExperimentResult& res) {
   return end - bcasts.front();
 }
 
+/// Share of the burst's completion latency spent in the transfer and recv
+/// data pulls (the paper's ~69%); 0 when the run recorded no steps.
+double pull_share(const xcc::ExperimentResult& res) {
+  const double total = burst_total(res);
+  if (total <= 0) return 0.0;
+  double pulls = 0;
+  for (relayer::Step st :
+       {relayer::Step::kTransferDataPull, relayer::Step::kRecvDataPull}) {
+    pulls += res.steps.step_finish_seconds(st) -
+             res.steps.step_interval_seconds(st).first;
+  }
+  return pulls / total;
+}
+
 std::uint64_t sum_redundant(const xcc::ExperimentResult& res) {
   std::uint64_t n = 0;
   for (const auto& r : res.relayers) n += r.redundant_errors;
@@ -131,6 +150,12 @@ std::uint64_t sum_redundant(const xcc::ExperimentResult& res) {
 std::uint64_t sum_coord_skipped(const xcc::ExperimentResult& res) {
   std::uint64_t n = 0;
   for (const auto& r : res.relayers) n += r.coordination_skipped;
+  return n;
+}
+
+std::uint64_t sum_chunk_queries(const xcc::ExperimentResult& res) {
+  std::uint64_t n = 0;
+  for (const auto& r : res.relayers) n += r.chunk_queries;
   return n;
 }
 
@@ -151,13 +176,10 @@ void add_row(util::Table& table, const std::string& combo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  }
   const bench::Options opt = bench::parse_options(
       argc, argv, "ablation_mitigations.csv",
       {{"--smoke", false, "trimmed matrix for the sanitizer CI phase"}});
+  const bool smoke = bench::has_flag(opt, "--smoke");
 
   bench::print_header(
       "Stacked ablation: concurrent RPC x indexed tx_search x coordination",
@@ -243,12 +265,19 @@ int main(int argc, char** argv) {
   if (!smoke) {
     const auto& base_fig12 = *at(combo_index("base"), 2);
     const auto& idx_fig12 = *at(combo_index("I"), 2);
+    const auto& cache_fig12 = *at(combo_index("cache"), 2);
     const auto& all_fig12 = *at(combo_index("all"), 2);
     std::cout << "fig12 burst latency: base "
               << util::fmt_double(burst_total(base_fig12), 1)
               << " s -> indexed " << util::fmt_double(burst_total(idx_fig12), 1)
               << " s -> stacked-all "
               << util::fmt_double(burst_total(all_fig12), 1) << " s\n";
+    std::cout << "fig12 burst data-pull share: base "
+              << util::fmt_percent(pull_share(base_fig12))
+              << " (paper: ~69%) -> cache-only "
+              << util::fmt_percent(pull_share(cache_fig12))
+              << ", chunk queries " << sum_chunk_queries(base_fig12) << " -> "
+              << sum_chunk_queries(cache_fig12) << "\n";
   }
 
   bool failed = false;
@@ -271,6 +300,15 @@ int main(int argc, char** argv) {
           std::string(kCombos[ci].name) + " fig9 redundant errors " +
               std::to_string(sum_redundant(r)) + " not below base " +
               std::to_string(sum_redundant(base_fig9)));
+  }
+  // The QueryCache must actually serve hits wherever a relayer runs.
+  for (const char* name : {"cache", "all"}) {
+    for (std::size_t point = 0; point < per_combo; ++point) {
+      const auto& r = *at(combo_index(name), point);
+      check(r.relayers.empty() || r.query_cache.hits > 0,
+            std::string(name) + " row at point " + std::to_string(point) +
+                " recorded no cache hits");
+    }
   }
   // Fig. 9 loss eliminated: sharded two-relayer TFPS beats the uncoordinated
   // pair and reaches the single-relayer reference.
@@ -295,6 +333,16 @@ int main(int argc, char** argv) {
     check(idx_fig12.final_breakdown.completed ==
               base_fig12.final_breakdown.completed,
           "indexed fig12 run lost transfers");
+    // The cached-relayer ablation: fewer paid chunk queries, a smaller
+    // data-pull share of the burst's latency, and every transfer completes.
+    const auto& cache_fig12 = *at(combo_index("cache"), 2);
+    check(cache_fig12.final_breakdown.completed ==
+              base_fig12.final_breakdown.completed,
+          "cache-only fig12 run lost transfers");
+    check(sum_chunk_queries(cache_fig12) < sum_chunk_queries(base_fig12),
+          "cache-only fig12 run did not issue fewer chunk queries");
+    check(pull_share(cache_fig12) < pull_share(base_fig12),
+          "cache-only fig12 data-pull share not below base");
     // The headline: the engineered mitigations stack above the QueryCache
     // ceiling at the overload point.
     check(all_fig8.tfps > cache_fig8.tfps,

@@ -78,13 +78,10 @@ xcc::MeshExperimentConfig make_config(const Point& p, std::uint64_t transfers) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  }
   const bench::Options opt = bench::parse_options(
       argc, argv, "mesh_routing.csv",
       {{"--smoke", false, "trimmed grid for the sanitizer CI phase"}});
+  const bool smoke = bench::has_flag(opt, "--smoke");
 
   bench::print_header(
       "Mesh routing: hub vs full mesh, latency vs hop count, placement",

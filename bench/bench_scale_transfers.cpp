@@ -75,10 +75,9 @@ int main(int argc, char** argv) {
   const bench::Options opt =
       bench::parse_options(argc, argv, "scale_transfers.csv", flags);
 
-  bool smoke = false;
+  const bool smoke = bench::has_flag(opt, "--smoke");
   std::uint64_t custom = 0;
   for (const auto& [name, value] : opt.extra) {
-    if (name == "--smoke") smoke = true;
     if (name == "--transfers") custom = std::strtoull(value.c_str(), nullptr, 10);
   }
 

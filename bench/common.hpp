@@ -1,12 +1,14 @@
 #pragma once
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the bench binaries.
 //
 // Every binary accepts:
 //   --full         run the paper's full sweep (20 executions per point);
 //                  default is a trimmed grid so `for b in build/bench/*`
 //                  finishes quickly
 //   --reps N       override the executions per point
-//   --csv PATH     also write the table as CSV (default: <bench>.csv in cwd)
+//   --csv PATH     also write the table as CSV (default: <bench>.csv in cwd);
+//                  a sweep family (bench_inclusion_sweep, bench_relayer_sweep)
+//                  writes its figure CSVs into directory PATH (default: cwd)
 //   --jobs N       worker threads for the sweep (default: hardware
 //                  concurrency). Every repetition is an independent,
 //                  seed-deterministic simulation, so results — and the CSV —
@@ -39,7 +41,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -60,7 +64,7 @@ struct Options {
   std::string json;    // --json PATH: write the machine-readable report
   std::string series;  // --series FILE: time-series CSV, first experiment
   std::string flight;  // --flight FILE: flight-dump path, first experiment
-  /// Bench id, derived from the default CSV name ("fig8_relayer_throughput").
+  /// Bench id: the default CSV name minus ".csv", or a sweep family's id.
   std::string bench;
   /// Bench-specific flags actually passed, in command-line order; value-less
   /// flags record "true". Embedded in the report's config section.
@@ -99,24 +103,33 @@ inline ReportState g_report;
 
 }  // namespace detail
 
+/// `default_csv` names the bench's CSV ("fig12_latency_breakdown.csv"). A
+/// bare id without the suffix ("relayer_sweep") marks a sweep family that
+/// writes one CSV per figure: `--csv` then names their directory, and the
+/// default is the working directory.
 inline Options parse_options(int argc, char** argv,
                              const std::string& default_csv,
                              const std::vector<FlagSpec>& extra_flags = {}) {
+  const bool one_csv = default_csv.size() > 4 &&
+                       default_csv.rfind(".csv") == default_csv.size() - 4;
+  const bool family = !default_csv.empty() && !one_csv;
   Options opt;
-  opt.csv = default_csv;
-  opt.bench = default_csv.size() > 4 &&
-                      default_csv.rfind(".csv") == default_csv.size() - 4
-                  ? default_csv.substr(0, default_csv.size() - 4)
-                  : default_csv;
+  opt.csv = family ? "" : default_csv;
+  opt.bench = one_csv ? default_csv.substr(0, default_csv.size() - 4)
+                      : default_csv;
 
   const auto usage = [&](std::ostream& os) {
     os << "usage: " << (argc > 0 ? argv[0] : "bench") << " [options]\n"
        << "  --full        run the paper's full sweep\n"
        << "  --reps N      executions per sweep point\n"
-       << "  --jobs N      worker threads (default: hardware concurrency)\n"
-       << "  --csv PATH    write the result table as CSV (default: "
-       << (default_csv.empty() ? "none" : default_csv) << ")\n"
-       << "  --trace FILE  telemetry on the first experiment: Chrome trace\n"
+       << "  --jobs N      worker threads (default: hardware concurrency)\n";
+    if (family) {
+      os << "  --csv DIR     directory for the figure CSVs (default: cwd)\n";
+    } else {
+      os << "  --csv PATH    write the result table as CSV (default: "
+         << (default_csv.empty() ? "none" : default_csv) << ")\n";
+    }
+    os << "  --trace FILE  telemetry on the first experiment: Chrome trace\n"
        << "                JSON to FILE + metrics CSV to FILE.metrics.csv\n"
        << "                (forces step collection — observer effect)\n"
        << "  --json PATH   write the machine-readable bench report (virtual\n"
@@ -188,6 +201,13 @@ inline Options parse_options(int argc, char** argv,
     }
   }
   return opt;
+}
+
+/// True when the bench-specific flag `name` was passed, in any spelling
+/// parse_options accepts ("--smoke" or "--smoke=1").
+inline bool has_flag(const Options& opt, const std::string& name) {
+  return std::any_of(opt.extra.begin(), opt.extra.end(),
+                     [&](const auto& flag) { return flag.first == name; });
 }
 
 inline int reps_or(const Options& opt, int trimmed, int full) {
@@ -312,6 +332,42 @@ inline std::vector<xcc::ExperimentResult> run_sweep(
   return results;
 }
 
+/// Runs a sweep family's run set — every distinct run its figures read,
+/// keyed by what identifies a run in that family — once each, in key order,
+/// so the first key is the run --trace/--series/--flight capture. Returns
+/// each run's result under its key.
+template <typename Key>
+std::map<Key, xcc::ExperimentResult> run_keyed(
+    const Options& opt, const std::map<Key, xcc::ExperimentConfig>& runs) {
+  std::vector<xcc::ExperimentConfig> configs;
+  for (const auto& run : runs) configs.push_back(run.second);
+  std::vector<xcc::ExperimentResult> results = run_sweep(opt, configs);
+  std::map<Key, xcc::ExperimentResult> by_key;
+  auto result = results.begin();
+  for (const auto& run : runs) by_key.emplace(run.first, std::move(*result++));
+  return by_key;
+}
+
+/// A (mean) count as the figure tables print it: truncated, with thousands
+/// separators ("1,050,000").
+inline std::string fmt_count(double v) {
+  return util::fmt_int(static_cast<long long>(v));
+}
+
+/// Prints one figure of a sweep family and writes its CSV as `name` in the
+/// --csv directory, creating it if needed (best effort, like write_csv).
+inline void write_figure(const Options& opt, const std::string& title,
+                         const std::string& paper, const std::string& name,
+                         const util::Table& table) {
+  std::error_code ignored;
+  if (!opt.csv.empty()) std::filesystem::create_directories(opt.csv, ignored);
+  const std::string path = (std::filesystem::path(opt.csv) / name).string();
+  print_header(title, paper);
+  table.print(std::cout);
+  table.write_csv(path);
+  std::cout << "CSV written to " << path << "\n\n";
+}
+
 /// Runs custom scenario jobs (benches not built on run_experiment) through
 /// the same pool, with the same summary and --json profiling.
 inline void run_scenarios(const Options& opt,
@@ -367,19 +423,16 @@ inline void write_report(
 }
 
 /// Config for one inclusion-only run (Figs. 6-7 / Table I): submits at
-/// `rps` for `blocks` blocks with no relayer.
+/// `rps` for `blocks` blocks with no relayer. Only the measurement window
+/// is waited for; Table I sets `wait_for_workload` on top.
 inline xcc::ExperimentConfig inclusion_config(double rps, int rep,
-                                              int blocks = 15,
-                                              bool resolve_workload = false) {
+                                              int blocks = 15) {
   xcc::ExperimentConfig cfg;
   cfg.relayer_count = 0;
   cfg.collect_steps = false;
   cfg.workload.requests_per_second = rps;
   cfg.measure_blocks = blocks;
   cfg.testbed.seed = seed_for(rep);
-  // Table I needs every submission's final outcome; the Fig. 6/7 series
-  // only need the measurement window.
-  cfg.wait_for_workload = resolve_workload;
   cfg.max_sim_time = sim::seconds(8'000);
   return cfg;
 }

@@ -6,44 +6,15 @@
 # done.
 #
 #   ./run_benches.sh            run all benches (cached)
-#   ./run_benches.sh --check    sanitizer passes (TSan over the parallel
-#                               runner + determinism + telemetry tests, then
-#                               ASan+UBSan over the invariant checker, fuzz
-#                               scenarios and relayer/query-cache regression
-#                               tests), the golden-figure regression suite,
-#                               a --trace smoke test (one traced bench; the
-#                               JSON must parse), the cache-ablation smoke
-#                               (cache-off CSV byte-exact vs the committed
-#                               golden; cache-on trace must parse), and the
-#                               bench-report phase: emit a BENCH_*.json,
-#                               schema-validate it together with everything
-#                               cached in bench_results/, self-compare it
-#                               with bench_compare (clean), re-run same-seed
-#                               (virtual sections must match exactly) and
-#                               verify a perturbed copy is rejected, and the
-#                               mitigation phase: the stacked-ablation matrix
-#                               smoke under ASan+UBSan, the two-relayer
-#                               coordination + worker-pool determinism tests
-#                               under TSan, invariant fuzzing with the RPC
-#                               worker pool and coordination on, and a fresh
-#                               smoke report bench_compare'd against the
-#                               committed bench/baselines/ reference, and the
-#                               mesh-routing phase: the hub/mesh/hop-sweep
-#                               bench smoke under ASan+UBSan, a parallel
-#                               multi-hop fuzz sweep under TSan, topology
-#                               fuzzing (line/hub/mesh) on the ASan build,
-#                               and a fresh smoke report bench_compare'd
-#                               against bench/baselines/, and the
-#                               observability phase: the sampler/watchdog
-#                               suite under TSan with a 4-worker sweep, a
-#                               planted campaign bug auto-dumping a flight
-#                               record that tools/run_report renders,
-#                               --series byte-identity across --jobs, the
-#                               virtual.series report section validated by
-#                               bench_report_schema.py, and an
-#                               -DIBC_TELEMETRY=OFF build whose default
-#                               bench CSV stays byte-identical. Ends with a
-#                               phase summary table.
+#   ./run_benches.sh --check    run the check phases, then a summary table:
+#     TSan over the parallel runner, determinism and telemetry tests;
+#     ASan+UBSan over the checker, fuzz, relayer and store-property tests;
+#     chaos campaigns; the golden-figure suite; a fig12 --trace smoke;
+#     bench reports (mitigations --smoke: schema, self and same-seed
+#     compare, perturbed copy, strict flags); the bench_scale smoke; the
+#     mitigations and mesh-routing smokes vs bench/baselines/; and
+#     observability (series, flight dump, relayer-sweep --series identity
+#     across --jobs, -DIBC_TELEMETRY=OFF CSV identity)
 cd "$(dirname "$0")"
 
 if [ "$1" = "--check" ]; then
@@ -141,34 +112,12 @@ EOF
   rm -f "$trace_out" "$trace_out.metrics.csv"
   phase_ok
 
-  phase "cache-ablation smoke: cache-off byte-exact, cache-on trace parses"
-  cmake --build build -j --target bench_ablation_cached_relayer
-  smoke_csv=$(mktemp -t ibc_ablation_XXXXXX.csv)
-  smoke_trace=$(mktemp -t ibc_ablation_XXXXXX.json)
-  ./build/bench/bench_ablation_cached_relayer --smoke \
-    --csv "$smoke_csv" --trace "$smoke_trace" >/dev/null
-  # The cache-off rows are the paper-faithful default path: any byte drift
-  # from the committed golden means default relayer behaviour changed.
-  diff bench/golden/ablation_cached_smoke.csv "$smoke_csv"
-  echo "ablation smoke CSV byte-identical to bench/golden/ablation_cached_smoke.csv"
-  python3 - "$smoke_trace" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    trace = json.load(f)
-events = trace["traceEvents"]
-hits = [e for e in events if e.get("ph") == "X" and e["name"].startswith("hit_")]
-assert hits, "missing query_cache hit spans in cache-on trace"
-print(f"ablation trace OK: {len(events)} events parse, {len(hits)} query_cache hit spans")
-EOF
-  rm -f "$smoke_csv" "$smoke_trace" "$smoke_trace.metrics.csv"
-  phase_ok
-
   phase "bench reports: schema + self-compare + same-seed + perturbed"
-  cmake --build build -j --target bench_ablation_cached_relayer bench_compare
+  cmake --build build -j --target bench_ablation_mitigations bench_compare
   jdir=$(mktemp -d -t ibc_json_XXXXXX)
-  ./build/bench/bench_ablation_cached_relayer --smoke \
+  ./build/bench/bench_ablation_mitigations --smoke \
     --csv "$jdir/a.csv" --json "$jdir/BENCH_a.json" >/dev/null
-  ./build/bench/bench_ablation_cached_relayer --smoke \
+  ./build/bench/bench_ablation_mitigations --smoke \
     --csv "$jdir/b.csv" --json "$jdir/BENCH_b.json" >/dev/null
   # Every emitted report (the fresh pair plus anything cached from a full
   # bench run) must satisfy schema v1.
@@ -213,11 +162,11 @@ EOF
   echo "perturbed report rejected with exit 2"
   # Strict flag parsing: unknown flags must be rejected with usage, and
   # --help must succeed.
-  if ./build/bench/bench_ablation_cached_relayer --no-such-flag >/dev/null 2>&1; then
+  if ./build/bench/bench_ablation_mitigations --no-such-flag >/dev/null 2>&1; then
     echo "ERROR: unknown --no-such-flag was accepted"
     exit 1
   fi
-  ./build/bench/bench_ablation_cached_relayer --help | grep -q -- "--json" \
+  ./build/bench/bench_ablation_mitigations --help | grep -q -- "--json" \
     || { echo "ERROR: --help does not list --json"; exit 1; }
   echo "strict flag parsing OK (unknown flag rejected, --help lists flags)"
   rm -rf "$jdir"
@@ -329,7 +278,7 @@ EOF
   # Planted invariant violation -> the run must auto-dump a flight record
   # that tools/run_report parses and renders end to end.
   cmake --build build -j --target fuzz_scenarios run_report \
-    bench_fig8_relayer_throughput
+    bench_relayer_sweep
   odir=$(mktemp -d -t ibc_obs_XXXXXX)
   ./build/src/check/fuzz_scenarios --campaign=client-expiry --blocks=300 \
     --mutate=skip-expiry-check --expect-violation \
@@ -343,9 +292,9 @@ EOF
   echo "flight dump renders: $(wc -l < "$odir/expiry.md") markdown lines"
   # --series at two worker counts must be byte-identical, and with --json
   # the report grows a virtual.series section the schema validator accepts.
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 --jobs 1 \
+  ./build/bench/bench_relayer_sweep --reps 1 --jobs 1 --csv "$odir/s1" \
     --series "$odir/s1.csv" --json "$odir/BENCH_series.json" >/dev/null
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 --jobs 4 \
+  ./build/bench/bench_relayer_sweep --reps 1 --jobs 4 --csv "$odir/s4" \
     --series "$odir/s4.csv" >/dev/null
   diff "$odir/s1.csv" "$odir/s4.csv"
   echo "series CSV byte-identical at --jobs 1 vs --jobs 4"
@@ -361,18 +310,16 @@ print(f"series section OK: {series['samples']} samples, "
 EOF
   # The compile-time kill switch: an -DIBC_TELEMETRY=OFF build must stay
   # green (unit suites for the pillar's passive classes included) and its
-  # default bench CSV must be byte-identical to the instrumented build's.
+  # bench CSVs must be byte-identical to the instrumented build's.
   cmake -B build-notel -S . -DIBC_TELEMETRY=OFF
-  cmake --build build-notel -j --target bench_fig8_relayer_throughput \
+  cmake --build build-notel -j --target bench_relayer_sweep \
     test_observability
   (cd build-notel && ctest --output-on-failure \
     -R 'FlightRecorder|Watchdog|Sampler')
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 \
-    --csv "$odir/on.csv" >/dev/null
-  ./build-notel/bench/bench_fig8_relayer_throughput --reps 1 \
-    --csv "$odir/off.csv" >/dev/null
-  diff "$odir/on.csv" "$odir/off.csv"
-  echo "default fig8 CSV byte-identical with telemetry compiled out"
+  ./build/bench/bench_relayer_sweep --reps 1 --csv "$odir/on" >/dev/null
+  ./build-notel/bench/bench_relayer_sweep --reps 1 --csv "$odir/off" >/dev/null
+  diff -r "$odir/on" "$odir/off"
+  echo "relayer-sweep CSVs byte-identical with telemetry compiled out"
   rm -rf "$odir"
   phase_ok
 

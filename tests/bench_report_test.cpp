@@ -27,8 +27,7 @@ namespace {
 util::json::Value make_report() {
   std::vector<xcc::ExperimentConfig> configs;
   for (int rep = 0; rep < 2; ++rep) {
-    configs.push_back(bench::inclusion_config(
-        /*rps=*/40, rep, /*blocks=*/4, /*resolve_workload=*/false));
+    configs.push_back(bench::inclusion_config(/*rps=*/40, rep, /*blocks=*/4));
   }
   configs.front().telemetry = true;
 
@@ -114,6 +113,33 @@ TEST(BenchReportTest, ReportCarriesConfigTableAndHostStats) {
 #else
   EXPECT_FALSE(host->find("telemetry_compiled")->as_bool());
 #endif
+}
+
+// Bench-specific flags are read back from the parsed options, so a bench
+// runs exactly what the report's config section records — including the
+// inline `--smoke=1` spelling parse_options accepts.
+TEST(BenchReportTest, HasFlagSeesInlineSpelling) {
+  std::string prog = "bench", smoke = "--smoke=1";
+  char* argv[] = {prog.data(), smoke.data()};
+  const bench::Options opt = bench::parse_options(
+      2, argv, "report_test.csv", {{"--smoke", false, "trimmed run"}});
+  EXPECT_TRUE(bench::has_flag(opt, "--smoke"));
+  EXPECT_FALSE(bench::has_flag(opt, "--transfers"));
+  ASSERT_EQ(opt.extra.size(), 1u);
+  EXPECT_EQ(opt.extra[0].second, "true");
+}
+
+// A bare bench id marks a sweep family: --csv names the directory its
+// figure CSVs go to, the working directory by default.
+TEST(BenchReportTest, SweepFamilyCsvIsADirectory) {
+  std::string prog = "bench", csv = "--csv=out";
+  char* argv[] = {prog.data(), csv.data()};
+  EXPECT_EQ(bench::parse_options(1, argv, "relayer_sweep").csv, "");
+  const bench::Options opt = bench::parse_options(2, argv, "relayer_sweep");
+  EXPECT_EQ(opt.bench, "relayer_sweep");
+  EXPECT_EQ(opt.csv, "out");
+  EXPECT_EQ(bench::parse_options(1, argv, "fig12_latency_breakdown.csv").bench,
+            "fig12_latency_breakdown");
 }
 
 TEST(BenchReportTest, WriteJsonFileRoundTrips) {

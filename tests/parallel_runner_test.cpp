@@ -50,8 +50,8 @@ void expect_identical(const xcc::ExperimentResult& a,
 std::vector<xcc::ExperimentConfig> sample_configs() {
   std::vector<xcc::ExperimentConfig> configs;
   for (int rep = 0; rep < 2; ++rep) {
-    xcc::ExperimentConfig inc = bench::inclusion_config(
-        /*rps=*/40, rep, /*blocks=*/4, /*resolve_workload=*/false);
+    xcc::ExperimentConfig inc =
+        bench::inclusion_config(/*rps=*/40, rep, /*blocks=*/4);
     configs.push_back(inc);
     xcc::ExperimentConfig rel = bench::relayer_config(
         /*rps=*/10, /*relayers=*/1, net::NetworkConfig{}.inter_machine_rtt,

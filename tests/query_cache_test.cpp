@@ -320,6 +320,9 @@ TEST_F(QueryCacheFixture, TelemetryCountersMirrorStats) {
   EXPECT_GT(bytes->value(), 0.0);
   // Read-only lookup never registers.
   EXPECT_EQ(reg.find_counter("r0.query_cache.nope"), nullptr);
+  // The repeated query's hit is also a span on the query_cache trace track.
+  const std::string trace = tb->hub()->trace_sink().to_json();
+  EXPECT_NE(trace.find("\"name\":\"hit_header\""), std::string::npos);
 }
 
 }  // namespace
