@@ -1,5 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): hashing, Merkle trees,
-// codecs, the KV store, the DES scheduler and the serialized RPC queue.
+// codecs, the KV store, the checker's store hook, the DES scheduler and the
+// serialized RPC queue.
 // These measure the *simulator's* real CPU costs, useful for keeping the
 // experiment harness fast.
 
@@ -19,6 +20,7 @@
 #include "sim/service_queue.hpp"
 #include "util/rng.hpp"
 #include "xcc/bench_report.hpp"
+#include "xcc/testbed.hpp"
 
 namespace {
 
@@ -247,6 +249,28 @@ void BM_KvStoreProve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvStoreProve);
+
+// One BankKeeper::send (two balance overwrites) on a Testbed chain with the
+// invariant checker off (checker:0) or on (checker:1). The difference is
+// what the checker's store write hook costs every write of a checked run.
+void BM_BankSend(benchmark::State& state) {
+  xcc::TestbedConfig cfg;
+  cfg.user_accounts = 1'000;
+  cfg.invariant_checks = state.range(0) != 0;
+  xcc::Testbed tb(cfg);
+  cosmos::BankKeeper& bank = tb.chain_a().app->bank();
+  const std::vector<chain::Address>& users = tb.user_accounts();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const chain::Address& from = users[i % users.size()];
+    const chain::Address& to = users[(i + 1) % users.size()];
+    benchmark::DoNotOptimize(
+        bank.send(from, to, cosmos::Coin{cosmos::kNativeDenom, 1}));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BankSend)->ArgName("checker")->Arg(0)->Arg(1);
 
 void BM_SchedulerThroughput(benchmark::State& state) {
   for (auto _ : state) {

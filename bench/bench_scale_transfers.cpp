@@ -42,9 +42,6 @@ xcc::ExperimentConfig tier_config(std::uint64_t transfers) {
   cfg.measure_blocks = 10;
   cfg.wait_for_workload = true;  // run every tier to full resolution
   cfg.testbed.seed = bench::seed_for(0);
-  // Full-population invariant sweeps are O(accounts) per block; at 10^6
-  // accounts they would measure the checker, not the simulator.
-  cfg.testbed.invariant_checks = false;
 
   cfg.workload.open_loop = true;
   cfg.workload.total_transfers = transfers;

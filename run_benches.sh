@@ -96,9 +96,13 @@ if [ "$1" = "--check" ]; then
 
   phase "trace smoke: fig12 with --trace"
   cmake --build build -j --target bench_fig12_latency_breakdown
-  trace_out=$(mktemp -t ibc_trace_XXXXXX.json)
-  ./build/bench/bench_fig12_latency_breakdown --trace "$trace_out" >/dev/null
-  python3 - "$trace_out" <<'EOF'
+  # In a temp directory: the bench writes its CSV and fig12_report.md to
+  # the working directory, and the committed copies must stay untouched.
+  tdir=$(mktemp -d -t ibc_trace_XXXXXX)
+  root=$PWD
+  (cd "$tdir" && "$root/build/bench/bench_fig12_latency_breakdown" \
+    --trace trace.json >/dev/null)
+  python3 - "$tdir/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -109,7 +113,7 @@ assert any(e["ph"] == "X" and e["name"] == "queue_wait" for e in events), \
     "missing rpc queue_wait spans"
 print(f"trace OK: {len(events)} events parse, packet + queue_wait spans present")
 EOF
-  rm -f "$trace_out" "$trace_out.metrics.csv"
+  rm -rf "$tdir"
   phase_ok
 
   phase "bench reports: schema + self-compare + same-seed + perturbed"

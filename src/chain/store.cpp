@@ -224,12 +224,14 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   std::uint32_t idx = index_[bucket];
   if (idx != kNoEntry) {
     Entry& e = entries_[idx];
+    if (write_hook_) write_hook_(key, value_of(e), util::BytesView(value));
     xor_into_root(e.hash);  // remove old contribution, no rehash
     assign_value(e, std::move(value));
     e.hash = entry_hash(key, value_of(e));
     xor_into_root(e.hash);
     return;
   }
+  if (write_hook_) write_hook_(key, std::nullopt, util::BytesView(value));
   idx = static_cast<std::uint32_t>(entries_.size());
   Entry e;
   e.key_off = static_cast<std::uint32_t>(key_arena_.size());
@@ -254,6 +256,7 @@ void KvStore::erase(const std::string& key) {
   const std::uint32_t idx = index_[bucket];
   if (idx == kNoEntry) return;
   Entry& e = entries_[idx];
+  if (write_hook_) write_hook_(key, value_of(e), std::nullopt);
   xor_into_root(e.hash);
   e.live = false;
   e.spill = util::Bytes();

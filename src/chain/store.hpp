@@ -15,11 +15,17 @@
 // appended to a shared key arena and small values are stored inline in the
 // entry, so a typical (key, u64) pair costs no per-entry heap allocation.
 // Ordered prefix scans run over a lazily maintained sorted view of the entry
-// indices. The bytes fed to the set-hash are identical to the historical
-// std::map layout, so roots, proofs and golden traces are unchanged.
+// indices; for_each_unordered() walks the entry arena instead and never
+// builds that view. The bytes fed to the set-hash are identical to the
+// historical std::map layout, so roots, proofs and golden traces are
+// unchanged.
+//
+// One write hook can watch every set()/erase() (the invariant checker keeps
+// its incremental model with it, see DESIGN.md §4c).
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,6 +83,31 @@ class KvStore {
     std::uint32_t cur_ = 0xffffffffu;
   };
   PrefixIter scan_prefix(std::string_view prefix) const;
+
+  /// Calls f(key, value) for every live entry whose key starts with
+  /// `prefix`, in no particular order. One pass over the entry arena
+  /// whatever the prefix, and it never builds the sorted view that
+  /// scan_prefix() maintains. The store must not be mutated during the walk.
+  template <typename F>
+  void for_each_unordered(std::string_view prefix, F&& f) const {
+    for (const Entry& e : entries_) {
+      if (!e.live) continue;
+      const std::string_view k = key_of(e);
+      if (k.starts_with(prefix)) f(k, value_of(e));
+    }
+  }
+
+  /// Observer of every write: set() and erase() call it with the key and the
+  /// value before and after the write (nullopt = absent), just before they
+  /// apply it; erasing an absent key calls nothing. The views die with the
+  /// call, and the hook must not write to the store. One slot: installing a
+  /// hook replaces the previous one, an empty function removes it.
+  using WriteHook =
+      std::function<void(std::string_view key,
+                         std::optional<util::BytesView> before,
+                         std::optional<util::BytesView> after)>;
+  void set_write_hook(WriteHook hook) { write_hook_ = std::move(hook); }
+  const WriteHook& write_hook() const { return write_hook_; }
 
   std::size_t size() const { return live_count_; }
 
@@ -165,6 +196,8 @@ class KvStore {
   };
   bool journaling_ = false;
   std::vector<UndoEntry> journal_;
+
+  WriteHook write_hook_;
 };
 
 /// Verifies a proof against an expected root (e.g. the app_hash a light

@@ -298,6 +298,7 @@ CampaignResult CampaignRun::run() {
   cfg.telemetry = cfg.telemetry || observability;
 
   tb_ = std::make_unique<xcc::Testbed>(cfg);
+  if (opts_.on_testbed) opts_.on_testbed(*tb_);
   if (!opts_.flight_dump_path.empty() &&
       telemetry::metrics(tb_->hub()) != nullptr) {
     tb_->hub()->flight().arm(opts_.flight_capacity);
@@ -765,6 +766,15 @@ void CampaignRun::drain_and_finish() {
   }
 
   for (auto& r : relayers_) r->stop();
+  // End-of-run audit; in fail-fast mode it aborts like a violating step.
+  if (!aborted_) {
+    try {
+      tb_->checker()->audit();
+    } catch (const InvariantViolation& v) {
+      result_.violations.push_back(v.violation);
+      aborted_ = true;
+    }
+  }
 
   const chain::Ledger& la = *tb_->chain_a().ledger;
   const chain::Ledger& lb = *tb_->chain_b().ledger;

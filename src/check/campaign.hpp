@@ -24,10 +24,15 @@
 // contract; asserted by tests/campaign_test.cpp and run_benches.sh --check).
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
+
+namespace xcc {
+class Testbed;
+}
 
 namespace check {
 
@@ -66,6 +71,9 @@ struct CampaignOptions {
   /// Per-block sampling cadence: snapshot the registry + probes every N
   /// source-chain commits (0 = sampling off). Enables telemetry.
   std::uint64_t sample_every_blocks = 0;
+
+  /// Test seam, as ScenarioOptions::on_testbed.
+  std::function<void(xcc::Testbed&)> on_testbed;
 };
 
 /// One step of the fault timeline, with the virtual time and chain heights

@@ -10,6 +10,13 @@
 // single-threaded DES and a commit is one atomic event, so inspecting both
 // chains' stores from a commit callback observes a consistent global state.
 //
+// The store-derived checks are incremental: a KvStore write hook keeps a
+// model of per-denom balance sums and of the written denoms, client states
+// and channel ends, so a commit checks only what was written since the last
+// one (O(writes), not O(state)). audit() re-derives the same verdicts from a
+// full walk of every store, cross-checks the model ("checker-drift"), and
+// runs every kAuditPeriod commits of a chain and at the end of every run.
+//
 // Wired into xcc::Testbed (opt-out via TestbedConfig::invariant_checks), so
 // every integration test and bench runs under it for free. The fuzzer
 // (fuzz_scenarios) runs it with fail_fast=false and collects violations.
@@ -17,9 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,13 +81,28 @@ class InvariantChecker {
   /// client (channel -> connection -> client -> tracked chain id), never by
   /// "the other chain" — a 2-chain shortcut that aliases channels once a
   /// third chain exists.
+  /// It seeds its store model with one unordered walk of each chain's store
+  /// and installs each store's write hook; throws std::logic_error when a
+  /// store already has one.
   explicit InvariantChecker(std::vector<ChainHandles> chains,
                             CheckerConfig config = {});
   /// Two-chain convenience (the paper's deployment).
   InvariantChecker(ChainHandles a, ChainHandles b, CheckerConfig config = {});
+  /// Removes the write hooks it installed.
+  ~InvariantChecker();
 
   InvariantChecker(const InvariantChecker&) = delete;
   InvariantChecker& operator=(const InvariantChecker&) = delete;
+
+  /// Commits of one chain between two periodic audits.
+  static constexpr std::uint64_t kAuditPeriod = 64;
+
+  /// Full-walk audit of every chain at its current height: re-derives bank
+  /// conservation, client-height and channel-counter monotonicity (against
+  /// the previous audit's snapshot) from an unordered walk of the store, and
+  /// reports "checker-drift" wherever the walk disagrees with the
+  /// hook-fed model. Does not count toward blocks_checked().
+  void audit();
 
   /// Observability hook: runs for every Violation before it is thrown
   /// (fail_fast) or recorded — including violations the collection cap would
@@ -121,6 +145,11 @@ class InvariantChecker {
     std::string denom_path;  // on-wire trace path from the packet data
   };
 
+  /// A channel's sequence counters as of a previous check.
+  struct CounterSnap {
+    ibc::Sequence send = 0, recv = 0, ack = 0;  // 0 = not yet seen
+  };
+
   struct ChannelTrack {
     // Event-derived.
     ibc::Sequence last_send = 0;  // send_packet events must run 1,2,3,...
@@ -132,28 +161,64 @@ class InvariantChecker {
     /// Receives still awaiting their deferred acknowledgement.
     std::map<ibc::Sequence, AsyncRecv> async_recv;
 
-    // Store-snapshot from the previous commit (0 = not yet seen).
-    ibc::Sequence snap_send = 0, snap_recv = 0, snap_ack = 0;
+    /// Store counters at the previous commit and at the previous audit.
+    CounterSnap snap, audit_snap;
+  };
+
+  /// A light client's latest height as of a previous check.
+  struct HeightSnap {
+    bool seen = false;
+    std::int64_t height = 0;
+  };
+
+  /// Hook-fed model of one denom: the sum of its 8-byte balances (wrapping,
+  /// like the full scan's) and whether it needs checking at the next commit.
+  struct DenomTrack {
+    std::uint64_t balance_sum = 0;
+    bool dirty = false;    // a balance or the supply written since a commit
+    bool failing = false;  // bank-conservation failed at the last commit
+  };
+
+  /// Hook-fed model of one client-state key.
+  struct ClientTrack {
+    bool live = false;     // present in the store
+    bool dirty = false;    // written since the last commit
+    bool failing = false;  // undecodable at the last commit
+    HeightSnap snap;       // latest height at the last commit that decoded it
   };
 
   struct ChainState {
     ChainHandles h;
     /// Keyed by (port, channel).
     std::map<std::pair<std::string, std::string>, ChannelTrack> channels;
-    /// Light-client latest heights from the previous commit.
-    std::map<std::string, std::int64_t> client_heights;
     /// auth sequence per sender as of the previous commit (lazily seeded).
     std::map<chain::Address, std::uint64_t> auth_seq;
     /// Conservation model: expected escrow balance per (address, denom) and
     /// expected voucher supply per denom, updated from packet events.
     std::map<std::pair<chain::Address, std::string>, std::uint64_t> escrow;
     std::map<std::string, std::uint64_t> voucher_supply;
+
+    // Store model, kept by the write hook (observe()).
+    std::map<std::string, DenomTrack, std::less<>> denoms;
+    /// By store key, so iteration follows the store's key order.
+    std::map<std::string, ClientTrack, std::less<>> clients;
+    /// Live channel-end keys.
+    std::set<std::string, std::less<>> channel_ends;
+
+    /// Client heights at the previous audit, by store key.
+    std::map<std::string, HeightSnap, std::less<>> audit_clients;
+    std::uint64_t commits = 0;  // seen by this checker; drives the audit
   };
 
   void on_block(std::size_t chain_idx, const chain::Block& block,
                 const std::vector<chain::DeliverTxResult>& results);
   void process_events(ChainState& c, chain::Height height,
                       const std::vector<chain::Event>& events);
+  /// The write hook: folds one store write into `c`'s model.
+  void observe(ChainState& c, std::string_view key,
+               std::optional<util::BytesView> before,
+               std::optional<util::BytesView> after);
+  void audit_chain(ChainState& c, chain::Height height);
 
   /// Chain hosting the counterparty end of `c`'s channel (port, channel),
   /// resolved through the channel's connection and light client. Reports an
@@ -180,6 +245,21 @@ class InvariantChecker {
   void check_client_heights(ChainState& c, chain::Height height);
   void check_bank_conservation(ChainState& c, chain::Height height);
   void check_escrow_model(ChainState& c, chain::Height height);
+
+  // One item of the store-derived checks, shared by the per-commit path and
+  // the audit, which differ only in the snapshot they compare against.
+  void check_channel(ChainState& c, std::string_view key, chain::Height height,
+                     CounterSnap ChannelTrack::*snap);
+  /// The decoded latest height, or nullopt when undecodable.
+  std::optional<std::int64_t> check_client_state(ChainState& c,
+                                                 std::string_view key,
+                                                 util::BytesView value,
+                                                 chain::Height height,
+                                                 HeightSnap& snap);
+  /// False (and a violation) when the balances of `denom` do not sum to its
+  /// supply.
+  bool check_denom(ChainState& c, const std::string& denom,
+                   std::uint64_t balance_sum, chain::Height height);
 
   void fail(const chain::ChainId& chain, chain::Height height,
             std::string invariant, std::string detail);

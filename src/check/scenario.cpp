@@ -66,6 +66,7 @@ ScenarioResult run_mesh_scenario(const ScenarioOptions& options,
                     " hops=" + std::to_string(route.size() - 1);
 
   xcc::Testbed tb(tb_cfg);
+  if (options.on_testbed) options.on_testbed(tb);
   tb.start_chains();
   if (!tb.run_until_height(2, sim::seconds(300))) {
     result.setup_error = "chains failed to start";
@@ -140,6 +141,7 @@ ScenarioResult run_mesh_scenario(const ScenarioOptions& options,
   tb.run_until(tb.scheduler().now() + sim::seconds(100));
 
   fleet.stop();
+  tb.checker()->audit();  // end-of-run audit
 
   result.blocks_checked = tb.checker()->blocks_checked();
   result.transfers_requested = workload.requested();
@@ -229,6 +231,7 @@ ScenarioResult run_scenario(std::uint64_t seed,
   // --- Deploy and establish the channel (fault-free: setup is not the
   // subject under test, and a wedged handshake would just time out). -------
   xcc::Testbed tb(tb_cfg);
+  if (options.on_testbed) options.on_testbed(tb);
   tb.start_chains();
   if (!tb.run_until_height(2, sim::seconds(300))) {
     result.setup_error = "chains failed to start";
@@ -310,6 +313,7 @@ ScenarioResult run_scenario(std::uint64_t seed,
   tb.run_until(tb.scheduler().now() + sim::seconds(100));
 
   for (auto& r : relayer_instances) r->stop();
+  tb.checker()->audit();  // end-of-run audit
 
   result.blocks_checked = tb.checker()->blocks_checked();
   result.transfers_requested = workload.stats().requested;

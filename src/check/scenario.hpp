@@ -9,10 +9,15 @@
 // `fuzz_scenarios --seed=S`.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
+
+namespace xcc {
+class Testbed;
+}
 
 namespace check {
 
@@ -37,6 +42,9 @@ struct ScenarioOptions {
   /// directed edge and a forwarded workload along the topology's longest
   /// route, still under the same seed-derived fault schedule.
   std::string topology = "pair";
+  /// Test seam: runs once on the built testbed, before its chains start
+  /// (e.g. to attach extra commit observers). Not part of the scenario.
+  std::function<void(xcc::Testbed&)> on_testbed;
 };
 
 struct ScenarioResult {

@@ -330,6 +330,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   result.final_breakdown =
       analyzer.completion_breakdown(wl_stats().requested);
+  if (tb.checker() != nullptr) tb.checker()->audit();  // end-of-run audit
 
   // --- Collect ------------------------------------------------------------------
   for (auto& r : relayers) {

@@ -447,6 +447,7 @@ MeshExperimentResult run_mesh_experiment(const MeshExperimentConfig& config) {
     result.app_hashes.push_back(
         d != nullptr ? util::to_hex(crypto::digest_to_bytes(*d)) : "");
   }
+  if (tb->checker() != nullptr) tb->checker()->audit();  // end-of-run audit
   result.invariant_violations =
       tb->checker() != nullptr ? tb->checker()->violations().size() : 0;
   result.routing_skipped = fleet.routing_skipped();

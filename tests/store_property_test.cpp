@@ -1,11 +1,14 @@
 // Model-based property tests: the journaled KvStore against a reference
 // std::map model under random operation sequences, including nested
-// begin/commit/revert cycles, plus root-consistency invariants.
+// begin/commit/revert cycles, plus root-consistency invariants. The write
+// hook and the unordered walk are held to the same model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,6 +57,45 @@ void expect_scan_matches_model(const chain::KvStore& store,
   EXPECT_EQ(i, expected.size()) << "step " << step << " prefix " << prefix;
 }
 
+/// for_each_unordered must visit exactly the model's entries under the
+/// prefix, each once.
+void expect_walk_matches_model(const chain::KvStore& store,
+                               const std::map<std::string, util::Bytes>& model,
+                               const std::string& prefix, int step) {
+  std::map<std::string, util::Bytes> expected, walked;
+  for (const auto& [k, v] : model) {
+    if (k.starts_with(prefix)) expected.emplace(k, v);
+  }
+  store.for_each_unordered(prefix, [&](std::string_view k,
+                                       util::BytesView v) {
+    EXPECT_TRUE(walked.emplace(k, util::Bytes(v.begin(), v.end())).second)
+        << "step " << step << " visited twice: " << k;
+  });
+  EXPECT_EQ(walked, expected) << "step " << step << " prefix " << prefix;
+}
+
+/// Installs a hook that replays every write into `mirror`, checking that
+/// each write's `before` is the value the mirror holds for the key.
+void mirror_writes(chain::KvStore& store,
+                   std::map<std::string, util::Bytes>& mirror) {
+  store.set_write_hook([&mirror](std::string_view key,
+                                 std::optional<util::BytesView> before,
+                                 std::optional<util::BytesView> after) {
+    const auto it = mirror.find(std::string(key));
+    ASSERT_EQ(before.has_value(), it != mirror.end()) << key;
+    if (before) {
+      EXPECT_TRUE(std::equal(before->begin(), before->end(),
+                             it->second.begin(), it->second.end()))
+          << key;
+    }
+    if (after) {
+      mirror[std::string(key)] = util::Bytes(after->begin(), after->end());
+    } else {
+      mirror.erase(it);
+    }
+  });
+}
+
 void expect_matches_model(const chain::KvStore& store,
                           const std::map<std::string, util::Bytes>& model,
                           int step) {
@@ -71,6 +113,8 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729);
   chain::KvStore store;
   std::map<std::string, util::Bytes> model;
+  std::map<std::string, util::Bytes> mirror;  // fed by the write hook only
+  mirror_writes(store, mirror);
 
   // Roots must be a pure function of contents: track roots seen per
   // content-snapshot via a canonical serialization.
@@ -115,13 +159,15 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
       EXPECT_EQ(proof.exists, model.contains(k)) << "step " << step;
       EXPECT_TRUE(chain::verify_store_proof(proof, store.root()));
     } else {
+      const std::string prefix = "k/" + std::to_string(rng.next_below(4));
       expect_scan_matches_model(store, model, "k/", step);
-      expect_scan_matches_model(store, model,
-                                "k/" + std::to_string(rng.next_below(4)),
-                                step);
+      expect_scan_matches_model(store, model, prefix, step);
+      expect_walk_matches_model(store, model, "", step);
+      expect_walk_matches_model(store, model, prefix, step);
     }
 
     expect_matches_model(store, model, step);
+    EXPECT_EQ(mirror, model) << "step " << step;
 
     // Root is deterministic in contents (order-independent set hash).
     const std::string snap = snapshot();
@@ -144,6 +190,8 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
   util::Rng rng(4242);
   chain::KvStore store;
   std::map<std::string, util::Bytes> model;
+  std::map<std::string, util::Bytes> mirror;
+  mirror_writes(store, mirror);
 
   crypto::Digest root_when_empty = store.root();
   for (int round = 0; round < 6; ++round) {
@@ -164,6 +212,8 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
     }
     ASSERT_EQ(store.size(), model.size()) << "round " << round;
     expect_scan_matches_model(store, model, "churn/", round);
+    expect_walk_matches_model(store, model, "churn/1/", round);
+    EXPECT_EQ(mirror, model) << "round " << round;
     // Spot-check membership + proofs after the churn.
     for (int i = 0; i < 50; ++i) {
       const std::string k = "churn/" + std::to_string(round % 2) + "/" +
