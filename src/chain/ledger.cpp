@@ -12,8 +12,11 @@ void Ledger::append(Block block, std::vector<DeliverTxResult> results,
          "blocks must be appended in order");
   assert(results.size() == block.txs.size());
   const Height h = block.header.height;
+  std::vector<TxHash> hashes;
+  hashes.reserve(block.txs.size());
   for (std::uint32_t i = 0; i < block.txs.size(); ++i) {
-    tx_index_[block.txs[i].hash()] = TxLocation{h, i};
+    hashes.push_back(block.txs[i].hash());
+    tx_index_[hashes.back()] = TxLocation{h, i};
   }
   total_txs_ += block.txs.size();
   std::size_t event_bytes = 0;
@@ -21,17 +24,20 @@ void Ledger::append(Block block, std::vector<DeliverTxResult> results,
   event_bytes_.push_back(event_bytes);
   blocks_.push_back(std::move(block));
   results_.push_back(std::move(results));
+  tx_hashes_.push_back(std::move(hashes));
   app_hashes_.push_back(app_hash_after);
   seen_commits_.push_back(std::move(seen_commit));
-  if (packet_index_enabled_) {
-    packet_index_.emplace_back();
-    index_block(results_.size() - 1);
-  }
+  packet_rows_.emplace_back();  // built by the block's first packet query
 }
 
-void Ledger::index_block(std::size_t block_idx) {
-  std::vector<PacketEventEntry>& rows = packet_index_[block_idx];
-  const std::vector<DeliverTxResult>& results = results_[block_idx];
+const std::vector<PacketEventEntry>* Ledger::packet_rows(Height h) const {
+  if (h < 1 || h > height()) return nullptr;
+  std::optional<std::vector<PacketEventEntry>>& slot =
+      packet_rows_[static_cast<std::size_t>(h - 1)];
+  if (slot) return &*slot;
+  std::vector<PacketEventEntry>& rows = slot.emplace();
+  const std::vector<DeliverTxResult>& results =
+      results_[static_cast<std::size_t>(h - 1)];
   for (std::uint32_t i = 0; i < results.size(); ++i) {
     for (const Event& ev : results[i].events) {
       const std::string seq_str = ev.attribute("packet_sequence");
@@ -39,46 +45,39 @@ void Ledger::index_block(std::size_t block_idx) {
       const auto [it, inserted] = event_type_ids_.try_emplace(
           ev.type, static_cast<std::uint32_t>(event_type_ids_.size()));
       rows.push_back(PacketEventEntry{
-          it->second, std::strtoull(seq_str.c_str(), nullptr, 10), i});
+          std::strtoull(seq_str.c_str(), nullptr, 10), it->second, i});
     }
   }
   std::sort(rows.begin(), rows.end());
-}
-
-void Ledger::enable_packet_index() {
-  if (packet_index_enabled_) return;
-  packet_index_enabled_ = true;
-  packet_index_.assign(results_.size(), {});
-  for (std::size_t b = 0; b < results_.size(); ++b) index_block(b);
+  return &rows;
 }
 
 std::vector<std::uint32_t> Ledger::indexed_packet_txs(
     Height h, const std::string& event_type, std::uint64_t seq_begin,
     std::uint64_t seq_end) const {
   std::vector<std::uint32_t> out;
-  if (h < 1 || static_cast<std::size_t>(h) > packet_index_.size()) return out;
+  const std::vector<PacketEventEntry>* rows = packet_rows(h);
+  if (!rows) return out;
   const auto type_it = event_type_ids_.find(event_type);
   if (type_it == event_type_ids_.end()) return out;
-  const std::vector<PacketEventEntry>& rows =
-      packet_index_[static_cast<std::size_t>(h - 1)];
-  const auto lo = std::lower_bound(
-      rows.begin(), rows.end(),
-      PacketEventEntry{type_it->second, seq_begin, 0});
-  for (auto it = lo; it != rows.end() && it->type_id == type_it->second &&
-                     it->seq <= seq_end;
+  const std::uint32_t type_id = type_it->second;
+  const auto lo = std::lower_bound(rows->begin(), rows->end(),
+                                   PacketEventEntry{seq_begin, type_id, 0});
+  for (auto it = lo;
+       it != rows->end() && it->type_id == type_id && it->seq <= seq_end;
        ++it) {
     out.push_back(it->tx_index);
   }
-  // A tx can emit several in-range events; the scan path reports each tx
-  // once, in ascending tx order.
+  // A tx can emit several in-range events; a scan reports each tx once, in
+  // ascending tx order.
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 std::size_t Ledger::packet_index_entries(Height h) const {
-  if (h < 1 || static_cast<std::size_t>(h) > packet_index_.size()) return 0;
-  return packet_index_[static_cast<std::size_t>(h - 1)].size();
+  const std::vector<PacketEventEntry>* rows = packet_rows(h);
+  return rows ? rows->size() : 0;
 }
 
 const Commit* Ledger::seen_commit(Height h) const {
@@ -94,6 +93,11 @@ const Block* Ledger::block_at(Height h) const {
 const std::vector<DeliverTxResult>* Ledger::results_at(Height h) const {
   if (h < 1 || h > height()) return nullptr;
   return &results_[static_cast<std::size_t>(h - 1)];
+}
+
+const std::vector<TxHash>* Ledger::tx_hashes_at(Height h) const {
+  if (h < 1 || h > height()) return nullptr;
+  return &tx_hashes_[static_cast<std::size_t>(h - 1)];
 }
 
 const crypto::Digest* Ledger::app_hash_after(Height h) const {

@@ -3,11 +3,17 @@
 //
 // Holds the blocks the consensus engine commits, the DeliverTx results for
 // every transaction (consumed by RPC `tx_search`-style queries — whose large
-// response payloads are a core finding of the paper), and a hash -> location
-// index.
+// response payloads are a core finding of the paper), a hash -> location
+// index, and the per-block packet-event index every packet-event query is
+// answered from.
+//
+// A Ledger belongs to one testbed and is only touched by that testbed's
+// thread (parallel sweeps give every run its own testbed), so the packet-event
+// rows its const accessors build on first use need no lock.
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "chain/app.hpp"
@@ -20,13 +26,13 @@ struct TxLocation {
   std::uint32_t index = 0;
 };
 
-/// One row of the opt-in packet-event index: an event of type `type_id`
-/// carrying packet_sequence `seq`, emitted by transaction `tx_index` of its
-/// block. Rows are kept sorted by (type_id, seq, tx_index) per block so
-/// lookups are a binary search plus a contiguous walk of the matches.
+/// One row of a block's packet-event index: an event of type `type_id`
+/// carrying packet_sequence `seq`, emitted by transaction `tx_index` of the
+/// block. A block's rows are sorted by (type_id, seq, tx_index), so a lookup
+/// is a binary search plus a contiguous walk of the matches.
 struct PacketEventEntry {
-  std::uint32_t type_id = 0;
   std::uint64_t seq = 0;
+  std::uint32_t type_id = 0;
   std::uint32_t tx_index = 0;
 
   friend bool operator<(const PacketEventEntry& a, const PacketEventEntry& b) {
@@ -60,6 +66,9 @@ class Ledger {
   /// 1-based access; returns nullptr for heights not yet committed.
   const Block* block_at(Height h) const;
   const std::vector<DeliverTxResult>* results_at(Height h) const;
+  /// Hashes of block `h`'s txs, index-aligned with its txs (computed once,
+  /// at append).
+  const std::vector<TxHash>* tx_hashes_at(Height h) const;
 
   /// App state root after executing block `h` (what a light client tracks).
   const crypto::Digest* app_hash_after(Height h) const;
@@ -78,43 +87,45 @@ class Ledger {
   /// Block interval series (time between consecutive headers) for Fig. 7.
   std::vector<double> block_intervals_seconds() const;
 
-  // --- packet-event index (indexed tx_search mitigation) -------------------
-  // Tendermint's tx indexer re-scans a block's full event payload for every
-  // query — the superlinear cost the paper measures in §V. The mitigation
-  // maintains a height → (event type, packet_sequence) → tx index at commit
-  // time, so packet-event queries cost O(result page). Off by default; the
-  // query results are identical either way (only the modelled service time
-  // changes), which the equivalence property test pins.
-
-  /// Turns the index on, retroactively indexing already-committed blocks;
-  /// subsequent append() calls maintain it incrementally.
-  void enable_packet_index();
-  bool packet_index_enabled() const { return packet_index_enabled_; }
+  // --- packet-event index ------------------------------------------------
+  // Every packet-event query (rpc::Server::query_packet_events and
+  // query_packet_events_range) finds its matches here. The first query that
+  // touches a block builds that block's rows, so runs that never query
+  // packets never pay for them. What a query is charged — Tendermint's full
+  // scan of the block's event payload, or the indexed-tx_search mitigation's
+  // per-page price — is rpc::CostModel's business, not the index's.
 
   /// Tx indices in block `h` with at least one `event_type` event whose
   /// packet_sequence lies in [seq_begin, seq_end] — ascending and unique,
-  /// byte-identical to what the full scan produces.
+  /// exactly what a full scan of the block's events finds.
   std::vector<std::uint32_t> indexed_packet_txs(Height h,
                                                 const std::string& event_type,
                                                 std::uint64_t seq_begin,
                                                 std::uint64_t seq_end) const;
 
-  /// Total index rows for block `h` (diagnostics / cost assertions).
+  /// Index rows of block `h` (diagnostics / cost assertions); builds them if
+  /// no query has yet.
   std::size_t packet_index_entries(Height h) const;
 
  private:
-  void index_block(std::size_t block_idx);
+  /// Block `h`'s packet-event rows, built on first use; nullptr for heights
+  /// not yet committed.
+  const std::vector<PacketEventEntry>* packet_rows(Height h) const;
+
   ChainId chain_id_;
   std::vector<Block> blocks_;
   std::vector<std::vector<DeliverTxResult>> results_;
+  std::vector<std::vector<TxHash>> tx_hashes_;
   std::vector<crypto::Digest> app_hashes_;
   std::vector<Commit> seen_commits_;
   std::vector<std::size_t> event_bytes_;  // cached per-block event payload
   std::map<TxHash, TxLocation> tx_index_;
   std::uint64_t total_txs_ = 0;
-  bool packet_index_enabled_ = false;
-  std::map<std::string, std::uint32_t> event_type_ids_;
-  std::vector<std::vector<PacketEventEntry>> packet_index_;  // per block
+  // Per block: its packet-event rows once a query has built them. The ids
+  // name event types across all blocks' rows.
+  mutable std::vector<std::optional<std::vector<PacketEventEntry>>>
+      packet_rows_;
+  mutable std::map<std::string, std::uint32_t> event_type_ids_;
 };
 
 }  // namespace chain

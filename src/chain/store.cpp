@@ -24,12 +24,38 @@ crypto::Digest KvStore::entry_hash(std::string_view key,
 }
 
 std::uint64_t KvStore::hash_key(std::string_view key) {
-  // FNV-1a 64. Not adversarial input; full key bytes are compared on match.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
+  // Eight key bytes per step, each folded in by a 64x64->128-bit multiply
+  // whose halves are XORed, then the MurmurHash3 fmix64 finalizer so the low
+  // bits the index masks with depend on every key byte. The hash only places
+  // keys in the index: full key bytes are compared on match and nothing
+  // iterates in index order, so no result depends on its values. Keys are
+  // not adversarial.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto fold = [](std::uint64_t x) {
+    const unsigned __int128 r = static_cast<unsigned __int128>(x) * kMul;
+    return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+  };
+  const auto word = [](const char* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  };
+  const char* p = key.data();
+  const std::size_t n = key.size();
+  std::uint64_t h = kMul ^ n;
+  if (n >= 8) {
+    for (std::size_t i = 0; i + 8 < n; i += 8) h = fold(h ^ word(p + i));
+    h = fold(h ^ word(p + n - 8));  // last word, overlapping when n % 8 != 0
+  } else if (n > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    h = fold(h ^ w);
   }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
   return h;
 }
 
@@ -280,7 +306,7 @@ std::optional<util::BytesView> KvStore::get_view(std::string_view key) const {
   return value_of(entries_[idx]);
 }
 
-bool KvStore::contains(const std::string& key) const {
+bool KvStore::contains(std::string_view key) const {
   return find_entry(key) != kNoEntry;
 }
 

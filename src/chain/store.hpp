@@ -56,7 +56,7 @@ class KvStore {
   /// Zero-copy view of a stored value. Invalidated by any mutation.
   std::optional<util::BytesView> get_view(std::string_view key) const;
 
-  bool contains(const std::string& key) const;
+  bool contains(std::string_view key) const;
 
   /// All keys with the given prefix, in lexicographic order (copies; prefer
   /// scan_prefix() in hot paths).

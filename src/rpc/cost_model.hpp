@@ -57,11 +57,12 @@ struct CostModel {
   sim::Duration abci_query_service = sim::micros(1'500);
   sim::Duration proof_generation = sim::micros(1'000);
 
-  /// Indexed tx_search mitigation (paper §VI suggestions): when true — and
-  /// the chain's Ledger has its packet-event index enabled — packet-event
-  /// queries are priced off a commit-time height→packet-events index instead
-  /// of a full scan of the block's event payload. Results are identical; the
-  /// superlinear scan term disappears, leaving O(result page). Off by
+  /// Indexed tx_search mitigation (paper §VI suggestions): when true,
+  /// packet-event queries are priced as lookups in a height→packet-events
+  /// index instead of a full scan of the block's event payload. This knob
+  /// only picks the charge: the host answers every packet-event query from
+  /// the ledger's packet-event index either way, so results are identical;
+  /// the superlinear scan term disappears, leaving O(result page). Off by
   /// default: the paper's measured Tendermint has no such index.
   bool indexed_tx_search = false;
 

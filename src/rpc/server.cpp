@@ -125,9 +125,10 @@ TxResponse Server::make_response(chain::Height height,
                                  std::uint32_t index) const {
   const chain::Block* block = ledger_.block_at(height);
   const auto* results = ledger_.results_at(height);
-  assert(block && results && index < block->txs.size());
+  const auto* hashes = ledger_.tx_hashes_at(height);
+  assert(block && results && hashes && index < block->txs.size());
   TxResponse r;
-  r.hash = block->txs[index].hash();
+  r.hash = (*hashes)[index];
   r.height = height;
   r.index = index;
   r.tx = block->txs[index];
@@ -202,76 +203,79 @@ void Server::tx_search_height(
       "tx_search");
 }
 
+Server::TxLocations Server::packet_matches(chain::Height height_begin,
+                                           chain::Height height_end,
+                                           const std::string& event_type,
+                                           std::uint64_t seq_begin,
+                                           std::uint64_t seq_end) const {
+  TxLocations out;
+  for (chain::Height h = std::max<chain::Height>(height_begin, 1);
+       h <= std::min(height_end, ledger_.height()); ++h) {
+    for (std::uint32_t i :
+         ledger_.indexed_packet_txs(h, event_type, seq_begin, seq_end)) {
+      out.emplace_back(h, i);
+    }
+  }
+  return out;
+}
+
+std::size_t Server::event_bytes(const TxLocations& locs) const {
+  std::size_t bytes = 0;
+  for (const auto& [h, i] : locs) {
+    bytes += (*ledger_.results_at(h))[i].encoded_size();
+  }
+  return bytes;
+}
+
+void Server::deliver_page(
+    const TxLocations& locs,
+    const std::function<void(util::Result<TxSearchPage>)>& cb) const {
+  TxSearchPage out;
+  out.total_count = static_cast<std::uint32_t>(locs.size());
+  out.txs.reserve(locs.size());
+  for (const auto& [h, i] : locs) out.txs.push_back(make_response(h, i));
+  if (tamper_) {
+    const util::Status st = tamper_(out);
+    if (!st.is_ok()) {
+      cb(st);
+      return;
+    }
+  }
+  cb(std::move(out));
+}
+
 void Server::query_packet_events(
     net::MachineId client, chain::Height height, const std::string& event_type,
     std::uint64_t seq_begin, std::uint64_t seq_end,
     std::function<void(util::Result<TxSearchPage>)> cb) {
-  // The indexer evaluates the query against every event in the block, then
-  // marshals only the matching transactions. With the indexed-tx_search
-  // mitigation on, the match set comes from the ledger's commit-time packet
-  // index instead — identical results, O(page) service time.
-  const bool indexed = cost_.indexed_tx_search && ledger_.packet_index_enabled();
-  auto matches = [this, height, event_type, seq_begin, seq_end,
-                  indexed]() -> std::vector<std::uint32_t> {
-    if (indexed) {
-      return ledger_.indexed_packet_txs(height, event_type, seq_begin,
-                                        seq_end);
-    }
-    std::vector<std::uint32_t> out;
-    const auto* results = ledger_.results_at(height);
-    if (!results) return out;
-    for (std::uint32_t i = 0; i < results->size(); ++i) {
-      for (const chain::Event& ev : (*results)[i].events) {
-        if (ev.type != event_type) continue;
-        const std::string seq_str = ev.attribute("packet_sequence");
-        if (seq_str.empty()) continue;
-        const std::uint64_t seq = std::strtoull(seq_str.c_str(), nullptr, 10);
-        if (seq >= seq_begin && seq <= seq_end) {
-          out.push_back(i);
-          break;
-        }
-      }
-    }
-    return out;
-  };
-
-  auto service = [this, height, matches, indexed]() -> sim::Duration {
-    std::size_t matched_bytes = 0;
-    std::size_t matched_txs = 0;
-    const auto* results = ledger_.results_at(height);
-    if (results) {
-      for (std::uint32_t i : matches()) {
-        matched_bytes += (*results)[i].encoded_size();
-        ++matched_txs;
-      }
-    }
+  // Tendermint's indexer evaluates the query against every event in the
+  // block, then marshals only the matching transactions. That scan is what
+  // the query is charged (with the indexed-tx_search mitigation, an index
+  // probe plus a per-match price instead); the host finds the matches in the
+  // ledger's packet-event index either way.
+  auto service = [this, height, event_type, seq_begin,
+                  seq_end]() -> sim::Duration {
+    const TxLocations locs =
+        packet_matches(height, height, event_type, seq_begin, seq_end);
     const sim::Duration scan =
-        indexed ? cost_.indexed_scan_cost(1, matched_txs)
-                : cost_.scan_cost(ledger_.block_event_bytes(height));
-    return cost_.base_service + scan + cost_.marshal_cost(matched_bytes);
+        cost_.indexed_tx_search
+            ? cost_.indexed_scan_cost(1, locs.size())
+            : cost_.scan_cost(ledger_.block_event_bytes(height));
+    return cost_.base_service + scan + cost_.marshal_cost(event_bytes(locs));
   };
 
   roundtrip(
       client, 256, service, 1 << 20,
-      [this, height, matches, cb]() {
+      [this, height, event_type, seq_begin, seq_end, cb]() {
         if (!ledger_.block_at(height)) {
           cb(util::Status::error(util::ErrorCode::kNotFound,
                                  "no block at height " +
                                      std::to_string(height)));
           return;
         }
-        TxSearchPage out;
-        const auto idxs = matches();
-        out.total_count = static_cast<std::uint32_t>(idxs.size());
-        for (std::uint32_t i : idxs) out.txs.push_back(make_response(height, i));
-        if (tamper_) {
-          const util::Status st = tamper_(out);
-          if (!st.is_ok()) {
-            cb(st);
-            return;
-          }
-        }
-        cb(std::move(out));
+        deliver_page(
+            packet_matches(height, height, event_type, seq_begin, seq_end),
+            cb);
       },
       [cb]() {
         cb(util::Status::error(util::ErrorCode::kUnavailable,
@@ -284,52 +288,17 @@ void Server::query_packet_events_range(
     net::MachineId client, chain::Height height_begin, chain::Height height_end,
     const std::string& event_type, std::uint64_t seq_begin,
     std::uint64_t seq_end, std::function<void(util::Result<TxSearchPage>)> cb) {
-  const bool indexed = cost_.indexed_tx_search && ledger_.packet_index_enabled();
-  auto matches = [this, height_begin, height_end, event_type, seq_begin,
-                  seq_end, indexed]() {
-    std::vector<std::pair<chain::Height, std::uint32_t>> out;
-    for (chain::Height h = std::max<chain::Height>(height_begin, 1);
-         h <= std::min(height_end, ledger_.height()); ++h) {
-      if (indexed) {
-        for (std::uint32_t i :
-             ledger_.indexed_packet_txs(h, event_type, seq_begin, seq_end)) {
-          out.emplace_back(h, i);
-        }
-        continue;
-      }
-      const auto* results = ledger_.results_at(h);
-      if (!results) continue;
-      for (std::uint32_t i = 0; i < results->size(); ++i) {
-        for (const chain::Event& ev : (*results)[i].events) {
-          if (ev.type != event_type) continue;
-          const std::string seq_str = ev.attribute("packet_sequence");
-          if (seq_str.empty()) continue;
-          const std::uint64_t seq =
-              std::strtoull(seq_str.c_str(), nullptr, 10);
-          if (seq >= seq_begin && seq <= seq_end) {
-            out.emplace_back(h, i);
-            break;
-          }
-        }
-      }
-    }
-    return out;
-  };
-
-  auto service = [this, height_begin, height_end, matches,
-                  indexed]() -> sim::Duration {
+  auto service = [this, height_begin, height_end, event_type, seq_begin,
+                  seq_end]() -> sim::Duration {
     const chain::Height lo = std::max<chain::Height>(height_begin, 1);
     const chain::Height hi = std::min(height_end, ledger_.height());
-    const auto matched = matches();
-    std::size_t matched_bytes = 0;
-    for (const auto& [h, i] : matched) {
-      matched_bytes += (*ledger_.results_at(h))[i].encoded_size();
-    }
+    const TxLocations locs =
+        packet_matches(lo, hi, event_type, seq_begin, seq_end);
     sim::Duration scan = sim::kDurationZero;
-    if (indexed) {
+    if (cost_.indexed_tx_search) {
       const std::size_t probed =
           hi >= lo ? static_cast<std::size_t>(hi - lo + 1) : 0;
-      scan = cost_.indexed_scan_cost(probed, matched.size());
+      scan = cost_.indexed_scan_cost(probed, locs.size());
     } else {
       std::size_t scanned = 0;
       for (chain::Height h = lo; h <= hi; ++h) {
@@ -337,24 +306,15 @@ void Server::query_packet_events_range(
       }
       scan = cost_.scan_cost(scanned);
     }
-    return cost_.base_service + scan + cost_.marshal_cost(matched_bytes);
+    return cost_.base_service + scan + cost_.marshal_cost(event_bytes(locs));
   };
 
   roundtrip(
       client, 256, service, 1 << 20,
-      [matches, cb, this]() {
-        TxSearchPage out;
-        const auto locs = matches();
-        out.total_count = static_cast<std::uint32_t>(locs.size());
-        for (const auto& [h, i] : locs) out.txs.push_back(make_response(h, i));
-        if (tamper_) {
-          const util::Status st = tamper_(out);
-          if (!st.is_ok()) {
-            cb(st);
-            return;
-          }
-        }
-        cb(std::move(out));
+      [this, height_begin, height_end, event_type, seq_begin, seq_end, cb]() {
+        deliver_page(packet_matches(height_begin, height_end, event_type,
+                                    seq_begin, seq_end),
+                     cb);
       },
       [cb]() {
         cb(util::Status::error(util::ErrorCode::kUnavailable,

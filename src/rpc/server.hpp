@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "chain/app.hpp"
@@ -87,19 +88,11 @@ class Server {
   void set_query_workers(std::size_t n) { queue_.set_servers(n); }
   std::size_t query_workers() const { return queue_.servers(); }
 
-  /// Back-compat alias used by the parallel-RPC ablation.
-  void set_parallel_requests(std::size_t n) { set_query_workers(n); }
-
   /// Per-worker utilisation (completed jobs + busy time) for worker `w` in
   /// [0, query_workers()).
   sim::ServiceQueue::WorkerStats worker_stats(std::size_t w) const {
     return queue_.worker_stats(w);
   }
-
-  /// Indexed tx_search mitigation: price packet-event queries off the
-  /// ledger's commit-time packet-event index (the caller must also enable it
-  /// on the Ledger). Results are unchanged — only service time drops.
-  void set_indexed_tx_search(bool on) { cost_.indexed_tx_search = on; }
 
   /// Fault-injection hook for tests: runs on every packet-event query
   /// response (single-block and range form) after the page is assembled but
@@ -128,9 +121,10 @@ class Server {
                         std::function<void(util::Result<TxSearchPage>)> cb);
 
   /// Chunked packet-event query: the Hermes "data pull". Returns the txs in
-  /// block `height` that contain events of `event_type` whose
-  /// "packet_sequence" attribute falls in [seq_begin, seq_end]. Service cost
-  /// scans the whole block's events and marshals the matches.
+  /// block `height` that contain events of `event_type` whose packet
+  /// sequence attribute falls in [seq_begin, seq_end]. Service cost
+  /// scans the whole block's events and marshals the matches; the host looks
+  /// the matches up in the ledger's packet-event index.
   void query_packet_events(net::MachineId client, chain::Height height,
                            const std::string& event_type,
                            std::uint64_t seq_begin, std::uint64_t seq_end,
@@ -219,6 +213,23 @@ class Server {
                  const char* label = nullptr);
 
   TxResponse make_response(chain::Height height, std::uint32_t index) const;
+
+  /// (height, tx index) pairs of a packet-event query's matches.
+  using TxLocations = std::vector<std::pair<chain::Height, std::uint32_t>>;
+  /// Matches in the committed blocks of [height_begin, height_end], in
+  /// (height, tx) order, from the ledger's packet-event index.
+  TxLocations packet_matches(chain::Height height_begin,
+                             chain::Height height_end,
+                             const std::string& event_type,
+                             std::uint64_t seq_begin,
+                             std::uint64_t seq_end) const;
+  /// Event bytes the responses for `locs` carry (drives marshal cost).
+  std::size_t event_bytes(const TxLocations& locs) const;
+  /// Builds the page for `locs`, passes it through the tamper hook and hands
+  /// it (or the hook's error) to `cb`.
+  void deliver_page(
+      const TxLocations& locs,
+      const std::function<void(util::Result<TxSearchPage>)>& cb) const;
 
   sim::Scheduler& sched_;
   net::Network& network_;

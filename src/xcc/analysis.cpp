@@ -1,5 +1,9 @@
 #include "xcc/analysis.hpp"
 
+#include <charconv>
+#include <string>
+#include <string_view>
+
 #include "ibc/host.hpp"
 #include "ibc/msgs.hpp"
 
@@ -23,12 +27,26 @@ CompletionBreakdown Analyzer::completion_breakdown(
   const std::uint64_t initiated = next_send - 1;
   out.uncommitted = requested > initiated ? requested - initiated : 0;
 
+  // Commitment and receipt keys are a per-channel prefix followed by the
+  // decimal sequence: keep each key in one buffer and rewrite only its
+  // digits, instead of building two fresh strings per sequence.
+  std::string commitment_key = ibc::host::packet_commitment_prefix(
+      ibc::kTransferPort, channel_.channel_a);
+  std::string receipt_key = ibc::host::packet_receipt_key(
+      ibc::kTransferPort, channel_.channel_b, 0);
+  receipt_key.pop_back();  // ".../sequences/0" -> ".../sequences/"
+  const std::size_t commitment_prefix = commitment_key.size();
+  const std::size_t receipt_prefix = receipt_key.size();
+  char digits[20];
   for (ibc::Sequence s = 1; s < next_send; ++s) {
-    const bool commitment_present = store_a.contains(
-        ibc::host::packet_commitment_key(ibc::kTransferPort,
-                                         channel_.channel_a, s));
-    const bool received = store_b.contains(ibc::host::packet_receipt_key(
-        ibc::kTransferPort, channel_.channel_b, s));
+    const char* end = std::to_chars(digits, digits + sizeof(digits), s).ptr;
+    const std::string_view seq(digits, static_cast<std::size_t>(end - digits));
+    commitment_key.resize(commitment_prefix);
+    commitment_key.append(seq);
+    receipt_key.resize(receipt_prefix);
+    receipt_key.append(seq);
+    const bool commitment_present = store_a.contains(commitment_key);
+    const bool received = store_b.contains(receipt_key);
     if (received && !commitment_present) {
       ++out.completed;
     } else if (received && commitment_present) {

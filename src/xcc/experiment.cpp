@@ -62,10 +62,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (config.parallel_rpc_requests > 1) {
     for (auto& s : tb.chain_a().servers) {
-      s->set_parallel_requests(config.parallel_rpc_requests);
+      s->set_query_workers(config.parallel_rpc_requests);
     }
     for (auto& s : tb.chain_b().servers) {
-      s->set_parallel_requests(config.parallel_rpc_requests);
+      s->set_query_workers(config.parallel_rpc_requests);
     }
   }
   tb.start_chains();

@@ -123,7 +123,6 @@ void Testbed::deploy_chain(ChainDeployment& c, int index) {
   cosmos::AppConfig app_cfg = config_.app_config;
   c.app = std::make_unique<cosmos::CosmosApp>(id, app_cfg);
   c.ledger = std::make_unique<chain::Ledger>(id);
-  if (config_.indexed_tx_search) c.ledger->enable_packet_index();
   c.mempool = std::make_unique<chain::Mempool>(*c.app, /*max_txs=*/100'000);
 
   consensus::EngineConfig ec = config_.engine_config;

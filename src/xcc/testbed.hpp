@@ -50,9 +50,11 @@ struct TestbedConfig {
   /// simulator).
   std::size_t rpc_query_workers = 1;
 
-  /// Indexed-tx_search mitigation: maintain the commit-time packet-event
-  /// index on both ledgers and price packet-event queries off it. Off by
-  /// default (full scan with the superlinear term, as measured in §V).
+  /// Indexed-tx_search mitigation: charge packet-event queries an index
+  /// lookup (rpc::CostModel::indexed_tx_search). It selects only the
+  /// charged cost; the host answers from the ledgers' packet-event index
+  /// either way. Off by default (full scan with the superlinear term, as
+  /// measured in §V).
   bool indexed_tx_search = false;
 
   /// Run the IBC invariant checker on every commit of both chains. On by

@@ -4,11 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "consensus/engine.hpp"
 #include "cosmos/app.hpp"
+#include "packet_scan_oracle.hpp"
 #include "rpc/server.hpp"
+#include "util/rng.hpp"
 
 namespace {
+
+/// (height, tx index) pairs, in page order.
+using TxLocations = std::vector<std::pair<chain::Height, std::uint32_t>>;
 
 struct RpcFixture : ::testing::Test {
   sim::Scheduler sched;
@@ -68,7 +76,99 @@ struct RpcFixture : ::testing::Test {
     server->on_block_committed(*ledger.block_at(ledger.height()),
                                *ledger.results_at(ledger.height()));
   }
+
+  /// Commits a block of `txs` distinct txs with a random event mix: packet
+  /// events of the two queried types, a packet event type nobody queries,
+  /// decoys without a packet_sequence, several events per tx and repeated
+  /// sequences within a block.
+  void commit_mixed_block(util::Rng& rng, std::uint64_t txs) {
+    static const char* kTypes[] = {"send_packet", "write_acknowledgement",
+                                   "timeout_packet"};
+    chain::Block block;
+    block.header.chain_id = "rpc-chain";
+    block.header.height = ledger.height() + 1;
+    block.header.time = sched.now();
+    std::vector<chain::DeliverTxResult> results(txs);
+    for (std::uint64_t t = 0; t < txs; ++t) {
+      block.txs.push_back(make_tx(next_tx_seq_++));
+      const std::uint64_t events = rng.next_below(4);
+      for (std::uint64_t e = 0; e < events; ++e) {
+        chain::Event ev;
+        ev.type = kTypes[rng.next_below(3)];
+        if (rng.chance(0.8)) {
+          ev.attributes.emplace_back("packet_sequence",
+                                     std::to_string(1 + rng.next_below(12)));
+        }
+        ev.attributes.emplace_back("pad",
+                                   std::string(rng.next_below(3'000), 'x'));
+        results[t].events.push_back(std::move(ev));
+      }
+    }
+    ledger.append(std::move(block), std::move(results), app.store().root(),
+                  chain::Commit{});
+  }
+
+  /// Replaces the server with one whose cost model prices packet-event
+  /// queries off the index (`indexed`) or off the full block scan.
+  void use_cost_mode(bool indexed) {
+    cost.indexed_tx_search = indexed;
+    server = std::make_unique<rpc::Server>(sched, network, /*machine=*/0,
+                                           ledger, mempool, app, cost);
+  }
+
+  /// Sends requests, runs the scheduler until all are answered and returns
+  /// the service time the server charged meanwhile.
+  template <typename Send>
+  sim::Duration charged_by(Send&& send) {
+    const sim::Duration before = server->busy_time();
+    send();
+    sched.run_until(sched.now() + sim::seconds(600));
+    return server->busy_time() - before;
+  }
+
+  /// Event bytes of the txs a page returns.
+  std::size_t event_bytes_of(const TxLocations& locs) const {
+    std::size_t bytes = 0;
+    for (const auto& [h, i] : locs) {
+      bytes += (*ledger.results_at(h))[i].encoded_size();
+    }
+    return bytes;
+  }
+
+  /// What a packet-event query over `probed` blocks holding
+  /// `scanned_bytes` of events, returning `locs`, is charged.
+  sim::Duration packet_query_charge(std::size_t probed,
+                                    std::size_t scanned_bytes,
+                                    const TxLocations& locs) const {
+    const sim::Duration lookup =
+        cost.indexed_tx_search ? cost.indexed_scan_cost(probed, locs.size())
+                               : cost.scan_cost(scanned_bytes);
+    return cost.base_service + lookup + cost.marshal_cost(event_bytes_of(locs));
+  }
+
+  std::uint64_t next_tx_seq_ = 1'000;
 };
+
+/// The txs a result page carries.
+TxLocations locations_of(const rpc::TxSearchPage& page) {
+  TxLocations out;
+  for (const rpc::TxResponse& r : page.txs) out.emplace_back(r.height, r.index);
+  return out;
+}
+
+/// The reference scan's answer for blocks [lo, hi], in (height, tx) order.
+TxLocations scan_range(const chain::Ledger& ledger, chain::Height lo,
+                       chain::Height hi, const std::string& type,
+                       std::uint64_t seq_lo, std::uint64_t seq_hi) {
+  TxLocations out;
+  for (chain::Height h = lo; h <= hi; ++h) {
+    for (std::uint32_t i :
+         oracle::scan_packet_txs(ledger, h, type, seq_lo, seq_hi)) {
+      out.emplace_back(h, i);
+    }
+  }
+  return out;
+}
 
 TEST_F(RpcFixture, BroadcastAdmitsValidTx) {
   util::Status result = util::Status::error(util::ErrorCode::kInternal, "no cb");
@@ -111,7 +211,7 @@ TEST_F(RpcFixture, ParallelAblationOverlapsRequests) {
   std::vector<chain::Tx> txs;
   for (int i = 0; i < 20; ++i) txs.push_back(make_tx(i, 100));
   commit_block(std::move(txs), 20'000);
-  server->set_parallel_requests(8);
+  server->set_query_workers(8);
 
   std::vector<sim::TimePoint> done;
   for (int i = 0; i < 2; ++i) {
@@ -330,6 +430,159 @@ TEST_F(RpcFixture, RemoteClientPaysNetworkLatency) {
   const sim::Duration local_rtt = local_done - t0;
   const sim::Duration remote_rtt = remote_done - t1;
   EXPECT_GT(remote_rtt, local_rtt + sim::millis(150));
+}
+
+// --- packet-event queries: what a page holds and what it is charged --------
+
+TEST_F(RpcFixture, PacketEventQueryPagesMatchScanAndChargeTheCostModel) {
+  util::Rng rng(0x9AC4E7ULL);
+  static const char* kQueried[] = {"send_packet", "write_acknowledgement"};
+  for (const bool indexed : {false, true}) {
+    use_cost_mode(indexed);
+    std::size_t nonempty_pages = 0;
+    for (int round = 0; round < 4; ++round) {
+      // Appends and queries interleave: some blocks are first queried right
+      // after they commit, some several commits later.
+      for (int b = 0; b < 2; ++b) commit_mixed_block(rng, rng.next_below(12));
+      for (int q = 0; q < 12; ++q) {
+        // Heights 0 and tip + 1 hold no block.
+        const auto h = static_cast<chain::Height>(
+            rng.next_below(static_cast<std::uint64_t>(ledger.height()) + 2));
+        const std::string type = kQueried[rng.next_below(2)];
+        const std::uint64_t lo = 1 + rng.next_below(12);
+        const std::uint64_t hi = lo + rng.next_below(6);
+        std::optional<util::Result<rpc::TxSearchPage>> got;
+        const sim::Duration charged = charged_by([&] {
+          server->query_packet_events(
+              0, h, type, lo, hi,
+              [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+        });
+        ASSERT_TRUE(got.has_value());
+        const TxLocations want = scan_range(ledger, h, h, type, lo, hi);
+        const std::string where = "indexed=" + std::to_string(indexed) +
+                                  " h=" + std::to_string(h) + " " + type +
+                                  " [" + std::to_string(lo) + "," +
+                                  std::to_string(hi) + "]";
+        if (ledger.block_at(h) == nullptr) {
+          EXPECT_EQ(got->status().code(), util::ErrorCode::kNotFound) << where;
+        } else {
+          ASSERT_TRUE(got->is_ok()) << where;
+          EXPECT_EQ(locations_of(got->value()), want) << where;
+          EXPECT_EQ(got->value().total_count, want.size()) << where;
+          for (const rpc::TxResponse& r : got->value().txs) {
+            EXPECT_EQ(r.hash, r.tx.hash()) << where;
+          }
+          nonempty_pages += want.empty() ? 0 : 1;
+        }
+        EXPECT_EQ(charged,
+                  packet_query_charge(1, ledger.block_event_bytes(h), want))
+            << where;
+      }
+    }
+    EXPECT_GE(nonempty_pages, 10u) << "indexed=" << indexed;
+  }
+}
+
+TEST_F(RpcFixture, PacketEventRangeQueryPagesMatchScanAndChargeTheCostModel) {
+  util::Rng rng(0x4A46E5ULL);
+  for (const bool indexed : {false, true}) {
+    use_cost_mode(indexed);
+    std::size_t multi_block_pages = 0;
+    for (int round = 0; round < 4; ++round) {
+      for (int b = 0; b < 2; ++b) commit_mixed_block(rng, rng.next_below(12));
+      for (int q = 0; q < 20; ++q) {
+        // Ranges may start at 0, run past the tip, or be empty (lo > hi).
+        const auto h_lo = static_cast<chain::Height>(
+            rng.next_below(static_cast<std::uint64_t>(ledger.height()) + 1));
+        const auto h_hi = static_cast<chain::Height>(
+            h_lo + static_cast<chain::Height>(rng.next_below(7)) - 1);
+        const std::string type =
+            rng.chance(0.5) ? "send_packet" : "write_acknowledgement";
+        const std::uint64_t lo = 1 + rng.next_below(12);
+        const std::uint64_t hi = lo + rng.next_below(6);
+        std::optional<util::Result<rpc::TxSearchPage>> got;
+        const sim::Duration charged = charged_by([&] {
+          server->query_packet_events_range(
+              0, h_lo, h_hi, type, lo, hi,
+              [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+        });
+        const chain::Height first = std::max<chain::Height>(h_lo, 1);
+        const chain::Height last = std::min(h_hi, ledger.height());
+        const auto want = scan_range(ledger, first, last, type, lo, hi);
+        std::size_t scanned = 0;
+        for (chain::Height h = first; h <= last; ++h) {
+          scanned += ledger.block_event_bytes(h);
+        }
+        const std::size_t probed =
+            last >= first ? static_cast<std::size_t>(last - first + 1) : 0;
+        const std::string where = "indexed=" + std::to_string(indexed) +
+                                  " heights [" + std::to_string(h_lo) + "," +
+                                  std::to_string(h_hi) + "] " + type;
+        ASSERT_TRUE(got.has_value() && got->is_ok()) << where;
+        EXPECT_EQ(locations_of(got->value()), want) << where;
+        EXPECT_EQ(got->value().total_count, want.size()) << where;
+        for (const rpc::TxResponse& r : got->value().txs) {
+          EXPECT_EQ(r.hash, r.tx.hash()) << where;
+        }
+        EXPECT_EQ(charged, packet_query_charge(probed, scanned, want)) << where;
+        multi_block_pages +=
+            !want.empty() && want.front().first != want.back().first ? 1 : 0;
+      }
+    }
+    EXPECT_GE(multi_block_pages, 5u) << "indexed=" << indexed;
+  }
+}
+
+TEST_F(RpcFixture, PacketQueryChargeIsFixedAtAdmissionAndPageReadAtCompletion) {
+  // A block committed while its query is in service is charged as absent
+  // (the cost is computed when the request is admitted) but is in the page
+  // (the page is read when service completes).
+  for (const bool indexed : {false, true}) {
+    use_cost_mode(indexed);
+    const chain::Height h = ledger.height() + 1;
+    std::optional<util::Result<rpc::TxSearchPage>> got;
+    const sim::Duration charged = charged_by([&] {
+      server->query_packet_events(
+          0, h, "send_packet", 2, 3,
+          [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+      while (server->queue_depth() == 0) ASSERT_TRUE(sched.step());
+      commit_block({make_tx(next_tx_seq_++), make_tx(next_tx_seq_++),
+                    make_tx(next_tx_seq_++), make_tx(next_tx_seq_++)});
+    });
+    ASSERT_TRUE(got.has_value() && got->is_ok());
+    const TxLocations want = {{h, 1}, {h, 2}};
+    EXPECT_EQ(locations_of(got->value()), want);
+    EXPECT_EQ(charged, packet_query_charge(1, 0, {}));
+  }
+}
+
+TEST_F(RpcFixture, EveryResponseCarriesTheHashOfItsTx) {
+  util::Rng rng(0x7A5ULL);
+  commit_mixed_block(rng, 9);
+  commit_mixed_block(rng, 5);
+  std::vector<rpc::TxResponse> seen;
+  auto keep_page = [&](util::Result<rpc::TxSearchPage> res) {
+    ASSERT_TRUE(res.is_ok());
+    for (rpc::TxResponse& r : res.value().txs) seen.push_back(std::move(r));
+  };
+  for (chain::Height h = 1; h <= ledger.height(); ++h) {
+    server->tx_search_height(0, h, 1, 100, keep_page);
+    for (const chain::Tx& tx : ledger.block_at(h)->txs) {
+      server->query_tx(0, tx.hash(), [&](util::Result<rpc::TxResponse> res) {
+        ASSERT_TRUE(res.is_ok());
+        seen.push_back(res.take());
+      });
+    }
+  }
+  server->query_packet_events(0, 1, "send_packet", 1, 100, keep_page);
+  server->query_packet_events_range(0, 1, 2, "write_acknowledgement", 1, 100,
+                                    keep_page);
+  sched.run_until(sched.now() + sim::seconds(600));
+  ASSERT_GE(seen.size(), 2u * 14u);
+  for (const rpc::TxResponse& r : seen) {
+    EXPECT_EQ(r.hash, r.tx.hash());
+    EXPECT_EQ(r.hash, ledger.block_at(r.height)->txs[r.index].hash());
+  }
 }
 
 }  // namespace
