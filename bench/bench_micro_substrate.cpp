@@ -1,12 +1,13 @@
 // Substrate microbenchmarks (google-benchmark): hashing, Merkle trees,
-// codecs, the KV store, the checker's store hook, the DES scheduler and the
-// serialized RPC queue.
+// codecs, the KV store, the checker's store hook, packet-event emission and
+// read-back, the DES scheduler and the serialized RPC queue.
 // These measure the *simulator's* real CPU costs, useful for keeping the
 // experiment harness fast.
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "sim/service_queue.hpp"
 #include "util/rng.hpp"
 #include "xcc/bench_report.hpp"
+#include "xcc/handshake.hpp"
 #include "xcc/testbed.hpp"
 
 namespace {
@@ -284,6 +286,59 @@ void BM_BankSend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BankSend)->ArgName("checker")->Arg(0)->Arg(1);
+
+// The packet-event emit-and-read path: one 100-msg MsgTransfer tx delivered
+// on a Testbed chain with an open channel (the keeper emits 100 send_packet
+// events), then every send_packet read back with ibc::packet_from_event, as
+// the relayer's data pull does. Items are packets.
+void BM_DeliverTransferTxReadPackets(benchmark::State& state) {
+  constexpr int kMsgs = 100;
+  xcc::TestbedConfig cfg;
+  cfg.user_accounts = 1;
+  cfg.invariant_checks = false;
+  xcc::Testbed tb(cfg);
+  tb.start_chains();
+  tb.run_until_height(2, sim::seconds(120));
+  xcc::HandshakeDriver driver(tb);
+  const xcc::ChannelSetupResult channel = driver.establish_channel_blocking(
+      tb.scheduler().now() + sim::seconds(600));
+  if (!channel.ok) {
+    state.SkipWithError("channel handshake failed");
+    return;
+  }
+  cosmos::CosmosApp& app = *tb.chain_a().app;
+  const chain::Address sender = tb.user_accounts().front();
+  ibc::MsgTransfer t;
+  t.source_port = ibc::kTransferPort;
+  t.source_channel = channel.channel_a;
+  t.denom = cosmos::kNativeDenom;
+  t.amount = 1;
+  t.sender = sender;
+  t.receiver = "recv-" + sender;
+  t.timeout_height = 1'000'000;
+  chain::Tx tx;
+  tx.sender = sender;
+  tx.msgs.assign(kMsgs, t.to_msg());
+  tx.gas_limit = 2 * (69'000 + 36'000 * kMsgs);
+  tx.fee = tx.gas_limit;
+  for (auto _ : state) {
+    tx.sequence = app.auth().sequence(sender);
+    const chain::DeliverTxResult res = app.deliver_tx(tx);
+    int packets = 0;
+    for (const chain::Event& ev : res.events) {
+      if (ev.type != "send_packet") continue;
+      const std::optional<ibc::Packet> p = ibc::packet_from_event(ev);
+      benchmark::DoNotOptimize(p);
+      packets += p.has_value() ? 1 : 0;
+    }
+    if (packets != kMsgs) {
+      state.SkipWithError("tx did not emit one packet per msg");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kMsgs);
+}
+BENCHMARK(BM_DeliverTransferTxReadPackets)->Unit(benchmark::kMicrosecond);
 
 void BM_SchedulerThroughput(benchmark::State& state) {
   for (auto _ : state) {

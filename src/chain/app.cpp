@@ -3,7 +3,11 @@
 namespace chain {
 
 std::size_t DeliverTxResult::encoded_size() const {
-  return 64 + chain::encoded_size(events);
+  return encoded_size_ != 0 ? encoded_size_ : 64 + chain::encoded_size(events);
+}
+
+void DeliverTxResult::cache_encoded_size() {
+  encoded_size_ = 64 + chain::encoded_size(events);
 }
 
 sim::Duration App::execution_cost(const Tx& tx) const {

@@ -29,8 +29,15 @@ struct DeliverTxResult {
   std::vector<Event> events;
 
   /// Approximate encoded size: feeds RPC response sizes and the WebSocket
-  /// frame accounting.
+  /// frame accounting. Read, not recomputed, once cache_encoded_size() has
+  /// run: Ledger::append runs it on every committed result, so the ledger,
+  /// RPC pages and WebSocket frames all read one value.
   std::size_t encoded_size() const;
+  /// Computes encoded_size() once; the events must not change afterwards.
+  void cache_encoded_size();
+
+ private:
+  std::size_t encoded_size_ = 0;  // 0 until cached (a real size is > 64)
 };
 
 class App {

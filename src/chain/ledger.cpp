@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 namespace chain {
 
@@ -20,7 +19,10 @@ void Ledger::append(Block block, std::vector<DeliverTxResult> results,
   }
   total_txs_ += block.txs.size();
   std::size_t event_bytes = 0;
-  for (const DeliverTxResult& r : results) event_bytes += r.encoded_size();
+  for (DeliverTxResult& r : results) {
+    r.cache_encoded_size();
+    event_bytes += r.encoded_size();
+  }
   event_bytes_.push_back(event_bytes);
   blocks_.push_back(std::move(block));
   results_.push_back(std::move(results));
@@ -40,12 +42,10 @@ const std::vector<PacketEventEntry>* Ledger::packet_rows(Height h) const {
       results_[static_cast<std::size_t>(h - 1)];
   for (std::uint32_t i = 0; i < results.size(); ++i) {
     for (const Event& ev : results[i].events) {
-      const std::string seq_str = ev.attribute("packet_sequence");
-      if (seq_str.empty()) continue;
+      if (!ev.payload) continue;
       const auto [it, inserted] = event_type_ids_.try_emplace(
           ev.type, static_cast<std::uint32_t>(event_type_ids_.size()));
-      rows.push_back(PacketEventEntry{
-          std::strtoull(seq_str.c_str(), nullptr, 10), it->second, i});
+      rows.push_back(PacketEventEntry{ev.payload->sequence(), it->second, i});
     }
   }
   std::sort(rows.begin(), rows.end());

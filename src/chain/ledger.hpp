@@ -26,10 +26,11 @@ struct TxLocation {
   std::uint32_t index = 0;
 };
 
-/// One row of a block's packet-event index: an event of type `type_id`
-/// carrying packet_sequence `seq`, emitted by transaction `tx_index` of the
-/// block. A block's rows are sorted by (type_id, seq, tx_index), so a lookup
-/// is a binary search plus a contiguous walk of the matches.
+/// One row of a block's packet-event index: a typed event of type `type_id`
+/// whose payload announces packet sequence `seq`, emitted by transaction
+/// `tx_index` of the block. A block's rows are sorted by (type_id, seq,
+/// tx_index), so a lookup is a binary search plus a contiguous walk of the
+/// matches.
 struct PacketEventEntry {
   std::uint64_t seq = 0;
   std::uint32_t type_id = 0;

@@ -1,6 +1,5 @@
 #include "check/invariant.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ibc/client.hpp"
@@ -13,36 +12,6 @@
 namespace check {
 
 namespace {
-
-/// The packet fields carried by every life-cycle event (acknowledge/timeout
-/// events omit packet_data, so this is a lighter parse than
-/// ibc::packet_from_event).
-struct PacketRef {
-  ibc::Sequence sequence = 0;
-  std::string src_port, src_channel, dst_port, dst_channel;
-  std::string data;  // "" when the event omits it
-};
-
-bool parse_packet_event(const chain::Event& ev, PacketRef& out) {
-  const std::string seq = ev.attribute("packet_sequence");
-  if (seq.empty()) return false;
-  char* end = nullptr;
-  out.sequence = std::strtoull(seq.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out.src_port = ev.attribute("packet_src_port");
-  out.src_channel = ev.attribute("packet_src_channel");
-  out.dst_port = ev.attribute("packet_dst_port");
-  out.dst_channel = ev.attribute("packet_dst_channel");
-  out.data = ev.attribute("packet_data");
-  return !out.src_port.empty() && !out.src_channel.empty() &&
-         !out.dst_port.empty() && !out.dst_channel.empty();
-}
-
-bool parse_transfer_data(const std::string& raw,
-                         ibc::FungibleTokenPacketData& out) {
-  const util::Bytes bytes = util::to_bytes(raw);
-  return ibc::FungibleTokenPacketData::from_json(bytes, out);
-}
 
 /// True when a trace path re-enters the channel it came from (the ICS-20
 /// "returning" test: burn-on-send / unescrow-on-recv).
@@ -272,116 +241,104 @@ void InvariantChecker::observe(ChainState& c, std::string_view key,
 void InvariantChecker::process_events(ChainState& c, chain::Height height,
                                       const std::vector<chain::Event>& events) {
   ibc::ChannelKeeper channels(c.h.app->store());
-  for (std::size_t ev_idx = 0; ev_idx < events.size(); ++ev_idx) {
-    const chain::Event& ev = events[ev_idx];
+  for (const chain::Event& ev : events) {
     if (ev.type != "send_packet" && ev.type != "recv_packet" &&
         ev.type != "write_acknowledgement" &&
         ev.type != "acknowledge_packet" && ev.type != "timeout_packet") {
       continue;
     }
-    PacketRef p;
-    if (!parse_packet_event(ev, p)) {
+    const ibc::PacketEvent* pe = ibc::packet_event(ev);
+    if (pe == nullptr) {
       fail(c.h.id, height, "event-format",
            "unparseable packet event " + ev.type);
       continue;
     }
+    const ibc::Packet& p = pe->packet;
+    const auto& data = pe->transfer_data;  // ICS-20, decoded at emission
 
-    if (ev.type == "send_packet") {
-      ChannelTrack& ch = c.channels[{p.src_port, p.src_channel}];
+    if (pe->kind == ibc::PacketEventKind::kSend) {
+      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
       if (p.sequence != ch.last_send + 1) {
         fail(c.h.id, height, "send-sequence-gap",
-             chan_str(p.src_port, p.src_channel) + " sent sequence " +
+             chan_str(p.source_port, p.source_channel) + " sent sequence " +
                  std::to_string(p.sequence) + ", expected " +
                  std::to_string(ch.last_send + 1));
       }
       if (p.sequence > ch.last_send) ch.last_send = p.sequence;
 
-      ibc::FungibleTokenPacketData data;
-      if (p.src_port == ibc::kTransferPort &&
-          parse_transfer_data(p.data, data)) {
-        PendingTransfer pending{data.amount, data.denom,
-                                is_returning(data.denom, p.src_port,
-                                             p.src_channel)};
+      if (p.source_port == ibc::kTransferPort && data) {
+        PendingTransfer pending{data->amount, data->denom,
+                                is_returning(data->denom, p.source_port,
+                                             p.source_channel)};
         if (pending.returning) {
           // Voucher burnt on send; supply shrinks until refund (if any).
-          auto& supply = c.voucher_supply[ibc::voucher_denom(data.denom)];
-          if (supply < data.amount) {
+          auto& supply = c.voucher_supply[ibc::voucher_denom(data->denom)];
+          if (supply < data->amount) {
             fail(c.h.id, height, "token-conservation",
-                 "burnt more " + data.denom + " than was ever minted");
+                 "burnt more " + data->denom + " than was ever minted");
             supply = 0;
           } else {
-            supply -= data.amount;
+            supply -= data->amount;
           }
         } else {
-          c.escrow[{ibc::escrow_address(p.src_port, p.src_channel),
-                    held_denom(data.denom)}] += data.amount;
+          c.escrow[{ibc::escrow_address(p.source_port, p.source_channel),
+                    held_denom(data->denom)}] += data->amount;
         }
         ch.pending[p.sequence] = std::move(pending);
       }
 
-    } else if (ev.type == "recv_packet") {
-      ChannelTrack& ch = c.channels[{p.dst_port, p.dst_channel}];
+    } else if (pe->kind == ibc::PacketEventKind::kRecv) {
+      ChannelTrack& ch =
+          c.channels[{p.destination_port, p.destination_channel}];
       const ibc::Sequence prev_contiguous = ch.recvs.contiguous;
       if (!ch.recvs.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-recv",
-             chan_str(p.dst_port, p.dst_channel) + " received sequence " +
-                 std::to_string(p.sequence) + " twice");
+             chan_str(p.destination_port, p.destination_channel) +
+                 " received sequence " + std::to_string(p.sequence) +
+                 " twice");
       }
       // The counterparty must have sent it first (commits are totally
       // ordered in virtual time, so its send event was already observed).
-      if (ChainState* other =
-              counterparty_of(c, p.dst_port, p.dst_channel, height)) {
+      if (ChainState* other = counterparty_of(c, p.destination_port,
+                                              p.destination_channel, height)) {
         const ChannelTrack& src =
-            other->channels[{p.src_port, p.src_channel}];
+            other->channels[{p.source_port, p.source_channel}];
         if (p.sequence > src.last_send) {
           fail(c.h.id, height, "recv-unsent",
-               chan_str(p.dst_port, p.dst_channel) + " received sequence " +
-                   std::to_string(p.sequence) +
+               chan_str(p.destination_port, p.destination_channel) +
+                   " received sequence " + std::to_string(p.sequence) +
                    " but counterparty only sent " +
                    std::to_string(src.last_send));
         }
       }
-      auto end = channels.get(p.dst_port, p.dst_channel);
+      auto end = channels.get(p.destination_port, p.destination_channel);
       if (end.is_ok() &&
           end.value().ordering == ibc::ChannelOrdering::kOrdered &&
           p.sequence != prev_contiguous + 1) {
         fail(c.h.id, height, "ordered-delivery",
-             chan_str(p.dst_port, p.dst_channel) + " delivered sequence " +
-                 std::to_string(p.sequence) + " out of order (expected " +
+             chan_str(p.destination_port, p.destination_channel) +
+                 " delivered sequence " + std::to_string(p.sequence) +
+                 " out of order (expected " +
                  std::to_string(prev_contiguous + 1) + ")");
       }
 
-      // When the acknowledgement is deferred past this transaction (async
+      // When the acknowledgement is deferred past this message (async
       // ack, packet-forward middleware), the mint/unescrow has already
       // happened here at recv: account for it optimistically and remember
       // to reverse if the eventual ack reports failure.
-      ibc::FungibleTokenPacketData data;
-      if (p.dst_port == ibc::kTransferPort &&
-          parse_transfer_data(p.data, data)) {
-        bool acked_in_tx = false;
-        const std::string seq_str = std::to_string(p.sequence);
-        for (std::size_t j = ev_idx + 1; j < events.size(); ++j) {
-          if (events[j].type == "write_acknowledgement" &&
-              events[j].attribute("packet_sequence") == seq_str &&
-              events[j].attribute("packet_dst_port") == p.dst_port &&
-              events[j].attribute("packet_dst_channel") == p.dst_channel) {
-            acked_in_tx = true;
-            break;
-          }
-        }
-        if (!acked_in_tx) {
-          account_recv_success(c, p.src_port, p.src_channel, p.dst_port,
-                               p.dst_channel, data.amount, data.denom,
-                               height);
-          ch.async_recv[p.sequence] = AsyncRecv{data.amount, data.denom};
-        }
+      if (p.destination_port == ibc::kTransferPort && data &&
+          pe->ack.empty()) {
+        account_recv_success(c, p.source_port, p.source_channel,
+                             p.destination_port, p.destination_channel,
+                             data->amount, data->denom, height);
+        ch.async_recv[p.sequence] = AsyncRecv{data->amount, data->denom};
       }
 
-    } else if (ev.type == "write_acknowledgement") {
-      ChannelTrack& ch = c.channels[{p.dst_port, p.dst_channel}];
+    } else if (pe->kind == ibc::PacketEventKind::kWriteAck) {
+      ChannelTrack& ch =
+          c.channels[{p.destination_port, p.destination_channel}];
       ibc::Acknowledgement ack;
-      const std::string raw = ev.attribute("packet_ack");
-      if (!ibc::Acknowledgement::decode(util::to_bytes(raw), ack)) {
+      if (!ibc::Acknowledgement::decode(pe->ack, ack)) {
         fail(c.h.id, height, "event-format",
              "undecodable packet_ack for sequence " +
                  std::to_string(p.sequence));
@@ -394,16 +351,18 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
         // Deferred ack resolving: the recv already accounted optimistically;
         // a failure means the middleware unwound its delivery (burn /
         // re-escrow) in this same transaction, so reverse the model too.
-        if (!ack.success && p.dst_port == ibc::kTransferPort) {
+        if (!ack.success && p.destination_port == ibc::kTransferPort) {
           const AsyncRecv& ar = async_it->second;
-          if (is_returning(ar.denom_path, p.src_port, p.src_channel)) {
+          if (is_returning(ar.denom_path, p.source_port, p.source_channel)) {
             const std::string inner = ar.denom_path.substr(
-                p.src_port.size() + p.src_channel.size() + 2);
-            c.escrow[{ibc::escrow_address(p.dst_port, p.dst_channel),
+                p.source_port.size() + p.source_channel.size() + 2);
+            c.escrow[{ibc::escrow_address(p.destination_port,
+                                          p.destination_channel),
                       held_denom(inner)}] += ar.amount;
           } else {
-            const std::string path =
-                p.dst_port + "/" + p.dst_channel + "/" + ar.denom_path;
+            const std::string path = p.destination_port + "/" +
+                                     p.destination_channel + "/" +
+                                     ar.denom_path;
             auto& supply = c.voucher_supply[ibc::voucher_denom(path)];
             if (supply < ar.amount) {
               fail(c.h.id, height, "token-conservation",
@@ -416,41 +375,39 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
           }
         }
         ch.async_recv.erase(async_it);
-      } else {
-        ibc::FungibleTokenPacketData data;
-        if (ack.success && p.dst_port == ibc::kTransferPort &&
-            parse_transfer_data(p.data, data)) {
-          account_recv_success(c, p.src_port, p.src_channel, p.dst_port,
-                               p.dst_channel, data.amount, data.denom,
-                               height);
-        }
+      } else if (ack.success && p.destination_port == ibc::kTransferPort &&
+                 data) {
+        account_recv_success(c, p.source_port, p.source_channel,
+                             p.destination_port, p.destination_channel,
+                             data->amount, data->denom, height);
       }
 
-    } else if (ev.type == "acknowledge_packet") {
-      ChannelTrack& ch = c.channels[{p.src_port, p.src_channel}];
+    } else if (pe->kind == ibc::PacketEventKind::kAcknowledge) {
+      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
       if (!ch.acks.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-ack",
-             chan_str(p.src_port, p.src_channel) + " acknowledged sequence " +
-                 std::to_string(p.sequence) + " twice");
+             chan_str(p.source_port, p.source_channel) +
+                 " acknowledged sequence " + std::to_string(p.sequence) +
+                 " twice");
       }
       if (ch.timeouts.contains(p.sequence)) {
         fail(c.h.id, height, "ack-after-timeout",
-             chan_str(p.src_port, p.src_channel) + " sequence " +
+             chan_str(p.source_port, p.source_channel) + " sequence " +
                  std::to_string(p.sequence) +
                  " acknowledged after timing out");
       }
       ChainState* other =
-          counterparty_of(c, p.src_port, p.src_channel, height);
+          counterparty_of(c, p.source_port, p.source_channel, height);
       bool wrote_ack = false, ack_ok = false;
       if (other != nullptr) {
         const ChannelTrack& dst =
-            other->channels[{p.dst_port, p.dst_channel}];
+            other->channels[{p.destination_port, p.destination_channel}];
         const auto outcome = dst.ack_success.find(p.sequence);
         wrote_ack = outcome != dst.ack_success.end();
         ack_ok = wrote_ack && outcome->second;
         if (!wrote_ack) {
           fail(c.h.id, height, "ack-without-write",
-               chan_str(p.src_port, p.src_channel) + " sequence " +
+               chan_str(p.source_port, p.source_channel) + " sequence " +
                    std::to_string(p.sequence) +
                    " acknowledged but counterparty never wrote an ack");
         }
@@ -465,12 +422,12 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
                 pending->second.amount;
           } else {
             auto& escrow = c.escrow[{
-                ibc::escrow_address(p.src_port, p.src_channel),
+                ibc::escrow_address(p.source_port, p.source_channel),
                 held_denom(pending->second.denom_path)}];
             if (escrow < pending->second.amount) {
               fail(c.h.id, height, "token-conservation",
                    "refunded more than remained in escrow for " +
-                       chan_str(p.src_port, p.src_channel));
+                       chan_str(p.source_port, p.source_channel));
               escrow = 0;
             } else {
               escrow -= pending->second.amount;
@@ -481,24 +438,25 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       }
 
     } else {  // timeout_packet
-      ChannelTrack& ch = c.channels[{p.src_port, p.src_channel}];
+      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
       if (!ch.timeouts.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-timeout",
-             chan_str(p.src_port, p.src_channel) + " timed out sequence " +
-                 std::to_string(p.sequence) + " twice");
+             chan_str(p.source_port, p.source_channel) +
+                 " timed out sequence " + std::to_string(p.sequence) +
+                 " twice");
       }
       if (ch.acks.contains(p.sequence)) {
         fail(c.h.id, height, "timeout-after-ack",
-             chan_str(p.src_port, p.src_channel) + " sequence " +
+             chan_str(p.source_port, p.source_channel) + " sequence " +
                  std::to_string(p.sequence) + " timed out after an ack");
       }
       if (ChainState* other =
-              counterparty_of(c, p.src_port, p.src_channel, height)) {
+              counterparty_of(c, p.source_port, p.source_channel, height)) {
         const ChannelTrack& dst =
-            other->channels[{p.dst_port, p.dst_channel}];
+            other->channels[{p.destination_port, p.destination_channel}];
         if (dst.recvs.contains(p.sequence)) {
           fail(c.h.id, height, "timeout-after-recv",
-               chan_str(p.src_port, p.src_channel) + " sequence " +
+               chan_str(p.source_port, p.source_channel) + " sequence " +
                    std::to_string(p.sequence) +
                    " timed out although the counterparty received it");
         }
@@ -510,12 +468,12 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
               pending->second.amount;
         } else {
           auto& escrow = c.escrow[{
-              ibc::escrow_address(p.src_port, p.src_channel),
+              ibc::escrow_address(p.source_port, p.source_channel),
               held_denom(pending->second.denom_path)}];
           if (escrow < pending->second.amount) {
             fail(c.h.id, height, "token-conservation",
                  "timeout refunded more than remained in escrow for " +
-                     chan_str(p.src_port, p.src_channel));
+                     chan_str(p.source_port, p.source_channel));
             escrow = 0;
           } else {
             escrow -= pending->second.amount;

@@ -488,28 +488,6 @@ util::Result<ClientId> IbcKeeper::channel_client(const PortId& port,
   return conn.value().client_id;
 }
 
-chain::Event IbcKeeper::packet_event(const std::string& type,
-                                     const Packet& packet, bool include_data) {
-  chain::Event ev;
-  ev.type = type;
-  ev.attributes = {
-      {"packet_sequence", std::to_string(packet.sequence)},
-      {"packet_src_port", packet.source_port},
-      {"packet_src_channel", packet.source_channel},
-      {"packet_dst_port", packet.destination_port},
-      {"packet_dst_channel", packet.destination_channel},
-      {"packet_timeout_height",
-       "0-" + std::to_string(packet.timeout_height)},
-      {"packet_timeout_timestamp", std::to_string(packet.timeout_timestamp)},
-      {"packet_channel_ordering", "ORDER_UNORDERED"},
-  };
-  if (include_data) {
-    ev.attributes.emplace_back("packet_data",
-                               util::to_string(packet.data));
-  }
-  return ev;
-}
-
 util::Result<Sequence> IbcKeeper::send_packet(
     const PortId& source_port, const ChannelId& source_channel,
     util::Bytes data, std::int64_t timeout_height,
@@ -543,8 +521,10 @@ util::Result<Sequence> IbcKeeper::send_packet(
                                          packet.sequence),
              crypto::digest_to_bytes(commitment));
 
-  ctx.events->push_back(packet_event("send_packet", packet, true));
-  return packet.sequence;
+  const Sequence sequence = packet.sequence;
+  ctx.events->push_back(
+      make_packet_event(PacketEventKind::kSend, std::move(packet)));
+  return sequence;
 }
 
 util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
@@ -641,12 +621,12 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
   }
   ++packets_received_;
 
-  ctx.events->push_back(packet_event("recv_packet", p, true));
+  const util::Bytes ack_bytes = ack.has_value() ? ack->encode() : util::Bytes{};
+  ctx.events->push_back(
+      make_packet_event(PacketEventKind::kRecv, p, ack_bytes));
   if (ack.has_value()) {
-    chain::Event ack_ev = packet_event("write_acknowledgement", p, true);
-    ack_ev.attributes.emplace_back("packet_ack",
-                                   util::to_string(ack->encode()));
-    ctx.events->push_back(std::move(ack_ev));
+    ctx.events->push_back(
+        make_packet_event(PacketEventKind::kWriteAck, p, ack_bytes));
   }
   return util::Status::ok();
 }
@@ -678,9 +658,8 @@ util::Status IbcKeeper::write_acknowledgement(const Packet& packet,
                    std::to_string(p.sequence));
   }
   store_.set(ack_key, crypto::digest_to_bytes(ack.commitment()));
-  chain::Event ack_ev = packet_event("write_acknowledgement", p, true);
-  ack_ev.attributes.emplace_back("packet_ack", util::to_string(ack.encode()));
-  ctx.events->push_back(std::move(ack_ev));
+  ctx.events->push_back(
+      make_packet_event(PacketEventKind::kWriteAck, p, ack.encode()));
   return util::Status::ok();
 }
 
@@ -748,7 +727,7 @@ util::Status IbcKeeper::handle_acknowledgement(const chain::Msg& msg,
 
   store_.erase(commitment_key);  // life cycle complete (paper Fig. 2, step 7)
   ++packets_acknowledged_;
-  ctx.events->push_back(packet_event("acknowledge_packet", p, false));
+  ctx.events->push_back(make_packet_event(PacketEventKind::kAcknowledge, p));
   return util::Status::ok();
 }
 
@@ -847,7 +826,7 @@ util::Status IbcKeeper::handle_timeout(const chain::Msg& msg,
         "channel_close",
         {{"port_id", p.source_port}, {"channel_id", p.source_channel}}});
   }
-  ctx.events->push_back(packet_event("timeout_packet", p, false));
+  ctx.events->push_back(make_packet_event(PacketEventKind::kTimeout, p));
   return util::Status::ok();
 }
 

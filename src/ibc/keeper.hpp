@@ -125,10 +125,6 @@ class IbcKeeper : public cosmos::MsgHandler {
     return faults_.skip_expiry_check ? 0 : ctx.block_time;
   }
 
-  /// Packet event attribute boilerplate shared by the life-cycle events.
-  static chain::Event packet_event(const std::string& type,
-                                   const Packet& packet, bool include_data);
-
   IbcModule* module_for(const PortId& port) const;
 
   cosmos::CosmosApp& app_;

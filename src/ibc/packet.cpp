@@ -1,5 +1,8 @@
 #include "ibc/packet.hpp"
 
+#include <charconv>
+#include <string_view>
+
 namespace ibc {
 
 namespace {
@@ -18,6 +21,116 @@ bool read_str(util::BytesView data, std::size_t& off, std::string& out) {
   off += len;
   return true;
 }
+
+// Minimal strict parser for the flat string-object JSON that to_json emits.
+// Returns false on any deviation (recv validates counterparty input).
+bool parse_flat_json(std::string_view s,
+                     std::vector<std::pair<std::string, std::string>>& out) {
+  out.clear();
+  std::size_t i = 0;
+  auto skip_ws = [&] {
+    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t')) ++i;
+  };
+  auto parse_string = [&](std::string& v) -> bool {
+    if (i >= s.size() || s[i] != '"') return false;
+    ++i;
+    v.clear();
+    while (i < s.size() && s[i] != '"') {
+      if (s[i] == '\\') {
+        ++i;
+        if (i >= s.size()) return false;
+      }
+      v.push_back(s[i]);
+      ++i;
+    }
+    if (i >= s.size()) return false;
+    ++i;  // closing quote
+    return true;
+  };
+  skip_ws();
+  if (i >= s.size() || s[i] != '{') return false;
+  ++i;
+  skip_ws();
+  if (i < s.size() && s[i] == '}') return ++i, i == s.size();
+  for (;;) {
+    skip_ws();
+    std::string key, value;
+    if (!parse_string(key)) return false;
+    skip_ws();
+    if (i >= s.size() || s[i] != ':') return false;
+    ++i;
+    skip_ws();
+    if (!parse_string(value)) return false;
+    out.emplace_back(std::move(key), std::move(value));
+    skip_ws();
+    if (i < s.size() && s[i] == ',') {
+      ++i;
+      continue;
+    }
+    break;
+  }
+  skip_ws();
+  if (i >= s.size() || s[i] != '}') return false;
+  ++i;
+  skip_ws();
+  return i == s.size();
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// Decimal digits std::to_string writes for `v`, sign included.
+template <typename Int>
+std::size_t decimal_size(Int v) {
+  char buf[24];
+  return static_cast<std::size_t>(std::to_chars(buf, buf + sizeof buf, v).ptr -
+                                  buf);
+}
+
+/// Whether the event carries packet_data (acknowledge and timeout do not).
+bool carries_data(PacketEventKind kind) {
+  return kind == PacketEventKind::kSend || kind == PacketEventKind::kRecv ||
+         kind == PacketEventKind::kWriteAck;
+}
+
+Packet without_data_unless_carried(PacketEventKind kind, Packet packet) {
+  if (!carries_data(kind)) packet.data = util::Bytes{};
+  return packet;
+}
+
+std::optional<FungibleTokenPacketData> decode_transfer_data(
+    util::BytesView data) {
+  FungibleTokenPacketData out;
+  if (!FungibleTokenPacketData::from_json(data, out)) return std::nullopt;
+  return out;
+}
+
+/// Encoded size of what PacketEvent::render() returns, without rendering.
+std::size_t rendered_size(PacketEventKind kind, const Packet& p,
+                          const util::Bytes& ack) {
+  std::size_t n = 0;
+  const auto add = [&n](std::string_view key, std::size_t value_size) {
+    n += chain::attribute_encoded_size(key.size(), value_size);
+  };
+  add("packet_sequence", decimal_size(p.sequence));
+  add("packet_src_port", p.source_port.size());
+  add("packet_src_channel", p.source_channel.size());
+  add("packet_dst_port", p.destination_port.size());
+  add("packet_dst_channel", p.destination_channel.size());
+  add("packet_timeout_height", 2 + decimal_size(p.timeout_height));
+  add("packet_timeout_timestamp", decimal_size(p.timeout_timestamp));
+  add("packet_channel_ordering", std::string_view("ORDER_UNORDERED").size());
+  if (carries_data(kind)) add("packet_data", p.data.size());
+  if (kind == PacketEventKind::kWriteAck) add("packet_ack", ack.size());
+  return n;
+}
+
 }  // namespace
 
 util::Bytes Packet::encode() const {
@@ -70,34 +183,87 @@ crypto::Digest Packet::commitment() const {
   return h.finalize();
 }
 
-std::optional<Packet> packet_from_event(const chain::Event& event) {
-  Packet p;
-  const std::string seq = event.attribute("packet_sequence");
-  if (seq.empty()) return std::nullopt;
-  char* end = nullptr;
-  p.sequence = std::strtoull(seq.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+util::Bytes FungibleTokenPacketData::to_json() const {
+  std::string json = "{\"amount\":\"" + std::to_string(amount) +
+                     "\",\"denom\":\"" + json_escape(denom) +
+                     "\",\"receiver\":\"" + json_escape(receiver) +
+                     "\",\"sender\":\"" + json_escape(sender) + "\"}";
+  return util::to_bytes(json);
+}
 
-  p.source_port = event.attribute("packet_src_port");
-  p.source_channel = event.attribute("packet_src_channel");
-  p.destination_port = event.attribute("packet_dst_port");
-  p.destination_channel = event.attribute("packet_dst_channel");
-  if (p.source_port.empty() || p.source_channel.empty() ||
-      p.destination_port.empty() || p.destination_channel.empty()) {
-    return std::nullopt;
+bool FungibleTokenPacketData::from_json(util::BytesView json,
+                                        FungibleTokenPacketData& out) {
+  std::vector<std::pair<std::string, std::string>> kv;
+  if (!parse_flat_json(util::to_string(json), kv)) return false;
+  bool has_amount = false, has_denom = false, has_recv = false,
+       has_sender = false;
+  for (auto& [k, v] : kv) {
+    if (k == "amount") {
+      char* end = nullptr;
+      out.amount = std::strtoull(v.c_str(), &end, 10);
+      if (end == nullptr || *end != '\0' || v.empty()) return false;
+      has_amount = true;
+    } else if (k == "denom") {
+      out.denom = std::move(v);
+      has_denom = true;
+    } else if (k == "receiver") {
+      out.receiver = std::move(v);
+      has_recv = true;
+    } else if (k == "sender") {
+      out.sender = std::move(v);
+      has_sender = true;
+    } else {
+      return false;
+    }
   }
+  return has_amount && has_denom && has_recv && has_sender;
+}
 
-  // Timeout height is rendered "revision-height" (e.g. "0-1234").
-  const std::string th = event.attribute("packet_timeout_height");
-  const std::size_t dash = th.find('-');
-  if (dash == std::string::npos) return std::nullopt;
-  p.timeout_height =
-      static_cast<std::int64_t>(std::strtoull(th.c_str() + dash + 1, nullptr, 10));
-  p.timeout_timestamp = static_cast<std::int64_t>(std::strtoull(
-      event.attribute("packet_timeout_timestamp").c_str(), nullptr, 10));
+PacketEvent::PacketEvent(PacketEventKind event_kind, Packet event_packet,
+                         util::Bytes event_ack)
+    : kind(event_kind),
+      packet(without_data_unless_carried(event_kind, std::move(event_packet))),
+      transfer_data(decode_transfer_data(packet.data)),
+      ack(std::move(event_ack)),
+      attributes_size(rendered_size(kind, packet, ack)) {}
 
-  p.data = util::to_bytes(event.attribute("packet_data"));
-  return p;
+std::vector<chain::Attribute> PacketEvent::render() const {
+  std::vector<chain::Attribute> out = {
+      {"packet_sequence", std::to_string(packet.sequence)},
+      {"packet_src_port", packet.source_port},
+      {"packet_src_channel", packet.source_channel},
+      {"packet_dst_port", packet.destination_port},
+      {"packet_dst_channel", packet.destination_channel},
+      {"packet_timeout_height", "0-" + std::to_string(packet.timeout_height)},
+      {"packet_timeout_timestamp", std::to_string(packet.timeout_timestamp)},
+      {"packet_channel_ordering", "ORDER_UNORDERED"},
+  };
+  if (carries_data(kind)) {
+    out.emplace_back("packet_data", util::to_string(packet.data));
+  }
+  if (kind == PacketEventKind::kWriteAck) {
+    out.emplace_back("packet_ack", util::to_string(ack));
+  }
+  return out;
+}
+
+chain::Event make_packet_event(PacketEventKind kind, Packet packet,
+                               util::Bytes ack) {
+  return chain::Event{
+      packet_event_type(kind),
+      {},
+      std::make_shared<const PacketEvent>(kind, std::move(packet),
+                                          std::move(ack))};
+}
+
+const PacketEvent* packet_event(const chain::Event& event) {
+  return dynamic_cast<const PacketEvent*>(event.payload.get());
+}
+
+std::optional<Packet> packet_from_event(const chain::Event& event) {
+  const PacketEvent* payload = packet_event(event);
+  if (payload == nullptr) return std::nullopt;
+  return payload->packet;
 }
 
 util::Bytes Acknowledgement::encode() const {

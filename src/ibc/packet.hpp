@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "chain/events.hpp"
 #include "crypto/sha256.hpp"
@@ -42,10 +43,72 @@ struct Packet {
   std::size_t size_bytes() const { return 96 + data.size(); }
 };
 
-/// Reconstructs a Packet from the attributes of a packet life-cycle event
-/// ("send_packet", "recv_packet", "write_acknowledgement"); this is how the
-/// relayer recovers packet contents from queried transaction events.
-/// Returns nullopt when attributes are missing or malformed.
+/// The ICS-20 packet payload, serialized as the canonical JSON object
+/// {"amount":"..","denom":"..","receiver":"..","sender":".."} (matching the
+/// real wire format, which also keeps simulated event sizes realistic).
+struct FungibleTokenPacketData {
+  std::string denom;   // full trace path, e.g. "uatom" or
+                       // "transfer/channel-0/uatom"
+  std::uint64_t amount = 0;
+  std::string sender;
+  std::string receiver;
+
+  util::Bytes to_json() const;
+  static bool from_json(util::BytesView json, FungibleTokenPacketData& out);
+};
+
+/// The packet life-cycle events of paper Figs. 2-3.
+enum class PacketEventKind { kSend, kRecv, kWriteAck, kAcknowledge, kTimeout };
+
+/// Event type string of a packet life-cycle event ("send_packet", ...).
+inline const char* packet_event_type(PacketEventKind kind) {
+  constexpr const char* kTypes[] = {"send_packet", "recv_packet",
+                                    "write_acknowledgement",
+                                    "acknowledge_packet", "timeout_packet"};
+  return kTypes[static_cast<int>(kind)];
+}
+
+/// The immutable payload of a packet life-cycle event: the packet, its data
+/// decoded once as ICS-20, and the acknowledgement. The attribute strings
+/// (packet_sequence, ports, channels, timeouts, packet_data, packet_ack) are
+/// rendered only on demand; their encoded size is computed once, here.
+struct PacketEvent final : chain::EventPayload {
+  /// Use make_packet_event().
+  PacketEvent(PacketEventKind event_kind, Packet event_packet,
+              util::Bytes event_ack);
+
+  const PacketEventKind kind;
+  /// Its data is empty for acknowledge/timeout events, which do not carry
+  /// packet_data.
+  const Packet packet;
+  /// The packet data as ICS-20 token data; nullopt when it does not decode.
+  const std::optional<FungibleTokenPacketData> transfer_data;
+  /// Encoded acknowledgement: the one a write_acknowledgement event
+  /// announces, or for a recv_packet event the one written with it in the
+  /// same message (empty when the module deferred it).
+  const util::Bytes ack;
+  /// Encoded size of the attributes render() returns, computed once.
+  const std::size_t attributes_size;
+
+  std::uint64_t sequence() const override { return packet.sequence; }
+  std::size_t attributes_encoded_size() const override {
+    return attributes_size;
+  }
+  std::vector<chain::Attribute> render() const override;
+};
+
+/// Builds a packet life-cycle event; IbcKeeper emits every packet event
+/// through this. `ack` is the encoded acknowledgement (write_acknowledgement,
+/// and recv_packet when the ack is written in the same message).
+chain::Event make_packet_event(PacketEventKind kind, Packet packet,
+                               util::Bytes ack = {});
+
+/// The payload of a packet life-cycle event; nullptr for any other event.
+const PacketEvent* packet_event(const chain::Event& event);
+
+/// A copy of the packet a packet life-cycle event announces ("send_packet",
+/// "recv_packet", "write_acknowledgement", ...); nullopt for any other
+/// event.
 std::optional<Packet> packet_from_event(const chain::Event& event);
 
 /// Acknowledgement payload: success marker or application error string.

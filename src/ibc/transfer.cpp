@@ -4,109 +4,6 @@
 
 namespace ibc {
 
-namespace {
-
-// Minimal strict parser for the flat string-object JSON that to_json emits.
-// Returns false on any deviation (recv validates counterparty input).
-bool parse_flat_json(std::string_view s,
-                     std::vector<std::pair<std::string, std::string>>& out) {
-  out.clear();
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t')) ++i;
-  };
-  auto parse_string = [&](std::string& v) -> bool {
-    if (i >= s.size() || s[i] != '"') return false;
-    ++i;
-    v.clear();
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        ++i;
-        if (i >= s.size()) return false;
-      }
-      v.push_back(s[i]);
-      ++i;
-    }
-    if (i >= s.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-  skip_ws();
-  if (i >= s.size() || s[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < s.size() && s[i] == '}') return ++i, i == s.size();
-  for (;;) {
-    skip_ws();
-    std::string key, value;
-    if (!parse_string(key)) return false;
-    skip_ws();
-    if (i >= s.size() || s[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (!parse_string(value)) return false;
-    out.emplace_back(std::move(key), std::move(value));
-    skip_ws();
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-      continue;
-    }
-    break;
-  }
-  skip_ws();
-  if (i >= s.size() || s[i] != '}') return false;
-  ++i;
-  skip_ws();
-  return i == s.size();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-util::Bytes FungibleTokenPacketData::to_json() const {
-  std::string json = "{\"amount\":\"" + std::to_string(amount) +
-                     "\",\"denom\":\"" + json_escape(denom) +
-                     "\",\"receiver\":\"" + json_escape(receiver) +
-                     "\",\"sender\":\"" + json_escape(sender) + "\"}";
-  return util::to_bytes(json);
-}
-
-bool FungibleTokenPacketData::from_json(util::BytesView json,
-                                        FungibleTokenPacketData& out) {
-  std::vector<std::pair<std::string, std::string>> kv;
-  if (!parse_flat_json(util::to_string(json), kv)) return false;
-  bool has_amount = false, has_denom = false, has_recv = false,
-       has_sender = false;
-  for (auto& [k, v] : kv) {
-    if (k == "amount") {
-      char* end = nullptr;
-      out.amount = std::strtoull(v.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v.empty()) return false;
-      has_amount = true;
-    } else if (k == "denom") {
-      out.denom = std::move(v);
-      has_denom = true;
-    } else if (k == "receiver") {
-      out.receiver = std::move(v);
-      has_recv = true;
-    } else if (k == "sender") {
-      out.sender = std::move(v);
-      has_sender = true;
-    } else {
-      return false;
-    }
-  }
-  return has_amount && has_denom && has_recv && has_sender;
-}
-
 std::string voucher_denom(const std::string& trace_path) {
   const crypto::Digest d = crypto::sha256(util::to_bytes(trace_path));
   std::string hex = crypto::digest_hex(d);

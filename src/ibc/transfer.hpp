@@ -16,20 +16,6 @@
 
 namespace ibc {
 
-/// The ICS-20 packet payload, serialized as the canonical JSON object
-/// {"amount":"..","denom":"..","receiver":"..","sender":".."} (matching the
-/// real wire format, which also keeps simulated event sizes realistic).
-struct FungibleTokenPacketData {
-  std::string denom;   // full trace path, e.g. "uatom" or
-                       // "transfer/channel-0/uatom"
-  std::uint64_t amount = 0;
-  std::string sender;
-  std::string receiver;
-
-  util::Bytes to_json() const;
-  static bool from_json(util::BytesView json, FungibleTokenPacketData& out);
-};
-
 /// Voucher denomination for a trace path: "ibc/" + uppercase hex SHA-256.
 std::string voucher_denom(const std::string& trace_path);
 

@@ -317,15 +317,15 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
   std::vector<ibc::Sequence> new_seqs;
   if (!ws_wedged_a_) {
     for (const chain::Event& ev : frame.events) {
-      const bool sent = ev.type == "send_packet";
-      if (!sent && ev.type != "acknowledge_packet") continue;
-      if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
-      const std::uint64_t seq =
-          std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
+      const ibc::PacketEvent* pe = ibc::packet_event(ev);
+      if (pe == nullptr) continue;
+      const bool sent = pe->kind == ibc::PacketEventKind::kSend;
+      if (!sent && pe->kind != ibc::PacketEventKind::kAcknowledge) continue;
+      if (pe->packet.source_channel != path_.channel_a) continue;
+      const std::uint64_t seq = pe->packet.sequence;
       if (!sent) {
         record(Step::kAckExtraction, seq);
-      } else if (seq != 0 && !packets_.contains(seq) &&
-                 admits(seq, frame.height)) {
+      } else if (!packets_.contains(seq) && admits(seq, frame.height)) {
         PacketState st;
         st.src_height = frame.height;
         packets_.emplace(seq, std::move(st));
@@ -370,10 +370,12 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
 
   std::vector<ibc::Sequence> ack_seqs;
   for (const chain::Event& ev : frame.events) {
-    if (ev.type != "write_acknowledgement") continue;
-    if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
-    const std::uint64_t seq =
-        std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
+    const ibc::PacketEvent* pe = ibc::packet_event(ev);
+    if (pe == nullptr || pe->kind != ibc::PacketEventKind::kWriteAck) {
+      continue;
+    }
+    if (pe->packet.source_channel != path_.channel_a) continue;
+    const std::uint64_t seq = pe->packet.sequence;
     const auto it = packets_.find(seq);
     if (it == packets_.end()) continue;  // not a packet we are tracking
     PacketState& st = it->second;
@@ -539,9 +541,12 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
           for (const rpc::TxResponse& tx : res.value().txs) {
             for (const chain::Event& ev : tx.result.events) {
               if (ev.type != event_type) continue;
-              auto pkt = ibc::packet_from_event(ev);
-              if (!pkt || pkt->source_channel != path_.channel_a) continue;
-              const auto it = packets_.find(pkt->sequence);
+              const ibc::PacketEvent* pe = ibc::packet_event(ev);
+              if (!pe || pe->packet.source_channel != path_.channel_a) {
+                continue;
+              }
+              const ibc::Packet& pkt = pe->packet;
+              const auto it = packets_.find(pkt.sequence);
               if (it == packets_.end()) continue;
               PacketState& st = it->second;
               // A chunk query returns whole transactions, so events for
@@ -549,17 +554,16 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
               // each packet's pull exactly once.
               if (event_type == "send_packet") {
                 if (st.stage == Stage::kExtracted) {
-                  record(pull_step, pkt->sequence);
-                  st.packet = std::move(*pkt);
+                  record(pull_step, pkt.sequence);
+                  st.packet = pkt;
                   st.stage = Stage::kPulled;
                 }
               } else {  // write_acknowledgement
                 if (st.ack.has_value()) continue;
-                if (!st.packet) st.packet = std::move(*pkt);
+                if (!st.packet) st.packet = pkt;
                 ibc::Acknowledgement ack;
-                if (ibc::Acknowledgement::decode(
-                        util::to_bytes(ev.attribute("packet_ack")), ack)) {
-                  record(pull_step, pkt->sequence);
+                if (ibc::Acknowledgement::decode(pe->ack, ack)) {
+                  record(pull_step, pkt.sequence);
                   st.ack = std::move(ack);
                   st.ack_decode_failed = false;
                 } else {
@@ -572,7 +576,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                   cache_.invalidate_page(*server, height, event_type, lo, hi);
                   IBC_LOG(kWarn, "relayer")
                       << "undecodable packet_ack for sequence "
-                      << pkt->sequence << " at height " << height;
+                      << pkt.sequence << " at height " << height;
                 }
               }
             }
@@ -1195,15 +1199,15 @@ void Relayer::run(ClearOp op, std::function<void()> done) {
                 for (const rpc::TxResponse& tx : res.value().txs) {
                   for (const chain::Event& ev : tx.result.events) {
                     if (ev.type != "send_packet") continue;
-                    auto pkt = ibc::packet_from_event(ev);
-                    if (!pkt || pkt->source_channel != path_.channel_a) {
+                    const ibc::PacketEvent* pe = ibc::packet_event(ev);
+                    if (!pe || pe->packet.source_channel != path_.channel_a) {
                       continue;
                     }
-                    const auto it = packets_.find(pkt->sequence);
+                    const auto it = packets_.find(pe->packet.sequence);
                     if (it != packets_.end() &&
                         it->second.stage == Stage::kExtracted) {
                       it->second.src_height = tx.height;
-                      it->second.packet = std::move(*pkt);
+                      it->second.packet = pe->packet;
                       it->second.stage = Stage::kPulled;
                     }
                   }
@@ -1246,9 +1250,11 @@ void Relayer::run(AckScanOp op, std::function<void()> done) {
         for (const rpc::TxResponse& tx : res.value().txs) {
           for (const chain::Event& ev : tx.result.events) {
             if (ev.type != "write_acknowledgement") continue;
-            auto pkt = ibc::packet_from_event(ev);
-            if (!pkt || pkt->source_channel != path_.channel_a) continue;
-            const ibc::Sequence seq = pkt->sequence;
+            const ibc::PacketEvent* pe = ibc::packet_event(ev);
+            if (!pe || pe->packet.source_channel != path_.channel_a) {
+              continue;
+            }
+            const ibc::Sequence seq = pe->packet.sequence;
             // An unseen packet this instance does not admit is a peer's to
             // acknowledge.
             if (!packets_.contains(seq) && !admits(seq, last_seen_a_height_)) {
@@ -1261,12 +1267,11 @@ void Relayer::run(AckScanOp op, std::function<void()> done) {
               continue;
             }
             ibc::Acknowledgement ack;
-            if (!ibc::Acknowledgement::decode(
-                    util::to_bytes(ev.attribute("packet_ack")), ack)) {
+            if (!ibc::Acknowledgement::decode(pe->ack, ack)) {
               bump(&Stats::ack_decode_failures);
               continue;
             }
-            st.packet = std::move(*pkt);
+            st.packet = pe->packet;
             st.ack = std::move(ack);
             st.stage = Stage::kRecvDone;
             ready.push_back(seq);

@@ -415,9 +415,7 @@ void Server::on_block_committed(
   frame.block_time = block.header.time;
   frame.tx_count = block.txs.size();
 
-  std::size_t event_bytes = 0;
-  for (const auto& r : results) event_bytes += r.encoded_size();
-  frame.frame_bytes = event_bytes + 1024;
+  frame.frame_bytes = ledger_.block_event_bytes(frame.height) + 1024;
 
   if (frame.frame_bytes > cost_.websocket_max_frame_bytes) {
     // Paper §V: "Failed to collect events" — the subscriber receives the

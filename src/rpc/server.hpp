@@ -41,7 +41,9 @@ struct TxResponse {
   chain::Tx tx;
   chain::DeliverTxResult result;
 
-  /// Event payload size of this entry (drives marshal cost).
+  /// Event payload size of this entry (drives marshal cost); cached in the
+  /// ledger's result, which `result` copies along with pointers to its
+  /// packet-event payloads.
   std::size_t event_bytes() const { return result.encoded_size(); }
 };
 
@@ -96,8 +98,9 @@ class Server {
 
   /// Fault-injection hook for tests: runs on every packet-event query
   /// response (single-block and range form) after the page is assembled but
-  /// before delivery. The hook may mutate the page (e.g. corrupt a
-  /// packet_ack attribute) or return an error, which is delivered to the
+  /// before delivery. The hook may mutate the page (e.g. swap an event's
+  /// payload for a copy with corrupt ack bytes; payloads are shared with the
+  /// ledger and never written) or return an error, which is delivered to the
   /// client in place of the page. Unset (the default) costs nothing.
   using QueryTamper = std::function<util::Status(TxSearchPage&)>;
   void set_query_tamper(QueryTamper tamper) { tamper_ = std::move(tamper); }
@@ -183,7 +186,9 @@ class Server {
   SubscriptionId subscribe_new_block(net::MachineId client, FrameCallback cb);
   void unsubscribe(SubscriptionId id);
 
-  /// Wire this to consensus::Engine::subscribe_block.
+  /// Wire this to consensus::Engine::subscribe_block: `block` and `results`
+  /// are the ledger's, and the frame size is its cached block_event_bytes.
+  /// Frame events share their payloads with the ledger's.
   void on_block_committed(const chain::Block& block,
                           const std::vector<chain::DeliverTxResult>& results);
 

@@ -185,16 +185,13 @@ void TransferWorkload::backfill_broadcast_records(
       [this, broadcast_time](util::Result<rpc::TxResponse> res) {
         if (!res.is_ok() || !step_log_) return;
         for (const chain::Event& ev : res.value().result.events) {
-          if (ev.type != "send_packet") continue;
-          if (ev.attribute("packet_src_channel") != channel_.channel_a) {
+          const ibc::PacketEvent* pe = ibc::packet_event(ev);
+          if (pe == nullptr || pe->kind != ibc::PacketEventKind::kSend ||
+              pe->packet.source_channel != channel_.channel_a) {
             continue;
           }
-          const std::uint64_t seq = std::strtoull(
-              ev.attribute("packet_sequence").c_str(), nullptr, 10);
-          if (seq != 0) {
-            step_log_->record(relayer::Step::kTransferBroadcast, seq,
-                              broadcast_time);
-          }
+          step_log_->record(relayer::Step::kTransferBroadcast,
+                            pe->packet.sequence, broadcast_time);
         }
       });
 }

@@ -3,8 +3,9 @@
 // throws, and fuzz scenarios are deterministic per seed. Bad store writes
 // planted past the keepers are caught at the next commit and again by the
 // full-walk audit; a write the checker's store hook never saw is caught only
-// by the audit, as checker drift; and the audit stays silent when it runs
-// after every commit of clean scenarios and campaigns.
+// by the audit, as checker drift; escrow moved behind a committed transfer's
+// back breaks the packet-event escrow model; and the audit stays silent when
+// it runs after every commit of clean scenarios and campaigns.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "ibc/channel.hpp"
 #include "ibc/client.hpp"
 #include "ibc/host.hpp"
+#include "ibc/transfer.hpp"
 #include "xcc/handshake.hpp"
 #include "xcc/testbed.hpp"
 
@@ -289,6 +291,53 @@ TEST_F(InvariantCheckerDrift, WriteHiddenFromTheHookIsCaughtByTheAudit) {
   }
   EXPECT_TRUE(drift) << checker().report();
   EXPECT_TRUE(conservation) << checker().report();
+}
+
+// --- Event-derived model -------------------------------------------------
+
+using InvariantCheckerEscrow = PlantedStateFixture;
+
+// The escrow model follows the ICS-20 data the send_packet payload decoded
+// at emission: after a committed transfer the checker expects the escrowed
+// amount, so tokens moved out of the escrow behind the keeper's back (a
+// plain bank send keeps supply and balances in step) are reported.
+TEST_F(InvariantCheckerEscrow, SendPacketPayloadDrivesTheEscrowModel) {
+  ibc::MsgTransfer t;
+  t.source_port = ibc::kTransferPort;
+  t.source_channel = channel.channel_a;
+  t.denom = cosmos::kNativeDenom;
+  t.amount = 5;
+  t.sender = "user-0";
+  t.receiver = "user-1";
+  t.timeout_height = 1'000'000;
+  chain::Tx tx;
+  tx.sender = t.sender;
+  tx.sequence = app().auth().sequence(tx.sender);
+  tx.gas_limit = 200'000;
+  tx.fee = 2'000;
+  tx.msgs.push_back(t.to_msg());
+  const chain::TxHash hash = tx.hash();
+  ASSERT_TRUE(tb->chain_a().mempool->add(tx).is_ok());
+  const chain::Ledger& ledger = *tb->chain_a().ledger;
+  while (!ledger.find_tx(hash) && tb->scheduler().step()) {
+  }
+  const chain::TxLocation* sent = ledger.find_tx(hash);
+  ASSERT_NE(sent, nullptr);
+  ASSERT_TRUE((*ledger.results_at(sent->height))[sent->index].status.is_ok());
+  ASSERT_EQ(checker().report(), "");
+
+  const chain::Address escrow =
+      ibc::escrow_address(ibc::kTransferPort, channel.channel_a);
+  ASSERT_EQ(app().bank().balance(escrow, t.denom), 5u);
+  ASSERT_TRUE(app()
+                  .bank()
+                  .send(escrow, "user-1", cosmos::Coin{t.denom, 5})
+                  .is_ok());
+  const chain::Height h = commit_next();
+  const check::Violation want{
+      "escrow-conservation", app().chain_id(), h,
+      escrow + " holds 0 " + t.denom + ", packet history implies 5"};
+  EXPECT_EQ(count_of(checker().violations(), want), 1u) << checker().report();
 }
 
 /// Subscribes an audit of every chain to every chain's commits.

@@ -9,6 +9,7 @@
 
 #include "chain/ledger.hpp"
 #include "check/scenario.hpp"
+#include "ibc/packet.hpp"
 #include "packet_scan_oracle.hpp"
 #include "relayer/coordination.hpp"
 #include "rpc/cost_model.hpp"
@@ -226,12 +227,24 @@ TEST(WorkerPoolDeterminism, ScenarioFuzzerStaysInvariantCleanWithPool) {
 
 // --- Indexed tx_search equivalence ------------------------------------------
 
+/// A packet event of `kind` announcing sequence `seq` on channel-0, built by
+/// the keeper's constructor.
+chain::Event packet_event(ibc::PacketEventKind kind, std::uint64_t seq) {
+  ibc::Packet p;
+  p.sequence = seq;
+  p.source_port = p.destination_port = ibc::kTransferPort;
+  p.source_channel = p.destination_channel = "channel-0";
+  p.timeout_height = 1'000;
+  return ibc::make_packet_event(kind, std::move(p));
+}
+
 /// Appends `blocks` randomized blocks: random tx counts, random event mixes
-/// (indexable packet events, packet events of other types, decoys without a
-/// packet_sequence attribute, multiple events per tx, duplicate sequences).
+/// (indexable packet events, generic events of another type, generic decoys
+/// of the packet types without a packet, multiple events per tx, duplicate
+/// sequences).
 void grow_random_history(chain::Ledger& ledger, util::Rng& rng, int blocks) {
-  static const char* kTypes[] = {"send_packet", "write_acknowledgement",
-                                 "transfer"};
+  static constexpr ibc::PacketEventKind kKinds[] = {
+      ibc::PacketEventKind::kSend, ibc::PacketEventKind::kWriteAck};
   for (int b = 0; b < blocks; ++b) {
     chain::Block block;
     block.header.height = static_cast<chain::Height>(ledger.height() + 1);
@@ -241,14 +254,18 @@ void grow_random_history(chain::Ledger& ledger, util::Rng& rng, int blocks) {
     for (std::uint64_t t = 0; t < txs; ++t) {
       const std::uint64_t events = rng.next_below(4);
       for (std::uint64_t e = 0; e < events; ++e) {
-        chain::Event ev;
-        ev.type = kTypes[rng.next_below(3)];
-        if (rng.chance(0.8)) {
-          ev.attributes.emplace_back(
-              "packet_sequence", std::to_string(1 + rng.next_below(30)));
+        const std::uint64_t type = rng.next_below(3);
+        const std::uint64_t seq = 1 + rng.next_below(30);
+        if (type == 2) {
+          results[t].events.push_back(chain::Event{
+              "transfer", {{"packet_sequence", std::to_string(seq)}}});
+        } else if (rng.chance(0.8)) {
+          results[t].events.push_back(packet_event(kKinds[type], seq));
+        } else {
+          results[t].events.push_back(
+              chain::Event{ibc::packet_event_type(kKinds[type]),
+                           {{"packet_src_channel", "channel-0"}}});
         }
-        ev.attributes.emplace_back("packet_src_channel", "channel-0");
-        results[t].events.push_back(std::move(ev));
       }
     }
     ledger.append(std::move(block), std::move(results), crypto::Digest{},
@@ -314,11 +331,9 @@ TEST(IndexedTxSearch, IndexRowsCountOnlyPacketEvents) {
   chain::Block block;
   block.header.height = 1;
   chain::DeliverTxResult res;
-  res.events.push_back(
-      chain::Event{"send_packet", {{"packet_sequence", "7"}}});
+  res.events.push_back(packet_event(ibc::PacketEventKind::kSend, 7));
   res.events.push_back(chain::Event{"transfer", {{"amount", "1"}}});  // no seq
-  res.events.push_back(
-      chain::Event{"write_acknowledgement", {{"packet_sequence", "7"}}});
+  res.events.push_back(packet_event(ibc::PacketEventKind::kWriteAck, 7));
   ledger.append(std::move(block), {res}, crypto::Digest{}, chain::Commit{});
   EXPECT_EQ(ledger.packet_index_entries(1), 2u);
   EXPECT_EQ(ledger.packet_index_entries(2), 0u);

@@ -15,6 +15,24 @@
 
 namespace {
 
+/// Empties the ack bytes of every write_acknowledgement event on `page`
+/// (decoding fails on empty bytes); true when there was one. The payloads
+/// are shared with the ledger, so each event gets a corrupted copy.
+bool corrupt_acks(rpc::TxSearchPage& page) {
+  bool corrupted = false;
+  for (auto& tx : page.txs) {
+    for (auto& ev : tx.result.events) {
+      const ibc::PacketEvent* pe = ibc::packet_event(ev);
+      if (pe == nullptr || pe->kind != ibc::PacketEventKind::kWriteAck) {
+        continue;
+      }
+      ev = ibc::make_packet_event(pe->kind, pe->packet, {});
+      corrupted = true;
+    }
+  }
+  return corrupted;
+}
+
 struct RelayerFixture : ::testing::Test {
   std::unique_ptr<xcc::Testbed> tb;
   xcc::ChannelSetupResult channel;
@@ -390,23 +408,13 @@ TEST_F(RelayerFixture, MalformedAckIsCountedAndRecovered) {
   rc.ack_repull_backoff = sim::seconds(2);
   auto r = make_relayer(rc);
 
-  // Corrupt the first ack pull's packet_ack payloads (decode fails on empty
-  // bytes); later pulls return intact pages.
+  // Corrupt the first ack pull's ack bytes (decode fails on empty bytes);
+  // later pulls return intact pages.
   bool corrupted = false;
   tb->chain_b().servers[0]->set_query_tamper(
       [&corrupted](rpc::TxSearchPage& page) {
         if (corrupted) return util::Status::ok();
-        for (auto& tx : page.txs) {
-          for (auto& ev : tx.result.events) {
-            if (ev.type != "write_acknowledgement") continue;
-            for (auto& [key, value] : ev.attributes) {
-              if (key == "packet_ack") {
-                value.clear();
-                corrupted = true;
-              }
-            }
-          }
-        }
+        corrupted = corrupt_acks(page);
         return util::Status::ok();
       });
 
@@ -425,14 +433,7 @@ TEST_F(RelayerFixture, PersistentAckCorruptionAbandonsAfterBoundedRepulls) {
   auto r = make_relayer(rc);
 
   tb->chain_b().servers[0]->set_query_tamper([](rpc::TxSearchPage& page) {
-    for (auto& tx : page.txs) {
-      for (auto& ev : tx.result.events) {
-        if (ev.type != "write_acknowledgement") continue;
-        for (auto& [key, value] : ev.attributes) {
-          if (key == "packet_ack") value.clear();
-        }
-      }
-    }
+    corrupt_acks(page);
     return util::Status::ok();
   });
 

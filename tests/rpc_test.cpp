@@ -9,6 +9,7 @@
 
 #include "consensus/engine.hpp"
 #include "cosmos/app.hpp"
+#include "ibc/packet.hpp"
 #include "packet_scan_oracle.hpp"
 #include "rpc/server.hpp"
 #include "util/rng.hpp"
@@ -50,6 +51,20 @@ struct RpcFixture : ::testing::Test {
     return tx;
   }
 
+  /// A packet event of `kind` announcing sequence `seq`, built by the
+  /// keeper's constructor and padded with `pad` bytes of packet data (the
+  /// events that carry packet_data).
+  static chain::Event packet_event(ibc::PacketEventKind kind,
+                                   std::uint64_t seq, std::size_t pad) {
+    ibc::Packet p;
+    p.sequence = seq;
+    p.source_port = p.destination_port = ibc::kTransferPort;
+    p.source_channel = p.destination_channel = "channel-0";
+    p.data = util::Bytes(pad, static_cast<std::uint8_t>('x'));
+    p.timeout_height = 1'000;
+    return ibc::make_packet_event(kind, std::move(p));
+  }
+
   /// Commits a block with the given txs and per-tx events directly into the
   /// ledger (no consensus needed for RPC tests).
   void commit_block(std::vector<chain::Tx> txs,
@@ -61,13 +76,8 @@ struct RpcFixture : ::testing::Test {
     std::vector<chain::DeliverTxResult> results;
     for (std::size_t i = 0; i < txs.size(); ++i) {
       chain::DeliverTxResult r;
-      chain::Event ev;
-      ev.type = "send_packet";
-      ev.attributes = {
-          {"packet_sequence", std::to_string(i + 1)},
-          {"pad", std::string(event_bytes_per_tx, 'x')},
-      };
-      r.events.push_back(std::move(ev));
+      r.events.push_back(packet_event(ibc::PacketEventKind::kSend, i + 1,
+                                      event_bytes_per_tx));
       results.push_back(std::move(r));
     }
     block.txs = std::move(txs);
@@ -79,11 +89,12 @@ struct RpcFixture : ::testing::Test {
 
   /// Commits a block of `txs` distinct txs with a random event mix: packet
   /// events of the two queried types, a packet event type nobody queries,
-  /// decoys without a packet_sequence, several events per tx and repeated
-  /// sequences within a block.
+  /// generic decoys of those types without a packet, several events per tx
+  /// and repeated sequences within a block.
   void commit_mixed_block(util::Rng& rng, std::uint64_t txs) {
-    static const char* kTypes[] = {"send_packet", "write_acknowledgement",
-                                   "timeout_packet"};
+    static constexpr ibc::PacketEventKind kKinds[] = {
+        ibc::PacketEventKind::kSend, ibc::PacketEventKind::kWriteAck,
+        ibc::PacketEventKind::kTimeout};
     chain::Block block;
     block.header.chain_id = "rpc-chain";
     block.header.height = ledger.height() + 1;
@@ -93,15 +104,14 @@ struct RpcFixture : ::testing::Test {
       block.txs.push_back(make_tx(next_tx_seq_++));
       const std::uint64_t events = rng.next_below(4);
       for (std::uint64_t e = 0; e < events; ++e) {
-        chain::Event ev;
-        ev.type = kTypes[rng.next_below(3)];
-        if (rng.chance(0.8)) {
-          ev.attributes.emplace_back("packet_sequence",
-                                     std::to_string(1 + rng.next_below(12)));
-        }
-        ev.attributes.emplace_back("pad",
-                                   std::string(rng.next_below(3'000), 'x'));
-        results[t].events.push_back(std::move(ev));
+        const ibc::PacketEventKind kind = kKinds[rng.next_below(3)];
+        const std::uint64_t seq = 1 + rng.next_below(12);
+        const std::size_t pad = rng.next_below(3'000);
+        results[t].events.push_back(
+            rng.chance(0.8)
+                ? packet_event(kind, seq, pad)
+                : chain::Event{ibc::packet_event_type(kind),
+                               {{"pad", std::string(pad, 'x')}}});
       }
     }
     ledger.append(std::move(block), std::move(results), app.store().root(),
