@@ -50,25 +50,6 @@ void BM_Sha256Incremental(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256Incremental)->Arg(64)->Arg(1024)->Arg(64 * 1024);
 
-// Batched digests over many small inputs (entry-hash shaped).
-void BM_Sha256Batch(benchmark::State& state) {
-  const std::size_t n = 256;
-  std::vector<util::Bytes> inputs;
-  std::vector<util::BytesView> views;
-  for (std::size_t i = 0; i < n; ++i) {
-    inputs.push_back(util::to_bytes("bank/balances/user-" +
-                                    std::to_string(i) + "/uatom=123456"));
-  }
-  for (const util::Bytes& b : inputs) views.push_back(b);
-  std::vector<crypto::Digest> out(n);
-  for (auto _ : state) {
-    crypto::sha256_batch(views.data(), views.size(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Sha256Batch);
-
 void BM_MerkleRoot(benchmark::State& state) {
   std::vector<util::Bytes> leaves;
   for (int i = 0; i < state.range(0); ++i) {
@@ -148,8 +129,9 @@ void BM_KvStoreSet(benchmark::State& state) {
 BENCHMARK(BM_KvStoreSet);
 
 // Overwriting existing keys is the store's hot path during block execution
-// (sequence counters, commitments rewritten every block). With the cached
-// per-entry digest only the NEW value is hashed on overwrite.
+// (sequence counters, commitments rewritten every block). This loop never
+// reads the root, so it hashes nothing: the store hashes a written entry
+// once, at the next root read (BM_KvStoreBlockCommit prices that).
 void BM_KvStoreOverwrite(benchmark::State& state) {
   chain::KvStore store;
   for (int i = 0; i < 10'000; ++i) {
@@ -194,6 +176,39 @@ void BM_KvStoreGet(benchmark::State& state, std::string (*key_of)(int)) {
 }
 BENCHMARK_CAPTURE(BM_KvStoreGet, bank_key, bank_key);
 BENCHMARK_CAPTURE(BM_KvStoreGet, commitment_key, commitment_key);
+
+// One block of 100 MsgTransfer-shaped write groups, then the root read of
+// its Commit. A group writes what a transfer writes: the sender's balance
+// (ten senders per block), the escrow balance, nextSequenceSend and a fresh
+// packet commitment, so three of its four writes hit a key the block has
+// already written.
+void BM_KvStoreBlockCommit(benchmark::State& state) {
+  chain::KvStore store;
+  for (int i = 0; i < 10'000; ++i) {
+    store.set(bank_key(i), util::to_bytes("12345678"));
+  }
+  const std::string escrow = bank_key(-1);  // a balance no user holds
+  const std::string next_sequence_send =
+      "nextSequenceSend/ports/transfer/channels/channel-0";
+  const auto u64 = [](std::uint64_t v) {
+    util::Bytes out;
+    util::append_u64_be(out, v);
+    return out;
+  };
+  std::uint64_t seq = 1;
+  for (auto _ : state) {
+    for (int group = 0; group < 100; ++group, ++seq) {
+      store.set(bank_key(static_cast<int>(seq % 10)), u64(seq));
+      store.set(escrow, u64(seq));
+      store.set(next_sequence_send, u64(seq + 1));
+      store.set(commitment_key(static_cast<int>(seq)),
+                util::Bytes(32, static_cast<std::uint8_t>(seq)));
+    }
+    benchmark::DoNotOptimize(store.root());
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_KvStoreBlockCommit)->Unit(benchmark::kMicrosecond);
 
 // Churn: insert + erase keeps the store at a steady ~10k live entries while
 // exercising tombstones, index deletion and the periodic compaction.

@@ -59,7 +59,7 @@ std::uint64_t KvStore::hash_key(std::string_view key) {
   return h;
 }
 
-void KvStore::xor_into_root(const crypto::Digest& h) {
+void KvStore::xor_into_root(const crypto::Digest& h) const {
   for (std::size_t i = 0; i < root_.size(); ++i) root_[i] ^= h[i];
 }
 
@@ -75,13 +75,34 @@ void KvStore::assign_value(Entry& e, util::Bytes&& value) {
   }
 }
 
+std::uint32_t KvStore::append_entry(Entry&& e) {
+  constexpr std::size_t kChunk = std::size_t{1} << kEntryChunkBits;
+  if (entry_count_ % kChunk == 0) {
+    entries_.emplace_back().reserve(kChunk);
+  }
+  entries_.back().push_back(std::move(e));
+  return entry_count_++;
+}
+
+std::uint32_t KvStore::append_key(std::string_view key) {
+  constexpr std::size_t kChunk = std::size_t{1} << kKeyChunkBits;
+  if (keys_.empty() || keys_.back().size() + key.size() > kChunk) {
+    keys_.emplace_back().reserve(std::max(kChunk, key.size()));
+  }
+  std::string& chunk = keys_.back();
+  const auto off = static_cast<std::uint32_t>(
+      ((keys_.size() - 1) << kKeyChunkBits) | chunk.size());
+  chunk.append(key);
+  return off;
+}
+
 std::size_t KvStore::find_bucket(std::string_view key, std::uint64_t h) const {
   const std::size_t mask = index_.size() - 1;
   std::size_t b = static_cast<std::size_t>(h) & mask;
   while (true) {
     const std::uint32_t idx = index_[b];
     if (idx == kNoEntry) return b;
-    const Entry& e = entries_[idx];
+    const Entry& e = entry(idx);
     if (e.key_hash == h && key_of(e) == key) return b;
     b = (b + 1) & mask;
   }
@@ -97,8 +118,8 @@ void KvStore::grow_index(std::size_t min_buckets) {
   while (cap < min_buckets) cap *= 2;
   index_.assign(cap, kNoEntry);
   const std::size_t mask = cap - 1;
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
+  for (std::uint32_t i = 0; i < entry_count_; ++i) {
+    const Entry& e = entry(i);
     if (!e.live) continue;
     std::size_t b = static_cast<std::size_t>(e.key_hash) & mask;
     while (index_[b] != kNoEntry) b = (b + 1) & mask;
@@ -116,7 +137,7 @@ void KvStore::index_remove(std::size_t bucket) {
     const std::uint32_t idx = index_[i];
     if (idx == kNoEntry) break;
     const std::size_t home =
-        static_cast<std::size_t>(entries_[idx].key_hash) & mask;
+        static_cast<std::size_t>(entry(idx).key_hash) & mask;
     if (((i - home) & mask) >= ((i - hole) & mask)) {
       index_[hole] = idx;
       hole = i;
@@ -127,25 +148,26 @@ void KvStore::index_remove(std::size_t bucket) {
 
 void KvStore::maybe_compact() {
   // Erase/re-insert churn (packet commitments are deleted on ack) strands
-  // dead entries and their arena keys; rebuild once they dominate.
+  // dead entries and their keys; rebuild once they dominate.
   if (dead_count_ < 4096 || dead_count_ * 2 < live_count_) return;
 
-  std::vector<Entry> new_entries;
-  new_entries.reserve(live_count_);
-  std::string new_arena;
-  new_arena.reserve(key_arena_.size() - key_arena_.size() / 3);
-  std::vector<std::uint32_t> remap(entries_.size(), kNoEntry);
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
-    Entry& e = entries_[i];
-    if (!e.live) continue;
-    const std::string_view k = key_of(e);
-    remap[i] = static_cast<std::uint32_t>(new_entries.size());
-    e.key_off = static_cast<std::uint32_t>(new_arena.size());
-    new_arena.append(k);
-    new_entries.push_back(std::move(e));
+  std::vector<std::vector<Entry>> old_entries = std::move(entries_);
+  std::vector<std::string> old_keys = std::move(keys_);
+  entries_.clear();
+  keys_.clear();
+  std::vector<std::uint32_t> remap(entry_count_, kNoEntry);
+  entry_count_ = 0;
+  std::uint32_t i = 0;
+  for (std::vector<Entry>& chunk : old_entries) {
+    for (Entry& e : chunk) {
+      if (e.live) {
+        e.key_off = append_key(key_in(old_keys, e));
+        remap[i] = append_entry(std::move(e));
+      }
+      ++i;
+    }
+    std::vector<Entry>().swap(chunk);  // free as we go
   }
-  entries_ = std::move(new_entries);
-  key_arena_ = std::move(new_arena);
   dead_count_ = 0;
 
   auto remap_list = [&remap](std::vector<std::uint32_t>& list) {
@@ -157,6 +179,7 @@ void KvStore::maybe_compact() {
   };
   remap_list(sorted_);
   remap_list(unsorted_);
+  remap_list(dirty_);
   sorted_dead_ = 0;
   grow_index(index_.size());
 }
@@ -166,14 +189,14 @@ void KvStore::ensure_sorted() const {
   if (unsorted_.empty() && !purge_due) return;
 
   auto key_less = [this](std::uint32_t a, std::uint32_t b) {
-    return key_of(entries_[a]) < key_of(entries_[b]);
+    return key_of(entry(a)) < key_of(entry(b));
   };
 
   // Purge dead indices from both lists while we are touching them anyway.
   auto drop_dead = [this](std::vector<std::uint32_t>& list) {
     std::size_t out = 0;
     for (const std::uint32_t idx : list) {
-      if (entries_[idx].live) list[out++] = idx;
+      if (entry(idx).live) list[out++] = idx;
     }
     list.resize(out);
   };
@@ -195,19 +218,23 @@ void KvStore::ensure_sorted() const {
   }
 }
 
-void KvStore::reserve(std::size_t expected_entries, std::size_t avg_key_bytes) {
-  entries_.reserve(expected_entries);
-  key_arena_.reserve(expected_entries * avg_key_bytes);
-  if (expected_entries > 0) {
-    std::size_t cap = 16;
-    while (cap * 3 < expected_entries * 4) cap *= 2;
-    if (cap > index_.size()) grow_index(cap);
-  }
+void KvStore::reserve(std::size_t expected_entries) {
+  if (expected_entries == 0) return;
+  std::size_t cap = 16;
+  while (cap * 3 < expected_entries * 4) cap *= 2;
+  if (cap > index_.size()) grow_index(cap);
 }
 
 void KvStore::begin_tx() {
   journaling_ = true;
   journal_.clear();
+  if (++tx_tag_ == 0) {
+    // Wrapped: clear every tag so no entry looks journaled by a reused one.
+    for (std::vector<Entry>& chunk : entries_) {
+      for (Entry& e : chunk) e.journaled_in = 0;
+    }
+    tx_tag_ = 1;
+  }
 }
 
 void KvStore::commit_tx() {
@@ -217,7 +244,8 @@ void KvStore::commit_tx() {
 
 void KvStore::revert_tx() {
   journaling_ = false;
-  // Undo in reverse order so repeated writes to one key restore correctly.
+  // Undo in reverse order: a key erased and set again within the tx has
+  // two records, and the older one must land last.
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
     if (it->old_value.has_value()) {
       set(it->key, std::move(*it->old_value));
@@ -228,20 +256,46 @@ void KvStore::revert_tx() {
   journal_.clear();
 }
 
-void KvStore::journal_record(const std::string& key) {
-  if (!journaling_) return;
-  const std::uint32_t idx = find_entry(key);
-  if (idx != kNoEntry) {
-    const util::BytesView v = value_of(entries_[idx]);
-    journal_.push_back(UndoEntry{key, util::Bytes(v.begin(), v.end())});
-  } else {
-    journal_.push_back(UndoEntry{key, std::nullopt});
+void KvStore::journal_first_write(Entry& e, const std::string& key) {
+  if (!journaling_ || e.journaled_in == tx_tag_) return;
+  e.journaled_in = tx_tag_;
+  const util::BytesView v = value_of(e);
+  journal_.push_back(UndoEntry{key, util::Bytes(v.begin(), v.end())});
+}
+
+void KvStore::mark_dirty(Entry& e, std::uint32_t idx) {
+  if (e.dirty) return;
+  xor_into_root(e.hash);  // back out the old contribution, no rehash
+  e.dirty = true;
+  dirty_.push_back(idx);
+}
+
+void KvStore::fold_dirty() const {
+  for (const std::uint32_t idx : dirty_) {
+    const Entry& e = entry(idx);
+    if (!e.live) continue;  // erased: its digest is already out
+    e.hash = entry_hash(key_of(e), value_of(e));
+    e.dirty = false;
+    xor_into_root(e.hash);
   }
+  // A bulk load leaves millions queued; do not keep that capacity around.
+  if (dirty_.capacity() > (std::size_t{1} << 16)) {
+    std::vector<std::uint32_t>().swap(dirty_);
+  } else {
+    dirty_.clear();
+  }
+}
+
+const crypto::Digest& KvStore::root() const {
+  if (!dirty_.empty()) {
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+    fold_dirty();
+  }
+  return root_;
 }
 
 void KvStore::set(const std::string& key, util::Bytes value) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
-  journal_record(key);
   if (index_.empty() || (live_count_ + 1) * 4 > index_.size() * 3) {
     grow_index(index_.empty() ? 16 : index_.size() * 2);
   }
@@ -249,41 +303,40 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   const std::size_t bucket = find_bucket(key, h);
   std::uint32_t idx = index_[bucket];
   if (idx != kNoEntry) {
-    Entry& e = entries_[idx];
+    Entry& e = entry(idx);
+    journal_first_write(e, key);
     if (write_hook_) write_hook_(key, value_of(e), util::BytesView(value));
-    xor_into_root(e.hash);  // remove old contribution, no rehash
+    mark_dirty(e, idx);
     assign_value(e, std::move(value));
-    e.hash = entry_hash(key, value_of(e));
-    xor_into_root(e.hash);
     return;
   }
+  if (journaling_) journal_.push_back(UndoEntry{key, std::nullopt});
   if (write_hook_) write_hook_(key, std::nullopt, util::BytesView(value));
-  idx = static_cast<std::uint32_t>(entries_.size());
   Entry e;
-  e.key_off = static_cast<std::uint32_t>(key_arena_.size());
+  e.key_off = append_key(key);
   e.key_len = static_cast<std::uint32_t>(key.size());
   e.key_hash = h;
   e.live = true;
-  key_arena_.append(key);
+  e.dirty = true;
+  e.journaled_in = journaling_ ? tx_tag_ : 0;
   assign_value(e, std::move(value));
-  e.hash = entry_hash(key, value_of(e));
-  entries_.push_back(std::move(e));
+  idx = append_entry(std::move(e));
   index_[bucket] = idx;
   unsorted_.push_back(idx);
+  dirty_.push_back(idx);
   ++live_count_;
-  xor_into_root(entries_[idx].hash);
 }
 
 void KvStore::erase(const std::string& key) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
-  journal_record(key);
   if (index_.empty()) return;
   const std::size_t bucket = find_bucket(key, hash_key(key));
   const std::uint32_t idx = index_[bucket];
   if (idx == kNoEntry) return;
-  Entry& e = entries_[idx];
+  Entry& e = entry(idx);
+  journal_first_write(e, key);
   if (write_hook_) write_hook_(key, value_of(e), std::nullopt);
-  xor_into_root(e.hash);
+  if (!e.dirty) xor_into_root(e.hash);  // a dirty entry is already out
   e.live = false;
   e.spill = util::Bytes();
   index_remove(bucket);
@@ -296,14 +349,14 @@ void KvStore::erase(const std::string& key) {
 std::optional<util::Bytes> KvStore::get(const std::string& key) const {
   const std::uint32_t idx = find_entry(key);
   if (idx == kNoEntry) return std::nullopt;
-  const util::BytesView v = value_of(entries_[idx]);
+  const util::BytesView v = value_of(entry(idx));
   return util::Bytes(v.begin(), v.end());
 }
 
 std::optional<util::BytesView> KvStore::get_view(std::string_view key) const {
   const std::uint32_t idx = find_entry(key);
   if (idx == kNoEntry) return std::nullopt;
-  return value_of(entries_[idx]);
+  return value_of(entry(idx));
 }
 
 bool KvStore::contains(std::string_view key) const {
@@ -316,7 +369,7 @@ KvStore::PrefixIter KvStore::scan_prefix(std::string_view prefix) const {
   const auto begin = std::lower_bound(
       sorted_.begin(), sorted_.end(), prefix,
       [this](std::uint32_t idx, std::string_view p) {
-        return key_of(entries_[idx]) < p;
+        return key_of(entry(idx)) < p;
       });
   return PrefixIter(this, prefix,
                     static_cast<std::size_t>(begin - sorted_.begin()));
@@ -325,7 +378,7 @@ KvStore::PrefixIter KvStore::scan_prefix(std::string_view prefix) const {
 bool KvStore::PrefixIter::next() {
   while (pos_ < store_->sorted_.size()) {
     const std::uint32_t idx = store_->sorted_[pos_++];
-    const auto& e = store_->entries_[idx];
+    const auto& e = store_->entry(idx);
     const std::string_view k = store_->key_of(e);
     if (k.size() < prefix_.size() ||
         k.compare(0, prefix_.size(), prefix_) != 0) {
@@ -341,11 +394,11 @@ bool KvStore::PrefixIter::next() {
 }
 
 std::string_view KvStore::PrefixIter::key() const {
-  return store_->key_of(store_->entries_[cur_]);
+  return store_->key_of(store_->entry(cur_));
 }
 
 util::BytesView KvStore::PrefixIter::value() const {
-  return store_->value_of(store_->entries_[cur_]);
+  return store_->value_of(store_->entry(cur_));
 }
 
 std::vector<std::string> KvStore::keys_with_prefix(
@@ -359,13 +412,14 @@ std::vector<std::string> KvStore::keys_with_prefix(
 
 StoreProof KvStore::prove(const std::string& key) const {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+  if (!dirty_.empty()) fold_dirty();
   StoreProof proof;
   proof.key = key;
   proof.root = root_;
   const std::uint32_t idx = find_entry(key);
   if (idx != kNoEntry) {
     proof.exists = true;
-    const util::BytesView v = value_of(entries_[idx]);
+    const util::BytesView v = value_of(entry(idx));
     proof.value.assign(v.begin(), v.end());
   }
   proof.binding = store_proof_binding(key, proof.value, proof.exists, root_);

@@ -3,25 +3,35 @@
 //
 // The Cosmos SDK keeps module state in Merkle-ised KV stores whose root goes
 // into the block header (app_hash) and against which IBC proofs are checked.
-// We keep an *incrementally maintained set-hash* root:
-// root = XOR over entries of SHA-256(key || value). The XOR set-hash updates
-// in O(1) per mutation and is deterministic; it loses Merkle path proofs, so
-// existence proofs are issued explicitly via prove()/verify_proof() below,
-// which bind (key, value, root-at-height) — sufficient for the simulator's
-// honest-node verification semantics (substitution noted in DESIGN.md).
+// We keep a *set-hash* root: root = XOR over entries of SHA-256(key ||
+// value). The XOR set-hash is order-independent and deterministic; it loses
+// Merkle path proofs, so existence proofs are issued explicitly via
+// prove()/verify_proof() below, which bind (key, value, root-at-height) —
+// sufficient for the simulator's honest-node verification semantics
+// (substitution noted in DESIGN.md).
+//
+// Like the SDK node, which buffers a block's writes and hashes its state at
+// Commit, the root is folded lazily: the first write to an entry since the
+// last root read backs its cached digest out of the root and marks it
+// dirty, later writes hash nothing, and root()/prove() hash each dirty
+// entry once. The XOR makes the fold order irrelevant, so roots and proofs
+// are the ones an eager per-write update gives.
 //
 // Layout (memory-lean, DESIGN.md "Memory-lean state store"): entries live in
-// a flat arena indexed by an open-addressing hash table; key bytes are
-// appended to a shared key arena and small values are stored inline in the
-// entry, so a typical (key, u64) pair costs no per-entry heap allocation.
+// fixed-size chunks that never move, indexed by an open-addressing hash
+// table; key bytes are appended to chunked key storage and small values are
+// stored inline in the entry, so a typical (key, u64) pair costs no
+// per-entry heap allocation and growing the store copies nothing.
 // Ordered prefix scans run over a lazily maintained sorted view of the entry
-// indices; for_each_unordered() walks the entry arena instead and never
-// builds that view. The bytes fed to the set-hash are identical to the
-// historical std::map layout, so roots, proofs and golden traces are
-// unchanged.
+// indices; for_each_unordered() walks the entries instead and never builds
+// that view. The bytes fed to the set-hash are identical to the historical
+// std::map layout, so roots, proofs and golden traces are unchanged.
 //
 // One write hook can watch every set()/erase() (the invariant checker keeps
 // its incremental model with it, see DESIGN.md §4c).
+//
+// A store is touched by one thread only: root() and prove() are const but
+// fold pending writes into the root.
 
 #include <array>
 #include <cstdint>
@@ -90,10 +100,12 @@ class KvStore {
   /// scan_prefix() maintains. The store must not be mutated during the walk.
   template <typename F>
   void for_each_unordered(std::string_view prefix, F&& f) const {
-    for (const Entry& e : entries_) {
-      if (!e.live) continue;
-      const std::string_view k = key_of(e);
-      if (k.starts_with(prefix)) f(k, value_of(e));
+    for (const std::vector<Entry>& chunk : entries_) {
+      for (const Entry& e : chunk) {
+        if (!e.live) continue;
+        const std::string_view k = key_of(e);
+        if (k.starts_with(prefix)) f(k, value_of(e));
+      }
     }
   }
 
@@ -111,12 +123,14 @@ class KvStore {
 
   std::size_t size() const { return live_count_; }
 
-  /// Pre-sizes the entry arena, hash index and key arena for an expected
-  /// total entry count (bulk-load fast path).
-  void reserve(std::size_t expected_entries, std::size_t avg_key_bytes = 32);
+  /// Pre-sizes the hash index for an expected total entry count (bulk-load
+  /// fast path). Entries and key bytes grow in chunks and need no reserve.
+  void reserve(std::size_t expected_entries);
 
-  /// Current commitment root (incremental set-hash).
-  const crypto::Digest& root() const { return root_; }
+  /// Current commitment root. Folds in the entries written since the last
+  /// root read first, hashing each once. The referenced digest changes only
+  /// at the next root() or prove() call, not at a write.
+  const crypto::Digest& root() const;
 
   /// Issues a proof of (non-)existence of `key` under the current root.
   StoreProof prove(const std::string& key) const;
@@ -124,7 +138,10 @@ class KvStore {
   // --- transaction journal ----------------------------------------------
   // Cosmos reverts all state writes of a failing transaction. begin_tx()
   // starts recording undo entries; revert_tx() restores the pre-tx state;
-  // commit_tx() discards the journal. Nesting is not supported.
+  // commit_tx() discards the journal. Nesting is not supported. Only the
+  // first write to an entry within a tx is journaled, so a revert makes one
+  // restoring write per written key (two for a key erased and set again in
+  // the same tx, which lands in a new entry).
   void begin_tx();
   void commit_tx();
   void revert_tx();
@@ -135,35 +152,63 @@ class KvStore {
   /// Values up to this many bytes live inline in the entry (covers u64
   /// balances/sequences and 32-byte commitments/acks).
   static constexpr std::size_t kInlineValue = 32;
+  /// Entries per chunk (1024 x 112 B = 112 KiB). Small chunks keep the
+  /// peak RSS of small stores down; the chunk count is no cost.
+  static constexpr unsigned kEntryChunkBits = 10;
+  /// Key bytes per chunk (64 KiB); a longer key gets a chunk of its own.
+  static constexpr unsigned kKeyChunkBits = 16;
 
   struct Entry {
+    // (key chunk << kKeyChunkBits) | offset of the key in that chunk.
     std::uint32_t key_off = 0;
     std::uint32_t key_len = 0;
     std::uint32_t val_len = 0;
     bool live = false;
+    // `hash` is stale and not part of root_ until the next root read.
+    mutable bool dirty = false;
+    // Tag of the tx that last journaled this entry (0 = none).
+    std::uint16_t journaled_in = 0;
     std::uint64_t key_hash = 0;
     std::array<std::uint8_t, kInlineValue> inline_val{};
     util::Bytes spill;  // value bytes when val_len > kInlineValue
-    // Cached SHA-256 contribution to the set-hash root, so overwriting a
-    // key hashes only the new value (and erasing hashes nothing) instead
-    // of rehashing the old value to back it out.
-    crypto::Digest hash{};
+    // Cached SHA-256 contribution to the set-hash root, so the first write
+    // since a root read backs the old value out without rehashing it.
+    mutable crypto::Digest hash{};
   };
+  // The flags sit in the padding after `live`: a larger entry costs tens
+  // of MiB at 10^6 accounts.
+  static_assert(sizeof(Entry) == 112, "Entry grew");
 
   static crypto::Digest entry_hash(std::string_view key,
                                    util::BytesView value);
   static std::uint64_t hash_key(std::string_view key);
-  void xor_into_root(const crypto::Digest& h);
+  void xor_into_root(const crypto::Digest& h) const;
 
-  std::string_view key_of(const Entry& e) const {
-    return std::string_view(key_arena_.data() + e.key_off, e.key_len);
+  Entry& entry(std::uint32_t idx) {
+    return entries_[idx >> kEntryChunkBits]
+                   [idx & ((1u << kEntryChunkBits) - 1)];
   }
+  const Entry& entry(std::uint32_t idx) const {
+    return entries_[idx >> kEntryChunkBits]
+                   [idx & ((1u << kEntryChunkBits) - 1)];
+  }
+  static std::string_view key_in(const std::vector<std::string>& chunks,
+                                 const Entry& e) {
+    return std::string_view(chunks[e.key_off >> kKeyChunkBits].data() +
+                                (e.key_off & ((1u << kKeyChunkBits) - 1)),
+                            e.key_len);
+  }
+  std::string_view key_of(const Entry& e) const { return key_in(keys_, e); }
   util::BytesView value_of(const Entry& e) const {
     const std::uint8_t* p =
         e.val_len <= kInlineValue ? e.inline_val.data() : e.spill.data();
     return util::BytesView(p, e.val_len);
   }
   static void assign_value(Entry& e, util::Bytes&& value);
+  /// Appends to the last chunk (opening a new one when full); returns the
+  /// entry index / the key's key_off.
+  std::uint32_t append_entry(Entry&& e);
+  std::uint32_t append_key(std::string_view key);
 
   /// Bucket holding `key`, or the empty bucket where it would be inserted.
   std::size_t find_bucket(std::string_view key, std::uint64_t h) const;
@@ -173,14 +218,22 @@ class KvStore {
   void maybe_compact();
   void ensure_sorted() const;
 
-  void journal_record(const std::string& key);
+  /// Journals `e`'s value if this is the tx's first write to it.
+  void journal_first_write(Entry& e, const std::string& key);
+  /// Backs a clean entry's digest out of the root and queues it.
+  void mark_dirty(Entry& e, std::uint32_t idx);
+  /// Hashes every queued entry into the root.
+  void fold_dirty() const;
 
-  std::vector<Entry> entries_;
-  std::string key_arena_;
+  std::vector<std::vector<Entry>> entries_;  // chunks, each reserved once
+  std::uint32_t entry_count_ = 0;            // appended, live or dead
+  std::vector<std::string> keys_;            // chunks, each reserved once
   std::vector<std::uint32_t> index_;  // bucket -> entry idx (kNoEntry = free)
   std::size_t live_count_ = 0;
   std::size_t dead_count_ = 0;
-  crypto::Digest root_{};
+  mutable crypto::Digest root_{};
+  // Entries written since the last root read, each once.
+  mutable std::vector<std::uint32_t> dirty_;
 
   // Lazily maintained lexicographic view: `sorted_` holds entry indices in
   // key order (possibly including entries erased since the last rebuild);
@@ -195,6 +248,7 @@ class KvStore {
     std::optional<util::Bytes> old_value;  // nullopt = key did not exist
   };
   bool journaling_ = false;
+  std::uint16_t tx_tag_ = 0;  // of the current or last tx, never 0 in one
   std::vector<UndoEntry> journal_;
 
   WriteHook write_hook_;

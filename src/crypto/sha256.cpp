@@ -355,26 +355,6 @@ Digest extract_digest(const std::uint32_t* state) {
   return out;
 }
 
-// One-shot core without a profiler scope, shared by sha256() and the
-// batched helper. Pads into a stack tail block; never touches heap.
-Digest sha256_oneshot(CompressFn fn, const std::uint8_t* data,
-                      std::size_t len) {
-  std::uint32_t state[8];
-  std::memcpy(state, kInit.data(), sizeof(state));
-  const std::size_t nblocks = len / 64;
-  if (nblocks > 0) fn(state, data, nblocks);
-  const std::size_t rem = len - nblocks * 64;
-
-  std::uint8_t tail[128];
-  if (rem > 0) std::memcpy(tail, data + nblocks * 64, rem);
-  tail[rem] = 0x80;
-  const std::size_t tail_len = (rem + 9 <= 64) ? 64 : 128;
-  std::memset(tail + rem + 1, 0, tail_len - 8 - (rem + 1));
-  store_be64(tail + tail_len - 8, static_cast<std::uint64_t>(len) * 8);
-  fn(state, tail, tail_len / 64);
-  return extract_digest(state);
-}
-
 }  // namespace
 
 Sha256::Sha256() { reset(); }
@@ -430,17 +410,23 @@ Digest Sha256::finalize() {
 
 Digest sha256(util::BytesView data) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
-  return sha256_oneshot(compress_fn(), data.data(), data.size());
-}
-
-void sha256_batch(const util::BytesView* inputs, std::size_t count,
-                  Digest* out) {
-  if (count == 0) return;
-  telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
+  // Pads into a stack tail block; never touches heap.
   const CompressFn fn = compress_fn();
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = sha256_oneshot(fn, inputs[i].data(), inputs[i].size());
-  }
+  const std::size_t len = data.size();
+  std::uint32_t state[8];
+  std::memcpy(state, kInit.data(), sizeof(state));
+  const std::size_t nblocks = len / 64;
+  if (nblocks > 0) fn(state, data.data(), nblocks);
+  const std::size_t rem = len - nblocks * 64;
+
+  std::uint8_t tail[128];
+  if (rem > 0) std::memcpy(tail, data.data() + nblocks * 64, rem);
+  tail[rem] = 0x80;
+  const std::size_t tail_len = (rem + 9 <= 64) ? 64 : 128;
+  std::memset(tail + rem + 1, 0, tail_len - 8 - (rem + 1));
+  store_be64(tail + tail_len - 8, static_cast<std::uint64_t>(len) * 8);
+  fn(state, tail, tail_len / 64);
+  return extract_digest(state);
 }
 
 bool sha256_hw_accelerated() {

@@ -45,12 +45,6 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// Batched one-shot digests: out[i] = sha256(inputs[i]). One profiler scope
-/// and one compression-function resolve for the whole batch — for
-/// multi-entry commit recompute and bulk state loads.
-void sha256_batch(const util::BytesView* inputs, std::size_t count,
-                  Digest* out);
-
 /// True when the runtime-selected compression loop uses the x86 SHA
 /// extensions. Digest bytes are identical either way; exposed for bench
 /// labelling and tests that force-compare both paths.

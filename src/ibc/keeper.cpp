@@ -491,7 +491,8 @@ util::Result<ClientId> IbcKeeper::channel_client(const PortId& port,
 util::Result<Sequence> IbcKeeper::send_packet(
     const PortId& source_port, const ChannelId& source_channel,
     util::Bytes data, std::int64_t timeout_height,
-    std::int64_t timeout_timestamp, cosmos::MsgContext& ctx) {
+    std::int64_t timeout_timestamp, cosmos::MsgContext& ctx,
+    std::optional<FungibleTokenPacketData> transfer_data) {
   auto chan_res = channels_.get(source_port, source_channel);
   if (!chan_res.is_ok()) return chan_res.status();
   const ChannelEnd& chan = chan_res.value();
@@ -522,8 +523,9 @@ util::Result<Sequence> IbcKeeper::send_packet(
              crypto::digest_to_bytes(commitment));
 
   const Sequence sequence = packet.sequence;
-  ctx.events->push_back(
-      make_packet_event(PacketEventKind::kSend, std::move(packet)));
+  ctx.events->push_back(make_packet_event(PacketEventKind::kSend,
+                                          std::move(packet), {},
+                                          std::move(transfer_data)));
   return sequence;
 }
 

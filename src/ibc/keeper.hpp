@@ -55,13 +55,14 @@ class IbcKeeper : public cosmos::MsgHandler {
 
   /// Called by application modules to emit a packet (ICS-04 sendPacket).
   /// Assigns the sequence, stores the commitment and emits the send_packet
-  /// event. Returns the assigned sequence.
-  util::Result<Sequence> send_packet(const PortId& source_port,
-                                     const ChannelId& source_channel,
-                                     util::Bytes data,
-                                     std::int64_t timeout_height,
-                                     std::int64_t timeout_timestamp,
-                                     cosmos::MsgContext& ctx);
+  /// event. Returns the assigned sequence. A module that encoded `data`
+  /// from ICS-20 token data passes that as `transfer_data`, so the event
+  /// carries it without decoding `data` back.
+  util::Result<Sequence> send_packet(
+      const PortId& source_port, const ChannelId& source_channel,
+      util::Bytes data, std::int64_t timeout_height,
+      std::int64_t timeout_timestamp, cosmos::MsgContext& ctx,
+      std::optional<FungibleTokenPacketData> transfer_data = std::nullopt);
 
   /// Called by a module that deferred its acknowledgement (returned nullopt
   /// from on_recv_packet) once the packet's fate is known — ICS-04

@@ -219,11 +219,13 @@ bool FungibleTokenPacketData::from_json(util::BytesView json,
   return has_amount && has_denom && has_recv && has_sender;
 }
 
-PacketEvent::PacketEvent(PacketEventKind event_kind, Packet event_packet,
-                         util::Bytes event_ack)
+PacketEvent::PacketEvent(
+    PacketEventKind event_kind, Packet event_packet, util::Bytes event_ack,
+    std::optional<FungibleTokenPacketData> event_transfer_data)
     : kind(event_kind),
       packet(without_data_unless_carried(event_kind, std::move(event_packet))),
-      transfer_data(decode_transfer_data(packet.data)),
+      transfer_data(event_transfer_data ? std::move(event_transfer_data)
+                                        : decode_transfer_data(packet.data)),
       ack(std::move(event_ack)),
       attributes_size(rendered_size(kind, packet, ack)) {}
 
@@ -247,13 +249,15 @@ std::vector<chain::Attribute> PacketEvent::render() const {
   return out;
 }
 
-chain::Event make_packet_event(PacketEventKind kind, Packet packet,
-                               util::Bytes ack) {
+chain::Event make_packet_event(
+    PacketEventKind kind, Packet packet, util::Bytes ack,
+    std::optional<FungibleTokenPacketData> transfer_data) {
   return chain::Event{
       packet_event_type(kind),
       {},
       std::make_shared<const PacketEvent>(kind, std::move(packet),
-                                          std::move(ack))};
+                                          std::move(ack),
+                                          std::move(transfer_data))};
 }
 
 const PacketEvent* packet_event(const chain::Event& event) {

@@ -55,6 +55,8 @@ struct FungibleTokenPacketData {
 
   util::Bytes to_json() const;
   static bool from_json(util::BytesView json, FungibleTokenPacketData& out);
+
+  bool operator==(const FungibleTokenPacketData&) const = default;
 };
 
 /// The packet life-cycle events of paper Figs. 2-3.
@@ -75,7 +77,8 @@ inline const char* packet_event_type(PacketEventKind kind) {
 struct PacketEvent final : chain::EventPayload {
   /// Use make_packet_event().
   PacketEvent(PacketEventKind event_kind, Packet event_packet,
-              util::Bytes event_ack);
+              util::Bytes event_ack,
+              std::optional<FungibleTokenPacketData> event_transfer_data);
 
   const PacketEventKind kind;
   /// Its data is empty for acknowledge/timeout events, which do not carry
@@ -100,8 +103,11 @@ struct PacketEvent final : chain::EventPayload {
 /// Builds a packet life-cycle event; IbcKeeper emits every packet event
 /// through this. `ack` is the encoded acknowledgement (write_acknowledgement,
 /// and recv_packet when the ack is written in the same message).
-chain::Event make_packet_event(PacketEventKind kind, Packet packet,
-                               util::Bytes ack = {});
+/// `transfer_data` is what packet.data encodes, for a sender that has it at
+/// hand (send_transfer just encoded it); without it packet.data is decoded.
+chain::Event make_packet_event(
+    PacketEventKind kind, Packet packet, util::Bytes ack = {},
+    std::optional<FungibleTokenPacketData> transfer_data = std::nullopt);
 
 /// The payload of a packet life-cycle event; nullptr for any other event.
 const PacketEvent* packet_event(const chain::Event& event);

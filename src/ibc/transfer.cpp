@@ -100,9 +100,11 @@ util::Status TransferModule::send_transfer(const MsgTransfer& m,
   data.sender = m.sender;
   data.receiver = m.receiver;
 
+  util::Bytes json = data.to_json();  // before `data` is moved below
   auto seq_res =
-      ibc_.send_packet(m.source_port, m.source_channel, data.to_json(),
-                       m.timeout_height, m.timeout_timestamp, ctx);
+      ibc_.send_packet(m.source_port, m.source_channel, std::move(json),
+                       m.timeout_height, m.timeout_timestamp, ctx,
+                       std::move(data));
   if (!seq_res.is_ok()) return seq_res.status();
 
   ++transfers_initiated_;

@@ -119,22 +119,31 @@ TEST(CodecProperty, AcknowledgementRoundTrip) {
   }
 }
 
+// from_json(to_json(d)) == d for every d: send_transfer hands the struct it
+// encoded to the send_packet event instead of decoding the bytes back, and
+// that is only the same event if the round trip is exact. Strings mix
+// quotes, backslashes, control and high bytes; amounts reach 20 digits.
 TEST(CodecProperty, FungibleTokenPacketDataJsonRoundTrip) {
   util::Rng rng(0xC0DEC004);
+  const auto any_bytes = [&rng](std::size_t max_len) {
+    std::string s = random_string(rng, max_len);
+    for (char& c : s) {
+      if (rng.chance(0.25)) c = static_cast<char>(rng.next_below(256));
+    }
+    return s;
+  };
   for (int i = 0; i < kRounds; ++i) {
     ibc::FungibleTokenPacketData data;
-    data.denom = random_string(rng, 64);
-    data.amount = rng.next_u64();
-    data.sender = random_string(rng, 48);
-    data.receiver = random_string(rng, 48);
+    data.denom = any_bytes(64);
+    data.amount = i % 4 == 0 ? ~std::uint64_t{0} - rng.next_below(1000)
+                             : rng.next_u64();
+    data.sender = any_bytes(48);
+    data.receiver = any_bytes(48);
     ibc::FungibleTokenPacketData out;
     ASSERT_TRUE(
         ibc::FungibleTokenPacketData::from_json(data.to_json(), out))
         << "round " << i << " denom=" << data.denom;
-    EXPECT_EQ(data.denom, out.denom);
-    EXPECT_EQ(data.amount, out.amount);
-    EXPECT_EQ(data.sender, out.sender);
-    EXPECT_EQ(data.receiver, out.receiver);
+    EXPECT_EQ(out, data) << "round " << i;
   }
 }
 

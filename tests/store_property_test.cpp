@@ -1,7 +1,9 @@
 // Model-based property tests: the journaled KvStore against a reference
 // std::map model under random operation sequences, including nested
 // begin/commit/revert cycles, plus root-consistency invariants. The write
-// hook and the unordered walk are held to the same model.
+// hook and the unordered walk are held to the same model. The store folds
+// writes into its root lazily; every root it reports is compared with an
+// eagerly hashed reference over the model's contents.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,34 @@
 #include "util/rng.hpp"
 
 namespace {
+
+using Model = std::map<std::string, util::Bytes>;
+
+/// The set-hash root of `model`, hashed from scratch: XOR over entries of
+/// SHA-256(u32_be(key length) || key || value).
+crypto::Digest reference_root(const Model& model) {
+  crypto::Digest root{};
+  for (const auto& [k, v] : model) {
+    util::Bytes input;
+    util::append_u32_be(input, static_cast<std::uint32_t>(k.size()));
+    input.insert(input.end(), k.begin(), k.end());
+    input.insert(input.end(), v.begin(), v.end());
+    const crypto::Digest h = crypto::sha256(input);
+    for (std::size_t i = 0; i < root.size(); ++i) root[i] ^= h[i];
+  }
+  return root;
+}
+
+/// root() and a proof of `key` must both commit to the reference root.
+void expect_root_matches_model(const chain::KvStore& store, const Model& model,
+                               const std::string& key, int step) {
+  const crypto::Digest expected = reference_root(model);
+  EXPECT_EQ(store.root(), expected) << "step " << step;
+  const chain::StoreProof proof = store.prove(key);
+  EXPECT_EQ(proof.root, expected) << "step " << step;
+  EXPECT_EQ(proof.exists, model.contains(key)) << "step " << step;
+  EXPECT_TRUE(chain::verify_store_proof(proof, expected)) << "step " << step;
+}
 
 std::string random_key(util::Rng& rng) {
   return "k/" + std::to_string(rng.next_below(40));
@@ -130,8 +160,12 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
   bool in_tx = false;
   std::map<std::string, util::Bytes> model_backup;
 
-  for (int step = 0; step < 400; ++step) {
+  // Roots are read at random points only (between txs, inside one, right
+  // after a revert), so several writes, overwrites and erases of one key
+  // pile up between two folds.
+  for (int step = 0; step < 1'000; ++step) {
     const double dice = rng.next_double();
+    bool read_root = rng.chance(0.1);
     if (dice < 0.45) {
       const std::string k = random_key(rng);
       const util::Bytes v = random_value(rng);
@@ -152,11 +186,14 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
       store.revert_tx();
       model = model_backup;
       in_tx = false;
+      read_root = rng.chance(0.5);
     } else if (dice < 0.97) {
-      // Proof spot check on a random key (present or absent).
+      // Proof spot check on a random key (present or absent): prove()
+      // folds pending writes itself, before root() is read.
       const std::string k = random_key(rng);
       const chain::StoreProof proof = store.prove(k);
       EXPECT_EQ(proof.exists, model.contains(k)) << "step " << step;
+      EXPECT_EQ(proof.root, reference_root(model)) << "step " << step;
       EXPECT_TRUE(chain::verify_store_proof(proof, store.root()));
     } else {
       const std::string prefix = "k/" + std::to_string(rng.next_below(4));
@@ -168,6 +205,8 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
 
     expect_matches_model(store, model, step);
     EXPECT_EQ(mirror, model) << "step " << step;
+    if (!read_root) continue;
+    expect_root_matches_model(store, model, random_key(rng), step);
 
     // Root is deterministic in contents (order-independent set hash).
     const std::string snap = snapshot();
@@ -194,6 +233,36 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
   mirror_writes(store, mirror);
 
   crypto::Digest root_when_empty = store.root();
+
+  // Grow across many entry chunks (1024 entries each) and key chunks (64 KiB
+  // each; the oversize key gets a chunk of its own), then erase most of it
+  // so compaction repacks entries and keys across chunk boundaries.
+  const std::string pad(90, 'p');
+  const std::string huge = "grow/huge/" + std::string((1u << 17) + 100, 'h');
+  for (int i = 0; i < 20'000; ++i) {
+    const std::string k = "grow/" + pad + std::to_string(i);
+    util::Bytes v = random_value(rng);
+    store.set(k, v);
+    model[k] = std::move(v);
+    if (i == 10'000) {
+      store.set(huge, util::to_bytes("big"));
+      model[huge] = util::to_bytes("big");
+    }
+  }
+  EXPECT_EQ(store.root(), reference_root(model));
+  for (int i = 0; i < 20'000; ++i) {
+    if (i % 8 == 0) continue;
+    const std::string k = "grow/" + pad + std::to_string(i);
+    store.erase(k);
+    model.erase(k);
+  }
+  ASSERT_EQ(store.size(), model.size());
+  EXPECT_EQ(store.get(huge), util::to_bytes("big"));
+  expect_scan_matches_model(store, model, "grow/", -1);
+  expect_walk_matches_model(store, model, "grow/", -1);
+  EXPECT_EQ(mirror, model);
+  EXPECT_EQ(store.root(), reference_root(model));
+
   for (int round = 0; round < 6; ++round) {
     // Fill a few thousand keys, then erase most of them.
     for (int i = 0; i < 3'000; ++i) {
@@ -226,6 +295,8 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
     }
   }
 
+  EXPECT_EQ(store.root(), reference_root(model));
+
   // Erasing everything must return the root to the empty-set hash: the
   // XOR set-hash (and thus compaction bookkeeping) leaks nothing.
   for (const auto& [k, v] : model) store.erase(k);
@@ -256,6 +327,170 @@ TEST(StorePropertyTest, RevertRestoresSpilledValues) {
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(util::Bytes(b->begin(), b->end()), util::to_bytes("small"));
   EXPECT_FALSE(store.contains("c"));
+}
+
+// One key set, erased and set again in a tx: the erase kills the entry the
+// first set journaled, so the second set journals a new one. Revert must
+// restore the pre-tx value and root whether the key existed before the tx
+// and whether the root was folded between the writes.
+TEST(StorePropertyTest, SetEraseSetOneKeyThenRevert) {
+  for (const bool existed : {false, true}) {
+    for (const bool fold_mid_tx : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "existed=" << existed
+                                        << " fold_mid_tx=" << fold_mid_tx);
+      chain::KvStore store;
+      Model model, mirror;
+      mirror_writes(store, mirror);
+      model["other"] = util::to_bytes("x");
+      if (existed) model["k"] = util::Bytes(40, 0x01);
+      for (const auto& [k, v] : model) store.set(k, v);
+      const crypto::Digest before = store.root();
+
+      store.begin_tx();
+      store.set("k", util::to_bytes("v1"));
+      if (fold_mid_tx) (void)store.root();
+      store.erase("k");
+      if (fold_mid_tx) (void)store.root();
+      store.set("k", util::Bytes(50, 0x02));
+      store.revert_tx();
+
+      expect_matches_model(store, model, 0);
+      EXPECT_EQ(mirror, model);
+      EXPECT_EQ(store.root(), before);
+      expect_root_matches_model(store, model, "k", 0);
+    }
+  }
+}
+
+// Only a tx's first write to an entry is journaled, so a revert makes one
+// restoring write per key however often the tx wrote it.
+TEST(StorePropertyTest, RevertMakesOneRestoringWritePerKey) {
+  chain::KvStore store;
+  store.set("k1", util::to_bytes("a"));
+  store.set("k3", util::Bytes(48, 0x33));
+  const crypto::Digest before = store.root();
+  int writes = 0;
+  store.set_write_hook([&writes](std::string_view, auto, auto) { ++writes; });
+
+  store.begin_tx();
+  for (int i = 0; i < 5; ++i) store.set("k1", util::Bytes(1 + i, 0x11));
+  for (int i = 0; i < 3; ++i) store.set("k2", util::Bytes(40 + i, 0x22));
+  store.set("k3", util::to_bytes("c"));
+  store.erase("k3");
+  writes = 0;
+  store.revert_tx();
+
+  EXPECT_EQ(writes, 3);
+  EXPECT_EQ(store.get("k1"), util::to_bytes("a"));
+  EXPECT_FALSE(store.contains("k2"));
+  EXPECT_EQ(store.get("k3"), util::Bytes(48, 0x33));
+  EXPECT_EQ(store.root(), before);
+}
+
+// Erasing an entry whose digest is already backed out of the root (it was
+// written since the last fold, or created since) must not back it out a
+// second time.
+TEST(StorePropertyTest, EraseOfDirtyEntryKeepsRoot) {
+  chain::KvStore store;
+  Model model;
+  for (int i = 0; i < 8; ++i) {
+    model["d/" + std::to_string(i)] = util::Bytes(4 + 8 * i, 0x40);
+  }
+  for (const auto& [k, v] : model) store.set(k, v);
+  expect_root_matches_model(store, model, "d/1", 0);  // all clean
+
+  store.set("d/1", util::to_bytes("new"));
+  store.erase("d/1");  // dirty once
+  store.set("d/2", util::to_bytes("x"));
+  store.set("d/2", util::Bytes(64, 0x02));
+  store.erase("d/2");  // dirty, written twice
+  store.set("d/new", util::to_bytes("y"));
+  store.erase("d/new");  // created and erased between two folds
+  store.set("d/3", util::to_bytes("z"));  // dirty and kept
+  model.erase("d/1");
+  model.erase("d/2");
+  model["d/3"] = util::to_bytes("z");
+  expect_root_matches_model(store, model, "d/2", 1);
+
+  // The same inside a tx, then reverted.
+  const crypto::Digest before = store.root();
+  store.begin_tx();
+  store.set("d/4", util::to_bytes("w"));
+  store.erase("d/4");
+  store.erase("d/5");
+  store.revert_tx();
+  EXPECT_EQ(store.root(), before);
+  expect_root_matches_model(store, model, "d/4", 2);
+}
+
+// Compaction moves entries while some are written but not yet folded into
+// the root (some of those erased): the pending list must follow the moves.
+TEST(StorePropertyTest, CompactionWithPendingDirtyEntries) {
+  util::Rng rng(77);
+  chain::KvStore store;
+  Model model;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string k = "c/" + std::to_string(i);
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  EXPECT_EQ(store.root(), reference_root(model));
+  for (int i = 0; i < 10'000; i += 7) {
+    const std::string k = "c/" + std::to_string(i);
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  // 6,000 erases; compaction runs at the 4,096th (dead >= 4096 and
+  // dead * 2 >= live), with a seventh of the survivors dirty.
+  for (int i = 0; i < 10'000; ++i) {
+    if (i % 10 >= 6) continue;
+    const std::string k = "c/" + std::to_string(i);
+    store.erase(k);
+    model.erase(k);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const std::string k = "c/new/" + std::to_string(i);
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  expect_matches_model(store, model, 0);
+  expect_root_matches_model(store, model, "c/9", 0);
+}
+
+// The per-entry journal tag is 16 bits, so the tx counter wraps after 2^16
+// txs. An entry tagged before the wrap must not look journaled to the tx
+// that reuses its tag: keys tagged in the first txs are written again, and
+// reverted, by the txs 2^16 - 1 and 2^16 later.
+TEST(StorePropertyTest, JournalTagsSurviveCounterWrap) {
+  constexpr int kEarly = 8;
+  constexpr int kPeriods[] = {65'535, 65'536};
+  chain::KvStore store;
+  const auto key = [](int period, int tx) {
+    return "wrap/" + std::to_string(period) + "/" + std::to_string(tx);
+  };
+  for (int tx = 0; tx < kEarly + 65'536; ++tx) {
+    store.begin_tx();
+    bool wrote = false;
+    for (const int period : kPeriods) {
+      if (tx < kEarly) {
+        store.set(key(period, tx), util::to_bytes("kept"));
+      } else if (tx >= period && tx - period < kEarly) {
+        store.set(key(period, tx - period), util::to_bytes("reverted"));
+        wrote = true;
+      }
+    }
+    if (!wrote) {
+      store.commit_tx();
+      continue;
+    }
+    store.revert_tx();
+    for (const int period : kPeriods) {
+      for (int early = 0; early < kEarly; ++early) {
+        ASSERT_EQ(store.get(key(period, early)), util::to_bytes("kept"))
+            << "tx " << tx << " period " << period << " key " << early;
+      }
+    }
+  }
 }
 
 TEST(StorePropertyTest, PrefixScanMatchesModel) {
