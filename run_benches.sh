@@ -9,8 +9,9 @@
 #   ./run_benches.sh --check    run the check phases, then a summary table:
 #     TSan over the parallel runner, determinism and telemetry tests;
 #     ASan+UBSan over the checker, fuzz, relayer, store-property,
-#     packet-index (IndexedTxSearch, RpcFixture) and packet-event
-#     (PacketEventOracle, PacketEventSharing) tests;
+#     packet-index (IndexedTxSearch, RpcFixture), packet-event
+#     (PacketEventOracle, PacketEventSharing), sim::Task (SimTask) and
+#     handshake-pin (HandshakePinned) tests;
 #     chaos campaigns; the golden-figure suite; a fig12 --trace smoke;
 #     bench reports (mitigations --smoke: schema, self and same-seed
 #     compare, perturbed copy, strict flags); the bench_scale smoke; the
@@ -56,19 +57,22 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events"
+  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
     test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
-    test_mitigations test_packet_events
+    test_mitigations test_packet_events test_foundation
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
   # (hash index, arena, spill values, compaction) under ASan.
   # IndexedTxSearch/RpcFixture cover the ledger's lazily built packet-event
   # rows, which const accessors write on a block's first query.
   # PacketEventOracle/PacketEventSharing cover the packet-event payloads the
   # ledger, RPC pages, WebSocket frames and QueryCache entries share.
+  # SimTask covers the coroutine frames the relayer and the channel handshake
+  # run on (abandoned chains must free every frame: LeakSanitizer is on), and
+  # HandshakePinned the handshake's schedule.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

@@ -47,22 +47,18 @@ constexpr struct {
     {&Relayer::Stats::routing_skipped, ".routing_skipped"},
 };
 
-// A self-referencing step closure: run_chain(body) calls body(self), and a
-// callback continues the chain by calling *self. The closure holds itself
-// only weakly — queued callbacks carry the strong references — so when the
-// simulation tears down mid-chain the cycle collapses instead of leaking (a
-// strong self-capture is unreclaimable). A finished chain is nulled by a
-// Relayer::release_later() event.
-using StepFn = std::shared_ptr<std::function<void()>>;
-
-void run_chain(std::function<void(const StepFn&)> body) {
-  auto fn = std::make_shared<std::function<void()>>();
-  *fn = [body = std::move(body),
-         wself = std::weak_ptr<std::function<void()>>(fn)] {
-    if (const StepFn self = wself.lock()) body(self);
-  };
-  (*fn)();
-}
+// Hermes bundles at most 100 messages per transaction (§III-D).
+constexpr std::size_t kMaxMsgsPerTx = 100;
+// Packet-event queries are chunked by sequence ranges of this size.
+constexpr std::size_t kEventQueryChunk = 50;
+// CPU time to assemble one IBC message (proof decoding, encoding).
+constexpr sim::Duration kBuildCpuPerMsg = sim::micros(1'500);
+// Rebuild-and-resubmit retries per packet per direction after a "redundant
+// packet" batch failure (Hermes retries a failed batch once, §IV-A). The
+// rebuilt batch re-enters its lane at once, as in Hermes.
+constexpr std::uint8_t kMaxPacketRetries = 1;
+// How many destination blocks the startup ack re-scan walks back.
+constexpr chain::Height kStartupRescanDepth = 1'000;
 
 }  // namespace
 
@@ -268,14 +264,31 @@ std::vector<ibc::Sequence> Relayer::in_stage(
   return out;
 }
 
-chain::Height Relayer::rescan_from(chain::Height to) const {
-  return to > config_.startup_rescan_depth
-             ? to - config_.startup_rescan_depth + 1
-             : 1;
+chain::Height Relayer::rescan_from(chain::Height to) {
+  return to > kStartupRescanDepth ? to - kStartupRescanDepth + 1 : 1;
 }
 
-void Relayer::release_later(std::shared_ptr<std::function<void()>> fn) {
-  sched_.schedule_after(0, [fn] { *fn = nullptr; });
+// The build, send, submit and timeout loops each schedule one zero-delay
+// event where they end: the event that released a finished closure chain
+// when the relayer was written that way. It does no work, but the perfbench
+// digests and the PinnedSchedule* constants count it, so it stays until the
+// next benchmark change drops it and re-records them.
+void Relayer::parity_event() {
+  sched_.schedule_after(0, [] {});
+}
+
+chain::Msg update_client_msg(const ibc::ClientId& client_id,
+                             const rpc::Server::HeaderInfo& info) {
+  ibc::MsgUpdateClient update;
+  update.client_id = client_id;
+  update.header.chain_id = info.header.chain_id;
+  update.header.height = info.header.height;
+  update.header.time = info.header.time;
+  update.header.app_hash_after = info.app_hash_after;
+  update.header.validators_hash = info.header.validators_hash;
+  update.header.block_id = chain::BlockId{info.header.hash()};
+  update.header.commit = info.commit;
+  return update.to_msg();
 }
 
 // --- Supervisor: frame handling ---------------------------------------------
@@ -414,18 +427,6 @@ void Relayer::enqueue(Op op) {
   pump(lane);
 }
 
-void Relayer::enqueue_retry(Op op) {
-  if (config_.retry_backoff <= 0) {
-    // Hermes-faithful: the rebuilt batch re-enters its lane immediately.
-    enqueue(std::move(op));
-    return;
-  }
-  sched_.schedule_after(config_.retry_backoff,
-                        [this, op = std::move(op)]() mutable {
-                          if (running_) enqueue(std::move(op));
-                        });
-}
-
 void Relayer::abandon_packet(ibc::Sequence seq, PacketState& ps,
                              const char* why) {
   ps.stage = Stage::kAbandoned;
@@ -451,28 +452,27 @@ void Relayer::pump(int lane) {
   op_running_[lane] = true;
   Op op = std::move(ops_[lane].front());
   ops_[lane].pop_front();
+  if (op_ctr_[op.index()]) op_ctr_[op.index()]->add();
+  sim::spawn(run_op(lane, std::move(op)));
+}
+
+sim::Task<> Relayer::run_op(int lane, Op op) {
+  const std::uint64_t epoch = lane_epoch_;
   const std::size_t kind = op.index();
-  if (op_ctr_[kind]) op_ctr_[kind]->add();
-  std::function<void()> done = [this, lane, epoch = lane_epoch_]() {
-    // A done() surviving from before a restart must not unlock the lane the
-    // new life is using.
-    if (epoch != lane_epoch_) return;
-    op_running_[lane] = false;
-    // Defer through the scheduler so deep op chains do not recurse.
-    sched_.schedule_after(0, [this, lane] { pump(lane); });
-  };
-  if (telemetry::tracer(hub_)) {
+  const sim::TimePoint start = sched_.now();
+  co_await std::visit([this](auto& o) { return run(std::move(o)); }, op);
+  if (auto* t = telemetry::tracer(hub_)) {
     // Span covers the whole op, queries and submission included — emitted at
     // completion (trace viewers sort by ts, so out-of-order append is fine).
-    done = [this, lane, kind, start = sched_.now(), inner = std::move(done)]() {
-      if (auto* t = telemetry::tracer(hub_)) {
-        t->complete(lane_track_[lane], kOps[kind].name, start,
-                    sched_.now() - start);
-      }
-      inner();
-    };
+    t->complete(lane_track_[lane], kOps[kind].name, start,
+                sched_.now() - start);
   }
-  std::visit([&](auto& o) { run(std::move(o), std::move(done)); }, op);
+  // An op of a previous life that resumed into this one must not unlock
+  // the lane this life is using.
+  if (epoch != lane_epoch_) co_return;
+  op_running_[lane] = false;
+  // Defer through the scheduler so deep op chains do not recurse.
+  sched_.schedule_after(0, [this, lane] { pump(lane); });
 }
 
 // --- Data pulls -------------------------------------------------------------------
@@ -493,108 +493,96 @@ bool Relayer::chunk_satisfied(const std::string& event_type,
   return true;
 }
 
-void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
-                          const std::string& event_type,
-                          std::vector<ibc::Sequence> seqs,
-                          std::size_t chunk_index, bool any_failed,
-                          std::function<void(PullResult)> done) {
-  telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
-  const std::size_t chunk = config_.event_query_chunk;
-  std::size_t begin = chunk_index * chunk;
-  if (config_.skip_satisfied_chunks) {
-    // Chunk queries return whole transactions, so one response often covers
-    // sequences of later chunks; Hermes still issues those queries (the
-    // redundancy the paper's Fig. 12 pull times include) — skipping them is
-    // an opt-in mitigation.
-    while (begin < seqs.size() &&
-           chunk_satisfied(event_type, seqs, begin,
-                           std::min(begin + chunk, seqs.size()))) {
-      bump(&Stats::chunk_queries_skipped);
-      ++chunk_index;
-      begin = chunk_index * chunk;
+sim::Task<PullResult> Relayer::pull_chunks(
+    rpc::Server* server, chain::Height height, const std::string& event_type,
+    const std::vector<ibc::Sequence>& seqs) {
+  const Step pull_step = event_type == "send_packet" ? Step::kTransferDataPull
+                                                     : Step::kRecvDataPull;
+  bool failed = false;
+  for (std::size_t begin = 0;; begin += kEventQueryChunk) {
+    if (config_.skip_satisfied_chunks) {
+      // Chunk queries return whole transactions, so one response often
+      // covers sequences of later chunks; Hermes still issues those queries
+      // (the redundancy the paper's Fig. 12 pull times include) — skipping
+      // them is an opt-in mitigation.
+      while (begin < seqs.size() &&
+             chunk_satisfied(event_type, seqs, begin,
+                             std::min(begin + kEventQueryChunk, seqs.size()))) {
+        bump(&Stats::chunk_queries_skipped);
+        begin += kEventQueryChunk;
+      }
+    }
+    if (begin >= seqs.size()) break;
+    const std::size_t end = std::min(begin + kEventQueryChunk, seqs.size());
+    const ibc::Sequence lo = seqs[begin];
+    const ibc::Sequence hi = seqs[end - 1];
+
+    bump(&Stats::chunk_queries);
+    const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
+        [&](auto resume) {
+          cache_.query_packet_events(*server, config_.machine, height,
+                                     event_type, lo, hi, std::move(resume));
+        });
+    if (!running_) co_await sim::abandon();
+    // Host-side pull cost: scanning returned pages for packet events.
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
+    if (!res.is_ok()) {
+      // A failed chunk query used to vanish silently, leaving its packets
+      // stuck with no trace; count and log it, and report the pull as
+      // partial so callers can tell.
+      failed = true;
+      bump(&Stats::pull_query_failures);
+      IBC_LOG(kWarn, "relayer")
+          << event_type << " pull chunk [" << lo << ", " << hi
+          << "] at height " << height
+          << " failed: " << res.status().to_string();
+      continue;
+    }
+    for (const rpc::TxResponse& tx : res.value().txs) {
+      for (const chain::Event& ev : tx.result.events) {
+        if (ev.type != event_type) continue;
+        const ibc::PacketEvent* pe = ibc::packet_event(ev);
+        if (!pe || pe->packet.source_channel != path_.channel_a) continue;
+        const ibc::Packet& pkt = pe->packet;
+        const auto it = packets_.find(pkt.sequence);
+        if (it == packets_.end()) continue;
+        PacketState& st = it->second;
+        // A chunk query returns whole transactions, so events for sequences
+        // outside the chunk ride along; process (and log) each packet's
+        // pull exactly once.
+        if (event_type == "send_packet") {
+          if (st.stage == Stage::kExtracted) {
+            record(pull_step, pkt.sequence);
+            st.packet = pkt;
+            st.stage = Stage::kPulled;
+          }
+        } else {  // write_acknowledgement
+          if (st.ack.has_value()) continue;
+          if (!st.packet) st.packet = pkt;
+          ibc::Acknowledgement ack;
+          if (ibc::Acknowledgement::decode(pe->ack, ack)) {
+            record(pull_step, pkt.sequence);
+            st.ack = std::move(ack);
+            st.ack_decode_failed = false;
+          } else {
+            // Malformed packet_ack payload: without the decoded ack this
+            // packet cannot be acknowledged. Count it, drop any cached copy
+            // of the bad page, and let the ack batch's completion handler
+            // schedule a bounded re-pull.
+            bump(&Stats::ack_decode_failures);
+            st.ack_decode_failed = true;
+            cache_.invalidate_page(*server, height, event_type, lo, hi);
+            IBC_LOG(kWarn, "relayer")
+                << "undecodable packet_ack for sequence " << pkt.sequence
+                << " at height " << height;
+          }
+        }
+      }
     }
   }
-  if (begin >= seqs.size()) {
-    done(seqs.empty()     ? PullResult::kNothingToPull
-         : any_failed     ? PullResult::kPartialFailure
-                          : PullResult::kComplete);
-    return;
-  }
-  const std::size_t end = std::min(begin + chunk, seqs.size());
-  const ibc::Sequence lo = seqs[begin];
-  const ibc::Sequence hi = seqs[end - 1];
-  const Step pull_step = event_type == "send_packet"
-                             ? Step::kTransferDataPull
-                             : Step::kRecvDataPull;
-
-  bump(&Stats::chunk_queries);
-  cache_.query_packet_events(
-      *server, config_.machine, height, event_type, lo, hi,
-      [this, server, height, event_type, seqs = std::move(seqs), chunk_index,
-       any_failed, done = std::move(done), pull_step, lo, hi](
-          util::Result<rpc::TxSearchPage> res) mutable {
-        if (!running_) return;
-        // Host-side pull cost: scanning returned pages for packet events.
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
-        bool failed = any_failed;
-        if (res.is_ok()) {
-          for (const rpc::TxResponse& tx : res.value().txs) {
-            for (const chain::Event& ev : tx.result.events) {
-              if (ev.type != event_type) continue;
-              const ibc::PacketEvent* pe = ibc::packet_event(ev);
-              if (!pe || pe->packet.source_channel != path_.channel_a) {
-                continue;
-              }
-              const ibc::Packet& pkt = pe->packet;
-              const auto it = packets_.find(pkt.sequence);
-              if (it == packets_.end()) continue;
-              PacketState& st = it->second;
-              // A chunk query returns whole transactions, so events for
-              // sequences outside the chunk ride along; process (and log)
-              // each packet's pull exactly once.
-              if (event_type == "send_packet") {
-                if (st.stage == Stage::kExtracted) {
-                  record(pull_step, pkt.sequence);
-                  st.packet = pkt;
-                  st.stage = Stage::kPulled;
-                }
-              } else {  // write_acknowledgement
-                if (st.ack.has_value()) continue;
-                if (!st.packet) st.packet = pkt;
-                ibc::Acknowledgement ack;
-                if (ibc::Acknowledgement::decode(pe->ack, ack)) {
-                  record(pull_step, pkt.sequence);
-                  st.ack = std::move(ack);
-                  st.ack_decode_failed = false;
-                } else {
-                  // Malformed packet_ack payload: without the decoded ack
-                  // this packet cannot be acknowledged. Count it, drop any
-                  // cached copy of the bad page, and let the ack batch's
-                  // completion handler schedule a bounded re-pull.
-                  bump(&Stats::ack_decode_failures);
-                  st.ack_decode_failed = true;
-                  cache_.invalidate_page(*server, height, event_type, lo, hi);
-                  IBC_LOG(kWarn, "relayer")
-                      << "undecodable packet_ack for sequence "
-                      << pkt.sequence << " at height " << height;
-                }
-              }
-            }
-          }
-        } else {
-          // A failed chunk query used to vanish silently, leaving its
-          // packets stuck with no trace; count and log it, and report the
-          // pull as partial so callers can tell.
-          failed = true;
-          bump(&Stats::pull_query_failures);
-          IBC_LOG(kWarn, "relayer")
-              << event_type << " pull chunk [" << lo << ", " << hi
-              << "] at height " << height
-              << " failed: " << res.status().to_string();
-        }
-        pull_chunks(server, height, event_type, std::move(seqs),
-                    chunk_index + 1, failed, std::move(done));
-      });
+  co_return seqs.empty() ? PullResult::kNothingToPull
+         : failed        ? PullResult::kPartialFailure
+                         : PullResult::kComplete;
 }
 
 // --- Gas ------------------------------------------------------------------------
@@ -608,291 +596,192 @@ std::uint64_t Relayer::estimate_gas(std::size_t updates,
   return static_cast<std::uint64_t>(std::ceil(raw * config_.gas_headroom));
 }
 
-// --- Client updates ----------------------------------------------------------------
-
-void Relayer::fetch_update(rpc::Server* server, const ibc::ClientId& client_id,
-                           chain::Height height,
-                           std::function<void(std::optional<chain::Msg>)> cb) {
-  // Headers are immutable once committed — ideal cache fodder: every tx in a
-  // batch containing the same proof height re-fetches the same header.
-  cache_.query_header(
-      *server, config_.machine, height,
-      [client_id, cb = std::move(cb)](
-          util::Result<rpc::Server::HeaderInfo> res) {
-        if (!res.is_ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
-        const rpc::Server::HeaderInfo& info = res.value();
-        ibc::Header header;
-        header.chain_id = info.header.chain_id;
-        header.height = info.header.height;
-        header.time = info.header.time;
-        header.app_hash_after = info.app_hash_after;
-        header.validators_hash = info.header.validators_hash;
-        header.block_id = chain::BlockId{info.header.hash()};
-        header.commit = info.commit;
-        ibc::MsgUpdateClient update;
-        update.client_id = client_id;
-        update.header = std::move(header);
-        cb(update.to_msg());
-      });
-}
-
 // --- Relay and ack batches ---------------------------------------------------
 
-void Relayer::run(RelayBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kExtracted);
-  if (seqs.empty()) {
-    done();
-    return;
-  }
+sim::Task<> Relayer::run(RelayBatchOp op) {
+  const std::vector<ibc::Sequence> seqs =
+      in_stage(op.seqs, Stage::kExtracted);
+  if (seqs.empty()) co_return;
   if (relay_batch_hist_) {
     relay_batch_hist_->observe(static_cast<double>(seqs.size()));
   }
-  auto after_pull = [this, seqs, done = std::move(done)](PullResult pr) mutable {
-    std::vector<ibc::Sequence> pulled = in_stage(seqs, Stage::kPulled);
-    if (pr == PullResult::kPartialFailure) {
-      // Per-chunk errors were already counted/logged; packets left in
-      // kExtracted are rediscovered by the next clear pass.
-      IBC_LOG(kWarn, "relayer")
-          << "relay batch pull incomplete: " << pulled.size() << "/"
-          << seqs.size() << " packets pulled";
-    }
-    if (pulled.empty()) {
-      done();
-      return;
-    }
-    build_and_submit(recv_leg_, std::move(pulled), std::move(done));
-  };
-  pull_chunks(a_.server, op.src_height, "send_packet", std::move(seqs), 0,
-              /*any_failed=*/false, std::move(after_pull));
+  const PullResult pr =
+      co_await pull_chunks(a_.server, op.src_height, "send_packet", seqs);
+  std::vector<ibc::Sequence> pulled = in_stage(seqs, Stage::kPulled);
+  if (pr == PullResult::kPartialFailure) {
+    // Per-chunk errors were already counted/logged; packets left in
+    // kExtracted are rediscovered by the next clear pass.
+    IBC_LOG(kWarn, "relayer")
+        << "relay batch pull incomplete: " << pulled.size() << "/"
+        << seqs.size() << " packets pulled";
+  }
+  if (!pulled.empty()) co_await build_and_submit(recv_leg_, std::move(pulled));
 }
 
-void Relayer::run(AckBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kRecvDone);
-  if (seqs.empty()) {
-    done();
-    return;
-  }
+sim::Task<> Relayer::run(AckBatchOp op) {
+  const std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kRecvDone);
+  if (seqs.empty()) co_return;
   if (ack_batch_hist_) {
     ack_batch_hist_->observe(static_cast<double>(seqs.size()));
   }
-  auto after_pull = [this, seqs, dst_height = op.dst_height,
-                     done = std::move(done)](PullResult pr) mutable {
-    std::vector<ibc::Sequence> ready;
-    std::vector<ibc::Sequence> repull;
-    for (ibc::Sequence s : seqs) {
-      const auto it = packets_.find(s);
-      if (it == packets_.end()) continue;
-      PacketState& ps = it->second;
-      if (ps.stage == Stage::kRecvDone && ps.packet && ps.ack) {
-        ready.push_back(s);
-      } else if (ps.stage == Stage::kRecvDone && ps.ack_decode_failed) {
-        // The write_ack event came back with an undecodable packet_ack;
-        // re-pull after a backoff (a fresh query usually delivers an intact
-        // payload) instead of stranding the packet until timeout scan.
-        if (++ps.ack_repulls >
-            static_cast<std::uint8_t>(config_.max_submit_failures)) {
-          abandon_packet(s, ps, "undecodable packet_ack");
-        } else {
-          repull.push_back(s);
-        }
+  const PullResult pr = co_await pull_chunks(b_.server, op.dst_height,
+                                             "write_acknowledgement", seqs);
+  std::vector<ibc::Sequence> ready;
+  std::vector<ibc::Sequence> repull;
+  for (ibc::Sequence s : seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    PacketState& ps = it->second;
+    if (ps.stage == Stage::kRecvDone && ps.packet && ps.ack) {
+      ready.push_back(s);
+    } else if (ps.stage == Stage::kRecvDone && ps.ack_decode_failed) {
+      // The write_ack event came back with an undecodable packet_ack;
+      // re-pull after a backoff (a fresh query usually delivers an intact
+      // payload) instead of stranding the packet until timeout scan.
+      if (++ps.ack_repulls >
+          static_cast<std::uint8_t>(config_.max_submit_failures)) {
+        abandon_packet(s, ps, "undecodable packet_ack");
+      } else {
+        repull.push_back(s);
       }
     }
-    if (pr == PullResult::kPartialFailure) {
-      IBC_LOG(kWarn, "relayer")
-          << "ack batch pull incomplete: " << ready.size() << "/"
-          << seqs.size() << " acks pulled";
-    }
-    if (!repull.empty()) {
-      sched_.schedule_after(config_.ack_repull_backoff,
-                            [this, dst_height, repull = std::move(repull)] {
-                              if (!running_) return;
-                              enqueue(AckBatchOp{dst_height, repull});
-                            });
-    }
-    if (ready.empty()) {
-      done();
-      return;
-    }
-    build_and_submit(ack_leg_, std::move(ready), std::move(done));
-  };
-  pull_chunks(b_.server, op.dst_height, "write_acknowledgement",
-              std::move(seqs), 0, /*any_failed=*/false, std::move(after_pull));
+  }
+  if (pr == PullResult::kPartialFailure) {
+    IBC_LOG(kWarn, "relayer") << "ack batch pull incomplete: " << ready.size()
+                              << "/" << seqs.size() << " acks pulled";
+  }
+  if (!repull.empty()) {
+    sched_.schedule_after(config_.ack_repull_backoff,
+                          [this, dst_height = op.dst_height,
+                           repull = std::move(repull)] {
+                            if (!running_) return;
+                            enqueue(AckBatchOp{dst_height, repull});
+                          });
+  }
+  if (!ready.empty()) co_await build_and_submit(ack_leg_, std::move(ready));
 }
 
-void Relayer::run(RetryRecvOp op, std::function<void()> done) {
-  build_and_submit(recv_leg_, std::move(op.seqs), std::move(done));
+sim::Task<> Relayer::run(RetryRecvOp op) {
+  return build_and_submit(recv_leg_, std::move(op.seqs));
 }
 
-void Relayer::run(RetryAckOp op, std::function<void()> done) {
-  build_and_submit(ack_leg_, std::move(op.seqs), std::move(done));
+sim::Task<> Relayer::run(RetryAckOp op) {
+  return build_and_submit(ack_leg_, std::move(op.seqs));
 }
 
 // --- Build and submit (both legs) --------------------------------------------
 
-void Relayer::build_and_submit(const Leg& leg, std::vector<ibc::Sequence> seqs,
-                               std::function<void()> done) {
+sim::Task<> Relayer::build_and_submit(const Leg& leg,
+                                      std::vector<ibc::Sequence> seqs) {
   // Stage 1: per-packet proof queries (sequential — the RPC node serves one
   // request at a time anyway) + per-message CPU.
-  struct BuildState {
-    std::vector<ibc::Sequence> seqs;
-    std::size_t next = 0;
-    std::vector<BuiltMsg> msgs;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<BuildState>();
-  st->seqs = std::move(seqs);
-  st->done = std::move(done);
-
-  run_chain([this, &leg, st](const StepFn& step) {
-    if (!running_) return;
-    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-    if (st->next >= st->seqs.size()) {
-      release_later(step);
-      // Stage 2: group into transactions and submit.
-      if (st->msgs.empty()) {
-        st->done();
-      } else {
-        send_txs(leg, std::move(st->msgs), std::move(st->done));
-      }
-      return;
-    }
-
-    const ibc::Sequence seq = st->seqs[st->next++];
+  std::vector<BuiltMsg> msgs;
+  for (auto next = seqs.begin();; ++next) {
+    if (!running_) co_await sim::abandon();
+    if (next == seqs.end()) break;
+    const ibc::Sequence seq = *next;
     const auto it = packets_.find(seq);
     if (it == packets_.end() || it->second.stage != leg.ready ||
         !has_msg_data(leg, it->second)) {
-      if (*step) (*step)();
-      return;
+      continue;
     }
-    cache_.abci_query(
-        *leg.server, config_.machine,
-        leg.proof_key(path_.port, leg.proof_channel, seq), /*prove=*/true,
-        [this, &leg, st, step, seq](
-            util::Result<rpc::Server::AbciQueryResult> res) {
-          if (!running_) return;
-          telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-          const auto it2 = packets_.find(seq);
-          if (!res.is_ok() || !res.value().exists || it2 == packets_.end() ||
-              !has_msg_data(leg, it2->second)) {
-            // Proven state gone (acked/timed out already) or query failed.
-            if (*step) (*step)();
-            return;
-          }
-          st->msgs.push_back((this->*leg.make_msg)(it2->second, res.value()));
-          // Per-message assembly CPU, then the next packet.
-          sched_.schedule_after(config_.build_cpu_per_msg,
-                                [this, &leg, step, seq] {
-                                  record(leg.build, seq);
-                                  if (*step) (*step)();
-                                });
-        });
-  });
+    const auto res =
+        co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
+            [&](auto resume) {
+              cache_.abci_query(
+                  *leg.server, config_.machine,
+                  leg.proof_key(path_.port, leg.proof_channel, seq),
+                  /*prove=*/true, std::move(resume));
+            });
+    if (!running_) co_await sim::abandon();
+    {
+      telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
+      const auto it2 = packets_.find(seq);
+      if (!res.is_ok() || !res.value().exists || it2 == packets_.end() ||
+          !has_msg_data(leg, it2->second)) {
+        // Proven state gone (acked/timed out already) or query failed.
+        continue;
+      }
+      msgs.push_back((this->*leg.make_msg)(it2->second, res.value()));
+    }
+    // Per-message assembly CPU, then the next packet.
+    co_await sim::delay(sched_, kBuildCpuPerMsg);
+    record(leg.build, seq);
+  }
+  parity_event();
+  // Stage 2: group into transactions and submit.
+  if (!msgs.empty()) co_await send_txs(leg, std::move(msgs));
 }
 
-void Relayer::send_txs(const Leg& leg, std::vector<BuiltMsg> msgs,
-                       std::function<void()> done) {
-  struct SendState {
-    std::vector<BuiltMsg> msgs;
-    std::size_t next = 0;
-    std::function<void()> done;
-  };
-  auto send = std::make_shared<SendState>();
-  send->msgs = std::move(msgs);
-  send->done = std::move(done);
-
-  run_chain([this, &leg, send](const StepFn& step) {
-    if (send->next >= send->msgs.size()) {
-      release_later(step);
-      send->done();
-      return;
-    }
-    if (!running_) return;
-    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-    const std::size_t begin = send->next;
-    send->next = std::min(begin + config_.max_msgs_per_tx, send->msgs.size());
+sim::Task<> Relayer::send_txs(const Leg& leg, std::vector<BuiltMsg> msgs) {
+  for (std::size_t begin = 0; begin < msgs.size();) {
+    if (!running_) co_await sim::abandon();
+    const std::size_t end = std::min(begin + kMaxMsgsPerTx, msgs.size());
     std::vector<BuiltMsg> tx;
     std::vector<ibc::Sequence> tx_seqs;
-    for (std::size_t i = begin; i < send->next; ++i) {
-      tx_seqs.push_back(send->msgs[i].seq);
-      tx.push_back(std::move(send->msgs[i]));
+    for (std::size_t i = begin; i < end; ++i) {
+      tx_seqs.push_back(msgs[i].seq);
+      tx.push_back(std::move(msgs[i]));
     }
+    begin = end;
+    TxPlan plan = co_await with_client_updates(leg, std::move(tx));
     // The pipeline advances to the next tx as soon as this one is in the
     // mempool (optimistic submission); the commit callback only does
-    // bookkeeping. `advanced` guards the pipeline continuation if the
-    // broadcast itself fails.
-    auto advanced = std::make_shared<bool>(false);
-    const auto advance = [step, advanced] {
-      if (*advanced) return;
-      *advanced = true;
-      if (*step) (*step)();
-    };
-    submit_tx(
-        leg, std::move(tx),
-        [this, &leg, tx_seqs, advance](const Wallet::SubmitOutcome& out) {
-          if (!running_) return;
-          (this->*leg.committed)(tx_seqs, out);
-          advance();
-        },
-        [this, &leg, tx_seqs, advance] {
-          for (ibc::Sequence s : tx_seqs) {
-            record(leg.broadcast, s);
-            const auto it = packets_.find(s);
-            if (it != packets_.end() && it->second.stage == leg.ready) {
-              it->second.stage = leg.in_flight;
+    // bookkeeping, and advances the pipeline itself if the broadcast fails.
+    co_await sim::callback([&](sim::Resume<> advance) {
+      telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
+      leg.wallet->submit(
+          std::move(plan.msgs), plan.gas,
+          [this, &leg, tx_seqs, advance](const Wallet::SubmitOutcome& out) {
+            if (!running_) return;
+            (this->*leg.committed)(tx_seqs, out);
+            advance();
+          },
+          [this, &leg, tx_seqs, advance] {
+            for (ibc::Sequence s : tx_seqs) {
+              record(leg.broadcast, s);
+              const auto it = packets_.find(s);
+              if (it != packets_.end() && it->second.stage == leg.ready) {
+                it->second.stage = leg.in_flight;
+              }
             }
-          }
-          advance();
-        });
-  });
+            advance();
+          });
+    });
+  }
+  parity_event();
 }
 
-void Relayer::submit_tx(const Leg& leg, std::vector<BuiltMsg> msgs,
-                        Wallet::SubmitCallback on_commit,
-                        std::function<void()> on_broadcast) {
-  struct SubmitState {
-    std::vector<chain::Height> heights;  // distinct proof heights, ascending
-    std::size_t next = 0;
-    std::vector<chain::Msg> tx;  // the client updates, then the messages
-    std::vector<BuiltMsg> msgs;
-    Wallet::SubmitCallback on_commit;
-    std::function<void()> on_broadcast;
-  };
-  auto sub = std::make_shared<SubmitState>();
-  for (const BuiltMsg& m : msgs) {
-    if (std::find(sub->heights.begin(), sub->heights.end(), m.proof_height) ==
-        sub->heights.end()) {
-      sub->heights.push_back(m.proof_height);
+sim::Task<Relayer::TxPlan> Relayer::with_client_updates(
+    const Leg& leg, std::vector<BuiltMsg> msgs) {
+  std::vector<chain::Height> heights;  // distinct proof heights, ascending
+  for (const BuiltMsg& m : msgs) heights.push_back(m.proof_height);
+  std::sort(heights.begin(), heights.end());
+  heights.erase(std::unique(heights.begin(), heights.end()), heights.end());
+  TxPlan plan;
+  for (const chain::Height height : heights) {
+    // Headers are immutable once committed — ideal cache fodder: every tx in
+    // a batch containing the same proof height re-fetches the same header.
+    const auto res =
+        co_await sim::callback<util::Result<rpc::Server::HeaderInfo>>(
+            [&](auto resume) {
+              cache_.query_header(*leg.server, config_.machine, height,
+                                  std::move(resume));
+            });
+    if (res.is_ok()) {
+      telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
+      plan.msgs.push_back(update_client_msg(leg.client, res.value()));
     }
   }
-  std::sort(sub->heights.begin(), sub->heights.end());
-  sub->msgs = std::move(msgs);
-  sub->on_commit = std::move(on_commit);
-  sub->on_broadcast = std::move(on_broadcast);
-
-  run_chain([this, &leg, sub](const StepFn& step) {
-    if (sub->next < sub->heights.size()) {
-      fetch_update(leg.server, leg.client, sub->heights[sub->next++],
-                   [sub, step](std::optional<chain::Msg> u) {
-                     if (u) sub->tx.push_back(std::move(*u));
-                     if (*step) (*step)();
-                   });
-      return;
-    }
-    release_later(step);
-    const std::size_t updates = sub->tx.size();
-    std::uint64_t msgs_gas = 0;
-    for (BuiltMsg& m : sub->msgs) {
-      msgs_gas += m.gas;
-      sub->tx.push_back(std::move(m.msg));
-    }
-    leg.wallet->submit(std::move(sub->tx), estimate_gas(updates, msgs_gas),
-                       std::move(sub->on_commit),
-                       std::move(sub->on_broadcast));
-  });
+  parity_event();
+  const std::size_t updates = plan.msgs.size();
+  std::uint64_t msgs_gas = 0;
+  for (BuiltMsg& m : msgs) {
+    msgs_gas += m.gas;
+    plan.msgs.push_back(std::move(m.msg));
+  }
+  plan.gas = estimate_gas(updates, msgs_gas);
+  co_return std::move(plan);
 }
 
 // --- Per-direction message constructors and commit bookkeeping ---------------
@@ -942,8 +831,7 @@ void Relayer::recv_committed(const std::vector<ibc::Sequence>& seqs,
     } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
       bump(&Stats::redundant_errors);
       if (ps.stage != Stage::kRecvInFlight) continue;
-      if (ps.recv_retries <
-          static_cast<std::uint8_t>(config_.max_packet_retries)) {
+      if (ps.recv_retries < kMaxPacketRetries) {
         // Hermes retries the failed batch, rebuilding the proofs and
         // resubmitting (wasted work when another relayer actually delivered
         // the packets); the cap bounds what used to be a one-shot set.
@@ -981,7 +869,7 @@ void Relayer::recv_committed(const std::vector<ibc::Sequence>& seqs,
   if (ws_wedged_b_ && !recv_done.empty()) {
     enqueue(AckBatchOp{out.height, std::move(recv_done)});
   }
-  if (!retry_seqs.empty()) enqueue_retry(RetryRecvOp{std::move(retry_seqs)});
+  if (!retry_seqs.empty()) enqueue(RetryRecvOp{std::move(retry_seqs)});
 }
 
 void Relayer::ack_committed(const std::vector<ibc::Sequence>& seqs,
@@ -998,8 +886,7 @@ void Relayer::ack_committed(const std::vector<ibc::Sequence>& seqs,
     } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
       bump(&Stats::redundant_errors);
       if (ps.stage == Stage::kAckInFlight &&
-          ps.ack_retries <
-              static_cast<std::uint8_t>(config_.max_packet_retries)) {
+          ps.ack_retries < kMaxPacketRetries) {
         ++ps.ack_retries;
         ps.stage = Stage::kRecvDone;  // rebuild + resubmit
         retry_seqs.push_back(s);
@@ -1022,268 +909,231 @@ void Relayer::ack_committed(const std::vector<ibc::Sequence>& seqs,
       if (ps.stage == Stage::kRecvDone) ps.ack_tx_failed = true;
     }
   }
-  if (!retry_seqs.empty()) enqueue_retry(RetryAckOp{std::move(retry_seqs)});
+  if (!retry_seqs.empty()) enqueue(RetryAckOp{std::move(retry_seqs)});
 }
 
 // --- Timeouts --------------------------------------------------------------------
 
-void Relayer::run(TimeoutBatchOp op, std::function<void()> done) {
+sim::Task<> Relayer::run(TimeoutBatchOp op) {
   // Timeouts keep their own proof loop: the non-existence proofs are never
   // cached, cost no build CPU, all go into one tx, and the op ends only when
   // that tx commits. Timeout volume is small in practice.
-  struct BuildState {
-    std::vector<ibc::Sequence> seqs;
-    std::size_t next = 0;
-    std::vector<BuiltMsg> msgs;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<BuildState>();
-  st->seqs = std::move(op.seqs);
-  st->done = std::move(done);
-
-  run_chain([this, st](const StepFn& step) {
-    if (!running_) return;
-    if (st->next >= st->seqs.size()) {
-      release_later(step);
-      if (st->msgs.empty()) {
-        st->done();
-        return;
-      }
-      std::vector<ibc::Sequence> tx_seqs;
-      for (const BuiltMsg& m : st->msgs) tx_seqs.push_back(m.seq);
-      submit_tx(
-          ack_leg_, std::move(st->msgs),
-          [this, tx_seqs, done = st->done](const Wallet::SubmitOutcome& out) {
-            if (!running_) return;
-            for (ibc::Sequence s : tx_seqs) {
-              const auto it = packets_.find(s);
-              if (it == packets_.end()) continue;
-              if (out.status.is_ok()) {
-                bump(&Stats::packets_timed_out);
-                it->second.stage = Stage::kTimedOut;
-              } else if (out.status.code() ==
-                         util::ErrorCode::kRedundantPacket) {
-                bump(&Stats::redundant_errors);
-                it->second.stage = Stage::kTimedOut;
-              }
-              timeout_candidates_.erase(s);
-            }
-            done();
-          },
-          {});
-      return;
-    }
-
-    const ibc::Sequence seq = st->seqs[st->next++];
+  std::vector<BuiltMsg> msgs;
+  for (auto next = op.seqs.begin();; ++next) {
+    if (!running_) co_await sim::abandon();
+    if (next == op.seqs.end()) break;
+    const ibc::Sequence seq = *next;
     const auto it = packets_.find(seq);
     if (it == packets_.end() || it->second.stage != Stage::kPulled ||
         !it->second.packet) {
-      if (*step) (*step)();
-      return;
+      continue;
     }
     // Non-existence proof of the receipt on the destination chain. Never
     // cached: a receipt can appear at any commit, and a stale "not received"
     // answer would produce a doomed MsgTimeout (timeouts are rare, so there
     // is no win to chase either).
-    b_.server->abci_query(
-        config_.machine,
-        ibc::host::packet_receipt_key(path_.port, path_.channel_b, seq),
-        /*prove=*/true,
-        [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
-          if (!running_) return;
-          const auto it2 = packets_.find(seq);
-          if (res.is_ok() && !res.value().exists && it2 != packets_.end() &&
-              it2->second.packet) {
-            ibc::MsgTimeout msg;
-            msg.packet = *it2->second.packet;
-            msg.proof_unreceived = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back({msg.packet.sequence, res.value().height,
-                                msg.to_msg(), gas_.timeout});
-          }
-          if (*step) (*step)();
-        });
-  });
+    const auto res =
+        co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
+            [&](auto resume) {
+              b_.server->abci_query(
+                  config_.machine,
+                  ibc::host::packet_receipt_key(path_.port, path_.channel_b,
+                                                seq),
+                  /*prove=*/true, std::move(resume));
+            });
+    if (!running_) co_await sim::abandon();
+    const auto it2 = packets_.find(seq);
+    if (res.is_ok() && !res.value().exists && it2 != packets_.end() &&
+        it2->second.packet) {
+      ibc::MsgTimeout msg;
+      msg.packet = *it2->second.packet;
+      msg.proof_unreceived = res.value().proof;
+      msg.proof_height = res.value().height;
+      msgs.push_back({msg.packet.sequence, res.value().height, msg.to_msg(),
+                      gas_.timeout});
+    }
+  }
+  parity_event();
+  if (msgs.empty()) co_return;
+  std::vector<ibc::Sequence> tx_seqs;
+  for (const BuiltMsg& m : msgs) tx_seqs.push_back(m.seq);
+  TxPlan plan = co_await with_client_updates(ack_leg_, std::move(msgs));
+  const auto out =
+      co_await sim::callback<Wallet::SubmitOutcome>([&](auto resume) {
+        ack_leg_.wallet->submit(std::move(plan.msgs), plan.gas,
+                                std::move(resume));
+      });
+  if (!running_) co_await sim::abandon();
+  for (ibc::Sequence s : tx_seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    if (out.status.is_ok()) {
+      bump(&Stats::packets_timed_out);
+      it->second.stage = Stage::kTimedOut;
+    } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
+      bump(&Stats::redundant_errors);
+      it->second.stage = Stage::kTimedOut;
+    }
+    timeout_candidates_.erase(s);
+  }
 }
 
 // --- Clearing ---------------------------------------------------------------------
 
-void Relayer::run(ClearOp op, std::function<void()> done) {
+sim::Task<> Relayer::run(ClearOp op) {
   // 1. Enumerate outstanding commitments on the source chain.
   const std::string prefix =
       ibc::host::packet_commitment_prefix(path_.port, path_.channel_a);
-  a_.server->abci_query_prefix(
-      config_.machine, prefix,
-      [this, op, prefix, done = std::move(done)](
-          std::vector<std::string> keys) mutable {
-        if (!running_) return;
-        std::vector<ibc::Sequence> unknown;
-        std::vector<ibc::Sequence> stuck_acks;
-        bool ackless = false;
-        for (const std::string& key : keys) {
-          const ibc::Sequence seq =
-              std::strtoull(key.c_str() + prefix.size(), nullptr, 10);
-          if (seq == 0) continue;
-          const auto it = packets_.find(seq);
-          if (it == packets_.end()) {
-            // Never seen (e.g. lost in an oversized WebSocket frame). Under
-            // coordination, only adopt strays this instance owns — the
-            // owning peer's own clear pass covers the rest.
-            if (!admits(seq, last_seen_a_height_)) continue;
-            packets_.emplace(seq, PacketState{});
-            unknown.push_back(seq);
-          } else if (it->second.stage == Stage::kPulled ||
-                     it->second.stage == Stage::kExtracted) {
-            // kPulled: stalled after a failed submit — retry relay.
-            // kExtracted: seen in a frame but the data pull never delivered
-            // (every chunk query for it errored); without this the packet
-            // was stuck forever while its commitment sat on chain.
-            unknown.push_back(seq);
-          } else if (it->second.stage == Stage::kRecvDone &&
-                     it->second.packet && it->second.ack &&
-                     it->second.ack_tx_failed) {
-            // Recv committed but the ack tx failed (e.g. censored or
-            // unreachable source mempool) and nothing re-drives it: the
-            // write_ack event fires exactly once. The commitment is still
-            // outstanding, so clearing redelivers the ack — Hermes' clear
-            // sweeps unreceived acks for the same reason. The ack_tx_failed
-            // gate matters: kRecvDone with packet+ack is also the transient
-            // state of a healthy ack mid-build (stage only advances at
-            // broadcast), and redriving those duplicates work on every
-            // clear pass without bound.
-            it->second.ack_tx_failed = false;
-            stuck_acks.push_back(seq);
-          } else if (it->second.stage == Stage::kRecvDone &&
-                     !it->second.ack) {
-            // Recv committed but the write_ack event was missed (crash
-            // window, dropped frame, or another relayer delivered it while
-            // this one was down) so the ack value was never pulled. It is
-            // sitting on the destination chain — recover it with an ack
-            // scan, same as the startup path.
-            ackless = true;
+  const auto keys =
+      co_await sim::callback<std::vector<std::string>>([&](auto resume) {
+        a_.server->abci_query_prefix(config_.machine, prefix,
+                                     std::move(resume));
+      });
+  if (!running_) co_await sim::abandon();
+  std::vector<ibc::Sequence> unknown;
+  std::vector<ibc::Sequence> stuck_acks;
+  bool ackless = false;
+  for (const std::string& key : keys) {
+    const ibc::Sequence seq =
+        std::strtoull(key.c_str() + prefix.size(), nullptr, 10);
+    if (seq == 0) continue;
+    const auto it = packets_.find(seq);
+    if (it == packets_.end()) {
+      // Never seen (e.g. lost in an oversized WebSocket frame). Under
+      // coordination, only adopt strays this instance owns — the owning
+      // peer's own clear pass covers the rest.
+      if (!admits(seq, last_seen_a_height_)) continue;
+      packets_.emplace(seq, PacketState{});
+      unknown.push_back(seq);
+    } else if (it->second.stage == Stage::kPulled ||
+               it->second.stage == Stage::kExtracted) {
+      // kPulled: stalled after a failed submit — retry relay.
+      // kExtracted: seen in a frame but the data pull never delivered
+      // (every chunk query for it errored); without this the packet was
+      // stuck forever while its commitment sat on chain.
+      unknown.push_back(seq);
+    } else if (it->second.stage == Stage::kRecvDone && it->second.packet &&
+               it->second.ack && it->second.ack_tx_failed) {
+      // Recv committed but the ack tx failed (e.g. censored or unreachable
+      // source mempool) and nothing re-drives it: the write_ack event fires
+      // exactly once. The commitment is still outstanding, so clearing
+      // redelivers the ack — Hermes' clear sweeps unreceived acks for the
+      // same reason. The ack_tx_failed gate matters: kRecvDone with
+      // packet+ack is also the transient state of a healthy ack mid-build
+      // (stage only advances at broadcast), and redriving those duplicates
+      // work on every clear pass without bound.
+      it->second.ack_tx_failed = false;
+      stuck_acks.push_back(seq);
+    } else if (it->second.stage == Stage::kRecvDone && !it->second.ack) {
+      // Recv committed but the write_ack event was missed (crash window,
+      // dropped frame, or another relayer delivered it while this one was
+      // down) so the ack value was never pulled. It is sitting on the
+      // destination chain — recover it with an ack scan, same as the
+      // startup path.
+      ackless = true;
+    }
+  }
+  if (ackless) {
+    const chain::Height to = last_seen_b_height_ > 0 ? last_seen_b_height_ : 1;
+    enqueue(AckScanOp{rescan_from(to), to});
+  }
+  if (!unknown.empty()) {
+    std::sort(unknown.begin(), unknown.end());
+    // 2. Recover packet data with an (expensive) height-range scan.
+    const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
+        [&](auto resume) {
+          a_.server->query_packet_events_range(
+              config_.machine, op.scan_from, op.scan_to, "send_packet",
+              unknown.front(), unknown.back(), std::move(resume));
+        });
+    if (!running_) co_await sim::abandon();
+    if (!res.is_ok()) {
+      // Same defect class as the chunked pulls: a failed recovery scan used
+      // to disappear without a trace.
+      bump(&Stats::pull_query_failures);
+      IBC_LOG(kWarn, "relayer")
+          << "clear range scan failed: " << res.status().to_string();
+    } else {
+      for (const rpc::TxResponse& tx : res.value().txs) {
+        for (const chain::Event& ev : tx.result.events) {
+          if (ev.type != "send_packet") continue;
+          const ibc::PacketEvent* pe = ibc::packet_event(ev);
+          if (!pe || pe->packet.source_channel != path_.channel_a) continue;
+          const auto it = packets_.find(pe->packet.sequence);
+          if (it != packets_.end() && it->second.stage == Stage::kExtracted) {
+            it->second.src_height = tx.height;
+            it->second.packet = pe->packet;
+            it->second.stage = Stage::kPulled;
           }
         }
-        if (ackless) {
-          const chain::Height to =
-              last_seen_b_height_ > 0 ? last_seen_b_height_ : 1;
-          enqueue(AckScanOp{rescan_from(to), to});
-        }
-        if (!stuck_acks.empty()) {
-          std::sort(stuck_acks.begin(), stuck_acks.end());
-          done = [this, acks = std::move(stuck_acks),
-                  next = std::move(done)]() mutable {
-            build_and_submit(ack_leg_, std::move(acks), std::move(next));
-          };
-        }
-        if (unknown.empty()) {
-          done();
-          return;
-        }
-        std::sort(unknown.begin(), unknown.end());
-
-        // 2. Recover packet data with an (expensive) height-range scan.
-        const ibc::Sequence lo = unknown.front();
-        const ibc::Sequence hi = unknown.back();
-        a_.server->query_packet_events_range(
-            config_.machine, op.scan_from, op.scan_to, "send_packet", lo, hi,
-            [this, unknown, done = std::move(done)](
-                util::Result<rpc::TxSearchPage> res) mutable {
-              if (!running_) return;
-              if (!res.is_ok()) {
-                // Same defect class as the chunked pulls: a failed recovery
-                // scan used to disappear without a trace.
-                bump(&Stats::pull_query_failures);
-                IBC_LOG(kWarn, "relayer")
-                    << "clear range scan failed: " << res.status().to_string();
-              } else {
-                for (const rpc::TxResponse& tx : res.value().txs) {
-                  for (const chain::Event& ev : tx.result.events) {
-                    if (ev.type != "send_packet") continue;
-                    const ibc::PacketEvent* pe = ibc::packet_event(ev);
-                    if (!pe || pe->packet.source_channel != path_.channel_a) {
-                      continue;
-                    }
-                    const auto it = packets_.find(pe->packet.sequence);
-                    if (it != packets_.end() &&
-                        it->second.stage == Stage::kExtracted) {
-                      it->second.src_height = tx.height;
-                      it->second.packet = pe->packet;
-                      it->second.stage = Stage::kPulled;
-                    }
-                  }
-                }
-              }
-              std::vector<ibc::Sequence> ready =
-                  in_stage(unknown, Stage::kPulled);
-              if (ready.empty()) {
-                done();
-                return;
-              }
-              build_and_submit(recv_leg_, std::move(ready), std::move(done));
-            });
-      });
+      }
+    }
+    std::vector<ibc::Sequence> ready = in_stage(unknown, Stage::kPulled);
+    if (!ready.empty()) co_await build_and_submit(recv_leg_, std::move(ready));
+  }
+  // Stuck acks are redriven after the packets to relay.
+  if (!stuck_acks.empty()) {
+    std::sort(stuck_acks.begin(), stuck_acks.end());
+    co_await build_and_submit(ack_leg_, std::move(stuck_acks));
+  }
 }
 
 // --- Startup ack re-scan ----------------------------------------------------------
 
-void Relayer::run(AckScanOp op, std::function<void()> done) {
+sim::Task<> Relayer::run(AckScanOp op) {
   // Packets whose recv committed before the crash left a
   // write_acknowledgement event on the destination but no ack on the
   // source — and a restarted relayer has no in-memory PacketState for them,
   // so clearing would resubmit the recv (failing as redundant) instead of
   // the ack. Walk the window once and restore them to kRecvDone with their
   // decoded ack, then drive the acks.
-  b_.server->query_packet_events_range(
-      config_.machine, op.scan_from, op.scan_to, "write_acknowledgement",
-      /*seq_begin=*/1, /*seq_end=*/std::numeric_limits<std::uint64_t>::max(),
-      [this, done = std::move(done)](
-          util::Result<rpc::TxSearchPage> res) mutable {
-        if (!running_) return;
-        if (!res.is_ok()) {
-          bump(&Stats::pull_query_failures);
-          IBC_LOG(kWarn, "relayer")
-              << "startup ack scan failed: " << res.status().to_string();
-          done();
-          return;
-        }
-        std::vector<ibc::Sequence> ready;
-        for (const rpc::TxResponse& tx : res.value().txs) {
-          for (const chain::Event& ev : tx.result.events) {
-            if (ev.type != "write_acknowledgement") continue;
-            const ibc::PacketEvent* pe = ibc::packet_event(ev);
-            if (!pe || pe->packet.source_channel != path_.channel_a) {
-              continue;
-            }
-            const ibc::Sequence seq = pe->packet.sequence;
-            // An unseen packet this instance does not admit is a peer's to
-            // acknowledge.
-            if (!packets_.contains(seq) && !admits(seq, last_seen_a_height_)) {
-              continue;
-            }
-            PacketState& st = packets_[seq];  // inserts when unseen
-            if (st.stage == Stage::kAckInFlight || st.stage == Stage::kDone ||
-                st.stage == Stage::kTimedOut ||
-                st.stage == Stage::kAbandoned || st.ack.has_value()) {
-              continue;
-            }
-            ibc::Acknowledgement ack;
-            if (!ibc::Acknowledgement::decode(pe->ack, ack)) {
-              bump(&Stats::ack_decode_failures);
-              continue;
-            }
-            st.packet = pe->packet;
-            st.ack = std::move(ack);
-            st.stage = Stage::kRecvDone;
-            ready.push_back(seq);
-          }
-        }
-        if (ready.empty()) {
-          done();
-          return;
-        }
-        std::sort(ready.begin(), ready.end());
-        build_and_submit(ack_leg_, std::move(ready), std::move(done));
+  const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
+      [&](auto resume) {
+        b_.server->query_packet_events_range(
+            config_.machine, op.scan_from, op.scan_to,
+            "write_acknowledgement", /*seq_begin=*/1,
+            /*seq_end=*/std::numeric_limits<std::uint64_t>::max(),
+            std::move(resume));
       });
+  if (!running_) co_await sim::abandon();
+  if (!res.is_ok()) {
+    bump(&Stats::pull_query_failures);
+    IBC_LOG(kWarn, "relayer")
+        << "startup ack scan failed: " << res.status().to_string();
+    co_return;
+  }
+  std::vector<ibc::Sequence> ready;
+  for (const rpc::TxResponse& tx : res.value().txs) {
+    for (const chain::Event& ev : tx.result.events) {
+      if (ev.type != "write_acknowledgement") continue;
+      const ibc::PacketEvent* pe = ibc::packet_event(ev);
+      if (!pe || pe->packet.source_channel != path_.channel_a) continue;
+      const ibc::Sequence seq = pe->packet.sequence;
+      // An unseen packet this instance does not admit is a peer's to
+      // acknowledge.
+      if (!packets_.contains(seq) && !admits(seq, last_seen_a_height_)) {
+        continue;
+      }
+      PacketState& st = packets_[seq];  // inserts when unseen
+      if (st.stage == Stage::kAckInFlight || st.stage == Stage::kDone ||
+          st.stage == Stage::kTimedOut || st.stage == Stage::kAbandoned ||
+          st.ack.has_value()) {
+        continue;
+      }
+      ibc::Acknowledgement ack;
+      if (!ibc::Acknowledgement::decode(pe->ack, ack)) {
+        bump(&Stats::ack_decode_failures);
+        continue;
+      }
+      st.packet = pe->packet;
+      st.ack = std::move(ack);
+      st.stage = Stage::kRecvDone;
+      ready.push_back(seq);
+    }
+  }
+  if (ready.empty()) co_return;
+  std::sort(ready.begin(), ready.end());
+  co_await build_and_submit(ack_leg_, std::move(ready));
 }
 
 }  // namespace relayer

@@ -33,6 +33,7 @@
 #include "relayer/query_cache.hpp"
 #include "relayer/wallet.hpp"
 #include "rpc/server.hpp"
+#include "sim/task.hpp"
 
 namespace relayer {
 
@@ -54,12 +55,6 @@ struct PathConfig {
 
 struct RelayerConfig {
   net::MachineId machine = 0;
-  /// Hermes bundles at most 100 messages per transaction (§III-D).
-  std::size_t max_msgs_per_tx = 100;
-  /// Packet-event queries are chunked by sequence ranges of this size.
-  std::size_t event_query_chunk = 50;
-  /// CPU time to assemble one IBC message (proof decoding, encoding).
-  sim::Duration build_cpu_per_msg = sim::micros(1'500);
   /// Gas headroom multiplier over the estimated message gas.
   double gas_headroom = 1.15;
   double gas_price = 0.01;
@@ -83,18 +78,11 @@ struct RelayerConfig {
   /// Fig. 12 pull times were measured with them — this is a mitigation
   /// knob (exercised with the cache ablation), not a faithful behaviour.
   bool skip_satisfied_chunks = false;
-  /// Rebuild-and-resubmit retries per packet per direction after a
-  /// "redundant packet" batch failure (Hermes retries a failed batch once,
-  /// §IV-A).
-  int max_packet_retries = 1;
   /// Non-redundant submit failures (and malformed-ack re-pulls) tolerated
   /// per packet per direction before the relayer gives up on it; abandoned
   /// packets surface in Stats::abandoned_packets instead of looping through
   /// clearing forever.
   int max_submit_failures = 3;
-  /// Delay before a bounded redundant-packet retry op re-enters its lane.
-  /// 0 keeps the Hermes-faithful immediate re-enqueue.
-  sim::Duration retry_backoff = 0;
   /// Delay before re-pulling ack data after a malformed packet_ack event
   /// (decode failure); the fresh query usually returns an intact payload.
   sim::Duration ack_repull_backoff = sim::seconds(5);
@@ -103,13 +91,10 @@ struct RelayerConfig {
   /// table is in-memory only, so a restarted instance has lost every
   /// in-flight packet; with this on, start() scans the source chain's
   /// outstanding commitments (a clear pass) and the destination chain's
-  /// recent write_acknowledgement events (bounded by
-  /// `startup_rescan_depth` blocks) to rebuild it. Off by default: a
-  /// first start has nothing to recover and the extra queries would shift
-  /// every seeded timeline.
+  /// recent write_acknowledgement events (over the last 1,000 blocks) to
+  /// rebuild it. Off by default: a first start has nothing to recover and
+  /// the extra queries would shift every seeded timeline.
   bool startup_rescan = false;
-  /// How many destination blocks the startup ack re-scan walks back.
-  chain::Height startup_rescan_depth = 1'000;
   /// Fleet coordination (mitigation for Fig. 9's redundant-work loss):
   /// partitions packet ownership across relayer instances. kNone by default
   /// — ICS-18 relayers race, exactly as the paper measured.
@@ -128,6 +113,11 @@ struct RelayerConfig {
   std::uint16_t telemetry_hop = 0;
   WalletConfig wallet;  // accounts are filled per chain from ChainHandle
 };
+
+/// The MsgUpdateClient that moves `client_id` to the header a full node
+/// served (relayer client updates and the channel handshake's proofs).
+chain::Msg update_client_msg(const ibc::ClientId& client_id,
+                             const rpc::Server::HeaderInfo& info);
 
 /// Outcome of a chunked data pull (Relayer::pull_chunks).
 enum class PullResult : std::uint8_t {
@@ -303,27 +293,30 @@ class Relayer {
   // work; we model that as two sequential pumps running concurrently: the
   // recv path (queries chain A, submits to B) and the ack/timeout path
   // (queries chain B, submits to A). Each pump is internally sequential —
-  // blocks are handled in order, as the paper observes.
+  // blocks are handled in order, as the paper observes. An op runs as one
+  // task, which stops wherever it finds the relayer stopped.
   void enqueue(Op op);
   void pump(int lane);
-  // One handler per op kind; pump() dispatches on the alternative.
-  void run(RelayBatchOp op, std::function<void()> done);
-  void run(AckBatchOp op, std::function<void()> done);
-  void run(TimeoutBatchOp op, std::function<void()> done);
-  void run(ClearOp op, std::function<void()> done);
-  void run(RetryRecvOp op, std::function<void()> done);
-  void run(RetryAckOp op, std::function<void()> done);
+  /// Runs `op` to completion, then frees `lane` for its next op.
+  sim::Task<> run_op(int lane, Op op);
+  // One handler per op kind; run_op() dispatches on the alternative.
+  sim::Task<> run(RelayBatchOp op);
+  sim::Task<> run(AckBatchOp op);
+  sim::Task<> run(TimeoutBatchOp op);
+  sim::Task<> run(ClearOp op);
+  sim::Task<> run(RetryRecvOp op);
+  sim::Task<> run(RetryAckOp op);
   /// Startup re-scan (RelayerConfig::startup_rescan): walks the destination
   /// chain's write_acknowledgement events over a height window and restores
   /// packets that were delivered but not yet acknowledged when the previous
   /// instance crashed, then drives their acks.
-  void run(AckScanOp op, std::function<void()> done);
+  sim::Task<> run(AckScanOp op);
 
-  // Relay-batch stages.
-  void pull_chunks(rpc::Server* server, chain::Height height,
-                   const std::string& event_type,
-                   std::vector<ibc::Sequence> seqs, std::size_t chunk_index,
-                   bool any_failed, std::function<void(PullResult)> done);
+  /// The relay and ack batches' data pull: one packet-event query per chunk
+  /// of `seqs`, in order.
+  sim::Task<PullResult> pull_chunks(rpc::Server* server, chain::Height height,
+                                    const std::string& event_type,
+                                    const std::vector<ibc::Sequence>& seqs);
 
   /// True when every tracked sequence in seqs[begin, end) already has the
   /// data this pull is after (ride-along events from an earlier chunk's
@@ -336,20 +329,21 @@ class Relayer {
   /// packet in Stage::kAbandoned so no lane touches it again.
   void abandon_packet(ibc::Sequence seq, PacketState& ps, const char* why);
 
-  /// Re-enqueues a retry op, after RelayerConfig::retry_backoff when set.
-  void enqueue_retry(Op op);
+  /// A transaction ready for a wallet: the client updates, then the packet
+  /// messages, and the gas limit that covers them.
+  struct TxPlan {
+    std::vector<chain::Msg> msgs;
+    std::uint64_t gas = 0;
+  };
 
   // The build-and-submit pipeline, as Hermes' packet worker runs it for
   // either direction: prove each packet still in leg.ready, cut txs of at
-  // most max_msgs_per_tx messages, and submit each behind one client update
-  // per proof height (submit_tx, which timeouts use too).
-  void build_and_submit(const Leg& leg, std::vector<ibc::Sequence> seqs,
-                        std::function<void()> done);
-  void send_txs(const Leg& leg, std::vector<BuiltMsg> msgs,
-                std::function<void()> done);
-  void submit_tx(const Leg& leg, std::vector<BuiltMsg> msgs,
-                 Wallet::SubmitCallback on_commit,
-                 std::function<void()> on_broadcast);
+  // most kMaxMsgsPerTx messages, and submit each behind one client update
+  // per proof height (with_client_updates, which timeouts use too).
+  sim::Task<> build_and_submit(const Leg& leg, std::vector<ibc::Sequence> seqs);
+  sim::Task<> send_txs(const Leg& leg, std::vector<BuiltMsg> msgs);
+  sim::Task<TxPlan> with_client_updates(const Leg& leg,
+                                        std::vector<BuiltMsg> msgs);
   BuiltMsg recv_msg(const PacketState& ps,
                     const rpc::Server::AbciQueryResult& proof) const;
   BuiltMsg ack_msg(const PacketState& ps,
@@ -363,12 +357,6 @@ class Relayer {
     return ps.packet && (ps.ack || !leg.needs_ack);
   }
 
-  /// Fetches a header from `server` and assembles a MsgUpdateClient for
-  /// `client_id`.
-  void fetch_update(rpc::Server* server, const ibc::ClientId& client_id,
-                    chain::Height height,
-                    std::function<void(std::optional<chain::Msg>)> cb);
-
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
   /// The one increment site of a Stats field and its Registry mirror.
@@ -376,14 +364,12 @@ class Relayer {
   /// The members of `seqs` whose tracked packet sits in `stage`.
   std::vector<ibc::Sequence> in_stage(const std::vector<ibc::Sequence>& seqs,
                                       Stage stage) const;
-  /// First height of the startup_rescan_depth-block window ending at `to`.
-  chain::Height rescan_from(chain::Height to) const;
+  /// First height of the startup re-scan window ending at `to`.
+  static chain::Height rescan_from(chain::Height to);
 
-  /// Clears a self-referential step closure once its chain has finished
-  /// (deferred one tick so the currently-executing function is not destroyed
-  /// under itself). Without this the recursive shared_ptr<function> cycles
-  /// leak.
-  void release_later(std::shared_ptr<std::function<void()>> fn);
+  /// The zero-delay event the build, send, submit and timeout loops each
+  /// schedule where they end (see relayer.cpp).
+  void parity_event();
 
   /// Gas limit for a tx of `updates` client updates plus packet messages
   /// whose gas sums to `msgs_gas`.
@@ -417,10 +403,10 @@ class Relayer {
   std::map<ibc::Sequence, PacketState> packets_;
   std::deque<Op> ops_[2];        // lane 0: relay/clear; lane 1: ack/timeout
   bool op_running_[2] = {false, false};
-  // Bumped on every start(): a stop() mid-op drops the op's done()
-  // continuation, so restart must clear op_running_ itself — and ignore any
-  // straggler done() from the previous life that would unlock a lane the
-  // new life is using.
+  // Bumped on every start(): a stop() mid-op abandons the op's task, so
+  // restart must clear op_running_ itself — and an op task of the previous
+  // life that resumes into the new one must not unlock a lane the new life
+  // is using when it finishes.
   std::uint64_t lane_epoch_ = 0;
   bool running_ = false;
   CoordinationPolicy coordination_;

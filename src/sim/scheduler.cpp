@@ -59,34 +59,26 @@ void Scheduler::skim_cancelled() {
   }
 }
 
-bool Scheduler::pop_next(TimePoint& time, std::function<void()>& fn) {
-  while (!queue_.empty()) {
-    const QueueEntry e = queue_.top();
-    queue_.pop();
-    Slot& s = slab_[e.slot];
-    const bool armed = s.armed;
-    if (armed) fn = std::move(s.fn);
-    release_slot(e.slot);
-    if (armed) {
-      time = e.time;
-      --live_;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Scheduler::step() {
-  TimePoint t;
-  std::function<void()> fn;
-  if (!pop_next(t, fn)) return false;
-  telemetry::profiler::add_sim_progress(static_cast<std::uint64_t>(t - now_));
-  now_ = t;
+void Scheduler::dispatch() {
+  const QueueEntry e = queue_.top();
+  queue_.pop();
+  std::function<void()> fn = std::move(slab_[e.slot].fn);
+  release_slot(e.slot);
+  --live_;
+  telemetry::profiler::add_sim_progress(
+      static_cast<std::uint64_t>(e.time - now_));
+  now_ = e.time;
   ++executed_;
   // The closure was moved out of the slab before invoking, so re-entrant
   // scheduling that reuses (or grows) the slab cannot touch it.
   telemetry::ProfileScope prof(telemetry::ProfileKey::kSchedulerDispatch);
   fn();
+}
+
+bool Scheduler::step() {
+  skim_cancelled();
+  if (queue_.empty()) return false;
+  dispatch();
   return true;
 }
 
@@ -94,44 +86,9 @@ void Scheduler::run_until(TimePoint t) {
   for (;;) {
     skim_cancelled();
     if (queue_.empty() || queue_.top().time > t) break;
-    const QueueEntry e = queue_.top();
-    queue_.pop();
-    std::function<void()> fn = std::move(slab_[e.slot].fn);
-    release_slot(e.slot);
-    --live_;
-    telemetry::profiler::add_sim_progress(
-        static_cast<std::uint64_t>(e.time - now_));
-    now_ = e.time;
-    ++executed_;
-    {
-      telemetry::ProfileScope prof(telemetry::ProfileKey::kSchedulerDispatch);
-      fn();
-    }
+    dispatch();
   }
   now_ = std::max(now_, t);
-}
-
-std::uint64_t Scheduler::run_until_idle(TimePoint hard_limit) {
-  std::uint64_t ran = 0;
-  for (;;) {
-    skim_cancelled();
-    if (queue_.empty() || queue_.top().time > hard_limit) break;
-    const QueueEntry e = queue_.top();
-    queue_.pop();
-    std::function<void()> fn = std::move(slab_[e.slot].fn);
-    release_slot(e.slot);
-    --live_;
-    telemetry::profiler::add_sim_progress(
-        static_cast<std::uint64_t>(e.time - now_));
-    now_ = e.time;
-    ++executed_;
-    ++ran;
-    {
-      telemetry::ProfileScope prof(telemetry::ProfileKey::kSchedulerDispatch);
-      fn();
-    }
-  }
-  return ran;
 }
 
 }  // namespace sim

@@ -52,10 +52,6 @@ class Scheduler {
   /// even if the queue drained earlier.
   void run_until(TimePoint t);
 
-  /// Runs until the queue is empty or `hard_limit` is exceeded. Returns the
-  /// number of events executed.
-  std::uint64_t run_until_idle(TimePoint hard_limit);
-
   bool idle() const { return live_ == 0; }
   std::uint64_t executed_events() const { return executed_; }
 
@@ -89,11 +85,10 @@ class Scheduler {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  /// Pops entries until one is armed; moves its closure into `fn` and
-  /// returns true, or returns false when the queue is exhausted.
-  bool pop_next(TimePoint& time, std::function<void()>& fn);
   /// Drops cancelled entries at the head so top() is an armed event.
   void skim_cancelled();
+  /// Pops the (armed) head event, advances the clock to it and runs it.
+  void dispatch();
 
   TimePoint now_ = kTimeZero;
   std::uint64_t next_seq_ = 1;

@@ -28,349 +28,205 @@ ibc::ClientState make_client_state(const chain::ChainId& chain_id,
   return cs;
 }
 
+util::Status failure(std::string message) {
+  return util::Status::error(util::ErrorCode::kFailedPrecondition,
+                             std::move(message));
+}
+
+// One end of the channel being opened: its chain, the full node the driver
+// talks to there, and the wallet that submits there.
+struct End {
+  ChainDeployment& chain;
+  rpc::Server& server;
+  relayer::Wallet& wallet;
+};
+
+// Submits `msgs` through `end`'s wallet, then reads the committed tx's events
+// and writes the named attribute of `event_type` to `out`.
+sim::Task<util::Status> submit_and_read(
+    net::MachineId machine, const End& end, std::vector<chain::Msg> msgs,
+    std::string event_type, std::string attribute, std::string& out) {
+  const std::uint64_t gas = 69'000 + 250'000 * msgs.size();
+  const auto sub = co_await sim::callback<relayer::Wallet::SubmitOutcome>(
+      [&](auto resume) {
+        end.wallet.submit(std::move(msgs), gas, std::move(resume));
+      });
+  if (!sub.status.is_ok()) {
+    co_return failure("handshake tx failed: " + sub.status.to_string());
+  }
+  const auto tx =
+      co_await sim::callback<util::Result<rpc::TxResponse>>([&](auto resume) {
+        end.server.query_tx(machine, sub.hash, std::move(resume));
+      });
+  if (!tx.is_ok()) co_return failure("cannot read handshake tx events");
+  for (const chain::Event& ev : tx.value().result.events) {
+    if (ev.type != event_type) continue;
+    out = ev.attribute(attribute);
+    if (!out.empty()) co_return util::Status::ok();
+  }
+  co_return failure("missing " + event_type + " event");
+}
+
+// Creates, through `on`, a client of the other end `of`, initialized from
+// `of`'s current head; writes its id to `out`.
+sim::Task<util::Status> create_client(
+    net::MachineId machine, const End& on, const End& of,
+    sim::Duration trusting_period, const char* fetch_error, std::string& out) {
+  const auto head =
+      co_await sim::callback<rpc::Server::StatusInfo>([&](auto resume) {
+        of.server.status(machine, std::move(resume));
+      });
+  const auto res =
+      co_await sim::callback<util::Result<rpc::Server::HeaderInfo>>(
+          [&](auto resume) {
+            of.server.query_header(machine, head.height, std::move(resume));
+          });
+  if (!res.is_ok()) co_return failure(fetch_error);
+  ibc::MsgCreateClient msg;
+  msg.client_state = make_client_state(
+      of.chain.id, of.chain.engine->validators(), trusting_period);
+  msg.initial_height = res.value().header.height;
+  msg.initial_consensus.app_hash = res.value().app_hash_after;
+  msg.initial_consensus.timestamp = res.value().header.time;
+  msg.initial_consensus.validators_hash = res.value().header.validators_hash;
+  std::vector<chain::Msg> msgs = {msg.to_msg()};
+  co_return co_await submit_and_read(machine, on, std::move(msgs),
+                                     "create_client", "client_id", out);
+}
+
+// Proves `key` on `src` at height H, sets `msg`'s proof (the `proof` member)
+// and proof height, then submits through `dst` the update of `dst`'s client
+// of `src` to H followed by `msg`, reading the named attribute of
+// `event_type` into `out`.
+template <typename Msg>
+sim::Task<util::Status> prove_and_submit(
+    net::MachineId machine, const End& src, const End& dst,
+    const ibc::ClientId& client_on_dst, std::string key, Msg msg,
+    chain::StoreProof Msg::*proof, std::string event_type,
+    std::string attribute, std::string& out) {
+  const auto res =
+      co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
+          [&](auto resume) {
+            src.server.abci_query(machine, key, /*prove=*/true,
+                                  std::move(resume));
+          });
+  if (!res.is_ok()) {
+    co_return failure("proof query failed: " + res.status().to_string());
+  }
+  msg.*proof = res.value().proof;
+  msg.proof_height = res.value().height;
+  const auto header =
+      co_await sim::callback<util::Result<rpc::Server::HeaderInfo>>(
+          [&](auto resume) {
+            src.server.query_header(machine, msg.proof_height,
+                                    std::move(resume));
+          });
+  if (!header.is_ok()) co_return failure("header query failed");
+  std::vector<chain::Msg> msgs = {
+      relayer::update_client_msg(client_on_dst, header.value()), msg.to_msg()};
+  co_return co_await submit_and_read(machine, dst, std::move(msgs),
+                                     std::move(event_type),
+                                     std::move(attribute), out);
+}
+
 }  // namespace
 
-// Shared flow state: each handshake step is a member function chained via
-// callbacks; the first error short-circuits to finish().
-struct HandshakeDriver::Flow : std::enable_shared_from_this<Flow> {
-  HandshakeDriver* driver = nullptr;
-  std::function<void(ChannelSetupResult)> cb;
-  ChannelSetupResult result;
-  bool finished = false;
+// The eleven steps, in order; the first failure ends the handshake.
+sim::Task<util::Status> HandshakeDriver::open(ChannelSetupResult& r) {
+  const auto end = [this](int chain, relayer::Wallet& wallet) {
+    ChainDeployment& c = testbed_.chain(chain);
+    return End{c, *c.servers[static_cast<std::size_t>(machine_)], wallet};
+  };
+  const End a = end(chain_x_, *wallet_a_);
+  const End b = end(chain_y_, *wallet_b_);
+  const net::MachineId m = machine_;
+  std::string ignored;
 
-  ChainDeployment& ca() const {
-    return driver->testbed_.chain(driver->chain_x_);
-  }
-  ChainDeployment& cb_chain() const {
-    return driver->testbed_.chain(driver->chain_y_);
-  }
-  rpc::Server* sa() const {
-    return ca().servers[static_cast<std::size_t>(driver->machine_)].get();
-  }
-  rpc::Server* sb() const {
-    return cb_chain().servers[static_cast<std::size_t>(driver->machine_)].get();
-  }
-  net::MachineId machine() const { return driver->machine_; }
+  // ICS-02: a client of each chain on the other.
+  util::Status st = co_await create_client(m, a, b, trusting_period_,
+                                           "cannot fetch B header",
+                                           r.client_on_a);
+  if (!st.is_ok()) co_return st;
+  st = co_await create_client(m, b, a, trusting_period_,
+                              "cannot fetch A header", r.client_on_b);
+  if (!st.is_ok()) co_return st;
 
-  void finish(bool ok, std::string error) {
-    if (finished) return;
-    finished = true;
-    result.ok = ok;
-    result.error = std::move(error);
-    if (cb) cb(result);
-  }
+  // ICS-03: the four-step connection handshake.
+  ibc::MsgConnOpenInit conn_init;
+  conn_init.client_id = r.client_on_a;
+  conn_init.counterparty_client_id = r.client_on_b;
+  std::vector<chain::Msg> init = {conn_init.to_msg()};
+  st = co_await submit_and_read(m, a, std::move(init), "connection_open_init",
+                                "connection_id", r.connection_a);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgConnOpenTry conn_try;
+  conn_try.client_id = r.client_on_b;
+  conn_try.counterparty_client_id = r.client_on_a;
+  conn_try.counterparty_connection = r.connection_a;
+  st = co_await prove_and_submit(
+      m, a, b, r.client_on_b, ibc::host::connection_key(r.connection_a),
+      conn_try, &ibc::MsgConnOpenTry::proof_init, "connection_open_try",
+      "connection_id", r.connection_b);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgConnOpenAck conn_ack;
+  conn_ack.connection_id = r.connection_a;
+  conn_ack.counterparty_connection = r.connection_b;
+  st = co_await prove_and_submit(
+      m, b, a, r.client_on_a, ibc::host::connection_key(r.connection_b),
+      conn_ack, &ibc::MsgConnOpenAck::proof_try, "connection_open_ack",
+      "connection_id", ignored);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgConnOpenConfirm conn_confirm;
+  conn_confirm.connection_id = r.connection_b;
+  st = co_await prove_and_submit(
+      m, a, b, r.client_on_b, ibc::host::connection_key(r.connection_a),
+      conn_confirm, &ibc::MsgConnOpenConfirm::proof_ack,
+      "connection_open_confirm", "connection_id", ignored);
+  if (!st.is_ok()) co_return st;
 
-  // Submits msgs via `wallet`, then reads the committed tx's events and
-  // hands the named attribute of `event_type` to `next`.
-  void submit_and_read(relayer::Wallet& wallet, rpc::Server* server,
-                       std::vector<chain::Msg> msgs, std::uint64_t gas,
-                       const std::string& event_type,
-                       const std::string& attribute,
-                       std::function<void(std::string)> next) {
-    auto self = shared_from_this();
-    wallet.submit(
-        std::move(msgs), gas,
-        [self, server, event_type, attribute,
-         next = std::move(next)](const relayer::Wallet::SubmitOutcome& out) {
-          if (self->finished) return;
-          if (!out.status.is_ok()) {
-            self->finish(false, "handshake tx failed: " + out.status.to_string());
-            return;
-          }
-          if (event_type.empty()) {
-            next({});
-            return;
-          }
-          server->query_tx(
-              self->machine(), out.hash,
-              [self, event_type, attribute,
-               next](util::Result<rpc::TxResponse> res) {
-                if (self->finished) return;
-                if (!res.is_ok()) {
-                  self->finish(false, "cannot read handshake tx events");
-                  return;
-                }
-                for (const chain::Event& ev : res.value().result.events) {
-                  if (ev.type != event_type) continue;
-                  const std::string v = ev.attribute(attribute);
-                  if (!v.empty()) {
-                    next(v);
-                    return;
-                  }
-                }
-                self->finish(false, "missing " + event_type + " event");
-              });
-        });
-  }
-
-  // Fetches (proof at H, MsgUpdateClient for H) of `key` on `src`, where the
-  // client being updated lives on the other chain.
-  void proof_and_update(rpc::Server* src, const ibc::ClientId& client_on_dst,
-                        const std::string& key,
-                        std::function<void(chain::StoreProof, chain::Height,
-                                           chain::Msg)> next) {
-    auto self = shared_from_this();
-    src->abci_query(
-        machine(), key, /*prove=*/true,
-        [self, src, client_on_dst,
-         next = std::move(next)](util::Result<rpc::Server::AbciQueryResult> res) {
-          if (self->finished) return;
-          if (!res.is_ok()) {
-            self->finish(false, "proof query failed: " + res.status().to_string());
-            return;
-          }
-          const chain::Height h = res.value().height;
-          const chain::StoreProof proof = res.value().proof;
-          src->query_header(
-              self->machine(), h,
-              [self, client_on_dst, proof, h,
-               next](util::Result<rpc::Server::HeaderInfo> hres) {
-                if (self->finished) return;
-                if (!hres.is_ok()) {
-                  self->finish(false, "header query failed");
-                  return;
-                }
-                const rpc::Server::HeaderInfo& info = hres.value();
-                ibc::Header header;
-                header.chain_id = info.header.chain_id;
-                header.height = info.header.height;
-                header.time = info.header.time;
-                header.app_hash_after = info.app_hash_after;
-                header.validators_hash = info.header.validators_hash;
-                header.block_id = chain::BlockId{info.header.hash()};
-                header.commit = info.commit;
-                ibc::MsgUpdateClient update;
-                update.client_id = client_on_dst;
-                update.header = std::move(header);
-                next(proof, h, update.to_msg());
-              });
-        });
-  }
-
-  static std::uint64_t handshake_gas(std::size_t msgs) {
-    return 69'000 + 250'000 * static_cast<std::uint64_t>(msgs);
-  }
-
-  // --- the eleven steps --------------------------------------------------
-
-  void start() {
-    create_client_on_a();
-  }
-
-  void create_client_on_a() {
-    auto self = shared_from_this();
-    // Client of B on A, initialized from B's current head.
-    sb()->status(machine(), [self](rpc::Server::StatusInfo st) {
-      if (self->finished) return;
-      self->sb()->query_header(
-          self->machine(), st.height,
-          [self](util::Result<rpc::Server::HeaderInfo> res) {
-            if (self->finished) return;
-            if (!res.is_ok()) {
-              self->finish(false, "cannot fetch B header");
-              return;
-            }
-            ibc::MsgCreateClient msg;
-            msg.client_state = make_client_state(
-                self->cb_chain().id, self->cb_chain().engine->validators(),
-                self->driver->trusting_period_);
-            msg.initial_height = res.value().header.height;
-            msg.initial_consensus.app_hash = res.value().app_hash_after;
-            msg.initial_consensus.timestamp = res.value().header.time;
-            msg.initial_consensus.validators_hash =
-                res.value().header.validators_hash;
-            self->submit_and_read(
-                *self->driver->wallet_a_, self->sa(), {msg.to_msg()},
-                handshake_gas(1), "create_client", "client_id",
-                [self](std::string id) {
-                  self->result.client_on_a = std::move(id);
-                  self->create_client_on_b();
-                });
-          });
-    });
-  }
-
-  void create_client_on_b() {
-    auto self = shared_from_this();
-    sa()->status(machine(), [self](rpc::Server::StatusInfo st) {
-      if (self->finished) return;
-      self->sa()->query_header(
-          self->machine(), st.height,
-          [self](util::Result<rpc::Server::HeaderInfo> res) {
-            if (self->finished) return;
-            if (!res.is_ok()) {
-              self->finish(false, "cannot fetch A header");
-              return;
-            }
-            ibc::MsgCreateClient msg;
-            msg.client_state = make_client_state(
-                self->ca().id, self->ca().engine->validators(),
-                self->driver->trusting_period_);
-            msg.initial_height = res.value().header.height;
-            msg.initial_consensus.app_hash = res.value().app_hash_after;
-            msg.initial_consensus.timestamp = res.value().header.time;
-            msg.initial_consensus.validators_hash =
-                res.value().header.validators_hash;
-            self->submit_and_read(
-                *self->driver->wallet_b_, self->sb(), {msg.to_msg()},
-                handshake_gas(1), "create_client", "client_id",
-                [self](std::string id) {
-                  self->result.client_on_b = std::move(id);
-                  self->conn_init();
-                });
-          });
-    });
-  }
-
-  void conn_init() {
-    ibc::MsgConnOpenInit msg;
-    msg.client_id = result.client_on_a;
-    msg.counterparty_client_id = result.client_on_b;
-    submit_and_read(*driver->wallet_a_, sa(), {msg.to_msg()},
-                    handshake_gas(1), "connection_open_init", "connection_id",
-                    [self = shared_from_this()](std::string id) {
-                      self->result.connection_a = std::move(id);
-                      self->conn_try();
-                    });
-  }
-
-  void conn_try() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sa(), result.client_on_b, ibc::host::connection_key(result.connection_a),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgConnOpenTry msg;
-          msg.client_id = self->result.client_on_b;
-          msg.counterparty_client_id = self->result.client_on_a;
-          msg.counterparty_connection = self->result.connection_a;
-          msg.proof_init = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_b_, self->sb(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "connection_open_try", "connection_id",
-              [self](std::string id) {
-                self->result.connection_b = std::move(id);
-                self->conn_ack();
-              });
-        });
-  }
-
-  void conn_ack() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sb(), result.client_on_a, ibc::host::connection_key(result.connection_b),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgConnOpenAck msg;
-          msg.connection_id = self->result.connection_a;
-          msg.counterparty_connection = self->result.connection_b;
-          msg.proof_try = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_a_, self->sa(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "connection_open_ack", "connection_id",
-              [self](std::string) { self->conn_confirm(); });
-        });
-  }
-
-  void conn_confirm() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sa(), result.client_on_b, ibc::host::connection_key(result.connection_a),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgConnOpenConfirm msg;
-          msg.connection_id = self->result.connection_b;
-          msg.proof_ack = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_b_, self->sb(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "connection_open_confirm", "connection_id",
-              [self](std::string) { self->chan_init(); });
-        });
-  }
-
-  void chan_init() {
-    ibc::MsgChanOpenInit msg;
-    msg.port = ibc::kTransferPort;
-    msg.connection = result.connection_a;
-    msg.counterparty_port = ibc::kTransferPort;
-    msg.ordering = driver->ordering_;
-    msg.version = "ics20-1";
-    submit_and_read(*driver->wallet_a_, sa(), {msg.to_msg()},
-                    handshake_gas(1), "channel_open_init", "channel_id",
-                    [self = shared_from_this()](std::string id) {
-                      self->result.channel_a = std::move(id);
-                      self->chan_try();
-                    });
-  }
-
-  void chan_try() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sa(), result.client_on_b,
-        ibc::host::channel_key(ibc::kTransferPort, result.channel_a),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgChanOpenTry msg;
-          msg.port = ibc::kTransferPort;
-          msg.connection = self->result.connection_b;
-          msg.counterparty_port = ibc::kTransferPort;
-          msg.counterparty_channel = self->result.channel_a;
-          msg.ordering = self->driver->ordering_;
-          msg.version = "ics20-1";
-          msg.proof_init = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_b_, self->sb(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "channel_open_try", "channel_id",
-              [self](std::string id) {
-                self->result.channel_b = std::move(id);
-                self->chan_ack();
-              });
-        });
-  }
-
-  void chan_ack() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sb(), result.client_on_a,
-        ibc::host::channel_key(ibc::kTransferPort, result.channel_b),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgChanOpenAck msg;
-          msg.port = ibc::kTransferPort;
-          msg.channel = self->result.channel_a;
-          msg.counterparty_channel = self->result.channel_b;
-          msg.proof_try = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_a_, self->sa(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "channel_open_ack", "channel_id",
-              [self](std::string) { self->chan_confirm(); });
-        });
-  }
-
-  void chan_confirm() {
-    auto self = shared_from_this();
-    proof_and_update(
-        sa(), result.client_on_b,
-        ibc::host::channel_key(ibc::kTransferPort, result.channel_a),
-        [self](chain::StoreProof proof, chain::Height h, chain::Msg update) {
-          ibc::MsgChanOpenConfirm msg;
-          msg.port = ibc::kTransferPort;
-          msg.channel = self->result.channel_b;
-          msg.proof_ack = std::move(proof);
-          msg.proof_height = h;
-          self->submit_and_read(
-              *self->driver->wallet_b_, self->sb(),
-              {std::move(update), msg.to_msg()}, handshake_gas(2),
-              "channel_open_confirm", "channel_id",
-              [self](std::string) { self->finish(true, {}); });
-        });
-  }
-};
+  // ICS-04: the four-step channel handshake.
+  ibc::MsgChanOpenInit chan_init;
+  chan_init.port = ibc::kTransferPort;
+  chan_init.connection = r.connection_a;
+  chan_init.counterparty_port = ibc::kTransferPort;
+  chan_init.ordering = ordering_;
+  chan_init.version = "ics20-1";
+  init = {chan_init.to_msg()};
+  st = co_await submit_and_read(m, a, std::move(init), "channel_open_init",
+                                "channel_id", r.channel_a);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgChanOpenTry chan_try;
+  chan_try.port = ibc::kTransferPort;
+  chan_try.connection = r.connection_b;
+  chan_try.counterparty_port = ibc::kTransferPort;
+  chan_try.counterparty_channel = r.channel_a;
+  chan_try.ordering = ordering_;
+  chan_try.version = "ics20-1";
+  st = co_await prove_and_submit(
+      m, a, b, r.client_on_b,
+      ibc::host::channel_key(ibc::kTransferPort, r.channel_a), chan_try,
+      &ibc::MsgChanOpenTry::proof_init, "channel_open_try", "channel_id",
+      r.channel_b);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgChanOpenAck chan_ack;
+  chan_ack.port = ibc::kTransferPort;
+  chan_ack.channel = r.channel_a;
+  chan_ack.counterparty_channel = r.channel_b;
+  st = co_await prove_and_submit(
+      m, b, a, r.client_on_a,
+      ibc::host::channel_key(ibc::kTransferPort, r.channel_b), chan_ack,
+      &ibc::MsgChanOpenAck::proof_try, "channel_open_ack", "channel_id",
+      ignored);
+  if (!st.is_ok()) co_return st;
+  ibc::MsgChanOpenConfirm chan_confirm;
+  chan_confirm.port = ibc::kTransferPort;
+  chan_confirm.channel = r.channel_b;
+  co_return co_await prove_and_submit(
+      m, a, b, r.client_on_b,
+      ibc::host::channel_key(ibc::kTransferPort, r.channel_a), chan_confirm,
+      &ibc::MsgChanOpenConfirm::proof_ack, "channel_open_confirm",
+      "channel_id", ignored);
+}
 
 HandshakeDriver::HandshakeDriver(Testbed& testbed, int relayer_wallet,
                                  net::MachineId machine,
@@ -407,30 +263,21 @@ HandshakeDriver::HandshakeDriver(Testbed& testbed, int relayer_wallet,
 
 HandshakeDriver::~HandshakeDriver() = default;
 
-void HandshakeDriver::establish_channel(
-    std::function<void(ChannelSetupResult)> cb) {
-  if (!init_error_.empty()) {
-    ChannelSetupResult failed;
-    failed.ok = false;
-    failed.error = init_error_;
-    failed.chain_x = chain_x_;
-    failed.chain_y = chain_y_;
-    if (cb) cb(std::move(failed));
-    return;
-  }
-  flow_ = std::make_shared<Flow>();
-  flow_->driver = this;
-  flow_->cb = std::move(cb);
-  flow_->result.chain_x = chain_x_;
-  flow_->result.chain_y = chain_y_;
-  flow_->start();
+sim::Task<ChannelSetupResult> HandshakeDriver::establish_channel() {
+  ChannelSetupResult r;
+  r.chain_x = chain_x_;
+  r.chain_y = chain_y_;
+  r.error = init_error_;
+  if (r.error.empty()) r.error = (co_await open(r)).message();
+  r.ok = r.error.empty();
+  co_return r;
 }
 
 ChannelSetupResult HandshakeDriver::establish_channel_blocking(
     sim::TimePoint limit) {
   ChannelSetupResult result;
   bool done = false;
-  establish_channel([&](ChannelSetupResult r) {
+  sim::spawn(establish_channel(), [&](ChannelSetupResult r) {
     result = std::move(r);
     done = true;
   });

@@ -7,7 +7,6 @@
 // proven to the counterparty with store proofs and client updates, exactly
 // as a relayer would do it (paper §II-B1).
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -55,17 +54,17 @@ class HandshakeDriver {
   HandshakeDriver(const HandshakeDriver&) = delete;
   HandshakeDriver& operator=(const HandshakeDriver&) = delete;
 
-  /// Starts the handshake; `cb` fires when the channel is OPEN on both ends
-  /// (or on the first failure). Both chains must already be producing
+  /// The handshake as a task: it finishes when the channel is OPEN on both
+  /// ends (or on the first failure). Both chains must already be producing
   /// blocks.
-  void establish_channel(std::function<void(ChannelSetupResult)> cb);
+  sim::Task<ChannelSetupResult> establish_channel();
 
   /// Convenience: runs establish_channel to completion on the testbed's
   /// scheduler. Returns the result (ok=false on `limit` exceeded).
   ChannelSetupResult establish_channel_blocking(sim::TimePoint limit);
 
  private:
-  struct Flow;
+  sim::Task<util::Status> open(ChannelSetupResult& r);
 
   Testbed& testbed_;
   net::MachineId machine_;
@@ -76,7 +75,6 @@ class HandshakeDriver {
   std::string init_error_;  // set when the chain indices are invalid
   std::unique_ptr<relayer::Wallet> wallet_a_;
   std::unique_ptr<relayer::Wallet> wallet_b_;
-  std::shared_ptr<Flow> flow_;
 };
 
 }  // namespace xcc

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <iostream>
 
 #include "crypto/sha256.hpp"
@@ -79,8 +80,8 @@ struct RelayerFixture : ::testing::Test {
   // event count, an FNV-1a hash of the step log, every Relayer::Stats field
   // of every instance and both chains' store roots. A relayer change that
   // adds, drops or moves one scheduled event (an RPC round trip, a build
-  // delay, the lane-pump deferral, a closure release) or changes any
-  // packet's fate fails these tests.
+  // delay, the lane-pump deferral, a parity event) or changes any packet's
+  // fate fails these tests.
   struct Pinned {
     std::uint64_t events = 0;
     std::uint64_t step_log_fnv = 0;
@@ -118,9 +119,13 @@ struct RelayerFixture : ::testing::Test {
   }
 
   /// Boots `cfg`, starts `relayers` uncoordinated instances (instance k on
-  /// machine k), submits `wl` and runs a fixed 240 s of virtual time.
-  Pinned run_pinned(xcc::TestbedConfig cfg, relayer::RelayerConfig rc,
-                    int relayers, xcc::WorkloadConfig wl) {
+  /// machine k), submits `wl` and runs a fixed 240 s of virtual time. A
+  /// `script`, when given, drives instance 0 first (it may step the
+  /// scheduler; the run still ends 240 s after the workload started).
+  Pinned run_pinned(
+      xcc::TestbedConfig cfg, relayer::RelayerConfig rc, int relayers,
+      xcc::WorkloadConfig wl,
+      const std::function<void(relayer::Relayer&)>& script = {}) {
     boot(cfg);
     relayer::StepLog steps;
     std::vector<std::unique_ptr<relayer::Relayer>> fleet;
@@ -138,7 +143,9 @@ struct RelayerFixture : ::testing::Test {
     }
     xcc::TransferWorkload workload(*tb, channel, wl, &steps);
     workload.start();
-    tb->run_until(tb->scheduler().now() + sim::seconds(240));
+    const sim::TimePoint end = tb->scheduler().now() + sim::seconds(240);
+    if (script) script(*fleet.front());
+    tb->run_until(end);
 
     Pinned got;
     got.events = tb->scheduler().executed_events();
@@ -536,6 +543,90 @@ TEST_F(RelayerFixture, PinnedScheduleWedgedFrames) {
        {{250, 250, 0, 0, 3, 0, 0, 5, 0, 0, 0, 0, 0, 0}},
        "be9615e956055b0bd05288a9db00c0bce0d665994aa190530cdc553d145a6997",
        "08ac83e7bf44801329271553f07bdda88824f5574c94958a5c70ad0e9d496e2f"});
+}
+
+TEST_F(RelayerFixture, PinnedScheduleCrashRestart) {
+  // The relayer crashes as soon as both lanes hold an op (its startup
+  // re-scan) and restarts 30 s later, when the burst has committed unseen:
+  // the re-scan has to recover all of it. Then it is bounced again within
+  // one RPC round trip, so the continuations of the op in flight resume
+  // into the new run and the lane epoch guard drops that op's completion.
+  relayer::RelayerConfig rc;
+  rc.startup_rescan = true;
+  rc.clear_interval = 2;
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 250;
+  const auto script = [this](relayer::Relayer& r) {
+    sim::Scheduler& sched = tb->scheduler();
+    const sim::TimePoint limit = sched.now() + sim::seconds(60);
+    while (r.lane_depth(0) == 0 || r.lane_depth(1) == 0) {
+      ASSERT_LT(sched.now(), limit);
+      ASSERT_TRUE(sched.step());
+    }
+    r.stop();
+    tb->run_until(sched.now() + sim::seconds(30));
+    r.start();
+    while (r.lane_depth(0) == 0 && r.lane_depth(1) == 0) {
+      ASSERT_LT(sched.now(), limit);
+      ASSERT_TRUE(sched.step());
+    }
+    r.stop();
+    r.start();
+  };
+  expect_pinned(
+      run_pinned({}, rc, 1, wl, script),
+      {9294ULL, 12501402442099287266ULL,
+       {{250, 250, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0}},
+       "8601a0bc065da8656532360c6724f06fcb2135bcb7dd6118805b8d9436ffb52a",
+       "624aeecaa7cd4ff7d27e3a0bcbc4edb9e20c8638c517ec86be38182df63cab18"});
+}
+
+// The channel handshake's schedule: the executed DES event count, the
+// virtual time at which both ends are OPEN, and the six ids it created.
+struct HandshakePin {
+  std::uint64_t events = 0;
+  sim::TimePoint now = 0;
+  std::array<std::string, 6> ids;
+  bool operator==(const HandshakePin&) const = default;
+};
+
+HandshakePin run_handshake(int chain_x, int chain_y,
+                           ibc::ChannelOrdering ordering) {
+  xcc::Testbed tb({});
+  tb.start_chains();
+  EXPECT_TRUE(tb.run_until_height(2, sim::seconds(120)));
+  xcc::HandshakeDriver driver(tb, 0, 0, 0, chain_x, chain_y, ordering);
+  const xcc::ChannelSetupResult ch = driver.establish_channel_blocking(
+      tb.scheduler().now() + sim::seconds(600));
+  EXPECT_TRUE(ch.ok) << ch.error;
+  return {tb.scheduler().executed_events(),
+          tb.scheduler().now(),
+          {ch.client_on_a, ch.client_on_b, ch.connection_a, ch.connection_b,
+           ch.channel_a, ch.channel_b}};
+}
+
+void expect_handshake(const HandshakePin& got, const HandshakePin& want) {
+  EXPECT_EQ(got, want);
+  if (got == want) return;
+  std::cout << "actual: {" << got.events << "ULL, " << got.now << ", {";
+  for (std::size_t i = 0; i < got.ids.size(); ++i) {
+    std::cout << (i ? ", " : "") << '"' << got.ids[i] << '"';
+  }
+  std::cout << "}}\n";
+}
+
+TEST(HandshakePinned, DefaultPair) {
+  expect_handshake(run_handshake(0, 1, ibc::ChannelOrdering::kUnordered),
+                   {1744ULL, 60290651,
+                    {"07-tendermint-0", "07-tendermint-0", "connection-0",
+                     "connection-0", "channel-0", "channel-0"}});
+}
+
+TEST(HandshakePinned, OrderedReversedPair) {
+  expect_handshake(run_handshake(1, 0, ibc::ChannelOrdering::kOrdered),
+                   {1744ULL, 60290988,
+                    {"07-tendermint-0", "07-tendermint-0", "connection-0",
+                     "connection-0", "channel-0", "channel-0"}});
 }
 
 }  // namespace

@@ -1,10 +1,19 @@
-// Tests for the DES kernel (scheduler, service queue) and the network model.
+// Tests for the DES kernel (scheduler, service queue, sim::Task) and the
+// network model.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/service_queue.hpp"
+#include "sim/task.hpp"
 
 namespace {
 
@@ -101,18 +110,6 @@ TEST(SchedulerTest, StepReturnsFalseWhenEmpty) {
   sched.schedule_after(0, [] {});
   EXPECT_TRUE(sched.step());
   EXPECT_FALSE(sched.step());
-}
-
-TEST(SchedulerTest, RunUntilIdleRespectsHardLimit) {
-  sim::Scheduler sched;
-  // Self-perpetuating event chain.
-  std::function<void()> tick = [&] {
-    sched.schedule_after(sim::seconds(1), tick);
-  };
-  sched.schedule_after(sim::seconds(1), tick);
-  const std::uint64_t ran = sched.run_until_idle(sim::seconds(10));
-  EXPECT_EQ(ran, 10u);
-  EXPECT_LE(sched.now(), sim::seconds(10));
 }
 
 TEST(SchedulerTest, ReentrantSchedulingDuringEvent) {
@@ -293,6 +290,205 @@ TEST(NetworkTest, JitterIsBounded) {
     EXPECT_GE(t, base - base / 10 - 1);
     EXPECT_LE(t, base + base / 10 + 1);
   }
+}
+
+// --- sim::Task ---------------------------------------------------------------
+
+// One per live test-coroutine frame.
+struct Frame {
+  static inline int live = 0;
+  Frame() { ++live; }
+  ~Frame() { --live; }
+  Frame(const Frame&) = delete;
+  Frame& operator=(const Frame&) = delete;
+};
+
+using Log = std::vector<std::pair<sim::TimePoint, int>>;
+
+// A callback-style query: replies 2x after a 3 us round trip.
+void query(sim::Scheduler& s, int x, std::function<void(int)> cb) {
+  s.schedule_after(3, [cb = std::move(cb), x] { cb(2 * x); });
+}
+
+// A ticker that lands on the same timestamps as the chains below, so the
+// logs compare event order and not just times.
+void tick(sim::Scheduler& s, Log& log, int n) {
+  if (n == 0) return;
+  s.schedule_after(1, [&s, &log, n] {
+    log.emplace_back(s.now(), -n);
+    tick(s, log, n - 1);
+  });
+}
+
+// The reference: step i queries i, waits i us, then runs step i + 1.
+void callback_step(sim::Scheduler& s, Log& log, int i) {
+  if (i == 4) return;
+  query(s, i, [&s, &log, i](int v) {
+    log.emplace_back(s.now(), v);
+    s.schedule_after(i, [&s, &log, i] {
+      log.emplace_back(s.now(), 100 + i);
+      callback_step(s, log, i + 1);
+    });
+  });
+}
+
+sim::Task<int> query_task(sim::Scheduler& s, int x) {
+  co_return co_await sim::callback<int>(
+      [&](sim::Resume<int> resume) { query(s, x, std::move(resume)); });
+}
+
+sim::Task<> steps_task(sim::Scheduler& s, Log& log) {
+  for (int i = 0; i < 4; ++i) {
+    const int v = co_await query_task(s, i);
+    log.emplace_back(s.now(), v);
+    co_await sim::delay(s, i);
+    log.emplace_back(s.now(), 100 + i);
+  }
+}
+
+TEST(SimTask, SchedulesTheSameEventsAsTheCallbackChain) {
+  sim::Scheduler ref_sched;
+  sim::Scheduler task_sched;
+  Log ref;
+  Log got;
+  tick(ref_sched, ref, 20);
+  callback_step(ref_sched, ref, 0);
+  while (ref_sched.step()) {
+  }
+  tick(task_sched, got, 20);
+  sim::spawn(steps_task(task_sched, got));
+  while (task_sched.step()) {
+  }
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(task_sched.executed_events(), ref_sched.executed_events());
+  EXPECT_EQ(task_sched.now(), ref_sched.now());
+}
+
+TEST(SimTask, CallbackFiredBeforeTheCallReturnsContinuesInline) {
+  std::vector<int> order;
+  sim::spawn([](std::vector<int>& order) -> sim::Task<> {
+    const int v = co_await sim::callback<int>([&](sim::Resume<int> resume) {
+      const std::function<void(int)> cb = resume;
+      cb(7);
+      cb(8);  // only the first call counts
+      order.push_back(1);  // the task has not resumed inside the call
+    });
+    order.push_back(v);
+  }(order));
+  EXPECT_EQ(order, (std::vector<int>{1, 7}));
+}
+
+sim::Task<int> leaf(std::function<void(int)>& pending) {
+  Frame f;
+  const int v = co_await sim::callback<int>(
+      [&](sim::Resume<int> resume) { pending = std::move(resume); });
+  co_return v;
+}
+
+sim::Task<int> middle(std::function<void(int)>& pending) {
+  Frame f;
+  const int v = co_await leaf(pending);
+  co_return v + 1;
+}
+
+sim::Task<> outer(std::function<void(int)>& pending, int& out) {
+  Frame f;
+  out = co_await middle(pending);
+}
+
+TEST(SimTask, AbandonedChainFreesEveryFrame) {
+  std::function<void(int)> pending;
+  int out = 0;
+  // Dropping the callback a three-deep chain waits on frees all three.
+  sim::spawn(outer(pending, out));
+  EXPECT_EQ(Frame::live, 3);
+  pending = nullptr;
+  EXPECT_EQ(Frame::live, 0);
+  EXPECT_EQ(out, 0);
+
+  // Firing it finishes the chain, which frees it just the same.
+  sim::spawn(outer(pending, out));
+  std::function<void(int)> fire = std::move(pending);
+  fire(41);
+  EXPECT_EQ(out, 42);
+  EXPECT_EQ(Frame::live, 0);
+
+  // sim::abandon() ends a chain where it stands.
+  sim::spawn([](int& out) -> sim::Task<> {
+    Frame f;
+    out = 1;
+    co_await sim::abandon();
+    out = 2;
+  }(out));
+  EXPECT_EQ(out, 1);
+  EXPECT_EQ(Frame::live, 0);
+
+  // A scheduler torn down with the chain's event pending frees it too.
+  {
+    sim::Scheduler s;
+    sim::spawn([](sim::Scheduler& s) -> sim::Task<> {
+      Frame f;
+      co_await sim::delay(s, 5);
+    }(s));
+    EXPECT_EQ(Frame::live, 1);
+  }
+  EXPECT_EQ(Frame::live, 0);
+}
+
+sim::Task<int> fails_later(sim::Scheduler& s) {
+  co_await sim::delay(s, 5);
+  throw std::runtime_error("child failed");
+}
+
+TEST(SimTask, ChildExceptionReachesTheCodeThatResumedIt) {
+  sim::Scheduler s;
+  std::string caught;
+  sim::spawn([](sim::Scheduler& s, std::string& caught) -> sim::Task<> {
+    Frame f;
+    try {
+      co_await fails_later(s);
+    } catch (const std::runtime_error& e) {
+      caught = e.what();  // the awaiting parent sees it first...
+    }
+    co_await fails_later(s);  // ...and, uncaught, the event that resumed it
+  }(s, caught));
+  EXPECT_TRUE(s.step());
+  EXPECT_EQ(caught, "child failed");
+  EXPECT_THROW(s.step(), std::runtime_error);
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(s.now(), 10);
+  EXPECT_EQ(Frame::live, 0);
+}
+
+sim::Task<int> ready(const std::function<void()>& probe) {
+  probe();
+  co_return 1;
+}
+
+TEST(SimTask, ImmediateCompletionsDoNotGrowTheStack) {
+  // 10^5 callbacks that fire before their call returns and 10^5 children
+  // that finish without suspending: each one starts at the same depth.
+  std::uintptr_t lo = UINTPTR_MAX;
+  std::uintptr_t hi = 0;
+  const std::function<void()> probe = [&] {
+    volatile char here = 0;
+    const auto at = reinterpret_cast<std::uintptr_t>(&here);
+    lo = std::min(lo, at);
+    hi = std::max(hi, at);
+  };
+  long total = 0;
+  sim::spawn([](const std::function<void()>& probe,
+                long& total) -> sim::Task<> {
+    for (int i = 0; i < 100'000; ++i) {
+      total += co_await sim::callback<int>([&](sim::Resume<int> resume) {
+        probe();
+        resume(1);
+      });
+      total += co_await ready(probe);
+    }
+  }(probe, total));
+  EXPECT_EQ(total, 200'000);
+  EXPECT_LT(hi - lo, 1024u);
 }
 
 }  // namespace
