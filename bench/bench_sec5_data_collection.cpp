@@ -25,8 +25,8 @@ chain::Height densest_block(const chain::Ledger& ledger,
   for (chain::Height h = 1; h <= ledger.height(); ++h) {
     const chain::Block* block = ledger.block_at(h);
     std::size_t count = 0;
-    for (const chain::Tx& tx : block->txs) {
-      for (const chain::Msg& m : tx.msgs) {
+    for (const chain::TxPtr& tx : block->txs) {
+      for (const chain::Msg& m : tx->msgs) {
         if (m.type_url == url) ++count;
       }
     }

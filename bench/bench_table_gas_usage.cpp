@@ -22,7 +22,7 @@ struct GasSample {
       for (std::size_t i = 0; i < block->txs.size(); ++i) {
         if (!(*results)[i].status.is_ok()) continue;
         std::size_t matching = 0;
-        for (const chain::Msg& m : block->txs[i].msgs) {
+        for (const chain::Msg& m : block->txs[i]->msgs) {
           if (m.type_url == url) ++matching;
         }
         if (matching >= min_msgs) {

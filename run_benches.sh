@@ -10,8 +10,10 @@
 #     TSan over the parallel runner, determinism and telemetry tests;
 #     ASan+UBSan over the checker, fuzz, relayer, store-property,
 #     packet-index (IndexedTxSearch, RpcFixture), packet-event
-#     (PacketEventOracle, PacketEventSharing), sim::Task (SimTask) and
-#     handshake-pin (HandshakePinned) tests;
+#     (PacketEventOracle, PacketEventSharing), sim::Task (SimTask),
+#     handshake-pin (HandshakePinned) and tx-lifecycle (TxTest, BlockTest,
+#     MempoolTest, LedgerTest, ConsensusTest, WalletFixture, TxSharing)
+#     tests;
 #     chaos campaigns; the golden-figure suite; a fig12 --trace smoke;
 #     bench reports (mitigations --smoke: schema, self and same-seed
 #     compare, perturbed copy, strict flags); the bench_scale smoke; the
@@ -57,11 +59,11 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks"
+  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks + tx lifecycle"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
     test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
-    test_mitigations test_packet_events test_foundation
+    test_mitigations test_packet_events test_foundation test_chain
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
   # (hash index, arena, spill values, compaction) under ASan.
   # IndexedTxSearch/RpcFixture cover the ledger's lazily built packet-event
@@ -71,8 +73,11 @@ if [ "$1" = "--check" ]; then
   # SimTask covers the coroutine frames the relayer and the channel handshake
   # run on (abandoned chains must free every frame: LeakSanitizer is on), and
   # HandshakePinned the handshake's schedule.
+  # TxTest..TxSharing cover the sealed txs the wallet, mempool, proposals and
+  # ledger share by pointer, and the responses and frames that point into
+  # the ledger's per-block results.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

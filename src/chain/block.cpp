@@ -35,25 +35,18 @@ crypto::Digest BlockHeader::hash() const {
 }
 
 crypto::Digest Block::compute_data_hash() const {
-  std::vector<util::Bytes> leaves;
+  std::vector<crypto::Digest> leaves;
   leaves.reserve(txs.size());
-  for (const Tx& tx : txs) leaves.push_back(tx.encode());
-  return crypto::merkle_root(leaves);
+  for (const TxPtr& tx : txs) leaves.push_back(tx->leaf());
+  return crypto::merkle_root_of_leaves(std::move(leaves));
 }
 
 std::size_t Block::size_bytes() const {
   std::size_t n = 256;  // header + framing
-  for (const Tx& tx : txs) n += tx.size_bytes();
+  for (const TxPtr& tx : txs) n += tx->size_bytes();
   for (const auto& ev : evidence) n += ev.size();
   n += last_commit.signatures.size() * 96;  // flag + addr + time + sig
   return n;
-}
-
-crypto::MerkleProof Block::prove_tx(std::size_t index) const {
-  std::vector<util::Bytes> leaves;
-  leaves.reserve(txs.size());
-  for (const Tx& tx : txs) leaves.push_back(tx.encode());
-  return crypto::merkle_prove(leaves, index);
 }
 
 util::Bytes vote_sign_bytes(const ChainId& chain_id, Height height, int round,

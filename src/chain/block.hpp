@@ -77,22 +77,19 @@ struct BlockHeader {
 
 struct Block {
   BlockHeader header;
-  std::vector<Tx> txs;            // the Data field
+  std::vector<TxPtr> txs;         // the Data field, shared with the mempool
   std::vector<util::Bytes> evidence;  // opaque misbehaviour proofs (unused
                                       // by honest runs; kept for structure)
   Commit last_commit;
 
   BlockId id() const { return BlockId{header.hash()}; }
 
-  /// Merkle root of the transaction list (fills header.data_hash).
+  /// Merkle root of the transaction list (fills header.data_hash), built
+  /// over the leaf digests the txs were sealed with.
   crypto::Digest compute_data_hash() const;
 
   /// Total wire size: header + txs + commit; drives gossip/bandwidth costs.
   std::size_t size_bytes() const;
-
-  /// Merkle existence proof that txs[index] is included under data_hash
-  /// (used by IBC light-client-style verification in the simulator).
-  crypto::MerkleProof prove_tx(std::size_t index) const;
 };
 
 /// The canonical sign-bytes for a precommit vote.

@@ -11,11 +11,8 @@ void Ledger::append(Block block, std::vector<DeliverTxResult> results,
          "blocks must be appended in order");
   assert(results.size() == block.txs.size());
   const Height h = block.header.height;
-  std::vector<TxHash> hashes;
-  hashes.reserve(block.txs.size());
   for (std::uint32_t i = 0; i < block.txs.size(); ++i) {
-    hashes.push_back(block.txs[i].hash());
-    tx_index_[hashes.back()] = TxLocation{h, i};
+    tx_index_[block.txs[i]->hash()] = TxLocation{h, i};
   }
   total_txs_ += block.txs.size();
   std::size_t event_bytes = 0;
@@ -25,8 +22,8 @@ void Ledger::append(Block block, std::vector<DeliverTxResult> results,
   }
   event_bytes_.push_back(event_bytes);
   blocks_.push_back(std::move(block));
-  results_.push_back(std::move(results));
-  tx_hashes_.push_back(std::move(hashes));
+  results_.push_back(
+      std::make_shared<const std::vector<DeliverTxResult>>(std::move(results)));
   app_hashes_.push_back(app_hash_after);
   seen_commits_.push_back(std::move(seen_commit));
   packet_rows_.emplace_back();  // built by the block's first packet query
@@ -39,7 +36,7 @@ const std::vector<PacketEventEntry>* Ledger::packet_rows(Height h) const {
   if (slot) return &*slot;
   std::vector<PacketEventEntry>& rows = slot.emplace();
   const std::vector<DeliverTxResult>& results =
-      results_[static_cast<std::size_t>(h - 1)];
+      *results_[static_cast<std::size_t>(h - 1)];
   for (std::uint32_t i = 0; i < results.size(); ++i) {
     for (const Event& ev : results[i].events) {
       if (!ev.payload) continue;
@@ -91,13 +88,13 @@ const Block* Ledger::block_at(Height h) const {
 }
 
 const std::vector<DeliverTxResult>* Ledger::results_at(Height h) const {
-  if (h < 1 || h > height()) return nullptr;
-  return &results_[static_cast<std::size_t>(h - 1)];
+  return shared_results_at(h).get();
 }
 
-const std::vector<TxHash>* Ledger::tx_hashes_at(Height h) const {
-  if (h < 1 || h > height()) return nullptr;
-  return &tx_hashes_[static_cast<std::size_t>(h - 1)];
+const BlockResults& Ledger::shared_results_at(Height h) const {
+  static const BlockResults kNone;
+  if (h < 1 || h > height()) return kNone;
+  return results_[static_cast<std::size_t>(h - 1)];
 }
 
 const crypto::Digest* Ledger::app_hash_after(Height h) const {

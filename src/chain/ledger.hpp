@@ -5,7 +5,9 @@
 // every transaction (consumed by RPC `tx_search`-style queries — whose large
 // response payloads are a core finding of the paper), a hash -> location
 // index, and the per-block packet-event index every packet-event query is
-// answered from.
+// answered from. A block's txs are the sealed txs its senders broadcast, and
+// its results are one immutable allocation that RPC responses and WebSocket
+// frames point into instead of copying.
 //
 // A Ledger belongs to one testbed and is only touched by that testbed's
 // thread (parallel sweeps give every run its own testbed), so the packet-event
@@ -13,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -25,6 +28,10 @@ struct TxLocation {
   Height height = 0;
   std::uint32_t index = 0;
 };
+
+/// One block's DeliverTx results, index-aligned with its txs; immutable once
+/// appended.
+using BlockResults = std::shared_ptr<const std::vector<DeliverTxResult>>;
 
 /// One row of a block's packet-event index: a typed event of type `type_id`
 /// whose payload announces packet sequence `seq`, emitted by transaction
@@ -67,9 +74,10 @@ class Ledger {
   /// 1-based access; returns nullptr for heights not yet committed.
   const Block* block_at(Height h) const;
   const std::vector<DeliverTxResult>* results_at(Height h) const;
-  /// Hashes of block `h`'s txs, index-aligned with its txs (computed once,
-  /// at append).
-  const std::vector<TxHash>* tx_hashes_at(Height h) const;
+  /// Block `h`'s results as the shared allocation (null for heights not yet
+  /// committed). The reference lasts until the next append; a holder that
+  /// outlives the call copies the pointer.
+  const BlockResults& shared_results_at(Height h) const;
 
   /// App state root after executing block `h` (what a light client tracks).
   const crypto::Digest* app_hash_after(Height h) const;
@@ -115,8 +123,7 @@ class Ledger {
 
   ChainId chain_id_;
   std::vector<Block> blocks_;
-  std::vector<std::vector<DeliverTxResult>> results_;
-  std::vector<std::vector<TxHash>> tx_hashes_;
+  std::vector<BlockResults> results_;
   std::vector<crypto::Digest> app_hashes_;
   std::vector<Commit> seen_commits_;
   std::vector<std::size_t> event_bytes_;  // cached per-block event payload

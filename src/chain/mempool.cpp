@@ -26,17 +26,17 @@ std::size_t Mempool::shard_for(const Address& sender) {
 }
 
 void Mempool::note_removed(const Item& item) {
-  hashes_.erase(item.hash);
+  hashes_.erase(item.tx->hash());
   --count_;
-  const auto it = pending_per_sender_.find(item.tx.sender);
+  const auto it = pending_per_sender_.find(item.tx->sender);
   if (it != pending_per_sender_.end() && --it->second == 0) {
     pending_per_sender_.erase(it);
   }
 }
 
-util::Status Mempool::add(const Tx& tx) {
-  const TxHash hash = tx.hash();
-  if (hashes_.contains(hash)) {
+util::Status Mempool::add(TxPtr ptr) {
+  const SealedTx& tx = *ptr;
+  if (hashes_.contains(tx.hash())) {
     return util::Status::error(util::ErrorCode::kAlreadyExists,
                                "tx already in mempool");
   }
@@ -65,17 +65,17 @@ util::Status Mempool::add(const Tx& tx) {
     if (rejected_checktx_ctr_) rejected_checktx_ctr_->add();
     return res.status;
   }
-  shards_[shard_for(tx.sender)].push_back(Item{tx, hash, next_ticket_++});
-  hashes_.insert(hash);
+  hashes_.insert(tx.hash());
   ++pending_per_sender_[tx.sender];
+  shards_[shard_for(tx.sender)].push_back(Item{std::move(ptr), next_ticket_++});
   ++count_;
   if (admitted_ctr_) admitted_ctr_->add();
   return util::Status::ok();
 }
 
-std::vector<Tx> Mempool::reap(std::uint64_t max_gas,
-                              std::size_t max_bytes) const {
-  std::vector<Tx> out;
+std::vector<TxPtr> Mempool::reap(std::uint64_t max_gas,
+                                 std::size_t max_bytes) const {
+  std::vector<TxPtr> out;
   std::uint64_t gas = 0;
   std::size_t bytes = 0;
   // Merge the shards back into global admission order by ticket; the
@@ -93,26 +93,27 @@ std::vector<Tx> Mempool::reap(std::uint64_t max_gas,
       }
     }
     if (best < 0) break;
-    const Tx& tx = shards_[static_cast<std::size_t>(best)]
-                       [cursor[static_cast<std::size_t>(best)]++]
-                           .tx;
+    const TxPtr& ptr = shards_[static_cast<std::size_t>(best)]
+                              [cursor[static_cast<std::size_t>(best)]++]
+                                  .tx;
+    const SealedTx& tx = *ptr;
     if (gas + tx.gas_limit > max_gas && !out.empty()) break;
     if (bytes + tx.size_bytes() > max_bytes && !out.empty()) break;
     if (gas + tx.gas_limit > max_gas || bytes + tx.size_bytes() > max_bytes) {
       // A single oversized tx can never fit; skip it rather than stall.
       continue;
     }
-    out.push_back(tx);
+    out.push_back(ptr);
     gas += tx.gas_limit;
     bytes += tx.size_bytes();
   }
   return out;
 }
 
-void Mempool::update_after_commit(const std::vector<Tx>& committed) {
+void Mempool::update_after_commit(const std::vector<TxPtr>& committed) {
   std::unordered_set<TxHash, TxHashHasher> committed_hashes;
   committed_hashes.reserve(committed.size() * 2);
-  for (const Tx& tx : committed) committed_hashes.insert(tx.hash());
+  for (const TxPtr& tx : committed) committed_hashes.insert(tx->hash());
 
   // A sender maps to exactly one shard, so shard-local FIFO rechecks see
   // the same per-sender pending counts as a global FIFO pass would.
@@ -120,21 +121,21 @@ void Mempool::update_after_commit(const std::vector<Tx>& committed) {
     std::deque<Item> survivors;
     std::unordered_map<Address, std::uint64_t> pending_counts;
     for (Item& item : shard) {
-      if (committed_hashes.contains(item.hash)) {
+      if (committed_hashes.contains(item.tx->hash())) {
         note_removed(item);
         continue;
       }
       // Recheck against post-block state (pending-aware, preserving FIFO
       // chains of consecutive sequences); evict now-invalid txs.
       CheckTxResult res =
-          app_.check_tx_pending(item.tx, pending_counts[item.tx.sender]);
+          app_.check_tx_pending(*item.tx, pending_counts[item.tx->sender]);
       if (!res.status.is_ok()) {
         note_removed(item);
         ++evicted_recheck_;
         if (evicted_recheck_ctr_) evicted_recheck_ctr_->add();
         continue;
       }
-      ++pending_counts[item.tx.sender];
+      ++pending_counts[item.tx->sender];
       survivors.push_back(std::move(item));
     }
     shard = std::move(survivors);

@@ -9,11 +9,12 @@
 //
 // The pool is sender-sharded for large depths: admission appends to the
 // sender's shard in O(1) (duplicate detection via a hash set, per-sender
-// pending counts via a map instead of a pool scan), each item caches its
-// tx hash so recheck never re-encodes pooled transactions, and a global
-// admission ticket lets reap() k-way-merge the shards back into the exact
-// FIFO admission order — proposals are byte-identical to the unsharded
-// implementation.
+// pending counts via a map instead of a pool scan), and a global admission
+// ticket lets reap() k-way-merge the shards back into the exact FIFO
+// admission order — proposals are byte-identical to the unsharded
+// implementation. The pool holds the sealed txs it was handed and reaps the
+// same pointers into proposals; admission, recheck and the post-commit purge
+// read the hash each tx was sealed with and never re-encode one.
 
 #include <array>
 #include <cstdint>
@@ -40,7 +41,7 @@ class Mempool {
   Mempool& operator=(const Mempool&) = delete;
 
   /// CheckTx + admission. Duplicates (by hash) are rejected.
-  util::Status add(const Tx& tx);
+  util::Status add(TxPtr tx);
 
   /// Censorship fault injection: while set, any tx for which the predicate
   /// returns true is refused admission (UNAVAILABLE), as if every node's
@@ -52,12 +53,12 @@ class Mempool {
 
   /// Selects transactions for a proposal, FIFO, while both budgets hold.
   /// Does not remove them (they leave the pool on commit).
-  std::vector<Tx> reap(std::uint64_t max_gas, std::size_t max_bytes) const;
+  std::vector<TxPtr> reap(std::uint64_t max_gas, std::size_t max_bytes) const;
 
   /// Drops committed transactions and re-checks the remainder against the
   /// post-block state (stale sequence numbers get evicted, as in Tendermint's
   /// recheck).
-  void update_after_commit(const std::vector<Tx>& committed);
+  void update_after_commit(const std::vector<TxPtr>& committed);
 
   std::size_t size() const { return count_; }
   bool contains(const TxHash& hash) const { return hashes_.contains(hash); }
@@ -75,9 +76,8 @@ class Mempool {
   static constexpr std::size_t kShards = 16;
 
   struct Item {
-    Tx tx;
-    TxHash hash;            // cached: recheck never re-encodes the tx
-    std::uint64_t ticket;   // global admission order
+    TxPtr tx;
+    std::uint64_t ticket;  // global admission order
   };
 
   struct TxHashHasher {

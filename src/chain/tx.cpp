@@ -1,5 +1,6 @@
 #include "chain/tx.hpp"
 
+#include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 
 namespace chain {
@@ -62,8 +63,14 @@ util::Bytes Tx::encode() const {
   return out;
 }
 
-TxHash Tx::hash() const {
-  return crypto::sha256(encode());
+SealedTx::SealedTx(Key, Tx tx) : Tx(std::move(tx)) {
+  const util::Bytes bytes = encode();
+  hash_ = crypto::sha256(bytes);
+  leaf_ = crypto::leaf_hash(bytes);
+}
+
+TxPtr seal(Tx tx) {
+  return std::make_shared<const SealedTx>(SealedTx::Key{}, std::move(tx));
 }
 
 std::size_t Tx::size_bytes() const {

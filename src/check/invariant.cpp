@@ -520,7 +520,7 @@ void InvariantChecker::check_account_sequences(
   std::map<chain::Address, std::uint64_t> tx_count;
   std::map<chain::Address, std::set<std::uint64_t>> consumed;
   for (std::size_t i = 0; i < block.txs.size() && i < results.size(); ++i) {
-    const chain::Tx& tx = block.txs[i];
+    const chain::Tx& tx = *block.txs[i];
     ++tx_count[tx.sender];
     if (!results[i].status.is_ok()) continue;
     if (!consumed[tx.sender].insert(tx.sequence).second) {

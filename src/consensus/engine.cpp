@@ -304,6 +304,9 @@ void Engine::commit_block(chain::Height height, int round) {
     round_timeout_event_ = sim::kInvalidEvent;
   }
 
+  // Copied, not moved: proposal deliveries still in flight read the shared
+  // block (on_proposal's validation cost). The txs are sealed pointers, so
+  // the copy shares them.
   chain::Block block = *current_block_;
   current_block_.reset();
 
@@ -326,9 +329,9 @@ void Engine::commit_block(chain::Height height, int round) {
   // snapshot at every instant.
   sim::Duration exec = sim::kDurationZero;
   std::size_t total_msgs = 0;
-  for (const chain::Tx& tx : block.txs) {
-    exec += app_.execution_cost(tx);
-    total_msgs += tx.msgs.size();
+  for (const chain::TxPtr& tx : block.txs) {
+    exec += app_.execution_cost(*tx);
+    total_msgs += tx->msgs.size();
   }
   exec += static_cast<sim::Duration>(
       config_.block_overhead_quadratic_ns *
@@ -394,8 +397,8 @@ void Engine::commit_block(chain::Height height, int round) {
         app_.begin_block(block.header);
         std::vector<chain::DeliverTxResult> results;
         results.reserve(block.txs.size());
-        for (const chain::Tx& tx : block.txs) {
-          results.push_back(app_.deliver_tx(tx));
+        for (const chain::TxPtr& tx : block.txs) {
+          results.push_back(app_.deliver_tx(*tx));
         }
         (void)app_.end_block(height);
         const crypto::Digest app_hash = app_.commit();

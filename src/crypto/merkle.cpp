@@ -5,18 +5,19 @@
 namespace crypto {
 
 namespace {
+std::vector<Digest> hash_leaves(const std::vector<util::Bytes>& leaves) {
+  std::vector<Digest> out;
+  out.reserve(leaves.size());
+  for (const auto& leaf : leaves) out.push_back(leaf_hash(leaf));
+  return out;
+}
+
 // Builds all levels of the tree, level 0 = leaf hashes. Odd nodes are
 // promoted (Tendermint/RFC-6962 style uses duplicate-free promotion; we
 // promote the unpaired node unchanged).
-std::vector<std::vector<Digest>> build_levels(
-    const std::vector<util::Bytes>& leaves) {
+std::vector<std::vector<Digest>> build_levels(std::vector<Digest> leaf_hashes) {
   std::vector<std::vector<Digest>> levels;
-  std::vector<Digest> level;
-  level.reserve(leaves.size());
-  for (const auto& leaf : leaves) {
-    level.push_back(leaf_hash(leaf));
-  }
-  levels.push_back(std::move(level));
+  levels.push_back(std::move(leaf_hashes));
   while (levels.back().size() > 1) {
     const auto& prev = levels.back();
     std::vector<Digest> next;
@@ -52,8 +53,12 @@ Digest inner_hash(const Digest& left, const Digest& right) {
 }
 
 Digest merkle_root(const std::vector<util::Bytes>& leaves) {
-  if (leaves.empty()) return sha256({});
-  return build_levels(leaves).back().front();
+  return merkle_root_of_leaves(hash_leaves(leaves));
+}
+
+Digest merkle_root_of_leaves(std::vector<Digest> leaf_hashes) {
+  if (leaf_hashes.empty()) return sha256({});
+  return build_levels(std::move(leaf_hashes)).back().front();
 }
 
 MerkleProof merkle_prove(const std::vector<util::Bytes>& leaves,
@@ -63,7 +68,7 @@ MerkleProof merkle_prove(const std::vector<util::Bytes>& leaves,
   proof.leaf_index = index;
   proof.leaf_count = leaves.size();
 
-  const auto levels = build_levels(leaves);
+  const auto levels = build_levels(hash_leaves(leaves));
   std::size_t pos = index;
   for (std::size_t lvl = 0; lvl + 1 < levels.size(); ++lvl) {
     const auto& level = levels[lvl];

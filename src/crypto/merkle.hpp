@@ -33,6 +33,10 @@ struct MerkleProof {
 /// convention for empty blocks.
 Digest merkle_root(const std::vector<util::Bytes>& leaves);
 
+/// The same root over leaves already hashed with leaf_hash(): a block whose
+/// txs carry their leaf digests builds only the inner nodes.
+Digest merkle_root_of_leaves(std::vector<Digest> leaf_hashes);
+
 /// Produces an existence proof for leaf `index`. Precondition:
 /// index < leaves.size().
 MerkleProof merkle_prove(const std::vector<util::Bytes>& leaves,

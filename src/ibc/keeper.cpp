@@ -627,8 +627,11 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
   ctx.events->push_back(
       make_packet_event(PacketEventKind::kRecv, p, ack_bytes));
   if (ack.has_value()) {
-    ctx.events->push_back(
-        make_packet_event(PacketEventKind::kWriteAck, p, ack_bytes));
+    // Same packet: reuse the ICS-20 data the recv event just decoded.
+    std::optional<FungibleTokenPacketData> data =
+        packet_event(ctx.events->back())->transfer_data;
+    ctx.events->push_back(make_packet_event(PacketEventKind::kWriteAck, p,
+                                            ack_bytes, std::move(data)));
   }
   return util::Status::ok();
 }

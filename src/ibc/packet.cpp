@@ -224,8 +224,10 @@ PacketEvent::PacketEvent(
     std::optional<FungibleTokenPacketData> event_transfer_data)
     : kind(event_kind),
       packet(without_data_unless_carried(event_kind, std::move(event_packet))),
-      transfer_data(event_transfer_data ? std::move(event_transfer_data)
-                                        : decode_transfer_data(packet.data)),
+      // Acknowledge and timeout events carry no data, so nothing decodes.
+      transfer_data(event_transfer_data || !carries_data(event_kind)
+                        ? std::move(event_transfer_data)
+                        : decode_transfer_data(packet.data)),
       ack(std::move(event_ack)),
       attributes_size(rendered_size(kind, packet, ack)) {}
 

@@ -103,8 +103,10 @@ struct PacketEvent final : chain::EventPayload {
 /// Builds a packet life-cycle event; IbcKeeper emits every packet event
 /// through this. `ack` is the encoded acknowledgement (write_acknowledgement,
 /// and recv_packet when the ack is written in the same message).
-/// `transfer_data` is what packet.data encodes, for a sender that has it at
-/// hand (send_transfer just encoded it); without it packet.data is decoded.
+/// `transfer_data` is what packet.data encodes, for a caller that has it at
+/// hand (send_transfer just encoded it; a write_acknowledgement takes its
+/// recv_packet event's); without it packet.data is decoded, for the kinds
+/// that carry it.
 chain::Event make_packet_event(
     PacketEventKind kind, Packet packet, util::Bytes ack = {},
     std::optional<FungibleTokenPacketData> transfer_data = std::nullopt);

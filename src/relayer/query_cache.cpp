@@ -13,7 +13,7 @@ std::size_t page_bytes(const rpc::TxSearchPage& page) {
   // Estimated wire footprint: per-tx envelope + raw tx + event payload.
   std::size_t total = 256;
   for (const rpc::TxResponse& tx : page.txs) {
-    total += 128 + tx.tx.size_bytes() + tx.event_bytes();
+    total += 128 + tx.tx->size_bytes() + tx.event_bytes();
   }
   return total;
 }

@@ -328,22 +328,24 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
   // A wedged event source extracts nothing; the block-height bookkeeping
   // below still runs, so clearing can rediscover the packets.
   std::vector<ibc::Sequence> new_seqs;
-  if (!ws_wedged_a_) {
-    for (const chain::Event& ev : frame.events) {
-      const ibc::PacketEvent* pe = ibc::packet_event(ev);
-      if (pe == nullptr) continue;
-      const bool sent = pe->kind == ibc::PacketEventKind::kSend;
-      if (!sent && pe->kind != ibc::PacketEventKind::kAcknowledge) continue;
-      if (pe->packet.source_channel != path_.channel_a) continue;
-      const std::uint64_t seq = pe->packet.sequence;
-      if (!sent) {
-        record(Step::kAckExtraction, seq);
-      } else if (!packets_.contains(seq) && admits(seq, frame.height)) {
-        PacketState st;
-        st.src_height = frame.height;
-        packets_.emplace(seq, std::move(st));
-        record(Step::kTransferExtraction, seq);
-        new_seqs.push_back(seq);
+  if (!ws_wedged_a_ && frame.results) {
+    for (const chain::DeliverTxResult& res : *frame.results) {
+      for (const chain::Event& ev : res.events) {
+        const ibc::PacketEvent* pe = ibc::packet_event(ev);
+        if (pe == nullptr) continue;
+        const bool sent = pe->kind == ibc::PacketEventKind::kSend;
+        if (!sent && pe->kind != ibc::PacketEventKind::kAcknowledge) continue;
+        if (pe->packet.source_channel != path_.channel_a) continue;
+        const std::uint64_t seq = pe->packet.sequence;
+        if (!sent) {
+          record(Step::kAckExtraction, seq);
+        } else if (!packets_.contains(seq) && admits(seq, frame.height)) {
+          PacketState st;
+          st.src_height = frame.height;
+          packets_.emplace(seq, std::move(st));
+          record(Step::kTransferExtraction, seq);
+          new_seqs.push_back(seq);
+        }
       }
     }
   }
@@ -378,27 +380,30 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
     bump(&Stats::frames_failed);
     if (config_.websocket_failure_sticky) ws_wedged_b_ = true;
   }
-  if (ws_wedged_b_) return;  // ack extraction disabled; commit-callback path
-                             // still drives acks for our own recv txs
+  // A wedged source extracts nothing (the commit-callback path still drives
+  // acks for our own recv txs); an oversized frame carries no events.
+  if (ws_wedged_b_ || !frame.results) return;
 
   std::vector<ibc::Sequence> ack_seqs;
-  for (const chain::Event& ev : frame.events) {
-    const ibc::PacketEvent* pe = ibc::packet_event(ev);
-    if (pe == nullptr || pe->kind != ibc::PacketEventKind::kWriteAck) {
-      continue;
+  for (const chain::DeliverTxResult& res : *frame.results) {
+    for (const chain::Event& ev : res.events) {
+      const ibc::PacketEvent* pe = ibc::packet_event(ev);
+      if (pe == nullptr || pe->kind != ibc::PacketEventKind::kWriteAck) {
+        continue;
+      }
+      if (pe->packet.source_channel != path_.channel_a) continue;
+      const std::uint64_t seq = pe->packet.sequence;
+      const auto it = packets_.find(seq);
+      if (it == packets_.end()) continue;  // not a packet we are tracking
+      PacketState& st = it->second;
+      if (st.stage == Stage::kAckInFlight || st.stage == Stage::kDone ||
+          st.stage == Stage::kTimedOut || st.stage == Stage::kAbandoned) {
+        continue;
+      }
+      record(Step::kRecvExtraction, seq);
+      st.stage = Stage::kRecvDone;
+      ack_seqs.push_back(seq);
     }
-    if (pe->packet.source_channel != path_.channel_a) continue;
-    const std::uint64_t seq = pe->packet.sequence;
-    const auto it = packets_.find(seq);
-    if (it == packets_.end()) continue;  // not a packet we are tracking
-    PacketState& st = it->second;
-    if (st.stage == Stage::kAckInFlight || st.stage == Stage::kDone ||
-        st.stage == Stage::kTimedOut || st.stage == Stage::kAbandoned) {
-      continue;
-    }
-    record(Step::kRecvExtraction, seq);
-    st.stage = Stage::kRecvDone;
-    ack_seqs.push_back(seq);
   }
 
   if (!ack_seqs.empty()) enqueue(AckBatchOp{frame.height, std::move(ack_seqs)});
@@ -539,7 +544,7 @@ sim::Task<PullResult> Relayer::pull_chunks(
       continue;
     }
     for (const rpc::TxResponse& tx : res.value().txs) {
-      for (const chain::Event& ev : tx.result.events) {
+      for (const chain::Event& ev : tx.result->events) {
         if (ev.type != event_type) continue;
         const ibc::PacketEvent* pe = ibc::packet_event(ev);
         if (!pe || pe->packet.source_channel != path_.channel_a) continue;
@@ -1055,7 +1060,7 @@ sim::Task<> Relayer::run(ClearOp op) {
           << "clear range scan failed: " << res.status().to_string();
     } else {
       for (const rpc::TxResponse& tx : res.value().txs) {
-        for (const chain::Event& ev : tx.result.events) {
+        for (const chain::Event& ev : tx.result->events) {
           if (ev.type != "send_packet") continue;
           const ibc::PacketEvent* pe = ibc::packet_event(ev);
           if (!pe || pe->packet.source_channel != path_.channel_a) continue;
@@ -1104,7 +1109,7 @@ sim::Task<> Relayer::run(AckScanOp op) {
   }
   std::vector<ibc::Sequence> ready;
   for (const rpc::TxResponse& tx : res.value().txs) {
-    for (const chain::Event& ev : tx.result.events) {
+    for (const chain::Event& ev : tx.result->events) {
       if (ev.type != "write_acknowledgement") continue;
       const ibc::PacketEvent* pe = ibc::packet_event(ev);
       if (!pe || pe->packet.source_channel != path_.channel_a) continue;

@@ -19,8 +19,9 @@ Wallet::Wallet(sim::Scheduler& sched, rpc::Server& server,
 
 void Wallet::submit(std::vector<chain::Msg> msgs, std::uint64_t gas_limit,
                     SubmitCallback cb, std::function<void()> on_broadcast) {
-  waiting_.push_back(PendingSubmit{std::move(msgs), gas_limit, std::move(cb),
-                                   std::move(on_broadcast)});
+  waiting_.push_back(PendingSubmit{
+      std::make_shared<const std::vector<chain::Msg>>(std::move(msgs)),
+      gas_limit, std::move(cb), std::move(on_broadcast)});
   pump();
 }
 
@@ -70,14 +71,7 @@ void Wallet::start_submit(std::size_t account_idx, PendingSubmit work) {
   ++in_flight_;
 
   auto proceed = [this, account_idx, work = std::move(work)]() mutable {
-    Account& a = accounts_[account_idx];
-    chain::Tx tx;
-    tx.sender = a.address;
-    tx.sequence = a.next_sequence;
-    tx.gas_limit = work.gas_limit;
-    tx.fee = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(work.gas_limit) * config_.gas_price));
-    tx.msgs = work.msgs;
+    chain::TxPtr tx = seal_next(account_idx, work);
     broadcast(account_idx, std::move(tx), std::move(work),
               config_.max_sequence_retries, config_.max_broadcast_retries);
   };
@@ -87,6 +81,19 @@ void Wallet::start_submit(std::size_t account_idx, PendingSubmit work) {
   } else {
     proceed();
   }
+}
+
+chain::TxPtr Wallet::seal_next(std::size_t account_idx,
+                               const PendingSubmit& work) const {
+  chain::Tx tx;
+  tx.sender = accounts_[account_idx].address;
+  tx.sequence = accounts_[account_idx].next_sequence;
+  tx.gas_limit = work.gas_limit;
+  tx.fee = static_cast<std::uint64_t>(
+      std::ceil(static_cast<double>(work.gas_limit) * config_.gas_price));
+  // A copy: `work` keeps its msgs for a re-sequenced retry.
+  tx.msgs = *work.msgs;
+  return chain::seal(std::move(tx));
 }
 
 void Wallet::finish(std::size_t account_idx, const SubmitOutcome& outcome,
@@ -99,19 +106,19 @@ void Wallet::finish(std::size_t account_idx, const SubmitOutcome& outcome,
   pump();
 }
 
-void Wallet::broadcast(std::size_t account_idx, chain::Tx tx,
+void Wallet::broadcast(std::size_t account_idx, chain::TxPtr tx,
                        PendingSubmit work, int seq_retries_left,
                        int broadcast_retries_left) {
-  const chain::TxHash hash = tx.hash();
   server_.broadcast_tx_sync(
       machine_, tx,
       [this, account_idx, tx, work = std::move(work), seq_retries_left,
-       broadcast_retries_left, hash](util::Status status) mutable {
+       broadcast_retries_left](util::Status status) mutable {
         Account& acct = accounts_[account_idx];
+        const chain::TxHash hash = tx->hash();
         if (status.is_ok()) {
           // Accepted into the mempool: optimistically advance the sequence
           // and track to commitment.
-          acct.next_sequence = tx.sequence + 1;
+          acct.next_sequence = tx->sequence + 1;
           ++acct.unconfirmed;
           if (work.on_broadcast) work.on_broadcast();
           const sim::TimePoint deadline = sched_.now() + config_.confirm_timeout;
@@ -139,21 +146,14 @@ void Wallet::broadcast(std::size_t account_idx, chain::Tx tx,
             seq_retries_left > 0) {
           ++seq_mismatch_;
           IBC_LOG(kWarn, "wallet") << acct.address << " seq mismatch on tx seq "
-                                   << tx.sequence << ": " << status.message()
+                                   << tx->sequence << ": " << status.message()
                                    << " (retrying)";
           acct.sequence_known = false;
           refresh_sequence(account_idx, [this, account_idx,
                                          work = std::move(work),
                                          seq_retries_left,
                                          broadcast_retries_left]() mutable {
-            Account& a = accounts_[account_idx];
-            chain::Tx retry;
-            retry.sender = a.address;
-            retry.sequence = a.next_sequence;
-            retry.gas_limit = work.gas_limit;
-            retry.fee = static_cast<std::uint64_t>(std::ceil(
-                static_cast<double>(work.gas_limit) * config_.gas_price));
-            retry.msgs = work.msgs;
+            chain::TxPtr retry = seal_next(account_idx, work);
             broadcast(account_idx, std::move(retry), std::move(work),
                       seq_retries_left - 1, broadcast_retries_left);
           });
@@ -196,9 +196,9 @@ void Wallet::confirm_loop(std::size_t account_idx, chain::TxHash hash,
         if (res.is_ok()) {
           if (acct.unconfirmed > 0) --acct.unconfirmed;
           ++txs_committed_;
-          fees_paid_ += res.value().tx.fee;
+          fees_paid_ += res.value().tx->fee;
           SubmitOutcome outcome;
-          outcome.status = res.value().result.status;
+          outcome.status = res.value().result->status;
           outcome.hash = hash;
           outcome.height = res.value().height;
           outcome.committed = true;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,9 @@ class Wallet {
   };
 
   struct PendingSubmit {
-    std::vector<chain::Msg> msgs;
+    /// Shared: the RPC callbacks that carry a submission through sequence
+    /// refreshes and retries copy a pointer, and each seal copies the msgs.
+    std::shared_ptr<const std::vector<chain::Msg>> msgs;
     std::uint64_t gas_limit;
     SubmitCallback cb;
     std::function<void()> on_broadcast;
@@ -92,7 +95,10 @@ class Wallet {
   void pump();
   Account* pick_account();
   void start_submit(std::size_t account_idx, PendingSubmit work);
-  void broadcast(std::size_t account_idx, chain::Tx tx, PendingSubmit work,
+  /// Seals a tx from `account_idx`'s next sequence and `work`'s msgs.
+  chain::TxPtr seal_next(std::size_t account_idx,
+                         const PendingSubmit& work) const;
+  void broadcast(std::size_t account_idx, chain::TxPtr tx, PendingSubmit work,
                  int seq_retries_left, int broadcast_retries_left);
   void confirm_loop(std::size_t account_idx, chain::TxHash hash,
                     SubmitCallback cb, sim::TimePoint deadline);

@@ -100,19 +100,18 @@ void Server::roundtrip(net::MachineId client, std::uint64_t request_bytes,
   });
 }
 
-void Server::broadcast_tx_sync(net::MachineId client, chain::Tx tx,
+void Server::broadcast_tx_sync(net::MachineId client, chain::TxPtr tx,
                                std::function<void(util::Status)> cb) {
-  const std::uint64_t req_bytes = tx.size_bytes();
+  const std::uint64_t req_bytes = tx->size_bytes();
   const sim::Duration service =
       cost_.broadcast_base +
-      cost_.broadcast_per_msg * static_cast<sim::Duration>(tx.msgs.size());
-  auto shared_tx = std::make_shared<chain::Tx>(std::move(tx));
+      cost_.broadcast_per_msg * static_cast<sim::Duration>(tx->msgs.size());
   roundtrip(
       client, req_bytes, [service] { return service; }, 256,
-      [this, shared_tx, cb]() {
+      [this, tx = std::move(tx), cb]() {
         // Admission happens at service completion: CheckTx against the
         // then-current committed state.
-        cb(mempool_.add(*shared_tx));
+        cb(mempool_.add(tx));
       },
       [cb]() {
         cb(util::Status::error(util::ErrorCode::kUnavailable,
@@ -124,16 +123,10 @@ void Server::broadcast_tx_sync(net::MachineId client, chain::Tx tx,
 TxResponse Server::make_response(chain::Height height,
                                  std::uint32_t index) const {
   const chain::Block* block = ledger_.block_at(height);
-  const auto* results = ledger_.results_at(height);
-  const auto* hashes = ledger_.tx_hashes_at(height);
-  assert(block && results && hashes && index < block->txs.size());
-  TxResponse r;
-  r.hash = (*hashes)[index];
-  r.height = height;
-  r.index = index;
-  r.tx = block->txs[index];
-  r.result = (*results)[index];
-  return r;
+  const chain::BlockResults& results = ledger_.shared_results_at(height);
+  assert(block && results && index < block->txs.size());
+  return TxResponse{height, index, block->txs[index],
+                    {results, &(*results)[index]}};
 }
 
 void Server::query_tx(net::MachineId client, chain::TxHash hash,
@@ -405,9 +398,7 @@ void Server::unsubscribe(SubscriptionId id) {
                 [id](const Subscription& s) { return s.id == id; });
 }
 
-void Server::on_block_committed(
-    const chain::Block& block,
-    const std::vector<chain::DeliverTxResult>& results) {
+void Server::on_block_committed(const chain::Block& block) {
   if (subscriptions_.empty()) return;
 
   NewBlockFrame frame;
@@ -426,9 +417,7 @@ void Server::on_block_committed(
     frame.frame_bytes = 1024;
   } else {
     frame.events_ok = true;
-    for (const auto& r : results) {
-      frame.events.insert(frame.events.end(), r.events.begin(), r.events.end());
-    }
+    frame.results = ledger_.shared_results_at(frame.height);
   }
 
   // Pushing the frame costs the server marshal time (serialized with other

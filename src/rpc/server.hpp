@@ -33,18 +33,19 @@
 
 namespace rpc {
 
-/// A transaction as returned by query endpoints: location + execution result.
+/// A transaction as returned by query endpoints: its location, the sealed tx
+/// and its execution result, both shared with the ledger.
 struct TxResponse {
-  chain::TxHash hash{};
   chain::Height height = 0;
   std::uint32_t index = 0;
-  chain::Tx tx;
-  chain::DeliverTxResult result;
+  chain::TxPtr tx;
+  /// Points into the ledger's results for `height`. Immutable like the
+  /// ledger's: a page edited through the tamper hook gets its own copy.
+  std::shared_ptr<const chain::DeliverTxResult> result;
 
   /// Event payload size of this entry (drives marshal cost); cached in the
-  /// ledger's result, which `result` copies along with pointers to its
-  /// packet-event payloads.
-  std::size_t event_bytes() const { return result.encoded_size(); }
+  /// ledger's result.
+  std::size_t event_bytes() const { return result->encoded_size(); }
 };
 
 /// Result page for tx_search.
@@ -62,8 +63,9 @@ struct NewBlockFrame {
   /// "Failed to collect events" instead of the event list (paper §V).
   bool events_ok = true;
   std::size_t frame_bytes = 0;
-  /// Flattened per-tx events (empty when events_ok is false).
-  std::vector<chain::Event> events;
+  /// The block's DeliverTx results, whose events the frame announces: the
+  /// ledger's allocation (null when events_ok is false).
+  chain::BlockResults results;
 };
 
 class Server {
@@ -98,17 +100,19 @@ class Server {
 
   /// Fault-injection hook for tests: runs on every packet-event query
   /// response (single-block and range form) after the page is assembled but
-  /// before delivery. The hook may mutate the page (e.g. swap an event's
-  /// payload for a copy with corrupt ack bytes; payloads are shared with the
-  /// ledger and never written) or return an error, which is delivered to the
-  /// client in place of the page. Unset (the default) costs nothing.
+  /// before delivery. The hook may mutate the page (e.g. point an entry's
+  /// result at a copy with a corrupt ack event; results and payloads are
+  /// shared with the ledger and never written) or return an error, which is
+  /// delivered to the client in place of the page. Unset (the default) costs
+  /// nothing.
   using QueryTamper = std::function<util::Status(TxSearchPage&)>;
   void set_query_tamper(QueryTamper tamper) { tamper_ = std::move(tamper); }
 
   // --- transaction submission -------------------------------------------
-  /// CheckTx + mempool admission. The callback receives the admission
-  /// status; kResourceExhausted/kUnavailable indicate an overloaded server.
-  void broadcast_tx_sync(net::MachineId client, chain::Tx tx,
+  /// CheckTx + mempool admission of the sealed `tx`, which the mempool then
+  /// holds as is. The callback receives the admission status;
+  /// kResourceExhausted/kUnavailable indicate an overloaded server.
+  void broadcast_tx_sync(net::MachineId client, chain::TxPtr tx,
                          std::function<void(util::Status)> cb);
 
   // --- queries ------------------------------------------------------------
@@ -186,11 +190,10 @@ class Server {
   SubscriptionId subscribe_new_block(net::MachineId client, FrameCallback cb);
   void unsubscribe(SubscriptionId id);
 
-  /// Wire this to consensus::Engine::subscribe_block: `block` and `results`
-  /// are the ledger's, and the frame size is its cached block_event_bytes.
-  /// Frame events share their payloads with the ledger's.
-  void on_block_committed(const chain::Block& block,
-                          const std::vector<chain::DeliverTxResult>& results);
+  /// Wire this to consensus::Engine::subscribe_block: `block` is the
+  /// ledger's newest. The frame carries the ledger's results for it, and
+  /// its size is the ledger's cached block_event_bytes.
+  void on_block_committed(const chain::Block& block);
 
   // --- statistics ----------------------------------------------------------
   std::uint64_t requests_served() const { return queue_.completed(); }

@@ -73,7 +73,7 @@ std::uint64_t Analyzer::included_transfers(chain::Height h_begin,
     if (!block || !results) continue;
     for (std::size_t i = 0; i < block->txs.size(); ++i) {
       if (!(*results)[i].status.is_ok()) continue;
-      for (const chain::Msg& m : block->txs[i].msgs) {
+      for (const chain::Msg& m : block->txs[i]->msgs) {
         if (m.type_url == ibc::kMsgTransferUrl) ++count;
       }
     }

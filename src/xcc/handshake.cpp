@@ -59,7 +59,7 @@ sim::Task<util::Status> submit_and_read(
         end.server.query_tx(machine, sub.hash, std::move(resume));
       });
   if (!tx.is_ok()) co_return failure("cannot read handshake tx events");
-  for (const chain::Event& ev : tx.value().result.events) {
+  for (const chain::Event& ev : tx.value().result->events) {
     if (ev.type != event_type) continue;
     out = ev.attribute(attribute);
     if (!out.empty()) co_return util::Status::ok();

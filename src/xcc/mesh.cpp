@@ -316,7 +316,7 @@ void MeshWorkload::backfill_broadcast_records(chain::TxHash hash,
       config_.machine, hash,
       [this, broadcast_time](util::Result<rpc::TxResponse> res) {
         if (!res.is_ok() || !step_log_) return;
-        for (const chain::Event& ev : res.value().result.events) {
+        for (const chain::Event& ev : res.value().result->events) {
           const ibc::PacketEvent* pe = ibc::packet_event(ev);
           if (pe == nullptr || pe->kind != ibc::PacketEventKind::kSend ||
               pe->packet.source_channel != source_channel_) {

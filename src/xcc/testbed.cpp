@@ -160,8 +160,8 @@ void Testbed::deploy_chain(ChainDeployment& c, int index) {
     rpc::Server* raw = server.get();
     c.engine->subscribe_block(
         [raw](const chain::Block& block,
-              const std::vector<chain::DeliverTxResult>& results) {
-          raw->on_block_committed(block, results);
+              const std::vector<chain::DeliverTxResult>&) {
+          raw->on_block_committed(block);
         });
     c.servers.push_back(std::move(server));
   }

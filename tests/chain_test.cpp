@@ -9,6 +9,8 @@
 #include "chain/store.hpp"
 #include "chain/tx.hpp"
 #include "chain/validator.hpp"
+#include "crypto/merkle.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -25,6 +27,31 @@ chain::Tx make_tx(const std::string& sender, std::uint64_t seq,
   return tx;
 }
 
+chain::TxPtr sealed_tx(const std::string& sender, std::uint64_t seq,
+                       std::size_t msgs = 1) {
+  return chain::seal(make_tx(sender, seq, msgs));
+}
+
+/// A tx with random fields, 0-4 msgs of random sizes and a random memo.
+chain::Tx random_tx(util::Rng& rng) {
+  const auto random_string = [&rng](std::size_t max_len) {
+    std::string s(rng.next_below(max_len + 1), '\0');
+    for (char& c : s) c = static_cast<char>(rng.next_below(256));
+    return s;
+  };
+  chain::Tx tx;
+  tx.sender = random_string(24);
+  tx.sequence = rng.next_u64();
+  tx.gas_limit = rng.next_u64();
+  tx.fee = rng.next_u64();
+  for (std::uint64_t i = rng.next_below(5); i > 0; --i) {
+    tx.msgs.push_back(
+        chain::Msg{random_string(40), util::to_bytes(random_string(300))});
+  }
+  tx.memo = random_string(16);
+  return tx;
+}
+
 TEST(TxTest, EncodeDecodeRoundTrip) {
   chain::Tx tx = make_tx("alice", 7, 3);
   tx.memo = "hello";
@@ -37,13 +64,22 @@ TEST(TxTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.msgs.size(), 3u);
   EXPECT_EQ(decoded.msgs[0].type_url, "/test.Msg");
   EXPECT_EQ(decoded.memo, "hello");
-  EXPECT_EQ(decoded.hash(), tx.hash());
+  EXPECT_EQ(decoded.encode(), tx.encode());
 }
 
 TEST(TxTest, HashChangesWithContent) {
-  const chain::Tx a = make_tx("alice", 1);
-  chain::Tx b = make_tx("alice", 2);
-  EXPECT_NE(a.hash(), b.hash());
+  EXPECT_NE(sealed_tx("alice", 1)->hash(), sealed_tx("alice", 2)->hash());
+}
+
+TEST(TxTest, SealedDigestsAreThoseOfTheEncoding) {
+  util::Rng rng(0x5ea1);
+  for (int i = 0; i < 200; ++i) {
+    const chain::Tx tx = random_tx(rng);
+    const chain::TxPtr sealed = chain::seal(tx);
+    EXPECT_EQ(sealed->encode(), tx.encode());
+    EXPECT_EQ(sealed->hash(), crypto::sha256(tx.encode())) << "tx " << i;
+    EXPECT_EQ(sealed->leaf(), crypto::leaf_hash(tx.encode())) << "tx " << i;
+  }
 }
 
 TEST(TxTest, DecodeRejectsTruncated) {
@@ -126,20 +162,20 @@ TEST(BlockTest, HeaderHashCoversFields) {
 }
 
 TEST(BlockTest, DataHashIsMerkleRootOfTxs) {
-  chain::Block block;
-  block.txs = {make_tx("a", 0), make_tx("b", 0)};
-  std::vector<util::Bytes> leaves = {block.txs[0].encode(),
-                                     block.txs[1].encode()};
-  EXPECT_EQ(block.compute_data_hash(), crypto::merkle_root(leaves));
-}
-
-TEST(BlockTest, TxInclusionProof) {
-  chain::Block block;
-  for (int i = 0; i < 7; ++i) block.txs.push_back(make_tx("u" + std::to_string(i), 0));
-  block.header.data_hash = block.compute_data_hash();
-  const crypto::MerkleProof proof = block.prove_tx(3);
-  EXPECT_TRUE(crypto::merkle_verify(block.header.data_hash,
-                                    block.txs[3].encode(), proof));
+  // The root over the leaves the txs were sealed with must equal the root
+  // over fresh encodings, for every tree shape (odd levels promote a node).
+  util::Rng rng(0xda7a);
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 129u}) {
+    chain::Block block;
+    std::vector<util::Bytes> leaves;
+    for (std::size_t i = 0; i < n; ++i) {
+      const chain::Tx tx = random_tx(rng);
+      leaves.push_back(tx.encode());
+      block.txs.push_back(chain::seal(tx));
+    }
+    EXPECT_EQ(block.compute_data_hash(), crypto::merkle_root(leaves))
+        << n << " txs";
+  }
 }
 
 TEST(BlockTest, CommittedPowerCountsOnlyCommitVotes) {
@@ -158,7 +194,7 @@ TEST(BlockTest, CommittedPowerCountsOnlyCommitVotes) {
 TEST(BlockTest, SizeGrowsWithTxs) {
   chain::Block small;
   chain::Block big;
-  for (int i = 0; i < 100; ++i) big.txs.push_back(make_tx("u", 0, 10));
+  for (int i = 0; i < 100; ++i) big.txs.push_back(sealed_tx("u", 0, 10));
   EXPECT_GT(big.size_bytes(), small.size_bytes() + 10'000);
 }
 
@@ -320,34 +356,35 @@ class CountingApp : public chain::App {
 TEST(MempoolTest, AdmitsConsecutiveSequencesFromOneSender) {
   CountingApp app;
   chain::Mempool pool(app, 100);
-  EXPECT_TRUE(pool.add(make_tx("alice", 0)).is_ok());
-  EXPECT_TRUE(pool.add(make_tx("alice", 1)).is_ok());
-  EXPECT_TRUE(pool.add(make_tx("alice", 2)).is_ok());
+  EXPECT_TRUE(pool.add(sealed_tx("alice", 0)).is_ok());
+  EXPECT_TRUE(pool.add(sealed_tx("alice", 1)).is_ok());
+  EXPECT_TRUE(pool.add(sealed_tx("alice", 2)).is_ok());
   EXPECT_EQ(pool.size(), 3u);
 }
 
 TEST(MempoolTest, RejectsSequenceGap) {
   CountingApp app;
   chain::Mempool pool(app, 100);
-  EXPECT_TRUE(pool.add(make_tx("alice", 0)).is_ok());
-  const auto status = pool.add(make_tx("alice", 5));
+  EXPECT_TRUE(pool.add(sealed_tx("alice", 0)).is_ok());
+  const auto status = pool.add(sealed_tx("alice", 5));
   EXPECT_EQ(status.code(), util::ErrorCode::kSequenceMismatch);
 }
 
 TEST(MempoolTest, RejectsDuplicates) {
   CountingApp app;
   chain::Mempool pool(app, 100);
-  const chain::Tx tx = make_tx("bob", 0);
-  EXPECT_TRUE(pool.add(tx).is_ok());
-  EXPECT_EQ(pool.add(tx).code(), util::ErrorCode::kAlreadyExists);
+  EXPECT_TRUE(pool.add(sealed_tx("bob", 0)).is_ok());
+  // A second seal of the same content is the same tx.
+  EXPECT_EQ(pool.add(sealed_tx("bob", 0)).code(),
+            util::ErrorCode::kAlreadyExists);
 }
 
 TEST(MempoolTest, RejectsWhenFull) {
   CountingApp app;
   chain::Mempool pool(app, 2);
-  EXPECT_TRUE(pool.add(make_tx("a", 0)).is_ok());
-  EXPECT_TRUE(pool.add(make_tx("b", 0)).is_ok());
-  EXPECT_EQ(pool.add(make_tx("c", 0)).code(),
+  EXPECT_TRUE(pool.add(sealed_tx("a", 0)).is_ok());
+  EXPECT_TRUE(pool.add(sealed_tx("b", 0)).is_ok());
+  EXPECT_EQ(pool.add(sealed_tx("c", 0)).code(),
             util::ErrorCode::kResourceExhausted);
   EXPECT_EQ(pool.rejected_full(), 1u);
 }
@@ -356,7 +393,7 @@ TEST(MempoolTest, ReapRespectsGasBudget) {
   CountingApp app;
   chain::Mempool pool(app, 100);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pool.add(make_tx("u" + std::to_string(i), 0)).is_ok());
+    ASSERT_TRUE(pool.add(sealed_tx("u" + std::to_string(i), 0)).is_ok());
   }
   // Each tx wants 100k gas; budget of 250k fits two.
   const auto reaped = pool.reap(250'000, 1 << 20);
@@ -369,7 +406,7 @@ TEST(MempoolTest, ReapRespectsByteBudget) {
   CountingApp app;
   chain::Mempool pool(app, 100);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pool.add(make_tx("u" + std::to_string(i), 0, 50)).is_ok());
+    ASSERT_TRUE(pool.add(sealed_tx("u" + std::to_string(i), 0, 50)).is_ok());
   }
   const std::size_t one_tx = make_tx("u0", 0, 50).size_bytes();
   const auto reaped = pool.reap(1'000'000'000, one_tx * 3 + 10);
@@ -379,25 +416,25 @@ TEST(MempoolTest, ReapRespectsByteBudget) {
 TEST(MempoolTest, UpdateAfterCommitRemovesAndRechecks) {
   CountingApp app;
   chain::Mempool pool(app, 100);
-  const chain::Tx t0 = make_tx("alice", 0);
-  const chain::Tx t1 = make_tx("alice", 1);
+  const chain::TxPtr t0 = sealed_tx("alice", 0);
+  const chain::TxPtr t1 = sealed_tx("alice", 1);
   ASSERT_TRUE(pool.add(t0).is_ok());
   ASSERT_TRUE(pool.add(t1).is_ok());
 
-  app.mark_committed(t0);  // block executed t0
+  app.mark_committed(*t0);  // block executed t0
   pool.update_after_commit({t0});
   // t1 survives: its sequence (1) now matches the committed counter.
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.contains(t1.hash()));
+  EXPECT_TRUE(pool.contains(t1->hash()));
 }
 
 TEST(MempoolTest, RecheckEvictsStaleSequences) {
   CountingApp app;
   chain::Mempool pool(app, 100);
-  const chain::Tx stale = make_tx("alice", 0);
+  const chain::TxPtr stale = sealed_tx("alice", 0);
   ASSERT_TRUE(pool.add(stale).is_ok());
   // A competing tx with the same sequence committed out-of-band.
-  app.mark_committed(stale);
+  app.mark_committed(*stale);
   pool.update_after_commit({});
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.evicted_recheck(), 1u);
@@ -415,14 +452,14 @@ TEST(MempoolTest, ReapPreservesGlobalFifoAcrossShards) {
   // land in different shards.
   for (int i = 0; i < 100; ++i) {
     const std::string sender = "sender-" + std::to_string(i % 37);
-    const chain::Tx tx = make_tx(sender, next_seq[sender]++);
-    admitted.push_back(tx.hash());
+    const chain::TxPtr tx = sealed_tx(sender, next_seq[sender]++);
+    admitted.push_back(tx->hash());
     ASSERT_TRUE(pool.add(tx).is_ok());
   }
   const auto reaped = pool.reap(1'000'000'000'000ULL, 1 << 30);
   ASSERT_EQ(reaped.size(), admitted.size());
   for (std::size_t i = 0; i < reaped.size(); ++i) {
-    EXPECT_EQ(reaped[i].hash(), admitted[i]) << "position " << i;
+    EXPECT_EQ(reaped[i]->hash(), admitted[i]) << "position " << i;
   }
 }
 
@@ -432,23 +469,23 @@ TEST(MempoolTest, ReapPreservesGlobalFifoAcrossShards) {
 TEST(MempoolTest, PendingCountsSurviveInterleavedCommits) {
   CountingApp app;
   chain::Mempool pool(app, 1'000);
-  std::vector<chain::Tx> alices;
+  std::vector<chain::TxPtr> alices;
   for (std::uint64_t s = 0; s < 5; ++s) {
-    alices.push_back(make_tx("alice", s));
+    alices.push_back(sealed_tx("alice", s));
     ASSERT_TRUE(pool.add(alices.back()).is_ok());
-    ASSERT_TRUE(pool.add(make_tx("other-" + std::to_string(s), 0)).is_ok());
+    ASSERT_TRUE(pool.add(sealed_tx("other-" + std::to_string(s), 0)).is_ok());
   }
   // Commit alice's first two txs (plus one bystander) in one block.
-  app.mark_committed(alices[0]);
-  app.mark_committed(alices[1]);
+  app.mark_committed(*alices[0]);
+  app.mark_committed(*alices[1]);
   app.mark_committed(make_tx("other-0", 0));
-  pool.update_after_commit({alices[0], alices[1], make_tx("other-0", 0)});
+  pool.update_after_commit({alices[0], alices[1], sealed_tx("other-0", 0)});
   EXPECT_EQ(pool.size(), 7u);
-  EXPECT_FALSE(pool.contains(alices[0].hash()));
-  EXPECT_TRUE(pool.contains(alices[2].hash()));
+  EXPECT_FALSE(pool.contains(alices[0]->hash()));
+  EXPECT_TRUE(pool.contains(alices[2]->hash()));
   // The next sequence for alice is 5: 2 committed + 3 pending.
-  EXPECT_TRUE(pool.add(make_tx("alice", 5)).is_ok());
-  EXPECT_EQ(pool.add(make_tx("alice", 7)).code(),
+  EXPECT_TRUE(pool.add(sealed_tx("alice", 5)).is_ok());
+  EXPECT_EQ(pool.add(sealed_tx("alice", 7)).code(),
             util::ErrorCode::kSequenceMismatch);
 }
 
@@ -458,9 +495,9 @@ TEST(MempoolTest, RecheckEvictsStaleHeadKeepsConsecutiveSuffix) {
   CountingApp app;
   chain::Mempool pool(app, 1'000);
   for (std::uint64_t s = 0; s < 4; ++s) {
-    ASSERT_TRUE(pool.add(make_tx("bob", s)).is_ok());
+    ASSERT_TRUE(pool.add(sealed_tx("bob", s)).is_ok());
   }
-  ASSERT_TRUE(pool.add(make_tx("carol", 0)).is_ok());
+  ASSERT_TRUE(pool.add(sealed_tx("carol", 0)).is_ok());
   // Someone else consumed bob's sequence 0 (e.g. a competing node's block).
   app.mark_committed(make_tx("bob", 0));
   pool.update_after_commit({});
@@ -468,7 +505,7 @@ TEST(MempoolTest, RecheckEvictsStaleHeadKeepsConsecutiveSuffix) {
   // recheck keeps exactly the still-consecutive suffix.
   EXPECT_EQ(pool.evicted_recheck(), 1u);
   EXPECT_EQ(pool.size(), 4u);
-  EXPECT_TRUE(pool.contains(make_tx("carol", 0).hash()));
+  EXPECT_TRUE(pool.contains(sealed_tx("carol", 0)->hash()));
 }
 
 // --- Ledger -----------------------------------------------------------------------
@@ -479,8 +516,8 @@ TEST(LedgerTest, AppendAndLookup) {
   block.header.chain_id = "test-chain";
   block.header.height = 1;
   block.header.time = sim::seconds(5);
-  block.txs = {make_tx("a", 0)};
-  const chain::TxHash hash = block.txs[0].hash();
+  block.txs = {sealed_tx("a", 0)};
+  const chain::TxHash hash = block.txs[0]->hash();
   std::vector<chain::DeliverTxResult> results(1);
   ledger.append(std::move(block), std::move(results), crypto::Digest{},
                 chain::Commit{});
@@ -500,7 +537,7 @@ TEST(LedgerTest, EventBytesCached) {
   chain::Ledger ledger("c");
   chain::Block block;
   block.header.height = 1;
-  block.txs = {make_tx("a", 0)};
+  block.txs = {sealed_tx("a", 0)};
   chain::DeliverTxResult res;
   res.events.push_back(chain::Event{"e", {{"k", std::string(500, 'x')}}});
   const std::size_t expected = res.encoded_size();

@@ -59,11 +59,12 @@ TEST(ConsensusTest, IncludesMempoolTransactions) {
   tx.gas_limit = 70'000;
   tx.fee = 700;
   tx.msgs.push_back(chain::Msg{"/nope", {}});
-  ASSERT_TRUE(h.mempool.add(tx).is_ok());
+  const chain::TxPtr sealed = chain::seal(std::move(tx));
+  ASSERT_TRUE(h.mempool.add(sealed).is_ok());
 
   h.sched.run_until(sim::seconds(12));
   ASSERT_GE(h.ledger.height(), 1);
-  EXPECT_NE(h.ledger.find_tx(tx.hash()), nullptr);
+  EXPECT_NE(h.ledger.find_tx(sealed->hash()), nullptr);
   EXPECT_EQ(h.mempool.size(), 0u);  // removed after commit
 }
 
@@ -175,7 +176,7 @@ TEST(ConsensusTest, ExecutionTimeStretchesBlockInterval) {
     tx.gas_limit = 300'000'000;  // very heavy
     tx.fee = 3'000'000;
     tx.msgs.push_back(chain::Msg{"/nope", {}});
-    ASSERT_TRUE(h.mempool.add(tx).is_ok());
+    ASSERT_TRUE(h.mempool.add(chain::seal(std::move(tx))).is_ok());
   }
   h.sched.run_until(sim::seconds(80));
   const auto intervals = h.ledger.block_intervals_seconds();

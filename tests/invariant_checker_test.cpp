@@ -225,7 +225,7 @@ TEST_P(InvariantCheckerPlanted, ReportedAtNextCommitAndByAudit) {
     tx.gas_limit = 200'000;
     tx.fee = 2'000;
     tx.msgs.push_back(chain::Msg{"/test.Plant", {}});
-    ASSERT_TRUE(tb->chain_a().mempool->add(tx).is_ok());
+    ASSERT_TRUE(tb->chain_a().mempool->add(chain::seal(std::move(tx))).is_ok());
     // The commit of the block that delivered the tx is the first after it.
     while ((handler.height == 0 ||
             tb->chain_a().ledger->height() < handler.height) &&
@@ -316,8 +316,9 @@ TEST_F(InvariantCheckerEscrow, SendPacketPayloadDrivesTheEscrowModel) {
   tx.gas_limit = 200'000;
   tx.fee = 2'000;
   tx.msgs.push_back(t.to_msg());
-  const chain::TxHash hash = tx.hash();
-  ASSERT_TRUE(tb->chain_a().mempool->add(tx).is_ok());
+  const chain::TxPtr sealed = chain::seal(std::move(tx));
+  const chain::TxHash hash = sealed->hash();
+  ASSERT_TRUE(tb->chain_a().mempool->add(sealed).is_ok());
   const chain::Ledger& ledger = *tb->chain_a().ledger;
   while (!ledger.find_tx(hash) && tb->scheduler().step()) {
   }

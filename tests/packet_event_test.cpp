@@ -249,7 +249,7 @@ struct PacketEventSharing : ::testing::Test {
       tx.sender = "alice";
       tx.sequence = i;
       tx.msgs.push_back(chain::Msg{"/x", util::to_bytes("m")});
-      block.txs.push_back(std::move(tx));
+      block.txs.push_back(chain::seal(std::move(tx)));
       ibc::Packet p;
       p.sequence = i + 1;
       p.source_port = p.destination_port = ibc::kTransferPort;
@@ -264,8 +264,7 @@ struct PacketEventSharing : ::testing::Test {
     }
     ledger.append(std::move(block), std::move(results), app.store().root(),
                   chain::Commit{});
-    server.on_block_committed(*ledger.block_at(ledger.height()),
-                              *ledger.results_at(ledger.height()));
+    server.on_block_committed(*ledger.block_at(ledger.height()));
   }
 
   /// `events` hold the very payload objects of the ledger's events of tx
@@ -293,20 +292,18 @@ TEST_F(PacketEventSharing, ResponsesPagesFramesAndCacheHoldTheLedgersPayloads) {
   commit_block(4);
   sched.run_until(sched.now() + sim::seconds(5));
 
-  // WebSocket frame: the block's events, flattened in tx order.
+  // WebSocket frame: the block's results, in tx order.
   ASSERT_EQ(frames.size(), 1u);
   ASSERT_TRUE(frames[0].events_ok);
-  ASSERT_EQ(frames[0].events.size(), 4u * 3u);
+  ASSERT_NE(frames[0].results, nullptr);
+  ASSERT_EQ(frames[0].results->size(), 4u);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    expect_shared(std::vector<chain::Event>(
-                      frames[0].events.begin() + 3 * i,
-                      frames[0].events.begin() + 3 * (i + 1)),
-                  1, i);
+    expect_shared((*frames[0].results)[i].events, 1, i);
   }
 
   // query_tx.
   std::optional<util::Result<rpc::TxResponse>> tx_res;
-  server.query_tx(0, ledger.block_at(1)->txs[2].hash(),
+  server.query_tx(0, ledger.block_at(1)->txs[2]->hash(),
                   [&](util::Result<rpc::TxResponse> r) { tx_res = std::move(r); });
   // A packet-event page, straight from the server and through the cache
   // (a miss, then a hit served from the cached page).
@@ -329,17 +326,17 @@ TEST_F(PacketEventSharing, ResponsesPagesFramesAndCacheHoldTheLedgersPayloads) {
   EXPECT_EQ(cache.stats().hits, 1u);
 
   ASSERT_TRUE(tx_res.has_value() && tx_res->is_ok());
-  expect_shared(tx_res->value().result.events, 1, 2);
+  expect_shared(tx_res->value().result->events, 1, 2);
   ASSERT_TRUE(page.has_value() && page->is_ok());
   ASSERT_EQ(page->value().txs.size(), 2u);
   for (const rpc::TxResponse& r : page->value().txs) {
-    expect_shared(r.result.events, r.height, r.index);
+    expect_shared(r.result->events, r.height, r.index);
   }
   ASSERT_EQ(cached.size(), 2u);
   for (const rpc::TxSearchPage& p : cached) {
     ASSERT_EQ(p.txs.size(), 4u);
     for (const rpc::TxResponse& r : p.txs) {
-      expect_shared(r.result.events, r.height, r.index);
+      expect_shared(r.result->events, r.height, r.index);
     }
   }
 }

@@ -17,12 +17,14 @@
 namespace {
 
 /// Empties the ack bytes of every write_acknowledgement event on `page`
-/// (decoding fails on empty bytes); true when there was one. The payloads
-/// are shared with the ledger, so each event gets a corrupted copy.
+/// (decoding fails on empty bytes); true when there was one. Results and
+/// payloads are shared with the ledger, so each entry gets a copy of its
+/// result with corrupted copies of the events.
 bool corrupt_acks(rpc::TxSearchPage& page) {
   bool corrupted = false;
   for (auto& tx : page.txs) {
-    for (auto& ev : tx.result.events) {
+    auto result = std::make_shared<chain::DeliverTxResult>(*tx.result);
+    for (auto& ev : result->events) {
       const ibc::PacketEvent* pe = ibc::packet_event(ev);
       if (pe == nullptr || pe->kind != ibc::PacketEventKind::kWriteAck) {
         continue;
@@ -30,6 +32,7 @@ bool corrupt_acks(rpc::TxSearchPage& page) {
       ev = ibc::make_packet_event(pe->kind, pe->packet, {});
       corrupted = true;
     }
+    tx.result = std::move(result);
   }
   return corrupted;
 }

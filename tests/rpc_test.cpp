@@ -39,7 +39,7 @@ struct RpcFixture : ::testing::Test {
                                            ledger, mempool, app, cost);
   }
 
-  chain::Tx make_tx(std::uint64_t seq, std::size_t msgs = 1) {
+  chain::TxPtr make_tx(std::uint64_t seq, std::size_t msgs = 1) {
     chain::Tx tx;
     tx.sender = "alice";
     tx.sequence = seq;
@@ -48,7 +48,7 @@ struct RpcFixture : ::testing::Test {
     for (std::size_t i = 0; i < msgs; ++i) {
       tx.msgs.push_back(chain::Msg{"/x", util::to_bytes("m")});
     }
-    return tx;
+    return chain::seal(std::move(tx));
   }
 
   /// A packet event of `kind` announcing sequence `seq`, built by the
@@ -67,7 +67,7 @@ struct RpcFixture : ::testing::Test {
 
   /// Commits a block with the given txs and per-tx events directly into the
   /// ledger (no consensus needed for RPC tests).
-  void commit_block(std::vector<chain::Tx> txs,
+  void commit_block(std::vector<chain::TxPtr> txs,
                     std::size_t event_bytes_per_tx = 200) {
     chain::Block block;
     block.header.chain_id = "rpc-chain";
@@ -83,8 +83,7 @@ struct RpcFixture : ::testing::Test {
     block.txs = std::move(txs);
     ledger.append(std::move(block), std::move(results), app.store().root(),
                   chain::Commit{});
-    server->on_block_committed(*ledger.block_at(ledger.height()),
-                               *ledger.results_at(ledger.height()));
+    server->on_block_committed(*ledger.block_at(ledger.height()));
   }
 
   /// Commits a block of `txs` distinct txs with a random event mix: packet
@@ -200,7 +199,7 @@ TEST_F(RpcFixture, BroadcastRejectsBadSequence) {
 TEST_F(RpcFixture, RequestsAreServicedSerially) {
   // Two expensive queries on a block: the second completes a full service
   // time after the first (single-threaded RPC).
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 20; ++i) txs.push_back(make_tx(i, 100));
   commit_block(std::move(txs), 20'000);
 
@@ -218,7 +217,7 @@ TEST_F(RpcFixture, RequestsAreServicedSerially) {
 }
 
 TEST_F(RpcFixture, ParallelAblationOverlapsRequests) {
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 20; ++i) txs.push_back(make_tx(i, 100));
   commit_block(std::move(txs), 20'000);
   server->set_query_workers(8);
@@ -235,14 +234,13 @@ TEST_F(RpcFixture, ParallelAblationOverlapsRequests) {
 }
 
 TEST_F(RpcFixture, QueryTxFindsCommittedTx) {
-  const chain::Tx tx = make_tx(0);
-  const chain::TxHash hash = tx.hash();
+  const chain::TxPtr tx = make_tx(0);
   commit_block({tx});
   bool found = false;
-  server->query_tx(0, hash, [&](util::Result<rpc::TxResponse> res) {
+  server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
     ASSERT_TRUE(res.is_ok());
     EXPECT_EQ(res.value().height, 1);
-    EXPECT_EQ(res.value().hash, hash);
+    EXPECT_EQ(res.value().tx, tx);
     found = true;
   });
   sched.run_until(sim::seconds(1));
@@ -261,7 +259,7 @@ TEST_F(RpcFixture, QueryTxNotFound) {
 }
 
 TEST_F(RpcFixture, TxSearchPagination) {
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 75; ++i) txs.push_back(make_tx(i));
   commit_block(std::move(txs));
 
@@ -281,7 +279,7 @@ TEST_F(RpcFixture, TxSearchPagination) {
 }
 
 TEST_F(RpcFixture, PacketEventQueryFiltersBySequenceRange) {
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 10; ++i) txs.push_back(make_tx(i));
   commit_block(std::move(txs));  // packet_sequence attributes 1..10
 
@@ -363,7 +361,7 @@ TEST_F(RpcFixture, QueueOverflowRejects) {
   cost.request_queue_capacity = 4;
   server = std::make_unique<rpc::Server>(sched, network, 0, ledger, mempool,
                                          app, cost);
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 20; ++i) txs.push_back(make_tx(i, 100));
   commit_block(std::move(txs), 50'000);
 
@@ -395,7 +393,8 @@ TEST_F(RpcFixture, WebSocketDeliversEventFrames) {
   EXPECT_TRUE(frames[0].events_ok);
   EXPECT_EQ(frames[0].height, 1);
   EXPECT_EQ(frames[0].tx_count, 2u);
-  EXPECT_EQ(frames[0].events.size(), 2u);
+  ASSERT_EQ(frames[0].results, ledger.shared_results_at(1));
+  EXPECT_EQ(frames[0].results->size(), 2u);
 }
 
 TEST_F(RpcFixture, WebSocketSixteenMegabyteLimit) {
@@ -404,14 +403,14 @@ TEST_F(RpcFixture, WebSocketSixteenMegabyteLimit) {
     frames.push_back(f);
   });
   // 200 txs x 100 KB of events ≈ 20 MB > 16 MB.
-  std::vector<chain::Tx> txs;
+  std::vector<chain::TxPtr> txs;
   for (int i = 0; i < 200; ++i) txs.push_back(make_tx(i));
   commit_block(std::move(txs), 100'000);
   sched.run_until(sim::seconds(10));
   ASSERT_EQ(frames.size(), 1u);
   // Paper §V: "Failed to collect events" — header arrives, events do not.
   EXPECT_FALSE(frames[0].events_ok);
-  EXPECT_TRUE(frames[0].events.empty());
+  EXPECT_EQ(frames[0].results, nullptr);
   EXPECT_EQ(server->frames_dropped_oversize(), 1u);
 }
 
@@ -480,7 +479,7 @@ TEST_F(RpcFixture, PacketEventQueryPagesMatchScanAndChargeTheCostModel) {
           EXPECT_EQ(locations_of(got->value()), want) << where;
           EXPECT_EQ(got->value().total_count, want.size()) << where;
           for (const rpc::TxResponse& r : got->value().txs) {
-            EXPECT_EQ(r.hash, r.tx.hash()) << where;
+            EXPECT_EQ(r.tx, ledger.block_at(r.height)->txs[r.index]) << where;
           }
           nonempty_pages += want.empty() ? 0 : 1;
         }
@@ -532,7 +531,7 @@ TEST_F(RpcFixture, PacketEventRangeQueryPagesMatchScanAndChargeTheCostModel) {
         EXPECT_EQ(locations_of(got->value()), want) << where;
         EXPECT_EQ(got->value().total_count, want.size()) << where;
         for (const rpc::TxResponse& r : got->value().txs) {
-          EXPECT_EQ(r.hash, r.tx.hash()) << where;
+          EXPECT_EQ(r.tx, ledger.block_at(r.height)->txs[r.index]) << where;
         }
         EXPECT_EQ(charged, packet_query_charge(probed, scanned, want)) << where;
         multi_block_pages +=
@@ -577,8 +576,8 @@ TEST_F(RpcFixture, EveryResponseCarriesTheHashOfItsTx) {
   };
   for (chain::Height h = 1; h <= ledger.height(); ++h) {
     server->tx_search_height(0, h, 1, 100, keep_page);
-    for (const chain::Tx& tx : ledger.block_at(h)->txs) {
-      server->query_tx(0, tx.hash(), [&](util::Result<rpc::TxResponse> res) {
+    for (const chain::TxPtr& tx : ledger.block_at(h)->txs) {
+      server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
         ASSERT_TRUE(res.is_ok());
         seen.push_back(res.take());
       });
@@ -590,8 +589,9 @@ TEST_F(RpcFixture, EveryResponseCarriesTheHashOfItsTx) {
   sched.run_until(sched.now() + sim::seconds(600));
   ASSERT_GE(seen.size(), 2u * 14u);
   for (const rpc::TxResponse& r : seen) {
-    EXPECT_EQ(r.hash, r.tx.hash());
-    EXPECT_EQ(r.hash, ledger.block_at(r.height)->txs[r.index].hash());
+    EXPECT_EQ(r.tx->hash(), crypto::sha256(r.tx->encode()));
+    EXPECT_EQ(r.tx, ledger.block_at(r.height)->txs[r.index]);
+    EXPECT_EQ(r.result.get(), &(*ledger.results_at(r.height))[r.index]);
   }
 }
 

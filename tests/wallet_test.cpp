@@ -38,8 +38,8 @@ struct WalletFixture : ::testing::Test {
     server = std::make_unique<rpc::Server>(sched, network, 0, ledger, mempool,
                                            app, rpc::CostModel{});
     engine->subscribe_block([this](const chain::Block& b,
-                                   const std::vector<chain::DeliverTxResult>& r) {
-      server->on_block_committed(b, r);
+                                   const std::vector<chain::DeliverTxResult>&) {
+      server->on_block_committed(b);
     });
     engine->start();
   }
@@ -144,7 +144,7 @@ TEST_F(WalletFixture, RecoversFromExternalSequenceBump) {
   external.gas_limit = 200'000;
   external.fee = 2'000;
   external.msgs = msgs();
-  ASSERT_TRUE(mempool.add(external).is_ok());
+  ASSERT_TRUE(mempool.add(chain::seal(std::move(external))).is_ok());
   sched.run_until(sched.now() + sim::seconds(10));
 
   // Wallet still believes the next sequence is 1 -> mismatch -> retry.

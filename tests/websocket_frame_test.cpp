@@ -93,7 +93,13 @@ TEST_F(FrameFixture, BelowLimitEventsDelivered) {
   std::size_t with_events = 0;
   for (const auto& [h, f] : frames) {
     EXPECT_TRUE(f.events_ok) << "frame at height " << h << " dropped";
-    if (!f.events.empty()) ++with_events;
+    ASSERT_NE(f.results, nullptr) << "frame at height " << h;
+    for (const chain::DeliverTxResult& r : *f.results) {
+      if (!r.events.empty()) {
+        ++with_events;
+        break;
+      }
+    }
   }
   EXPECT_GT(with_events, 0u);
 }
@@ -107,7 +113,7 @@ TEST_F(FrameFixture, AboveLimitStormFrameDropped) {
     } else {
       ++dropped;
       // The payload is withheld entirely, not truncated.
-      EXPECT_TRUE(f.events.empty());
+      EXPECT_EQ(f.results, nullptr);
       EXPECT_EQ(f.frame_bytes, 1024u);
     }
   }
