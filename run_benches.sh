@@ -59,11 +59,11 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks + tx lifecycle"
+  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks + tx lifecycle + app layer"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
     test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
-    test_mitigations test_packet_events test_foundation test_chain
+    test_mitigations test_packet_events test_foundation test_chain test_app test_protocol
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
   # (hash index, arena, spill values, compaction) under ASan.
   # IndexedTxSearch/RpcFixture cover the ledger's lazily built packet-event
@@ -76,8 +76,11 @@ if [ "$1" = "--check" ]; then
   # TxTest..TxSharing cover the sealed txs the wallet, mempool, proposals and
   # ledger share by pointer, and the responses and frames that point into
   # the ledger's per-block results.
+  # AppFixture..PinnedBytes cover the bank, auth, keeper, codec and byte
+  # helpers that build keys and values in place (util::Key) and read store
+  # memory through views, and the channel-end memo.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing|AppFixture|TwoChains|MsgCodec|PacketCodec|ConservationProperty|BytesTest|OrderedChannels|PinnedBytes')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

@@ -63,7 +63,7 @@ void KvStore::xor_into_root(const crypto::Digest& h) const {
   for (std::size_t i = 0; i < root_.size(); ++i) root_[i] ^= h[i];
 }
 
-void KvStore::assign_value(Entry& e, util::Bytes&& value) {
+void KvStore::assign_value(Entry& e, util::BytesView value) {
   e.val_len = static_cast<std::uint32_t>(value.size());
   if (value.size() <= kInlineValue) {
     if (!value.empty()) {
@@ -71,7 +71,7 @@ void KvStore::assign_value(Entry& e, util::Bytes&& value) {
     }
     e.spill = util::Bytes();  // release any previous spill allocation
   } else {
-    e.spill = std::move(value);
+    e.spill.assign(value.begin(), value.end());
   }
 }
 
@@ -228,6 +228,7 @@ void KvStore::reserve(std::size_t expected_entries) {
 void KvStore::begin_tx() {
   journaling_ = true;
   journal_.clear();
+  journal_keys_.clear();
   if (++tx_tag_ == 0) {
     // Wrapped: clear every tag so no entry looks journaled by a reused one.
     for (std::vector<Entry>& chunk : entries_) {
@@ -240,27 +241,47 @@ void KvStore::begin_tx() {
 void KvStore::commit_tx() {
   journaling_ = false;
   journal_.clear();
+  journal_keys_.clear();
 }
 
 void KvStore::revert_tx() {
   journaling_ = false;
   // Undo in reverse order: a key erased and set again within the tx has
-  // two records, and the older one must land last.
+  // two records, and the older one must land last. Nothing writes to the
+  // journal while journaling_ is off, so the key and value views hold.
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-    if (it->old_value.has_value()) {
-      set(it->key, std::move(*it->old_value));
+    const std::string_view key(journal_keys_.data() + it->key_off,
+                               it->key_len);
+    if (it->old_len == UndoEntry::kAbsent) {
+      erase(key);
+    } else if (it->old_len <= kInlineValue) {
+      set(key, util::BytesView(it->old_inline.data(), it->old_len));
     } else {
-      erase(it->key);
+      set(key, it->old_spill);
     }
   }
   journal_.clear();
+  journal_keys_.clear();
 }
 
-void KvStore::journal_first_write(Entry& e, const std::string& key) {
+KvStore::UndoEntry& KvStore::journal_key(std::string_view key) {
+  UndoEntry& u = journal_.emplace_back();
+  u.key_off = static_cast<std::uint32_t>(journal_keys_.size());
+  u.key_len = static_cast<std::uint32_t>(key.size());
+  journal_keys_.append(key);
+  return u;
+}
+
+void KvStore::journal_first_write(Entry& e, std::string_view key) {
   if (!journaling_ || e.journaled_in == tx_tag_) return;
   e.journaled_in = tx_tag_;
-  const util::BytesView v = value_of(e);
-  journal_.push_back(UndoEntry{key, util::Bytes(v.begin(), v.end())});
+  UndoEntry& u = journal_key(key);
+  u.old_len = e.val_len;
+  if (e.val_len <= kInlineValue) {
+    std::memcpy(u.old_inline.data(), e.inline_val.data(), e.val_len);
+  } else {
+    u.old_spill = e.spill;
+  }
 }
 
 void KvStore::mark_dirty(Entry& e, std::uint32_t idx) {
@@ -294,7 +315,7 @@ const crypto::Digest& KvStore::root() const {
   return root_;
 }
 
-void KvStore::set(const std::string& key, util::Bytes value) {
+void KvStore::set(std::string_view key, util::BytesView value) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
   if (index_.empty() || (live_count_ + 1) * 4 > index_.size() * 3) {
     grow_index(index_.empty() ? 16 : index_.size() * 2);
@@ -305,13 +326,13 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   if (idx != kNoEntry) {
     Entry& e = entry(idx);
     journal_first_write(e, key);
-    if (write_hook_) write_hook_(key, value_of(e), util::BytesView(value));
+    if (write_hook_) write_hook_(key, value_of(e), value);
     mark_dirty(e, idx);
-    assign_value(e, std::move(value));
+    assign_value(e, value);
     return;
   }
-  if (journaling_) journal_.push_back(UndoEntry{key, std::nullopt});
-  if (write_hook_) write_hook_(key, std::nullopt, util::BytesView(value));
+  if (journaling_) journal_key(key);  // old_len stays kAbsent
+  if (write_hook_) write_hook_(key, std::nullopt, value);
   Entry e;
   e.key_off = append_key(key);
   e.key_len = static_cast<std::uint32_t>(key.size());
@@ -319,7 +340,7 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   e.live = true;
   e.dirty = true;
   e.journaled_in = journaling_ ? tx_tag_ : 0;
-  assign_value(e, std::move(value));
+  assign_value(e, value);
   idx = append_entry(std::move(e));
   index_[bucket] = idx;
   unsorted_.push_back(idx);
@@ -327,7 +348,7 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   ++live_count_;
 }
 
-void KvStore::erase(const std::string& key) {
+void KvStore::erase(std::string_view key) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
   if (index_.empty()) return;
   const std::size_t bucket = find_bucket(key, hash_key(key));
@@ -346,7 +367,7 @@ void KvStore::erase(const std::string& key) {
   maybe_compact();
 }
 
-std::optional<util::Bytes> KvStore::get(const std::string& key) const {
+std::optional<util::Bytes> KvStore::get(std::string_view key) const {
   const std::uint32_t idx = find_entry(key);
   if (idx == kNoEntry) return std::nullopt;
   const util::BytesView v = value_of(entry(idx));
@@ -402,7 +423,7 @@ util::BytesView KvStore::PrefixIter::value() const {
 }
 
 std::vector<std::string> KvStore::keys_with_prefix(
-    const std::string& prefix) const {
+    std::string_view prefix) const {
   std::vector<std::string> out;
   for (auto it = scan_prefix(prefix); it.next();) {
     out.emplace_back(it.key());
@@ -410,7 +431,7 @@ std::vector<std::string> KvStore::keys_with_prefix(
   return out;
 }
 
-StoreProof KvStore::prove(const std::string& key) const {
+StoreProof KvStore::prove(std::string_view key) const {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
   if (!dirty_.empty()) fold_dirty();
   StoreProof proof;
@@ -426,7 +447,7 @@ StoreProof KvStore::prove(const std::string& key) const {
   return proof;
 }
 
-crypto::Digest store_proof_binding(const std::string& key,
+crypto::Digest store_proof_binding(std::string_view key,
                                    util::BytesView value, bool exists,
                                    const crypto::Digest& root) {
   static constexpr char kDomain[] = "store-proof/";

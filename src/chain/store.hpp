@@ -59,9 +59,13 @@ class KvStore {
  public:
   KvStore() = default;
 
-  void set(const std::string& key, util::Bytes value);
-  void erase(const std::string& key);
-  std::optional<util::Bytes> get(const std::string& key) const;
+  /// The one write path. A value of up to 32 bytes is copied into the
+  /// entry, a longer one into its spill buffer, reusing its capacity.
+  /// `value` must not view this key's own stored bytes.
+  void set(std::string_view key, util::BytesView value);
+  void erase(std::string_view key);
+  /// A copy of the value; hot paths read get_view() instead.
+  std::optional<util::Bytes> get(std::string_view key) const;
 
   /// Zero-copy view of a stored value. Invalidated by any mutation.
   std::optional<util::BytesView> get_view(std::string_view key) const;
@@ -70,7 +74,7 @@ class KvStore {
 
   /// All keys with the given prefix, in lexicographic order (copies; prefer
   /// scan_prefix() in hot paths).
-  std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
+  std::vector<std::string> keys_with_prefix(std::string_view prefix) const;
 
   /// Allocation-free ordered scan over keys sharing a prefix:
   ///   for (auto it = store.scan_prefix("bank/bal/"); it.next();)
@@ -133,7 +137,7 @@ class KvStore {
   const crypto::Digest& root() const;
 
   /// Issues a proof of (non-)existence of `key` under the current root.
-  StoreProof prove(const std::string& key) const;
+  StoreProof prove(std::string_view key) const;
 
   // --- transaction journal ----------------------------------------------
   // Cosmos reverts all state writes of a failing transaction. begin_tx()
@@ -141,7 +145,9 @@ class KvStore {
   // commit_tx() discards the journal. Nesting is not supported. Only the
   // first write to an entry within a tx is journaled, so a revert makes one
   // restoring write per written key (two for a key erased and set again in
-  // the same tx, which lands in a new entry).
+  // the same tx, which lands in a new entry). A record keeps the old value
+  // inline and the key in a journal-owned arena, so once the journal has
+  // grown to a tx's size, journaling allocates nothing.
   void begin_tx();
   void commit_tx();
   void revert_tx();
@@ -204,7 +210,7 @@ class KvStore {
         e.val_len <= kInlineValue ? e.inline_val.data() : e.spill.data();
     return util::BytesView(p, e.val_len);
   }
-  static void assign_value(Entry& e, util::Bytes&& value);
+  static void assign_value(Entry& e, util::BytesView value);
   /// Appends to the last chunk (opening a new one when full); returns the
   /// entry index / the key's key_off.
   std::uint32_t append_entry(Entry&& e);
@@ -219,7 +225,10 @@ class KvStore {
   void ensure_sorted() const;
 
   /// Journals `e`'s value if this is the tx's first write to it.
-  void journal_first_write(Entry& e, const std::string& key);
+  void journal_first_write(Entry& e, std::string_view key);
+  /// Appends an undo record for `key` (old value filled in by the caller).
+  struct UndoEntry;
+  UndoEntry& journal_key(std::string_view key);
   /// Backs a clean entry's digest out of the root and queues it.
   void mark_dirty(Entry& e, std::uint32_t idx);
   /// Hashes every queued entry into the root.
@@ -244,12 +253,17 @@ class KvStore {
   mutable std::size_t sorted_dead_ = 0;
 
   struct UndoEntry {
-    std::string key;
-    std::optional<util::Bytes> old_value;  // nullopt = key did not exist
+    static constexpr std::uint32_t kAbsent = 0xffffffffu;
+    std::uint32_t key_off = 0;  // into journal_keys_
+    std::uint32_t key_len = 0;
+    std::uint32_t old_len = kAbsent;  // kAbsent = key did not exist
+    std::array<std::uint8_t, kInlineValue> old_inline;
+    util::Bytes old_spill;  // the old value when longer than kInlineValue
   };
   bool journaling_ = false;
   std::uint16_t tx_tag_ = 0;  // of the current or last tx, never 0 in one
   std::vector<UndoEntry> journal_;
+  std::string journal_keys_;  // key bytes of the journal's records
 
   WriteHook write_hook_;
 };
@@ -259,7 +273,7 @@ class KvStore {
 bool verify_store_proof(const StoreProof& proof, const crypto::Digest& root);
 
 /// Recomputes the binding digest for a proof's fields.
-crypto::Digest store_proof_binding(const std::string& key,
+crypto::Digest store_proof_binding(std::string_view key,
                                    util::BytesView value, bool exists,
                                    const crypto::Digest& root);
 

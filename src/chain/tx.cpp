@@ -9,7 +9,7 @@ namespace {
 
 void append_string(util::Bytes& out, std::string_view s) {
   util::append_u32_be(out, static_cast<std::uint32_t>(s.size()));
-  util::append(out, util::to_bytes(s));
+  out.insert(out.end(), s.begin(), s.end());
 }
 
 void append_bytes_field(util::Bytes& out, util::BytesView b) {
@@ -49,7 +49,10 @@ bool read_u64(util::BytesView data, std::size_t& off, std::uint64_t& out) {
 }  // namespace
 
 util::Bytes Tx::encode() const {
+  std::size_t size = 4 + sender.size() + 3 * 8 + 4 + 4 + memo.size();
+  for (const Msg& m : msgs) size += 4 + m.type_url.size() + 4 + m.value.size();
   util::Bytes out;
+  out.reserve(size);
   append_string(out, sender);
   util::append_u64_be(out, sequence);
   util::append_u64_be(out, gas_limit);

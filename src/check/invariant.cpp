@@ -13,22 +13,6 @@ namespace check {
 
 namespace {
 
-/// True when a trace path re-enters the channel it came from (the ICS-20
-/// "returning" test: burn-on-send / unescrow-on-recv).
-bool is_returning(const std::string& denom_path, const std::string& port,
-                  const std::string& channel) {
-  const std::string prefix = port + "/" + channel + "/";
-  return denom_path.size() > prefix.size() &&
-         denom_path.compare(0, prefix.size(), prefix) == 0;
-}
-
-/// The denom a trace path is held under locally: the base denom at the
-/// origin zone, a voucher hash everywhere else.
-std::string held_denom(const std::string& denom_path) {
-  if (denom_path.find('/') == std::string::npos) return denom_path;
-  return ibc::voucher_denom(denom_path);
-}
-
 std::string chan_str(const std::string& port, const std::string& channel) {
   return port + "/" + channel;
 }
@@ -58,13 +42,17 @@ std::uint64_t balance_of(std::optional<util::BytesView> value) {
   return value && value->size() == 8 ? util::read_u64_be(*value, 0) : 0;
 }
 
-/// map[key], allocating the key only when it is new.
-template <typename Map>
-typename Map::mapped_type& slot(Map& map, std::string_view key) {
+/// map[key] for a key of views, allocating the key only when it is new.
+template <typename Map, typename View>
+typename Map::mapped_type& slot(Map& map, const View& key) {
   auto it = map.find(key);
-  if (it == map.end()) it = map.try_emplace(std::string(key)).first;
+  if (it == map.end()) {
+    it = map.try_emplace(typename Map::key_type(key)).first;
+  }
   return it->second;
 }
+
+using ViewPair = std::pair<std::string_view, std::string_view>;
 
 }  // namespace
 
@@ -135,6 +123,25 @@ InvariantChecker::InvariantChecker(ChainHandles a, ChainHandles b,
 
 InvariantChecker::~InvariantChecker() {
   for (ChainState& c : chains_) c.h.app->store().set_write_hook(nullptr);
+}
+
+InvariantChecker::ChannelTrack& InvariantChecker::track(
+    ChainState& c, std::string_view port, std::string_view channel) {
+  return slot(c.channels, ViewPair(port, channel));
+}
+
+std::uint64_t& InvariantChecker::escrow_of(ChainState& c,
+                                           const std::string& port,
+                                           const std::string& channel,
+                                           std::string_view denom_path) {
+  // Held locally as the base denom at the origin zone, as a voucher hash
+  // everywhere else.
+  const util::Key address = ibc::escrow_address(port, channel);
+  if (denom_path.find('/') == std::string_view::npos) {
+    return slot(c.escrow, ViewPair(address, denom_path));
+  }
+  const std::string voucher = ibc::voucher_denom(denom_path);
+  return slot(c.escrow, ViewPair(address, voucher));
 }
 
 InvariantChecker::ChainState* InvariantChecker::counterparty_of(
@@ -257,7 +264,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
     const auto& data = pe->transfer_data;  // ICS-20, decoded at emission
 
     if (pe->kind == ibc::PacketEventKind::kSend) {
-      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
+      ChannelTrack& ch = track(c, p.source_port, p.source_channel);
       if (p.sequence != ch.last_send + 1) {
         fail(c.h.id, height, "send-sequence-gap",
              chan_str(p.source_port, p.source_channel) + " sent sequence " +
@@ -267,9 +274,10 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       if (p.sequence > ch.last_send) ch.last_send = p.sequence;
 
       if (p.source_port == ibc::kTransferPort && data) {
-        PendingTransfer pending{data->amount, data->denom,
-                                is_returning(data->denom, p.source_port,
-                                             p.source_channel)};
+        PendingTransfer pending{
+            data->amount, data->denom,
+            ibc::TransferModule::is_returning(data->denom, p.source_port,
+                                              p.source_channel)};
         if (pending.returning) {
           // Voucher burnt on send; supply shrinks until refund (if any).
           auto& supply = c.voucher_supply[ibc::voucher_denom(data->denom)];
@@ -281,15 +289,14 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
             supply -= data->amount;
           }
         } else {
-          c.escrow[{ibc::escrow_address(p.source_port, p.source_channel),
-                    held_denom(data->denom)}] += data->amount;
+          escrow_of(c, p.source_port, p.source_channel, data->denom) +=
+              data->amount;
         }
         ch.pending[p.sequence] = std::move(pending);
       }
 
     } else if (pe->kind == ibc::PacketEventKind::kRecv) {
-      ChannelTrack& ch =
-          c.channels[{p.destination_port, p.destination_channel}];
+      ChannelTrack& ch = track(c, p.destination_port, p.destination_channel);
       const ibc::Sequence prev_contiguous = ch.recvs.contiguous;
       if (!ch.recvs.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-recv",
@@ -302,7 +309,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       if (ChainState* other = counterparty_of(c, p.destination_port,
                                               p.destination_channel, height)) {
         const ChannelTrack& src =
-            other->channels[{p.source_port, p.source_channel}];
+            track(*other, p.source_port, p.source_channel);
         if (p.sequence > src.last_send) {
           fail(c.h.id, height, "recv-unsent",
                chan_str(p.destination_port, p.destination_channel) +
@@ -335,8 +342,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       }
 
     } else if (pe->kind == ibc::PacketEventKind::kWriteAck) {
-      ChannelTrack& ch =
-          c.channels[{p.destination_port, p.destination_channel}];
+      ChannelTrack& ch = track(c, p.destination_port, p.destination_channel);
       ibc::Acknowledgement ack;
       if (!ibc::Acknowledgement::decode(pe->ack, ack)) {
         fail(c.h.id, height, "event-format",
@@ -353,12 +359,12 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
         // re-escrow) in this same transaction, so reverse the model too.
         if (!ack.success && p.destination_port == ibc::kTransferPort) {
           const AsyncRecv& ar = async_it->second;
-          if (is_returning(ar.denom_path, p.source_port, p.source_channel)) {
-            const std::string inner = ar.denom_path.substr(
-                p.source_port.size() + p.source_channel.size() + 2);
-            c.escrow[{ibc::escrow_address(p.destination_port,
-                                          p.destination_channel),
-                      held_denom(inner)}] += ar.amount;
+          if (ibc::TransferModule::is_returning(ar.denom_path, p.source_port,
+                                                p.source_channel)) {
+            const std::string_view inner = std::string_view(ar.denom_path)
+                .substr(p.source_port.size() + p.source_channel.size() + 2);
+            escrow_of(c, p.destination_port, p.destination_channel, inner) +=
+                ar.amount;
           } else {
             const std::string path = p.destination_port + "/" +
                                      p.destination_channel + "/" +
@@ -383,7 +389,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       }
 
     } else if (pe->kind == ibc::PacketEventKind::kAcknowledge) {
-      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
+      ChannelTrack& ch = track(c, p.source_port, p.source_channel);
       if (!ch.acks.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-ack",
              chan_str(p.source_port, p.source_channel) +
@@ -401,7 +407,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       bool wrote_ack = false, ack_ok = false;
       if (other != nullptr) {
         const ChannelTrack& dst =
-            other->channels[{p.destination_port, p.destination_channel}];
+            track(*other, p.destination_port, p.destination_channel);
         const auto outcome = dst.ack_success.find(p.sequence);
         wrote_ack = outcome != dst.ack_success.end();
         ack_ok = wrote_ack && outcome->second;
@@ -421,9 +427,8 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
             c.voucher_supply[ibc::voucher_denom(pending->second.denom_path)] +=
                 pending->second.amount;
           } else {
-            auto& escrow = c.escrow[{
-                ibc::escrow_address(p.source_port, p.source_channel),
-                held_denom(pending->second.denom_path)}];
+            auto& escrow = escrow_of(c, p.source_port, p.source_channel,
+                                     pending->second.denom_path);
             if (escrow < pending->second.amount) {
               fail(c.h.id, height, "token-conservation",
                    "refunded more than remained in escrow for " +
@@ -438,7 +443,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       }
 
     } else {  // timeout_packet
-      ChannelTrack& ch = c.channels[{p.source_port, p.source_channel}];
+      ChannelTrack& ch = track(c, p.source_port, p.source_channel);
       if (!ch.timeouts.insert(p.sequence)) {
         fail(c.h.id, height, "exactly-once-timeout",
              chan_str(p.source_port, p.source_channel) +
@@ -453,7 +458,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
       if (ChainState* other =
               counterparty_of(c, p.source_port, p.source_channel, height)) {
         const ChannelTrack& dst =
-            other->channels[{p.destination_port, p.destination_channel}];
+            track(*other, p.destination_port, p.destination_channel);
         if (dst.recvs.contains(p.sequence)) {
           fail(c.h.id, height, "timeout-after-recv",
                chan_str(p.source_port, p.source_channel) + " sequence " +
@@ -467,9 +472,8 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
           c.voucher_supply[ibc::voucher_denom(pending->second.denom_path)] +=
               pending->second.amount;
         } else {
-          auto& escrow = c.escrow[{
-              ibc::escrow_address(p.source_port, p.source_channel),
-              held_denom(pending->second.denom_path)}];
+          auto& escrow = escrow_of(c, p.source_port, p.source_channel,
+                                   pending->second.denom_path);
           if (escrow < pending->second.amount) {
             fail(c.h.id, height, "token-conservation",
                  "timeout refunded more than remained in escrow for " +
@@ -490,15 +494,14 @@ void InvariantChecker::account_recv_success(
     const std::string& dst_port, const std::string& dst_channel,
     std::uint64_t amount, const std::string& denom_path,
     chain::Height height) {
-  if (is_returning(denom_path, src_port, src_channel)) {
+  if (ibc::TransferModule::is_returning(denom_path, src_port, src_channel)) {
     // Token came home: the local escrow released the inner denom.
-    const std::string inner =
-        denom_path.substr(src_port.size() + src_channel.size() + 2);
-    auto& escrow = c.escrow[{ibc::escrow_address(dst_port, dst_channel),
-                             held_denom(inner)}];
+    const std::string_view inner = std::string_view(denom_path).substr(
+        src_port.size() + src_channel.size() + 2);
+    auto& escrow = escrow_of(c, dst_port, dst_channel, inner);
     if (escrow < amount) {
       fail(c.h.id, height, "token-conservation",
-           "unescrowed more " + inner + " than was escrowed");
+           "unescrowed more " + std::string(inner) + " than was escrowed");
       escrow = 0;
     } else {
       escrow -= amount;
@@ -573,7 +576,7 @@ void InvariantChecker::check_channel(ChainState& c, std::string_view key,
   const ibc::Sequence r = channels.next_sequence_recv(port, channel);
   const ibc::Sequence a = channels.next_sequence_ack(port, channel);
 
-  ChannelTrack& ch = c.channels[{port, channel}];
+  ChannelTrack& ch = track(c, port, channel);
   CounterSnap& prev = ch.*snap;
   if (s < prev.send || r < prev.recv || a < prev.ack) {
     fail(c.h.id, height, "sequence-monotonicity",

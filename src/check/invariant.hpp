@@ -118,6 +118,17 @@ class InvariantChecker {
   std::string report() const;
 
  private:
+  /// Orders (string, string) keys as std::pair does, and also compares them
+  /// with pairs of views, so a lookup builds no strings.
+  struct PairLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      using Views = std::pair<std::string_view, std::string_view>;
+      return Views(a.first, a.second) < Views(b.first, b.second);
+    }
+  };
+
   /// Per-channel set of already-used sequences, compressed as a contiguous
   /// prefix [1, contiguous] plus an out-of-order overflow set, so unordered
   /// channels at bench scale stay O(reorder window) instead of O(packets).
@@ -190,12 +201,14 @@ class InvariantChecker {
   struct ChainState {
     ChainHandles h;
     /// Keyed by (port, channel).
-    std::map<std::pair<std::string, std::string>, ChannelTrack> channels;
+    std::map<std::pair<std::string, std::string>, ChannelTrack, PairLess>
+        channels;
     /// auth sequence per sender as of the previous commit (lazily seeded).
     std::map<chain::Address, std::uint64_t> auth_seq;
     /// Conservation model: expected escrow balance per (address, denom) and
     /// expected voucher supply per denom, updated from packet events.
-    std::map<std::pair<chain::Address, std::string>, std::uint64_t> escrow;
+    std::map<std::pair<chain::Address, std::string>, std::uint64_t, PairLess>
+        escrow;
     std::map<std::string, std::uint64_t> voucher_supply;
 
     // Store model, kept by the write hook (observe()).
@@ -245,6 +258,15 @@ class InvariantChecker {
   void check_client_heights(ChainState& c, chain::Height height);
   void check_bank_conservation(ChainState& c, chain::Height height);
   void check_escrow_model(ChainState& c, chain::Height height);
+
+  /// The model of (port, channel) on `c`, created on first use.
+  static ChannelTrack& track(ChainState& c, std::string_view port,
+                             std::string_view channel);
+  /// The expected balance of (port, channel)'s escrow in the denom that
+  /// `denom_path` is held under locally, created at 0 on first use.
+  static std::uint64_t& escrow_of(ChainState& c, const std::string& port,
+                                  const std::string& channel,
+                                  std::string_view denom_path);
 
   // One item of the store-derived checks, shared by the per-commit path and
   // the audit, which differ only in the snapshot they compare against.

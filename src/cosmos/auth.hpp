@@ -8,10 +8,11 @@
 // the paper's multi-account submission strategy (§III-D, §V).
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "chain/store.hpp"
 #include "chain/types.hpp"
+#include "util/key.hpp"
 
 namespace cosmos {
 
@@ -19,15 +20,18 @@ class AuthKeeper {
  public:
   explicit AuthKeeper(chain::KvStore& store) : store_(store) {}
 
-  bool account_exists(const chain::Address& addr) const;
-  void create_account(const chain::Address& addr);
+  bool account_exists(std::string_view addr) const;
+  void create_account(std::string_view addr);
 
   /// The sequence the account's *next* transaction must carry.
-  std::uint64_t sequence(const chain::Address& addr) const;
-  void increment_sequence(const chain::Address& addr);
+  std::uint64_t sequence(std::string_view addr) const;
+  void increment_sequence(std::string_view addr);
+
+  /// Store key "auth/seq/<addr>".
+  static util::Key seq_key(std::string_view addr);
 
  private:
-  static std::string seq_key(const chain::Address& addr);
+  std::uint64_t read_seq(std::string_view key) const;
   chain::KvStore& store_;
 };
 

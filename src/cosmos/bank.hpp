@@ -9,11 +9,13 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chain/store.hpp"
 #include "chain/types.hpp"
 #include "cosmos/coin.hpp"
+#include "util/key.hpp"
 #include "util/status.hpp"
 
 namespace cosmos {
@@ -22,11 +24,10 @@ class BankKeeper {
  public:
   explicit BankKeeper(chain::KvStore& store) : store_(store) {}
 
-  std::uint64_t balance(const chain::Address& addr,
-                        const std::string& denom) const;
+  std::uint64_t balance(std::string_view addr, std::string_view denom) const;
 
   /// Sets a balance outright (genesis allocation only).
-  void set_balance(const chain::Address& addr, const Coin& coin);
+  void set_balance(std::string_view addr, const Coin& coin);
 
   /// Bulk genesis funding: sets every address's balance to `coin` with a
   /// single supply update at the end. Byte-identical final state (and
@@ -34,24 +35,25 @@ class BankKeeper {
   void fund_many(const std::vector<chain::Address>& addrs, const Coin& coin);
 
   /// Moves `coin` from `from` to `to`; fails on insufficient funds.
-  util::Status send(const chain::Address& from, const chain::Address& to,
+  util::Status send(std::string_view from, std::string_view to,
                     const Coin& coin);
 
   /// Creates new supply into `to` (ICS-20 voucher minting).
-  void mint(const chain::Address& to, const Coin& coin);
+  void mint(std::string_view to, const Coin& coin);
 
   /// Destroys supply held by `from` (ICS-20 voucher burning).
-  util::Status burn(const chain::Address& from, const Coin& coin);
+  util::Status burn(std::string_view from, const Coin& coin);
 
   /// Total minted minus burned per denom, maintained for invariant checks.
-  std::uint64_t supply(const std::string& denom) const;
+  std::uint64_t supply(std::string_view denom) const;
+
+  /// Store keys: "bank/bal/<addr>|<denom>" and "bank/supply/<denom>".
+  static util::Key balance_key(std::string_view addr, std::string_view denom);
+  static util::Key supply_key(std::string_view denom);
 
  private:
-  static std::string balance_key(const chain::Address& addr,
-                                 const std::string& denom);
-  static std::string supply_key(const std::string& denom);
-  std::uint64_t read_u64(const std::string& key) const;
-  void write_u64(const std::string& key, std::uint64_t v);
+  std::uint64_t read_u64(std::string_view key) const;
+  void write_u64(std::string_view key, std::uint64_t v);
 
   chain::KvStore& store_;
 };

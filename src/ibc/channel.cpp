@@ -1,5 +1,8 @@
 #include "ibc/channel.hpp"
 
+#include <algorithm>
+#include <deque>
+
 #include "ibc/host.hpp"
 
 namespace ibc {
@@ -23,7 +26,9 @@ std::string channel_ordering_name(ChannelOrdering o) {
 }
 
 util::Bytes ChannelEnd::encode() const {
-  Writer w;
+  Writer w(2 + Writer::str_size(connection) +
+           Writer::str_size(counterparty_port) +
+           Writer::str_size(counterparty_channel) + Writer::str_size(version));
   w.u8(static_cast<std::uint8_t>(phase));
   w.u8(static_cast<std::uint8_t>(ordering));
   w.str(connection);
@@ -58,16 +63,31 @@ void ChannelKeeper::set(const PortId& port, const ChannelId& id,
 
 util::Result<ChannelEnd> ChannelKeeper::get(const PortId& port,
                                             const ChannelId& id) const {
-  const auto raw = store_.get(host::channel_key(port, id));
+  const auto raw = store_.get_view(host::channel_key(port, id));
   if (!raw) {
     return util::Status::error(util::ErrorCode::kNotFound,
                                "channel not found: " + port + "/" + id);
+  }
+  // Decodes by stored bytes, shared by every ChannelKeeper on this thread:
+  // a chain's IbcKeeper and the invariant checker read the same ends, and a
+  // deployment has few distinct ones (equal ends on two chains share one).
+  // Bounded; the oldest decode goes first.
+  struct Decoded {
+    util::Bytes raw;
+    ChannelEnd end;
+  };
+  constexpr std::size_t kMemoSize = 64;
+  thread_local std::deque<Decoded> memo;
+  for (const Decoded& d : memo) {
+    if (std::ranges::equal(d.raw, *raw)) return d.end;
   }
   ChannelEnd end;
   if (!ChannelEnd::decode(*raw, end)) {
     return util::Status::error(util::ErrorCode::kInternal,
                                "corrupt channel end: " + id);
   }
+  if (memo.size() == kMemoSize) memo.pop_front();
+  memo.push_back(Decoded{util::Bytes(raw->begin(), raw->end()), end});
   return end;
 }
 
@@ -75,16 +95,14 @@ bool ChannelKeeper::exists(const PortId& port, const ChannelId& id) const {
   return store_.contains(host::channel_key(port, id));
 }
 
-Sequence ChannelKeeper::read_seq(const std::string& key) const {
-  const auto raw = store_.get(key);
+Sequence ChannelKeeper::read_seq(std::string_view key) const {
+  const auto raw = store_.get_view(key);
   if (!raw || raw->size() != 8) return 0;
   return util::read_u64_be(*raw, 0);
 }
 
-void ChannelKeeper::write_seq(const std::string& key, Sequence s) {
-  util::Bytes b;
-  util::append_u64_be(b, s);
-  store_.set(key, std::move(b));
+void ChannelKeeper::write_seq(std::string_view key, Sequence s) {
+  store_.set(key, util::u64_be(s));
 }
 
 Sequence ChannelKeeper::next_sequence_send(const PortId& port,

@@ -7,6 +7,7 @@
 // delivery, and permissioning. Multiple channels can share one connection.
 
 #include <string>
+#include <string_view>
 
 #include "chain/store.hpp"
 #include "ibc/codec.hpp"
@@ -43,6 +44,12 @@ struct ChannelEnd {
 };
 
 /// Channel keeper: channel ends plus per-channel sequence counters.
+///
+/// get() decodes each stored channel-end value once: decodes are memoised
+/// by the bytes they came from, and a read that finds the same bytes in the
+/// store reuses one. The stored bytes are the only validity test, so any
+/// write (a handshake step, a close, a reverted tx) shows at the next read,
+/// and the memo never needs invalidating.
 class ChannelKeeper {
  public:
   explicit ChannelKeeper(chain::KvStore& store) : store_(store) {}
@@ -61,8 +68,8 @@ class ChannelKeeper {
   void set_next_sequence_ack(const PortId& port, const ChannelId& id, Sequence s);
 
  private:
-  Sequence read_seq(const std::string& key) const;
-  void write_seq(const std::string& key, Sequence s);
+  Sequence read_seq(std::string_view key) const;
+  void write_seq(std::string_view key, Sequence s);
 
   chain::KvStore& store_;
   std::uint64_t next_ = 0;

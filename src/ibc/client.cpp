@@ -121,7 +121,7 @@ bool ClientKeeper::client_exists(const ClientId& id) const {
 }
 
 util::Result<ClientState> ClientKeeper::client_state(const ClientId& id) const {
-  const auto raw = store_.get(host::client_state_key(id));
+  const auto raw = store_.get_view(host::client_state_key(id));
   if (!raw) {
     return util::Status::error(util::ErrorCode::kNotFound,
                                "client not found: " + id);
@@ -136,7 +136,7 @@ util::Result<ClientState> ClientKeeper::client_state(const ClientId& id) const {
 
 util::Result<ConsensusState> ClientKeeper::consensus_state(
     const ClientId& id, std::int64_t height) const {
-  const auto raw = store_.get(host::consensus_state_key(id, height));
+  const auto raw = store_.get_view(host::consensus_state_key(id, height));
   if (!raw) {
     return util::Status::error(
         util::ErrorCode::kNotFound,
@@ -342,7 +342,7 @@ util::Status ClientKeeper::check_proof_root(const ClientId& id,
 
 util::Status ClientKeeper::verify_membership(
     const ClientId& id, std::int64_t proof_height,
-    const chain::StoreProof& proof, const std::string& expected_key,
+    const chain::StoreProof& proof, std::string_view expected_key,
     util::BytesView expected_value, sim::TimePoint now) const {
   if (util::Status s = check_proof_root(id, proof_height, proof, now);
       !s.is_ok()) {
@@ -351,20 +351,21 @@ util::Status ClientKeeper::verify_membership(
   if (!proof.exists || proof.key != expected_key) {
     return util::Status::error(util::ErrorCode::kInvalidArgument,
                                "proof is not an existence proof for " +
-                                   expected_key);
+                                   std::string(expected_key));
   }
   if (proof.value.size() != expected_value.size() ||
       !std::equal(proof.value.begin(), proof.value.end(),
                   expected_value.begin())) {
     return util::Status::error(util::ErrorCode::kInvalidArgument,
-                               "proof value mismatch for " + expected_key);
+                               "proof value mismatch for " +
+                                   std::string(expected_key));
   }
   return util::Status::ok();
 }
 
 util::Status ClientKeeper::verify_non_membership(
     const ClientId& id, std::int64_t proof_height,
-    const chain::StoreProof& proof, const std::string& expected_key,
+    const chain::StoreProof& proof, std::string_view expected_key,
     sim::TimePoint now) const {
   if (util::Status s = check_proof_root(id, proof_height, proof, now);
       !s.is_ok()) {
@@ -373,7 +374,7 @@ util::Status ClientKeeper::verify_non_membership(
   if (proof.exists || proof.key != expected_key) {
     return util::Status::error(util::ErrorCode::kInvalidArgument,
                                "proof is not a non-existence proof for " +
-                                   expected_key);
+                                   std::string(expected_key));
   }
   return util::Status::ok();
 }

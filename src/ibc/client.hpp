@@ -121,7 +121,7 @@ class ClientKeeper {
   /// `trusting_period` of `now`.
   util::Status verify_membership(const ClientId& id, std::int64_t proof_height,
                                  const chain::StoreProof& proof,
-                                 const std::string& expected_key,
+                                 std::string_view expected_key,
                                  util::BytesView expected_value,
                                  sim::TimePoint now = 0) const;
 
@@ -129,7 +129,7 @@ class ClientKeeper {
   util::Status verify_non_membership(const ClientId& id,
                                      std::int64_t proof_height,
                                      const chain::StoreProof& proof,
-                                     const std::string& expected_key,
+                                     std::string_view expected_key,
                                      sim::TimePoint now = 0) const;
 
  private:

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
@@ -14,13 +15,21 @@ namespace ibc {
 
 class Writer {
  public:
+  Writer() = default;
+  /// Sizes the buffer up front; a codec that knows its encoded size (see
+  /// str_size()) writes into one allocation.
+  explicit Writer(std::size_t size) { out_.reserve(size); }
+
+  /// Encoded size of str(s): a u32 length, then the bytes.
+  static std::size_t str_size(std::string_view s) { return 4 + s.size(); }
+
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u32(std::uint32_t v) { util::append_u32_be(out_, v); }
   void u64(std::uint64_t v) { util::append_u64_be(out_, v); }
   void i64(std::int64_t v) { util::append_u64_be(out_, static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    util::append(out_, util::to_bytes(s));
+    out_.insert(out_.end(), s.begin(), s.end());
   }
   void bytes(util::BytesView b) {
     u32(static_cast<std::uint32_t>(b.size()));

@@ -43,7 +43,7 @@ void ConnectionKeeper::set(const ConnectionId& id, const ConnectionEnd& end) {
 }
 
 util::Result<ConnectionEnd> ConnectionKeeper::get(const ConnectionId& id) const {
-  const auto raw = store_.get(host::connection_key(id));
+  const auto raw = store_.get_view(host::connection_key(id));
   if (!raw) {
     return util::Status::error(util::ErrorCode::kNotFound,
                                "connection not found: " + id);

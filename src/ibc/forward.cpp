@@ -54,15 +54,13 @@ bool ForwardMiddleware::parse_route(const std::string& receiver,
   return !hops.empty();
 }
 
-bool ForwardMiddleware::is_forward_packet(const util::Bytes& packet_data) {
-  FungibleTokenPacketData data;
-  return FungibleTokenPacketData::from_json(packet_data, data) &&
-         data.receiver.rfind(kRoutePrefix, 0) == 0;
+bool ForwardMiddleware::is_forward_route(std::string_view receiver) {
+  return receiver.starts_with(kRoutePrefix);
 }
 
-std::string ForwardMiddleware::forward_key(const ChannelId& channel,
-                                           Sequence seq) {
-  return "ibc/forwards/" + channel + "/" + std::to_string(seq);
+util::Key ForwardMiddleware::forward_key(const ChannelId& channel,
+                                         Sequence seq) {
+  return util::Key("ibc/forwards/", channel, "/", seq);
 }
 
 util::Result<std::int64_t> ForwardMiddleware::client_height(
@@ -77,16 +75,14 @@ util::Result<std::int64_t> ForwardMiddleware::client_height(
 }
 
 std::optional<Acknowledgement> ForwardMiddleware::on_recv_packet(
-    const Packet& packet, cosmos::MsgContext& ctx) {
-  FungibleTokenPacketData data;
-  if (!FungibleTokenPacketData::from_json(packet.data, data)) {
-    return Acknowledgement{false, "cannot unmarshal ICS-20 packet data"};
+    const Packet& packet, const FungibleTokenPacketData* decoded,
+    cosmos::MsgContext& ctx) {
+  if (decoded == nullptr || !is_forward_route(decoded->receiver)) {
+    return inner_.on_recv_packet(packet, decoded, ctx);  // no route
   }
+  const FungibleTokenPacketData& data = *decoded;
   std::vector<ChannelId> hops;
   std::string final_receiver;
-  if (data.receiver.rfind(kRoutePrefix, 0) != 0) {
-    return inner_.on_recv_packet(packet, ctx);  // plain transfer, no route
-  }
   if (!parse_route(data.receiver, hops, final_receiver)) {
     return Acknowledgement{false, "malformed forward route"};
   }
@@ -111,7 +107,7 @@ std::optional<Acknowledgement> ForwardMiddleware::on_recv_packet(
   Packet delivery = packet;
   delivery.data = local.to_json();
   std::optional<Acknowledgement> delivered =
-      inner_.on_recv_packet(delivery, ctx);
+      inner_.on_recv_packet(delivery, &local, ctx);
   if (!delivered.has_value() || !delivered->success) {
     return delivered;  // inner failed without state change; propagate its ack
   }
@@ -141,18 +137,16 @@ std::optional<Acknowledgement> ForwardMiddleware::on_recv_packet(
   next.timeout_height = height.value() + hop_timeout_blocks_;
   next.timeout_timestamp = 0;
 
-  const Sequence next_seq =
-      ibc_.channels().next_sequence_send(kTransferPort, next_channel);
-  util::Status sent = inner_.send_transfer(next, ctx);
+  const util::Result<Sequence> sent = inner_.send_transfer(next, ctx);
   if (!sent.is_ok()) {
     util::Status undo = unwind_local_delivery(packet, data);
-    return Acknowledgement{false, undo.is_ok() ? sent.message()
+    return Acknowledgement{false, undo.is_ok() ? sent.status().message()
                                                : undo.message()};
   }
 
   // Park the original packet until the onward hop settles; its ack stays
   // unwritten (async ack) so the previous hop cannot finalize early.
-  app_.store().set(forward_key(next_channel, next_seq), packet.encode());
+  app_.store().set(forward_key(next_channel, sent.value()), packet.encode());
   ++packets_forwarded_;
   return std::nullopt;
 }
@@ -181,18 +175,18 @@ util::Status ForwardMiddleware::unwind_local_delivery(
 util::Status ForwardMiddleware::settle(const Packet& next_hop_packet,
                                        bool success, const std::string& error,
                                        cosmos::MsgContext& ctx) {
-  const std::string key =
+  const util::Key key =
       forward_key(next_hop_packet.source_channel, next_hop_packet.sequence);
   const auto stored = app_.store().get(key);
   if (!stored) {
     return err(util::ErrorCode::kInternal,
-               "missing forward state for " + key);
+               "missing forward state for " + key.str());
   }
   app_.store().erase(key);  // exactly-once: a replayed settle delegates
   Packet orig;
   if (!Packet::decode(*stored, orig)) {
     return err(util::ErrorCode::kInternal,
-               "corrupt forward state for " + key);
+               "corrupt forward state for " + key.str());
   }
   if (success) {
     util::Status s =
@@ -209,7 +203,7 @@ util::Status ForwardMiddleware::settle(const Packet& next_hop_packet,
   FungibleTokenPacketData data;
   if (!FungibleTokenPacketData::from_json(orig.data, data)) {
     return err(util::ErrorCode::kInternal,
-               "corrupt forward packet data for " + key);
+               "corrupt forward packet data for " + key.str());
   }
   util::Status undone = unwind_local_delivery(orig, data);
   if (!undone.is_ok()) return undone;

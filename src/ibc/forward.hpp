@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ibc/transfer.hpp"
@@ -42,8 +43,9 @@ class ForwardMiddleware : public IbcModule {
   ForwardMiddleware& operator=(const ForwardMiddleware&) = delete;
 
   // IbcModule.
-  std::optional<Acknowledgement> on_recv_packet(const Packet& packet,
-                                                cosmos::MsgContext& ctx) override;
+  std::optional<Acknowledgement> on_recv_packet(
+      const Packet& packet, const FungibleTokenPacketData* data,
+      cosmos::MsgContext& ctx) override;
   util::Status on_acknowledgement_packet(const Packet& packet,
                                          const Acknowledgement& ack,
                                          cosmos::MsgContext& ctx) override;
@@ -59,10 +61,10 @@ class ForwardMiddleware : public IbcModule {
                           std::vector<ChannelId>& hops,
                           std::string& final_receiver);
 
-  /// True when `packet_data` is ICS-20 data whose receiver encodes a forward
-  /// route: receiving it executes an onward transfer in the same tx, so a
-  /// relayer must budget that extra gas into its recv estimate.
-  static bool is_forward_packet(const util::Bytes& packet_data);
+  /// True when an ICS-20 receiver field encodes a forward route: receiving
+  /// such a packet executes an onward transfer in the same tx, so a relayer
+  /// must budget that extra gas into its recv estimate.
+  static bool is_forward_route(std::string_view receiver);
 
   // Statistics surfaced to experiments and tests.
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
@@ -72,7 +74,7 @@ class ForwardMiddleware : public IbcModule {
  private:
   /// Store key holding the original (previous-hop) packet while its onward
   /// hop is in flight, keyed by our outgoing (channel, sequence).
-  static std::string forward_key(const ChannelId& channel, Sequence seq);
+  static util::Key forward_key(const ChannelId& channel, Sequence seq);
 
   /// Latest height of the light client behind our outgoing channel, for the
   /// hop timeout budget.

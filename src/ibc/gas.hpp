@@ -35,9 +35,7 @@ struct GasTable {
 inline std::uint64_t jittered_gas(std::uint64_t base, double max_rel,
                                   std::uint64_t seq_key) {
   // Hash the key to decorrelate adjacent sequences.
-  util::Bytes b;
-  util::append_u64_be(b, seq_key);
-  const crypto::Digest d = crypto::sha256(b);
+  const crypto::Digest d = crypto::sha256(util::u64_be(seq_key));
   const std::uint64_t r = util::read_u64_be(util::BytesView(d.data(), 8), 0);
   const double unit = static_cast<double>(r % 10'000) / 10'000.0;  // [0,1)
   const double factor = 1.0 + max_rel * (2.0 * unit - 1.0);

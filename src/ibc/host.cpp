@@ -2,58 +2,60 @@
 
 namespace ibc::host {
 
-std::string client_state_key(const ClientId& client) {
-  return "ibc/clients/" + client + "/clientState";
+util::Key client_state_key(const ClientId& client) {
+  return util::Key("ibc/clients/", client, "/clientState");
 }
 
-std::string consensus_state_key(const ClientId& client, std::int64_t height) {
-  return "ibc/clients/" + client + "/consensusStates/" + std::to_string(height);
+util::Key consensus_state_key(const ClientId& client, std::int64_t height) {
+  return util::Key("ibc/clients/", client, "/consensusStates/", height);
 }
 
-std::string connection_key(const ConnectionId& connection) {
-  return "ibc/connections/" + connection;
+util::Key connection_key(const ConnectionId& connection) {
+  return util::Key("ibc/connections/", connection);
 }
 
-std::string channel_key(const PortId& port, const ChannelId& channel) {
-  return "ibc/channelEnds/ports/" + port + "/channels/" + channel;
+util::Key channel_key(const PortId& port, const ChannelId& channel) {
+  return util::Key("ibc/channelEnds/ports/", port, "/channels/", channel);
 }
 
-std::string packet_commitment_key(const PortId& port, const ChannelId& channel,
-                                  Sequence sequence) {
-  return packet_commitment_prefix(port, channel) + std::to_string(sequence);
+util::Key packet_commitment_key(const PortId& port, const ChannelId& channel,
+                                Sequence sequence) {
+  util::Key key = packet_commitment_prefix(port, channel);
+  key.append(sequence);
+  return key;
 }
 
-std::string packet_receipt_key(const PortId& port, const ChannelId& channel,
-                               Sequence sequence) {
-  return "ibc/receipts/ports/" + port + "/channels/" + channel +
-         "/sequences/" + std::to_string(sequence);
+util::Key packet_receipt_key(const PortId& port, const ChannelId& channel,
+                             Sequence sequence) {
+  return util::Key("ibc/receipts/ports/", port, "/channels/", channel,
+                   "/sequences/", sequence);
 }
 
-std::string packet_ack_key(const PortId& port, const ChannelId& channel,
-                           Sequence sequence) {
-  return "ibc/acks/ports/" + port + "/channels/" + channel + "/sequences/" +
-         std::to_string(sequence);
+util::Key packet_ack_key(const PortId& port, const ChannelId& channel,
+                         Sequence sequence) {
+  return util::Key("ibc/acks/ports/", port, "/channels/", channel,
+                   "/sequences/", sequence);
 }
 
-std::string next_sequence_send_key(const PortId& port,
+util::Key next_sequence_send_key(const PortId& port,
+                                 const ChannelId& channel) {
+  return util::Key("ibc/nextSequenceSend/ports/", port, "/channels/", channel);
+}
+
+util::Key next_sequence_recv_key(const PortId& port,
+                                 const ChannelId& channel) {
+  return util::Key("ibc/nextSequenceRecv/ports/", port, "/channels/", channel);
+}
+
+util::Key next_sequence_ack_key(const PortId& port,
+                                const ChannelId& channel) {
+  return util::Key("ibc/nextSequenceAck/ports/", port, "/channels/", channel);
+}
+
+util::Key packet_commitment_prefix(const PortId& port,
                                    const ChannelId& channel) {
-  return "ibc/nextSequenceSend/ports/" + port + "/channels/" + channel;
-}
-
-std::string next_sequence_recv_key(const PortId& port,
-                                   const ChannelId& channel) {
-  return "ibc/nextSequenceRecv/ports/" + port + "/channels/" + channel;
-}
-
-std::string next_sequence_ack_key(const PortId& port,
-                                  const ChannelId& channel) {
-  return "ibc/nextSequenceAck/ports/" + port + "/channels/" + channel;
-}
-
-std::string packet_commitment_prefix(const PortId& port,
-                                     const ChannelId& channel) {
-  return "ibc/commitments/ports/" + port + "/channels/" + channel +
-         "/sequences/";
+  return util::Key("ibc/commitments/ports/", port, "/channels/", channel,
+                   "/sequences/");
 }
 
 }  // namespace ibc::host

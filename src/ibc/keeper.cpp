@@ -490,7 +490,7 @@ util::Result<ClientId> IbcKeeper::channel_client(const PortId& port,
 
 util::Result<Sequence> IbcKeeper::send_packet(
     const PortId& source_port, const ChannelId& source_channel,
-    util::Bytes data, std::int64_t timeout_height,
+    Sequence sequence, util::Bytes data, std::int64_t timeout_height,
     std::int64_t timeout_timestamp, cosmos::MsgContext& ctx,
     std::optional<FungibleTokenPacketData> transfer_data) {
   auto chan_res = channels_.get(source_port, source_channel);
@@ -506,7 +506,7 @@ util::Result<Sequence> IbcKeeper::send_packet(
   }
 
   Packet packet;
-  packet.sequence = channels_.next_sequence_send(source_port, source_channel);
+  packet.sequence = sequence;
   packet.source_port = source_port;
   packet.source_channel = source_channel;
   packet.destination_port = chan.counterparty_port;
@@ -520,9 +520,8 @@ util::Result<Sequence> IbcKeeper::send_packet(
   const crypto::Digest commitment = packet.commitment();
   store_.set(host::packet_commitment_key(source_port, source_channel,
                                          packet.sequence),
-             crypto::digest_to_bytes(commitment));
+             commitment);
 
-  const Sequence sequence = packet.sequence;
   ctx.events->push_back(make_packet_event(PacketEventKind::kSend,
                                           std::move(packet), {},
                                           std::move(transfer_data)));
@@ -564,7 +563,7 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
   // ORDERED channels enforce strict sequence order via nextSequenceRecv.
   // Hermes logs duplicates as "packet messages are redundant" — the error
   // that erodes two-relayer throughput (paper §IV-A).
-  const std::string receipt_key = host::packet_receipt_key(
+  const util::Key receipt_key = host::packet_receipt_key(
       p.destination_port, p.destination_channel, p.sequence);
   if (chan.ordering == ChannelOrdering::kOrdered) {
     const Sequence next = channels_.next_sequence_recv(p.destination_port,
@@ -599,7 +598,7 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
   util::Status s = clients_.verify_membership(
       client.value(), m.proof_height, m.proof_commitment,
       host::packet_commitment_key(p.source_port, p.source_channel, p.sequence),
-      crypto::digest_to_bytes(commitment), verify_now(ctx));
+      commitment, verify_now(ctx));
   if (!s.is_ok()) return s;
 
   // Route to the application module and write receipt + acknowledgement.
@@ -609,27 +608,29 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
                "no module bound to " + p.destination_port);
   }
   if (chan.ordering != ChannelOrdering::kOrdered) {
-    store_.set(receipt_key, util::Bytes{1});
+    constexpr std::uint8_t kReceipt = 1;
+    store_.set(receipt_key, util::BytesView(&kReceipt, 1));
   }
+  // The ICS-20 data, decoded once for the module and both events.
+  std::optional<FungibleTokenPacketData> data =
+      FungibleTokenPacketData::decode(p.data);
   // The module may defer its acknowledgement (nullopt): the receipt above
   // still guards exactly-once delivery, but no ack is stored or announced
   // until the module calls write_acknowledgement — the forward middleware's
   // hold-until-next-hop-resolves behaviour.
-  std::optional<Acknowledgement> ack = module->on_recv_packet(p, ctx);
+  std::optional<Acknowledgement> ack =
+      module->on_recv_packet(p, data ? &*data : nullptr, ctx);
   if (ack.has_value()) {
     store_.set(host::packet_ack_key(p.destination_port, p.destination_channel,
                                     p.sequence),
-               crypto::digest_to_bytes(ack->commitment()));
+               ack->commitment());
   }
   ++packets_received_;
 
   const util::Bytes ack_bytes = ack.has_value() ? ack->encode() : util::Bytes{};
   ctx.events->push_back(
-      make_packet_event(PacketEventKind::kRecv, p, ack_bytes));
+      make_packet_event(PacketEventKind::kRecv, p, ack_bytes, data));
   if (ack.has_value()) {
-    // Same packet: reuse the ICS-20 data the recv event just decoded.
-    std::optional<FungibleTokenPacketData> data =
-        packet_event(ctx.events->back())->transfer_data;
     ctx.events->push_back(make_packet_event(PacketEventKind::kWriteAck, p,
                                             ack_bytes, std::move(data)));
   }
@@ -640,7 +641,7 @@ util::Status IbcKeeper::write_acknowledgement(const Packet& packet,
                                               const Acknowledgement& ack,
                                               cosmos::MsgContext& ctx) {
   const Packet& p = packet;
-  const std::string ack_key = host::packet_ack_key(
+  const util::Key ack_key = host::packet_ack_key(
       p.destination_port, p.destination_channel, p.sequence);
   if (store_.contains(ack_key)) {
     return err(util::ErrorCode::kFailedPrecondition,
@@ -662,7 +663,7 @@ util::Status IbcKeeper::write_acknowledgement(const Packet& packet,
                "cannot acknowledge unreceived sequence " +
                    std::to_string(p.sequence));
   }
-  store_.set(ack_key, crypto::digest_to_bytes(ack.commitment()));
+  store_.set(ack_key, ack.commitment());
   ctx.events->push_back(
       make_packet_event(PacketEventKind::kWriteAck, p, ack.encode()));
   return util::Status::ok();
@@ -697,17 +698,17 @@ util::Status IbcKeeper::handle_acknowledgement(const chain::Msg& msg,
 
   // The commitment must still exist (deleted = already acknowledged or
   // timed out -> redundant relay).
-  const std::string commitment_key = host::packet_commitment_key(
+  const util::Key commitment_key = host::packet_commitment_key(
       p.source_port, p.source_channel, p.sequence);
-  const auto stored = store_.get(commitment_key);
+  const auto stored = store_.get_view(commitment_key);
   if (!stored) {
     ++redundant_messages_;
     return err(util::ErrorCode::kRedundantPacket,
                "packet messages are redundant: ack for sequence " +
                    std::to_string(p.sequence));
   }
-  const util::Bytes expected = crypto::digest_to_bytes(p.commitment());
-  if (*stored != expected) {
+  const crypto::Digest expected = p.commitment();
+  if (!std::ranges::equal(*stored, expected)) {
     return err(util::ErrorCode::kInvalidArgument,
                "acknowledged packet differs from committed packet");
   }
@@ -719,7 +720,7 @@ util::Status IbcKeeper::handle_acknowledgement(const chain::Msg& msg,
       client.value(), m.proof_height, m.proof_ack,
       host::packet_ack_key(p.destination_port, p.destination_channel,
                            p.sequence),
-      crypto::digest_to_bytes(m.ack.commitment()), verify_now(ctx));
+      m.ack.commitment(), verify_now(ctx));
   if (!s.is_ok()) return s;
 
   IbcModule* module = module_for(p.source_port);
@@ -751,16 +752,16 @@ util::Status IbcKeeper::handle_timeout(const chain::Msg& msg,
     return err(util::ErrorCode::kFailedPrecondition, "channel not open");
   }
 
-  const std::string commitment_key = host::packet_commitment_key(
+  const util::Key commitment_key = host::packet_commitment_key(
       p.source_port, p.source_channel, p.sequence);
-  const auto stored = store_.get(commitment_key);
+  const auto stored = store_.get_view(commitment_key);
   if (!stored) {
     ++redundant_messages_;
     return err(util::ErrorCode::kRedundantPacket,
                "packet messages are redundant: timeout for sequence " +
                    std::to_string(p.sequence));
   }
-  if (*stored != crypto::digest_to_bytes(p.commitment())) {
+  if (!std::ranges::equal(*stored, p.commitment())) {
     return err(util::ErrorCode::kInvalidArgument,
                "timed-out packet differs from committed packet");
   }
@@ -795,13 +796,11 @@ util::Status IbcKeeper::handle_timeout(const chain::Msg& msg,
       return err(util::ErrorCode::kInvalidArgument,
                  "ordered channel: packet was already received");
     }
-    util::Bytes expected;
-    util::append_u64_be(expected, m.next_sequence_recv);
     s = clients_.verify_membership(
         client.value(), m.proof_height, m.proof_unreceived,
         host::next_sequence_recv_key(p.destination_port,
                                      p.destination_channel),
-        expected, verify_now(ctx));
+        util::u64_be(m.next_sequence_recv), verify_now(ctx));
   } else {
     s = clients_.verify_non_membership(
         client.value(), m.proof_height, m.proof_unreceived,

@@ -54,13 +54,15 @@ class IbcKeeper : public cosmos::MsgHandler {
   util::Status handle(const chain::Msg& msg, cosmos::MsgContext& ctx) override;
 
   /// Called by application modules to emit a packet (ICS-04 sendPacket).
-  /// Assigns the sequence, stores the commitment and emits the send_packet
-  /// event. Returns the assigned sequence. A module that encoded `data`
-  /// from ICS-20 token data passes that as `transfer_data`, so the event
-  /// carries it without decoding `data` back.
+  /// `sequence` is the channel's next send sequence, which the module read
+  /// in this message (channels().next_sequence_send()); the packet takes it.
+  /// Stores the commitment, advances the counter and emits the send_packet
+  /// event. Returns the sequence. A module that encoded `data` from ICS-20
+  /// token data passes that as `transfer_data`, so the event carries it
+  /// without decoding `data` back.
   util::Result<Sequence> send_packet(
       const PortId& source_port, const ChannelId& source_channel,
-      util::Bytes data, std::int64_t timeout_height,
+      Sequence sequence, util::Bytes data, std::int64_t timeout_height,
       std::int64_t timeout_timestamp, cosmos::MsgContext& ctx,
       std::optional<FungibleTokenPacketData> transfer_data = std::nullopt);
 

@@ -21,9 +21,12 @@ class IbcModule {
   /// module then resolves the packet later via
   /// IbcKeeper::write_acknowledgement (asynchronous acknowledgements, used
   /// by the packet-forward middleware to hold a hop's ack until the next
-  /// hop succeeds or unwinds).
+  /// hop succeeds or unwinds). `data` is packet.data decoded as ICS-20
+  /// token data, once, by the keeper (nullptr when it does not decode); the
+  /// recv event carries the same decode.
   virtual std::optional<Acknowledgement> on_recv_packet(
-      const Packet& packet, cosmos::MsgContext& ctx) = 0;
+      const Packet& packet, const FungibleTokenPacketData* data,
+      cosmos::MsgContext& ctx) = 0;
 
   /// Counterparty acknowledged a packet this module sent.
   virtual util::Status on_acknowledgement_packet(const Packet& packet,

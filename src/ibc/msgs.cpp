@@ -363,7 +363,9 @@ bool MsgTimeout::from_msg(const chain::Msg& msg, MsgTimeout& out) {
 // --- ICS-20 transfer -----------------------------------------------------------
 
 chain::Msg MsgTransfer::to_msg() const {
-  Writer w;
+  Writer w(Writer::str_size(source_port) + Writer::str_size(source_channel) +
+           Writer::str_size(denom) + 8 + Writer::str_size(sender) +
+           Writer::str_size(receiver) + 8 + 8);
   w.str(source_port);
   w.str(source_channel);
   w.str(denom);

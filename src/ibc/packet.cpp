@@ -1,14 +1,15 @@
 #include "ibc/packet.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <string_view>
 
 namespace ibc {
 
 namespace {
-void append_str(util::Bytes& out, const std::string& s) {
+void append_str(util::Bytes& out, std::string_view s) {
   util::append_u32_be(out, static_cast<std::uint32_t>(s.size()));
-  util::append(out, util::to_bytes(s));
+  out.insert(out.end(), s.begin(), s.end());
 }
 
 bool read_str(util::BytesView data, std::size_t& off, std::string& out) {
@@ -27,6 +28,7 @@ bool read_str(util::BytesView data, std::size_t& off, std::string& out) {
 bool parse_flat_json(std::string_view s,
                      std::vector<std::pair<std::string, std::string>>& out) {
   out.clear();
+  out.reserve(4);
   std::size_t i = 0;
   auto skip_ws = [&] {
     while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t')) ++i;
@@ -76,13 +78,18 @@ bool parse_flat_json(std::string_view s,
   return i == s.size();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
+bool needs_escape(char c) { return c == '"' || c == '\\'; }
+
+std::size_t escaped_size(std::string_view s) {
+  return s.size() + static_cast<std::size_t>(
+                        std::count_if(s.begin(), s.end(), needs_escape));
+}
+
+void append_escaped(util::Bytes& out, std::string_view s) {
   for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (needs_escape(c)) out.push_back('\\');
+    out.push_back(static_cast<std::uint8_t>(c));
   }
-  return out;
 }
 
 /// Decimal digits std::to_string writes for `v`, sign included.
@@ -102,13 +109,6 @@ bool carries_data(PacketEventKind kind) {
 Packet without_data_unless_carried(PacketEventKind kind, Packet packet) {
   if (!carries_data(kind)) packet.data = util::Bytes{};
   return packet;
-}
-
-std::optional<FungibleTokenPacketData> decode_transfer_data(
-    util::BytesView data) {
-  FungibleTokenPacketData out;
-  if (!FungibleTokenPacketData::from_json(data, out)) return std::nullopt;
-  return out;
 }
 
 /// Encoded size of what PacketEvent::render() returns, without rendering.
@@ -135,6 +135,9 @@ std::size_t rendered_size(PacketEventKind kind, const Packet& p,
 
 util::Bytes Packet::encode() const {
   util::Bytes out;
+  out.reserve(8 + 4 * 4 + source_port.size() + source_channel.size() +
+              destination_port.size() + destination_channel.size() + 4 +
+              data.size() + 8 + 8);
   util::append_u64_be(out, sequence);
   append_str(out, source_port);
   append_str(out, source_channel);
@@ -174,27 +177,58 @@ bool Packet::decode(util::BytesView bytes, Packet& out) {
 
 crypto::Digest Packet::commitment() const {
   const crypto::Digest data_hash = crypto::sha256(data);
+  std::uint8_t timeouts[16];
+  std::ranges::copy(util::u64_be(static_cast<std::uint64_t>(timeout_height)),
+                    timeouts);
+  std::ranges::copy(
+      util::u64_be(static_cast<std::uint64_t>(timeout_timestamp)),
+      timeouts + 8);
   crypto::Sha256 h;
-  util::Bytes prefix;
-  util::append_u64_be(prefix, static_cast<std::uint64_t>(timeout_height));
-  util::append_u64_be(prefix, static_cast<std::uint64_t>(timeout_timestamp));
-  h.update(prefix);
+  h.update(timeouts, sizeof timeouts);
   h.update(util::BytesView(data_hash.data(), data_hash.size()));
   return h.finalize();
 }
 
 util::Bytes FungibleTokenPacketData::to_json() const {
-  std::string json = "{\"amount\":\"" + std::to_string(amount) +
-                     "\",\"denom\":\"" + json_escape(denom) +
-                     "\",\"receiver\":\"" + json_escape(receiver) +
-                     "\",\"sender\":\"" + json_escape(sender) + "\"}";
-  return util::to_bytes(json);
+  char digits[24];
+  const std::string_view amount_str(
+      digits, static_cast<std::size_t>(
+                  std::to_chars(digits, digits + sizeof digits, amount).ptr -
+                  digits));
+  // Each field: the text before its value, then the value, escaped.
+  const std::pair<std::string_view, std::string_view> fields[] = {
+      {"{\"amount\":\"", amount_str},
+      {"\",\"denom\":\"", denom},
+      {"\",\"receiver\":\"", receiver},
+      {"\",\"sender\":\"", sender}};
+  constexpr std::string_view kEnd = "\"}";
+  std::size_t size = kEnd.size();
+  for (const auto& [text, value] : fields) {
+    size += text.size() + escaped_size(value);
+  }
+  util::Bytes out;
+  out.reserve(size);
+  for (const auto& [text, value] : fields) {
+    out.insert(out.end(), text.begin(), text.end());
+    append_escaped(out, value);
+  }
+  out.insert(out.end(), kEnd.begin(), kEnd.end());
+  return out;
+}
+
+std::optional<FungibleTokenPacketData> FungibleTokenPacketData::decode(
+    util::BytesView json) {
+  FungibleTokenPacketData out;
+  if (!from_json(json, out)) return std::nullopt;
+  return out;
 }
 
 bool FungibleTokenPacketData::from_json(util::BytesView json,
                                         FungibleTokenPacketData& out) {
   std::vector<std::pair<std::string, std::string>> kv;
-  if (!parse_flat_json(util::to_string(json), kv)) return false;
+  const std::string_view text(reinterpret_cast<const char*>(json.data()),
+                              json.size());
+  if (!parse_flat_json(text, kv)) return false;
   bool has_amount = false, has_denom = false, has_recv = false,
        has_sender = false;
   for (auto& [k, v] : kv) {
@@ -227,7 +261,7 @@ PacketEvent::PacketEvent(
       // Acknowledge and timeout events carry no data, so nothing decodes.
       transfer_data(event_transfer_data || !carries_data(event_kind)
                         ? std::move(event_transfer_data)
-                        : decode_transfer_data(packet.data)),
+                        : FungibleTokenPacketData::decode(packet.data)),
       ack(std::move(event_ack)),
       attributes_size(rendered_size(kind, packet, ack)) {}
 

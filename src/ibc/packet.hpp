@@ -55,6 +55,8 @@ struct FungibleTokenPacketData {
 
   util::Bytes to_json() const;
   static bool from_json(util::BytesView json, FungibleTokenPacketData& out);
+  /// from_json() as a value; nullopt when `json` is not ICS-20 data.
+  static std::optional<FungibleTokenPacketData> decode(util::BytesView json);
 
   bool operator==(const FungibleTokenPacketData&) const = default;
 };

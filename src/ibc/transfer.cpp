@@ -4,24 +4,34 @@
 
 namespace ibc {
 
-std::string voucher_denom(const std::string& trace_path) {
-  const crypto::Digest d = crypto::sha256(util::to_bytes(trace_path));
+namespace {
+/// Store key of a voucher's trace path, "ibc/denomTraces/<voucher>".
+util::Key denom_trace_key(std::string_view voucher) {
+  return util::Key("ibc/denomTraces/", voucher);
+}
+}  // namespace
+
+std::string voucher_denom(std::string_view trace_path) {
+  const crypto::Digest d = crypto::sha256(util::as_bytes(trace_path));
   std::string hex = crypto::digest_hex(d);
   std::transform(hex.begin(), hex.end(), hex.begin(),
                  [](unsigned char c) { return std::toupper(c); });
   return "ibc/" + hex;
 }
 
-chain::Address escrow_address(const PortId& port, const ChannelId& channel) {
-  return "escrow-" + port + "-" + channel;
+util::Key escrow_address(const PortId& port, const ChannelId& channel) {
+  return util::Key("escrow-", port, "-", channel);
 }
 
-bool TransferModule::is_returning(const std::string& denom_path,
-                                  const PortId& port,
-                                  const ChannelId& channel) {
-  const std::string prefix = port + "/" + channel + "/";
-  return denom_path.size() > prefix.size() &&
-         denom_path.compare(0, prefix.size(), prefix) == 0;
+bool TransferModule::is_returning(std::string_view denom_path,
+                                  std::string_view port,
+                                  std::string_view channel) {
+  // denom_path == "<port>/<channel>/<rest>" with a non-empty rest.
+  const std::size_t prefix = port.size() + 1 + channel.size() + 1;
+  return denom_path.size() > prefix && denom_path.starts_with(port) &&
+         denom_path[port.size()] == '/' &&
+         denom_path.substr(port.size() + 1, channel.size()) == channel &&
+         denom_path[prefix - 1] == '/';
 }
 
 // MsgTransfer handler object.
@@ -44,9 +54,10 @@ TransferModule::TransferModule(cosmos::CosmosApp& app, IbcKeeper& ibc)
 
 TransferModule::~TransferModule() = default;
 
-std::string TransferModule::local_denom(const std::string& trace_path) {
-  return trace_path.find('/') == std::string::npos ? trace_path
-                                                   : voucher_denom(trace_path);
+std::string TransferModule::local_denom(std::string_view trace_path) {
+  return trace_path.find('/') == std::string_view::npos
+             ? std::string(trace_path)
+             : voucher_denom(trace_path);
 }
 
 util::Status TransferModule::handle_transfer(const chain::Msg& msg,
@@ -56,13 +67,14 @@ util::Status TransferModule::handle_transfer(const chain::Msg& msg,
     return util::Status::error(util::ErrorCode::kInvalidArgument,
                                "malformed MsgTransfer");
   }
-  return send_transfer(m, ctx);
+  return send_transfer(m, ctx).status();
 }
 
-util::Status TransferModule::send_transfer(const MsgTransfer& m,
-                                           cosmos::MsgContext& ctx) {
+util::Result<Sequence> TransferModule::send_transfer(const MsgTransfer& m,
+                                                     cosmos::MsgContext& ctx) {
   const GasTable& gas = ibc_.gas();
-  // Sequence-keyed jitter uses the upcoming send sequence.
+  // The upcoming send sequence, read once: it keys the gas jitter and
+  // becomes the packet's sequence.
   const Sequence seq =
       ibc_.channels().next_sequence_send(m.source_port, m.source_channel);
   ctx.gas_used += jittered_gas(gas.transfer, gas.transfer_jitter, seq);
@@ -102,7 +114,7 @@ util::Status TransferModule::send_transfer(const MsgTransfer& m,
 
   util::Bytes json = data.to_json();  // before `data` is moved below
   auto seq_res =
-      ibc_.send_packet(m.source_port, m.source_channel, std::move(json),
+      ibc_.send_packet(m.source_port, m.source_channel, seq, std::move(json),
                        m.timeout_height, m.timeout_timestamp, ctx,
                        std::move(data));
   if (!seq_res.is_ok()) return seq_res.status();
@@ -114,42 +126,41 @@ util::Status TransferModule::send_transfer(const MsgTransfer& m,
        {"receiver", m.receiver},
        {"amount", std::to_string(m.amount)},
        {"denom", m.denom}}});
-  return util::Status::ok();
+  return seq;
 }
 
 std::optional<Acknowledgement> TransferModule::on_recv_packet(
-    const Packet& packet, cosmos::MsgContext& ctx) {
-  FungibleTokenPacketData data;
-  if (!FungibleTokenPacketData::from_json(packet.data, data)) {
+    const Packet& packet, const FungibleTokenPacketData* data,
+    cosmos::MsgContext& ctx) {
+  if (data == nullptr) {
     return Acknowledgement{false, "cannot unmarshal ICS-20 packet data"};
   }
 
   Acknowledgement ack{true, ""};
-  if (is_returning(data.denom, packet.source_port, packet.source_channel)) {
+  if (is_returning(data->denom, packet.source_port, packet.source_channel)) {
     // Token is coming home: strip one hop and unescrow the inner denom.
-    const std::string prefix =
-        packet.source_port + "/" + packet.source_channel + "/";
-    const std::string inner = data.denom.substr(prefix.size());
+    const std::string_view inner = std::string_view(data->denom).substr(
+        packet.source_port.size() + packet.source_channel.size() + 2);
     util::Status s = app_.bank().send(
         escrow_address(packet.destination_port, packet.destination_channel),
-        data.receiver, cosmos::Coin{local_denom(inner), data.amount});
+        data->receiver, cosmos::Coin{local_denom(inner), data->amount});
     if (!s.is_ok()) {
       return Acknowledgement{false, s.message()};
     }
   } else {
     // We are the sink: mint a voucher under the extended trace path.
     const std::string path = packet.destination_port + "/" +
-                             packet.destination_channel + "/" + data.denom;
+                             packet.destination_channel + "/" + data->denom;
     const std::string denom = voucher_denom(path);
-    app_.store().set("ibc/denomTraces/" + denom, util::to_bytes(path));
-    app_.bank().mint(data.receiver, cosmos::Coin{denom, data.amount});
+    app_.store().set(denom_trace_key(denom), util::as_bytes(path));
+    app_.bank().mint(data->receiver, cosmos::Coin{denom, data->amount});
   }
 
   ctx.events->push_back(chain::Event{
       "fungible_token_packet",
-      {{"receiver", data.receiver},
-       {"denom", data.denom},
-       {"amount", std::to_string(data.amount)},
+      {{"receiver", data->receiver},
+       {"denom", data->denom},
+       {"amount", std::to_string(data->amount)},
        {"success", ack.success ? "true" : "false"}}});
   return ack;
 }
@@ -190,7 +201,7 @@ util::Status TransferModule::on_timeout_packet(const Packet& packet,
 }
 
 std::string TransferModule::trace_path(const std::string& voucher) const {
-  const auto raw = app_.store().get("ibc/denomTraces/" + voucher);
+  const auto raw = app_.store().get_view(denom_trace_key(voucher));
   if (!raw) return {};
   return util::to_string(*raw);
 }

@@ -8,6 +8,7 @@
 // get different denominations and are not fungible (paper §IV-A).
 
 #include <string>
+#include <string_view>
 
 #include "cosmos/app.hpp"
 #include "ibc/gas.hpp"
@@ -17,10 +18,11 @@
 namespace ibc {
 
 /// Voucher denomination for a trace path: "ibc/" + uppercase hex SHA-256.
-std::string voucher_denom(const std::string& trace_path);
+std::string voucher_denom(std::string_view trace_path);
 
-/// Escrow account owning tokens locked for a channel.
-chain::Address escrow_address(const PortId& port, const ChannelId& channel);
+/// Escrow account owning tokens locked for a channel,
+/// "escrow-<port>-<channel>"; it is also the account's balance-key stem.
+util::Key escrow_address(const PortId& port, const ChannelId& channel);
 
 class TransferModule : public IbcModule {
  public:
@@ -33,18 +35,20 @@ class TransferModule : public IbcModule {
   TransferModule& operator=(const TransferModule&) = delete;
 
   // IbcModule.
-  std::optional<Acknowledgement> on_recv_packet(const Packet& packet,
-                                                cosmos::MsgContext& ctx) override;
+  std::optional<Acknowledgement> on_recv_packet(
+      const Packet& packet, const FungibleTokenPacketData* data,
+      cosmos::MsgContext& ctx) override;
   util::Status on_acknowledgement_packet(const Packet& packet,
                                          const Acknowledgement& ack,
                                          cosmos::MsgContext& ctx) override;
   util::Status on_timeout_packet(const Packet& packet,
                                  cosmos::MsgContext& ctx) override;
 
-  /// Escrows/burns and emits the packet for a validated MsgTransfer. Exposed
-  /// so the packet-forward middleware can originate next-hop sends without
-  /// fabricating a chain::Msg round trip.
-  util::Status send_transfer(const MsgTransfer& m, cosmos::MsgContext& ctx);
+  /// Escrows/burns and emits the packet for a validated MsgTransfer; returns
+  /// the packet's sequence. Exposed so the packet-forward middleware can
+  /// originate next-hop sends without fabricating a chain::Msg round trip.
+  util::Result<Sequence> send_transfer(const MsgTransfer& m,
+                                       cosmos::MsgContext& ctx);
 
   /// Undoes a send (failed ack or timeout): re-mints a burnt returning
   /// voucher or releases the escrowed local denom. Public for the forward
@@ -54,12 +58,12 @@ class TransferModule : public IbcModule {
   /// True when `denom_path` is a voucher that entered through (port,
   /// channel) — i.e. the trace starts with "port/channel/" — meaning a
   /// transfer back through that channel returns the token to its origin.
-  static bool is_returning(const std::string& denom_path, const PortId& port,
-                           const ChannelId& channel);
+  static bool is_returning(std::string_view denom_path, std::string_view port,
+                           std::string_view channel);
 
   /// Denomination held locally for an on-wire trace path: the base denom
   /// itself when the path has no hops, else its voucher hash.
-  static std::string local_denom(const std::string& trace_path);
+  static std::string local_denom(std::string_view trace_path);
 
   /// Resolves a denomination trace hash back to its path ("" if unknown).
   std::string trace_path(const std::string& voucher) const;

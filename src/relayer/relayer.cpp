@@ -410,7 +410,11 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
 }
 
 void Relayer::check_timeouts() {
-  if (last_seen_b_height_ == 0) return;
+  // A packet expires once chain B reaches its timeout height, so none can
+  // have expired below the lowest one.
+  if (last_seen_b_height_ == 0 || last_seen_b_height_ < min_timeout_height_) {
+    return;
+  }
   std::vector<ibc::Sequence> expired;
   for (auto& [seq, st] : packets_) {
     if (st.stage != Stage::kPulled) continue;
@@ -422,6 +426,16 @@ void Relayer::check_timeouts() {
     }
   }
   if (!expired.empty()) enqueue(TimeoutBatchOp{std::move(expired)});
+}
+
+void Relayer::adopt_packet(PacketState& st, const ibc::PacketEvent& pe) {
+  st.packet = pe.packet;
+  st.forward = pe.transfer_data && ibc::ForwardMiddleware::is_forward_route(
+                                       pe.transfer_data->receiver);
+  if (pe.packet.timeout_height != 0) {
+    min_timeout_height_ =
+        std::min(min_timeout_height_, pe.packet.timeout_height);
+  }
 }
 
 // --- Worker loop ----------------------------------------------------------------
@@ -558,12 +572,12 @@ sim::Task<PullResult> Relayer::pull_chunks(
         if (event_type == "send_packet") {
           if (st.stage == Stage::kExtracted) {
             record(pull_step, pkt.sequence);
-            st.packet = pkt;
+            adopt_packet(st, *pe);
             st.stage = Stage::kPulled;
           }
         } else {  // write_acknowledgement
           if (st.ack.has_value()) continue;
-          if (!st.packet) st.packet = pkt;
+          if (!st.packet) adopt_packet(st, *pe);
           ibc::Acknowledgement ack;
           if (ibc::Acknowledgement::decode(pe->ack, ack)) {
             record(pull_step, pkt.sequence);
@@ -695,7 +709,7 @@ sim::Task<> Relayer::build_and_submit(const Leg& leg,
             [&](auto resume) {
               cache_.abci_query(
                   *leg.server, config_.machine,
-                  leg.proof_key(path_.port, leg.proof_channel, seq),
+                  leg.proof_key(path_.port, leg.proof_channel, seq).str(),
                   /*prove=*/true, std::move(resume));
             });
     if (!running_) co_await sim::abandon();
@@ -800,10 +814,7 @@ Relayer::BuiltMsg Relayer::recv_msg(
   // A packet whose receiver encodes a forward route executes an onward
   // transfer inside the destination's recv handler; without budgeting it
   // the tx runs out of gas on every middle-chain hop.
-  const std::uint64_t forward_gas =
-      ibc::ForwardMiddleware::is_forward_packet(msg.packet.data)
-          ? gas_.transfer
-          : 0;
+  const std::uint64_t forward_gas = ps.forward ? gas_.transfer : 0;
   return {msg.packet.sequence, proof.height, msg.to_msg(),
           gas_.recv_packet + forward_gas};
 }
@@ -943,7 +954,8 @@ sim::Task<> Relayer::run(TimeoutBatchOp op) {
               b_.server->abci_query(
                   config_.machine,
                   ibc::host::packet_receipt_key(path_.port, path_.channel_b,
-                                                seq),
+                                                seq)
+                      .str(),
                   /*prove=*/true, std::move(resume));
             });
     if (!running_) co_await sim::abandon();
@@ -988,7 +1000,7 @@ sim::Task<> Relayer::run(TimeoutBatchOp op) {
 sim::Task<> Relayer::run(ClearOp op) {
   // 1. Enumerate outstanding commitments on the source chain.
   const std::string prefix =
-      ibc::host::packet_commitment_prefix(path_.port, path_.channel_a);
+      ibc::host::packet_commitment_prefix(path_.port, path_.channel_a).str();
   const auto keys =
       co_await sim::callback<std::vector<std::string>>([&](auto resume) {
         a_.server->abci_query_prefix(config_.machine, prefix,
@@ -1067,7 +1079,7 @@ sim::Task<> Relayer::run(ClearOp op) {
           const auto it = packets_.find(pe->packet.sequence);
           if (it != packets_.end() && it->second.stage == Stage::kExtracted) {
             it->second.src_height = tx.height;
-            it->second.packet = pe->packet;
+            adopt_packet(it->second, *pe);
             it->second.stage = Stage::kPulled;
           }
         }
@@ -1130,7 +1142,7 @@ sim::Task<> Relayer::run(AckScanOp op) {
         bump(&Stats::ack_decode_failures);
         continue;
       }
-      st.packet = pe->packet;
+      adopt_packet(st, *pe);
       st.ack = std::move(ack);
       st.stage = Stage::kRecvDone;
       ready.push_back(seq);

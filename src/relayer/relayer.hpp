@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -34,6 +35,7 @@
 #include "relayer/wallet.hpp"
 #include "rpc/server.hpp"
 #include "sim/task.hpp"
+#include "util/key.hpp"
 
 namespace relayer {
 
@@ -217,6 +219,10 @@ class Relayer {
     std::uint8_t ack_repulls = 0;      // malformed-ack re-pull attempts
     bool ack_decode_failed = false;    // last pull had an undecodable ack
     bool ack_tx_failed = false;        // ack broadcast failed; clear redrives
+    // The receiver is a forward route: the recv runs an onward transfer,
+    // whose gas the recv estimate must include. Decided once, when the
+    // packet is adopted from its event's ICS-20 data.
+    bool forward = false;
   };
 
   // Operations executed sequentially by the path worker, one payload type
@@ -263,8 +269,8 @@ class Relayer {
   /// on B and submits to A (timeouts share its client update and wallet).
   struct Leg {
     rpc::Server* server;  // proofs and client-update headers come from here
-    std::string (*proof_key)(const ibc::PortId&, const ibc::ChannelId&,
-                             ibc::Sequence);
+    util::Key (*proof_key)(const ibc::PortId&, const ibc::ChannelId&,
+                           ibc::Sequence);
     ibc::ChannelId proof_channel;  // the channel end proof_key names
     Wallet* wallet;                // submits on the other chain
     ibc::ClientId client;          // that chain's client of `server`'s chain
@@ -359,6 +365,10 @@ class Relayer {
 
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
+  /// Gives `st` the packet a send_packet or write_acknowledgement event
+  /// announced, with what the relayer derives from it once: the forward
+  /// gas need and the earliest timeout height.
+  void adopt_packet(PacketState& st, const ibc::PacketEvent& pe);
   /// The one increment site of a Stats field and its Registry mirror.
   void bump(std::uint64_t Stats::*field);
   /// The members of `seqs` whose tracked packet sits in `stage`.
@@ -420,6 +430,10 @@ class Relayer {
   bool ws_wedged_a_ = false;  // §V sticky event-collection failure
   bool ws_wedged_b_ = false;
   std::set<ibc::Sequence> timeout_candidates_;
+  // The lowest timeout height of any packet ever adopted: until chain B
+  // reaches it, no packet can have expired and check_timeouts() skips its
+  // walk over packets_.
+  std::int64_t min_timeout_height_ = std::numeric_limits<std::int64_t>::max();
 
   Stats stats_;
 };

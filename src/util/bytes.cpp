@@ -49,15 +49,13 @@ void append(Bytes& dst, BytesView src) {
 }
 
 void append_u64_be(Bytes& dst, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    dst.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
+  const auto b = u64_be(v);
+  dst.insert(dst.end(), b.begin(), b.end());
 }
 
 void append_u32_be(Bytes& dst, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    dst.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
+  const auto b = u64_be(v);  // a u32's four bytes are the last four
+  dst.insert(dst.end(), b.begin() + 4, b.end());
 }
 
 std::uint64_t read_u64_be(BytesView data, std::size_t offset) {

@@ -5,6 +5,7 @@
 // is carried as `util::Bytes`. Hex encoding is used for human-readable ids
 // (tx hashes, commitment keys) in logs and reports.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -30,11 +31,26 @@ Bytes to_bytes(std::string_view s);
 /// Converts bytes back to a std::string.
 std::string to_string(BytesView data);
 
+/// The bytes of `s`, without a copy.
+inline BytesView as_bytes(std::string_view s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
 /// Appends `src` to `dst`.
 void append(Bytes& dst, BytesView src);
 
-/// Appends a fixed-width big-endian integer (used by canonical encodings so
-/// that hashes are platform-independent).
+/// A u64 in big-endian order (canonical encodings use it so that hashes are
+/// platform-independent), on the stack: an 8-byte balance or sequence value
+/// needs no buffer of its own.
+inline std::array<std::uint8_t, 8> u64_be(std::uint64_t v) {
+  std::array<std::uint8_t, 8> out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  }
+  return out;
+}
+
+/// Appends a fixed-width big-endian integer, growing `dst` once.
 void append_u64_be(Bytes& dst, std::uint64_t v);
 void append_u32_be(Bytes& dst, std::uint32_t v);
 

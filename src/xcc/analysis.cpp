@@ -31,9 +31,9 @@ CompletionBreakdown Analyzer::completion_breakdown(
   // decimal sequence: keep each key in one buffer and rewrite only its
   // digits, instead of building two fresh strings per sequence.
   std::string commitment_key = ibc::host::packet_commitment_prefix(
-      ibc::kTransferPort, channel_.channel_a);
+      ibc::kTransferPort, channel_.channel_a).str();
   std::string receipt_key = ibc::host::packet_receipt_key(
-      ibc::kTransferPort, channel_.channel_b, 0);
+      ibc::kTransferPort, channel_.channel_b, 0).str();
   receipt_key.pop_back();  // ".../sequences/0" -> ".../sequences/"
   const std::size_t commitment_prefix = commitment_key.size();
   const std::size_t receipt_prefix = receipt_key.size();

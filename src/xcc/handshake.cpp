@@ -101,13 +101,13 @@ sim::Task<util::Status> create_client(
 template <typename Msg>
 sim::Task<util::Status> prove_and_submit(
     net::MachineId machine, const End& src, const End& dst,
-    const ibc::ClientId& client_on_dst, std::string key, Msg msg,
+    const ibc::ClientId& client_on_dst, util::Key key, Msg msg,
     chain::StoreProof Msg::*proof, std::string event_type,
     std::string attribute, std::string& out) {
   const auto res =
       co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
           [&](auto resume) {
-            src.server.abci_query(machine, key, /*prove=*/true,
+            src.server.abci_query(machine, key.str(), /*prove=*/true,
                                   std::move(resume));
           });
   if (!res.is_ok()) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cosmos/app.hpp"
+#include "ibc/gas.hpp"
 #include "ibc/host.hpp"
 #include "ibc/keeper.hpp"
 #include "ibc/msgs.hpp"
@@ -848,6 +849,176 @@ TEST(MsgCodec, WrongUrlRejected) {
   env.type_url = "/something.Else";
   ibc::MsgTransfer out;
   EXPECT_FALSE(ibc::MsgTransfer::from_msg(env, out));
+}
+
+// --- pinned bytes -----------------------------------------------------------
+//
+// Store keys, message payloads and the ICS-20 JSON as literal bytes. The
+// round-trip tests above pass for any symmetric change of a codec; these
+// fail on any change at all, so a rewrite of a key builder or an encoder
+// must keep every byte (and so every proof, gas figure and digest).
+
+TEST(PinnedBytes, StoreKeys) {
+  EXPECT_EQ(cosmos::BankKeeper::balance_key("user-a", "uatom").str(),
+            "bank/bal/user-a|uatom");
+  EXPECT_EQ(cosmos::BankKeeper::supply_key("uatom").str(),
+            "bank/supply/uatom");
+  EXPECT_EQ(cosmos::AuthKeeper::seq_key("user-a").str(), "auth/seq/user-a");
+  EXPECT_EQ(ibc::escrow_address("transfer", "channel-0").str(),
+            "escrow-transfer-channel-0");
+  namespace host = ibc::host;
+  EXPECT_EQ(host::client_state_key("07-tendermint-0").str(),
+            "ibc/clients/07-tendermint-0/clientState");
+  EXPECT_EQ(host::consensus_state_key("07-tendermint-0", 42).str(),
+            "ibc/clients/07-tendermint-0/consensusStates/42");
+  EXPECT_EQ(host::connection_key("connection-0").str(),
+            "ibc/connections/connection-0");
+  EXPECT_EQ(host::channel_key("transfer", "channel-0").str(),
+            "ibc/channelEnds/ports/transfer/channels/channel-0");
+  EXPECT_EQ(host::packet_commitment_key("transfer", "channel-0", 17).str(),
+            "ibc/commitments/ports/transfer/channels/channel-0/sequences/17");
+  EXPECT_EQ(host::packet_receipt_key("transfer", "channel-0", 17).str(),
+            "ibc/receipts/ports/transfer/channels/channel-0/sequences/17");
+  EXPECT_EQ(host::packet_ack_key("transfer", "channel-0", 17).str(),
+            "ibc/acks/ports/transfer/channels/channel-0/sequences/17");
+  EXPECT_EQ(host::next_sequence_send_key("transfer", "channel-0").str(),
+            "ibc/nextSequenceSend/ports/transfer/channels/channel-0");
+  EXPECT_EQ(host::next_sequence_recv_key("transfer", "channel-0").str(),
+            "ibc/nextSequenceRecv/ports/transfer/channels/channel-0");
+  EXPECT_EQ(host::next_sequence_ack_key("transfer", "channel-0").str(),
+            "ibc/nextSequenceAck/ports/transfer/channels/channel-0");
+  EXPECT_EQ(host::packet_commitment_prefix("transfer", "channel-0").str(),
+            "ibc/commitments/ports/transfer/channels/channel-0/sequences/");
+}
+
+ibc::MsgTransfer pinned_transfer() {
+  ibc::MsgTransfer m;
+  m.source_port = "transfer";
+  m.source_channel = "channel-0";
+  m.denom = "uatom";
+  m.amount = 1000;
+  m.sender = "user-a";
+  m.receiver = "recv-user";
+  m.timeout_height = 100000;
+  return m;
+}
+
+TEST(PinnedBytes, MsgTransfer) {
+  const chain::Msg msg = pinned_transfer().to_msg();
+  EXPECT_EQ(msg.type_url, "/ibc.applications.transfer.v1.MsgTransfer");
+  EXPECT_EQ(util::to_hex(msg.value),
+            "000000087472616e73666572000000096368616e6e656c2d3000000005756174"
+            "6f6d00000000000003e800000006757365722d6100000009726563762d757365"
+            "7200000000000186a00000000000000000");
+}
+
+TEST(PinnedBytes, TwoMsgTx) {
+  ibc::MsgTransfer forward = pinned_transfer();
+  forward.amount = 7;
+  forward.receiver = "fwd:channel-1:bob";
+  forward.timeout_timestamp = 123456789;
+  chain::Tx tx;
+  tx.sender = "user-a";
+  tx.sequence = 3;
+  tx.gas_limit = 200000;
+  tx.fee = 2000;
+  tx.msgs = {pinned_transfer().to_msg(), forward.to_msg()};
+  tx.memo = "memo";
+  EXPECT_EQ(
+      util::to_hex(tx.encode()),
+      "00000006757365722d6100000000000000030000000000030d4000000000000007"
+      "d000000002000000292f6962632e6170706c69636174696f6e732e7472616e7366"
+      "65722e76312e4d73675472616e7366657200000051000000087472616e73666572"
+      "000000096368616e6e656c2d30000000057561746f6d00000000000003e8000000"
+      "06757365722d6100000009726563762d7573657200000000000186a00000000000"
+      "000000000000292f6962632e6170706c69636174696f6e732e7472616e73666572"
+      "2e76312e4d73675472616e7366657200000059000000087472616e736665720000"
+      "00096368616e6e656c2d30000000057561746f6d00000000000000070000000675"
+      "7365722d61000000116677643a6368616e6e656c2d313a626f6200000000000186"
+      "a000000000075bcd15000000046d656d6f");
+}
+
+TEST(PinnedBytes, FungibleTokenPacketDataJson) {
+  ibc::FungibleTokenPacketData d;
+  d.denom = "transfer/channel-0/uatom";
+  d.amount = 1000;
+  d.sender = "user-a";
+  d.receiver = "re\"c\\v";  // both escaped characters
+  EXPECT_EQ(util::to_string(d.to_json()),
+            "{\"amount\":\"1000\",\"denom\":\"transfer/channel-0/uatom\","
+            "\"receiver\":\"re\\\"c\\\\v\",\"sender\":\"user-a\"}");
+}
+
+TEST(PinnedBytes, ChannelEnd) {
+  ibc::ChannelEnd e;
+  e.phase = ibc::ChannelPhase::kOpen;
+  e.connection = "connection-0";
+  e.counterparty_port = "transfer";
+  e.counterparty_channel = "channel-0";
+  e.version = "ics20-1";
+  EXPECT_EQ(util::to_hex(e.encode()),
+            "03010000000c636f6e6e656374696f6e2d30000000087472616e736665720000"
+            "00096368616e6e656c2d300000000769637332302d31");
+}
+
+TEST(PinnedBytes, CommitmentAndGasJitter) {
+  ibc::FungibleTokenPacketData d;
+  d.denom = "transfer/channel-0/uatom";
+  d.amount = 1000;
+  d.sender = "user-a";
+  d.receiver = "re\"c\\v";
+  ibc::Packet p;
+  p.sequence = 17;
+  p.source_port = "transfer";
+  p.source_channel = "channel-0";
+  p.destination_port = "transfer";
+  p.destination_channel = "channel-1";
+  p.data = d.to_json();
+  p.timeout_height = 100000;
+  p.timeout_timestamp = 5;
+  EXPECT_EQ(crypto::digest_hex(p.commitment()),
+            "3ed92f8b1e6b695d5e292458319601c68869188259dfda23365f32b419834ea3");
+  EXPECT_EQ(ibc::jittered_gas(36000, 0.01, 1), 35908u);
+  EXPECT_EQ(ibc::jittered_gas(36000, 0.01, 2), 36216u);
+  EXPECT_EQ(ibc::jittered_gas(70700, 0.041, 12345), 72711u);
+}
+
+// --- channel-end memo -------------------------------------------------------
+
+// ChannelKeeper::get reuses its last decode of a channel end while the
+// stored bytes are unchanged. A close must show at the very next send, in
+// the same block, and a reverted close must not linger in the memo.
+TEST_F(TwoChains, ChannelEndMemoFollowsStoredBytes) {
+  const auto transfer_msg = [](std::uint64_t amount) {
+    ibc::MsgTransfer m;
+    m.source_port = ibc::kTransferPort;
+    m.source_channel = "channel-0";
+    m.denom = cosmos::kNativeDenom;
+    m.amount = amount;
+    m.sender = kUserA;
+    m.receiver = "recv-user";
+    m.timeout_height = 1'000;
+    return m.to_msg();
+  };
+  ibc::MsgChanCloseInit close;
+  close.port = ibc::kTransferPort;
+  close.channel = "channel-0";
+
+  ASSERT_TRUE(deliver(app_a, kUserA, {transfer_msg(10)}).status.is_ok());
+
+  // A tx that closes the channel and then sends on it fails at the send
+  // (which reads the closed end), and its revert restores the open end.
+  const auto reverted =
+      deliver(app_a, kUserA, {close.to_msg(), transfer_msg(10)});
+  EXPECT_EQ(reverted.status.code(), util::ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(deliver(app_a, kUserA, {transfer_msg(10)}).status.is_ok());
+
+  // A committed close is seen by the next send of the same block.
+  ASSERT_TRUE(deliver(app_a, kUserA, {close.to_msg()}).status.is_ok());
+  const auto after_close = deliver(app_a, kUserA, {transfer_msg(10)});
+  EXPECT_EQ(after_close.status.code(), util::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(ibc_a.channels().get(ibc::kTransferPort, "channel-0").value().phase,
+            ibc::ChannelPhase::kClosed);
 }
 
 // --- conservation property -----------------------------------------------------

@@ -120,7 +120,7 @@ struct PlantedStateFixture : ::testing::Test {
     return h;
   }
 
-  static void set_u64(chain::KvStore& store, const std::string& key,
+  static void set_u64(chain::KvStore& store, std::string_view key,
                       std::uint64_t v) {
     util::Bytes b;
     util::append_u64_be(b, v);
@@ -141,7 +141,7 @@ struct PlantedStateFixture : ::testing::Test {
   }
 
   check::Violation plant_older_client_state() {
-    const std::string key = ibc::host::client_state_key(channel.client_on_a);
+    const util::Key key = ibc::host::client_state_key(channel.client_on_a);
     ibc::ClientState state;
     EXPECT_TRUE(ibc::ClientState::decode(*store().get_view(key), state));
     const std::int64_t was = state.latest_height;
@@ -328,7 +328,7 @@ TEST_F(InvariantCheckerEscrow, SendPacketPayloadDrivesTheEscrowModel) {
   ASSERT_EQ(checker().report(), "");
 
   const chain::Address escrow =
-      ibc::escrow_address(ibc::kTransferPort, channel.channel_a);
+      ibc::escrow_address(ibc::kTransferPort, channel.channel_a).str();
   ASSERT_EQ(app().bank().balance(escrow, t.denom), 5u);
   ASSERT_TRUE(app()
                   .bank()

@@ -293,6 +293,30 @@ TEST_F(RelayerFixture, ClearingRetriesStalledPackets) {
   r->stop();
 }
 
+TEST_F(RelayerFixture, TimesOutALaterPacketThatExpiresFirst) {
+  // The relayer skips its timeout walk while chain B is below the lowest
+  // timeout height among the packets it has seen. A packet seen later that
+  // expires sooner must lower that bound: here the second batch expires
+  // 100,000 blocks before the first, which completed, would have.
+  boot();
+  auto r = make_relayer();
+  ASSERT_EQ(run_transfers(20, *r), 20u);
+
+  xcc::WorkloadConfig wl;
+  wl.total_transfers = 20;
+  wl.account_offset = 1;
+  wl.timeout_height_offset = 2;
+  xcc::TransferWorkload expiring(*tb, channel, wl, nullptr);
+  expiring.start();
+  const sim::TimePoint limit = tb->scheduler().now() + sim::seconds(600);
+  while (tb->scheduler().now() < limit && r->stats().packets_timed_out < 20) {
+    if (!tb->scheduler().step()) break;
+  }
+  EXPECT_EQ(r->stats().packets_timed_out, 20u);
+  EXPECT_EQ(r->stats().packets_completed, 20u);
+  r->stop();
+}
+
 TEST_F(RelayerFixture, StopHaltsRelaying) {
   boot();
   auto r = make_relayer();

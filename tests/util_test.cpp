@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "util/bytes.hpp"
+#include "util/key.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
@@ -49,6 +51,46 @@ TEST(BytesTest, BigEndianIntegers) {
   EXPECT_EQ(b[7], 0x08);
   EXPECT_EQ(util::read_u64_be(b, 0), 0x0102030405060708ULL);
   EXPECT_EQ(util::read_u32_be(b, 8), 0xdeadbeefu);
+}
+
+TEST(BytesTest, StackBigEndianMatchesAppend) {
+  util::Bytes b;
+  util::append_u64_be(b, 0x0102030405060708ULL);
+  util::append_u32_be(b, 0xdeadbeef);
+  const auto u64 = util::u64_be(0x0102030405060708ULL);
+  EXPECT_TRUE(std::equal(u64.begin(), u64.end(), b.begin()));
+  EXPECT_EQ(b.size(), 12u);
+}
+
+TEST(BytesTest, KeyConcatenatesStringsAndDecimals) {
+  const std::string port = "transfer";
+  const util::Key key("ibc/acks/ports/", port, "/sequences/",
+                      std::uint64_t{18446744073709551615ULL}, "/",
+                      std::int64_t{-42});
+  EXPECT_EQ(key.view(),
+            "ibc/acks/ports/transfer/sequences/18446744073709551615/-42");
+  EXPECT_EQ(key.size(), key.view().size());
+  util::Key grown("a");
+  grown.append(std::uint64_t{0}).append("b");
+  EXPECT_EQ(grown.str(), "a0b");
+}
+
+TEST(BytesTest, KeyMovesToTheHeapPastItsInlineCapacity) {
+  const std::string piece(util::Key::kInline - 1, 'x');
+  util::Key key(piece);
+  EXPECT_EQ(key.view(), piece);
+  key.append("y");  // exactly kInline bytes: still inline
+  EXPECT_EQ(key.view(), piece + "y");
+  key.append("z").append(std::uint64_t{7});  // outgrows it
+  const std::string want = piece + "yz7";
+  EXPECT_EQ(key.view(), want);
+  const util::Key copy = key;
+  util::Key assigned("short");
+  assigned = key;
+  EXPECT_EQ(copy.view(), want);
+  EXPECT_EQ(assigned.view(), want);
+  assigned = util::Key("short");  // back to inline
+  EXPECT_EQ(assigned.view(), "short");
 }
 
 TEST(StatusTest, OkByDefault) {
