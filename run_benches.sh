@@ -59,13 +59,16 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property + packet index + packet events + tasks + tx lifecycle + app layer"
+  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store + genesis + packet index + packet events + tasks + tx lifecycle + app layer"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
     test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
-    test_mitigations test_packet_events test_foundation test_chain test_app test_protocol
+    test_mitigations test_packet_events test_foundation test_chain test_app test_protocol \
+    test_scale
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
-  # (hash index, arena, spill values, compaction) under ASan.
+  # (tagged hash index, tag collisions, one-probe writes, arena, spill
+  # values, compaction) under ASan, KvStoreTest the store's unit tests and
+  # BulkGenesisTest the prefetched bulk genesis loops.
   # IndexedTxSearch/RpcFixture cover the ledger's lazily built packet-event
   # rows, which const accessors write on a block's first query.
   # PacketEventOracle/PacketEventSharing cover the packet-event payloads the
@@ -78,9 +81,10 @@ if [ "$1" = "--check" ]; then
   # the ledger's per-block results.
   # AppFixture..PinnedBytes cover the bank, auth, keeper, codec and byte
   # helpers that build keys and values in place (util::Key) and read store
-  # memory through views, and the channel-end memo.
+  # memory through views, and the channel-end memo; VoucherDenomMemo the
+  # per-path voucher denom memo.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing|AppFixture|TwoChains|MsgCodec|PacketCodec|ConservationProperty|BytesTest|OrderedChannels|PinnedBytes')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing|AppFixture|TwoChains|MsgCodec|PacketCodec|ConservationProperty|BytesTest|OrderedChannels|PinnedBytes|KvStoreTest|BulkGenesisTest|VoucherDenomMemo')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

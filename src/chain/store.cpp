@@ -96,54 +96,71 @@ std::uint32_t KvStore::append_key(std::string_view key) {
   return off;
 }
 
-std::size_t KvStore::find_bucket(std::string_view key, std::uint64_t h) const {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t b = static_cast<std::size_t>(h) & mask;
-  while (true) {
-    const std::uint32_t idx = index_[b];
-    if (idx == kNoEntry) return b;
-    const Entry& e = entry(idx);
-    if (e.key_hash == h && key_of(e) == key) return b;
-    b = (b + 1) & mask;
+KvStore::Probe KvStore::find(std::string_view key, std::uint64_t h) const {
+  const std::size_t mask = tags_.size() - 1;
+  const std::uint8_t tag = tag_of(h);
+  for (std::size_t b = static_cast<std::size_t>(h) & mask;;
+       b = (b + 1) & mask) {
+    const std::uint8_t t = tags_[b];
+    if (t == 0) return {b, kNoEntry};
+    // Only a tag match reads the entry (and its key bytes).
+    if (t == tag && key_of(entry(index_[b])) == key) return {b, index_[b]};
   }
 }
 
 std::uint32_t KvStore::find_entry(std::string_view key) const {
-  if (index_.empty()) return kNoEntry;
-  return index_[find_bucket(key, hash_key(key))];
+  if (tags_.empty()) return kNoEntry;
+  return find(key, hash_key(key)).idx;
+}
+
+KvStore::Slot KvStore::probe(std::string_view key) {
+  const std::uint64_t h = hash_key(key);
+  const Probe p = tags_.empty() ? Probe{0, kNoEntry} : find(key, h);
+  return Slot(*this, key, h, p.bucket, p.idx);
+}
+
+void KvStore::prefetch(std::string_view key) const {
+  if (tags_.empty()) return;
+  const std::size_t b =
+      static_cast<std::size_t>(hash_key(key)) & (tags_.size() - 1);
+  __builtin_prefetch(&tags_[b], 1);
+  __builtin_prefetch(&index_[b], 1);
 }
 
 void KvStore::grow_index(std::size_t min_buckets) {
   std::size_t cap = 16;
   while (cap < min_buckets) cap *= 2;
   index_.assign(cap, kNoEntry);
+  tags_.assign(cap, 0);
   const std::size_t mask = cap - 1;
   for (std::uint32_t i = 0; i < entry_count_; ++i) {
     const Entry& e = entry(i);
     if (!e.live) continue;
-    std::size_t b = static_cast<std::size_t>(e.key_hash) & mask;
-    while (index_[b] != kNoEntry) b = (b + 1) & mask;
+    const std::uint64_t h = hash_key(key_of(e));
+    std::size_t b = static_cast<std::size_t>(h) & mask;
+    while (tags_[b] != 0) b = (b + 1) & mask;
     index_[b] = i;
+    tags_[b] = tag_of(h);
   }
 }
 
 void KvStore::index_remove(std::size_t bucket) {
   // Backward-shift deletion keeps linear probe chains dense (no tombstones).
-  const std::size_t mask = index_.size() - 1;
+  // The index keeps no full hash, so each later slot of the cluster rehashes
+  // its key to find its home.
+  const std::size_t mask = tags_.size() - 1;
   std::size_t hole = bucket;
-  std::size_t i = bucket;
-  while (true) {
-    i = (i + 1) & mask;
-    const std::uint32_t idx = index_[i];
-    if (idx == kNoEntry) break;
+  for (std::size_t i = (bucket + 1) & mask; tags_[i] != 0;
+       i = (i + 1) & mask) {
     const std::size_t home =
-        static_cast<std::size_t>(entry(idx).key_hash) & mask;
+        static_cast<std::size_t>(hash_key(key_of(entry(index_[i])))) & mask;
     if (((i - home) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = idx;
+      index_[hole] = index_[i];
+      tags_[hole] = tags_[i];
       hole = i;
     }
   }
-  index_[hole] = kNoEntry;
+  tags_[hole] = 0;
 }
 
 void KvStore::maybe_compact() {
@@ -181,7 +198,7 @@ void KvStore::maybe_compact() {
   remap_list(unsorted_);
   remap_list(dirty_);
   sorted_dead_ = 0;
-  grow_index(index_.size());
+  grow_index(tags_.size());
 }
 
 void KvStore::ensure_sorted() const {
@@ -222,7 +239,7 @@ void KvStore::reserve(std::size_t expected_entries) {
   if (expected_entries == 0) return;
   std::size_t cap = 16;
   while (cap * 3 < expected_entries * 4) cap *= 2;
-  if (cap > index_.size()) grow_index(cap);
+  if (cap > tags_.size()) grow_index(cap);
 }
 
 void KvStore::begin_tx() {
@@ -315,56 +332,71 @@ const crypto::Digest& KvStore::root() const {
   return root_;
 }
 
-void KvStore::set(std::string_view key, util::BytesView value) {
-  telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
-  if (index_.empty() || (live_count_ + 1) * 4 > index_.size() * 3) {
-    grow_index(index_.empty() ? 16 : index_.size() * 2);
-  }
-  const std::uint64_t h = hash_key(key);
-  const std::size_t bucket = find_bucket(key, h);
-  std::uint32_t idx = index_[bucket];
-  if (idx != kNoEntry) {
-    Entry& e = entry(idx);
+void KvStore::write(Slot& slot, std::optional<util::BytesView> value) {
+  const std::string_view key = slot.key_;
+  if (slot.idx_ != kNoEntry) {
+    Entry& e = entry(slot.idx_);
     journal_first_write(e, key);
     if (write_hook_) write_hook_(key, value_of(e), value);
-    mark_dirty(e, idx);
-    assign_value(e, value);
+    if (value) {
+      mark_dirty(e, slot.idx_);
+      assign_value(e, *value);
+      return;
+    }
+    if (!e.dirty) xor_into_root(e.hash);  // a dirty entry is already out
+    e.live = false;
+    e.spill = util::Bytes();
+    index_remove(slot.bucket_);
+    slot.idx_ = kNoEntry;
+    slot.bucket_ = tags_.size();  // the shift (or a compaction) moved it
+    --live_count_;
+    ++dead_count_;
+    ++sorted_dead_;
+    maybe_compact();
     return;
+  }
+  if (!value) return;  // erasing an absent key writes nothing
+  if (tags_.empty() || (live_count_ + 1) * 4 > tags_.size() * 3) {
+    grow_index(tags_.empty() ? 16 : tags_.size() * 2);
+    slot.bucket_ = find(key, slot.hash_).bucket;
+  } else if (slot.bucket_ == tags_.size()) {
+    slot.bucket_ = find(key, slot.hash_).bucket;
   }
   if (journaling_) journal_key(key);  // old_len stays kAbsent
   if (write_hook_) write_hook_(key, std::nullopt, value);
   Entry e;
   e.key_off = append_key(key);
   e.key_len = static_cast<std::uint32_t>(key.size());
-  e.key_hash = h;
   e.live = true;
   e.dirty = true;
   e.journaled_in = journaling_ ? tx_tag_ : 0;
-  assign_value(e, value);
-  idx = append_entry(std::move(e));
-  index_[bucket] = idx;
-  unsorted_.push_back(idx);
-  dirty_.push_back(idx);
+  assign_value(e, *value);
+  slot.idx_ = append_entry(std::move(e));
+  index_[slot.bucket_] = slot.idx_;
+  tags_[slot.bucket_] = tag_of(slot.hash_);
+  unsorted_.push_back(slot.idx_);
+  dirty_.push_back(slot.idx_);
   ++live_count_;
+}
+
+void KvStore::set(std::string_view key, util::BytesView value) {
+  telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+  Slot slot = probe(key);
+  write(slot, value);
 }
 
 void KvStore::erase(std::string_view key) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
-  if (index_.empty()) return;
-  const std::size_t bucket = find_bucket(key, hash_key(key));
-  const std::uint32_t idx = index_[bucket];
-  if (idx == kNoEntry) return;
-  Entry& e = entry(idx);
-  journal_first_write(e, key);
-  if (write_hook_) write_hook_(key, value_of(e), std::nullopt);
-  if (!e.dirty) xor_into_root(e.hash);  // a dirty entry is already out
-  e.live = false;
-  e.spill = util::Bytes();
-  index_remove(bucket);
-  --live_count_;
-  ++dead_count_;
-  ++sorted_dead_;
-  maybe_compact();
+  Slot slot = probe(key);
+  write(slot, std::nullopt);
+}
+
+bool KvStore::insert_new(std::string_view key, util::BytesView value) {
+  telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+  Slot slot = probe(key);
+  if (slot.idx_ != kNoEntry) return false;
+  write(slot, value);
+  return true;
 }
 
 std::optional<util::Bytes> KvStore::get(std::string_view key) const {

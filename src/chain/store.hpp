@@ -22,13 +22,23 @@
 // table; key bytes are appended to chunked key storage and small values are
 // stored inline in the entry, so a typical (key, u64) pair costs no
 // per-entry heap allocation and growing the store copies nothing.
+//
+// Each index slot is a u32 entry number plus a tag byte in a parallel array
+// (5 bytes per slot): 0 marks a free slot, otherwise 0x80 | the key hash's
+// top 7 bits. A probe walks the tags and reads an entry only on a tag
+// match, so a miss or a collision stays inside the index and a key compare
+// happens about once per 128 occupied slots passed. Every lookup and write
+// is one probe: insert_new() does its own existence check, update() reads
+// and writes through the slot it probed, and prefetch() lets bulk loops
+// overlap the cache misses of the probes ahead of them.
+//
 // Ordered prefix scans run over a lazily maintained sorted view of the entry
 // indices; for_each_unordered() walks the entries instead and never builds
 // that view. The bytes fed to the set-hash are identical to the historical
 // std::map layout, so roots, proofs and golden traces are unchanged.
 //
-// One write hook can watch every set()/erase() (the invariant checker keeps
-// its incremental model with it, see DESIGN.md §4c).
+// One write hook can watch every write (the invariant checker keeps its
+// incremental model with it, see DESIGN.md §4c).
 //
 // A store is touched by one thread only: root() and prove() are const but
 // fold pending writes into the root.
@@ -42,6 +52,7 @@
 #include <vector>
 
 #include "crypto/sha256.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/bytes.hpp"
 
 namespace chain {
@@ -59,11 +70,67 @@ class KvStore {
  public:
   KvStore() = default;
 
-  /// The one write path. A value of up to 32 bytes is copied into the
-  /// entry, a longer one into its spill buffer, reusing its capacity.
+  /// Writes `value` under `key`. A value of up to 32 bytes is copied into
+  /// the entry, a longer one into its spill buffer, reusing its capacity.
   /// `value` must not view this key's own stored bytes.
   void set(std::string_view key, util::BytesView value);
   void erase(std::string_view key);
+  /// Writes `value` only when `key` is absent; returns whether it did. The
+  /// probe that finds the slot is the existence check, and a present key
+  /// is left as it is: nothing is journaled, hooked or folded.
+  bool insert_new(std::string_view key, util::BytesView value);
+
+  /// The probed slot of one key, as update() hands it to its function.
+  /// It is valid only inside that call.
+  class Slot {
+   public:
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+    /// The current value (nullopt = absent); invalidated by a write.
+    std::optional<util::BytesView> value() const {
+      if (idx_ == kNoEntry) return std::nullopt;
+      return store_.value_of(store_.entry(idx_));
+    }
+    /// Writes `value`, which must not view the stored bytes.
+    void set(util::BytesView value) { store_.write(*this, value); }
+    /// Removes the key; an absent key writes nothing.
+    void erase() { store_.write(*this, std::nullopt); }
+
+   private:
+    friend class KvStore;
+    Slot(KvStore& store, std::string_view key, std::uint64_t hash,
+         std::size_t bucket, std::uint32_t idx)
+        : store_(store), key_(key), hash_(hash), bucket_(bucket), idx_(idx) {}
+    KvStore& store_;
+    std::string_view key_;
+    std::uint64_t hash_;
+    std::size_t bucket_;  // the key's bucket, or where it would be inserted
+    std::uint32_t idx_;   // kNoEntry = absent
+  };
+
+  /// Read-modify-write in one probe: calls fn(slot) with the slot of `key`.
+  /// fn reads slot.value() and then writes a value (slot.set), erases the
+  /// key (slot.erase) or leaves it as it is (neither: nothing is journaled,
+  /// hooked or folded). The write hook sees what a get and a set or erase
+  /// would show it. fn must not touch the store other than through `slot`.
+  template <typename F>
+  void update(std::string_view key, F&& fn) {
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+    Slot slot = probe(key);
+    fn(slot);
+  }
+
+  /// Hashes `key` and prefetches its index slot. A bulk loop calls it
+  /// kPrefetchDistance keys ahead of the key it writes, so the cache misses
+  /// of successive probes overlap instead of queueing.
+  void prefetch(std::string_view key) const;
+  static constexpr std::size_t kPrefetchDistance = 16;
+
+  /// The index hash of a key (a pure function of its bytes). It only places
+  /// keys: nothing iterates in index order, so no result depends on it.
+  static std::uint64_t hash_key(std::string_view key);
+
   /// A copy of the value; hot paths read get_view() instead.
   std::optional<util::Bytes> get(std::string_view key) const;
 
@@ -113,9 +180,9 @@ class KvStore {
     }
   }
 
-  /// Observer of every write: set() and erase() call it with the key and the
-  /// value before and after the write (nullopt = absent), just before they
-  /// apply it; erasing an absent key calls nothing. The views die with the
+  /// Observer of every write: each write calls it with the key and the
+  /// value before and after (nullopt = absent), just before applying it;
+  /// erasing an absent key calls nothing. The views die with the
   /// call, and the hook must not write to the store. One slot: installing a
   /// hook replaces the previous one, an empty function removes it.
   using WriteHook =
@@ -158,7 +225,7 @@ class KvStore {
   /// Values up to this many bytes live inline in the entry (covers u64
   /// balances/sequences and 32-byte commitments/acks).
   static constexpr std::size_t kInlineValue = 32;
-  /// Entries per chunk (1024 x 112 B = 112 KiB). Small chunks keep the
+  /// Entries per chunk (1024 x 104 B = 104 KiB). Small chunks keep the
   /// peak RSS of small stores down; the chunk count is no cost.
   static constexpr unsigned kEntryChunkBits = 10;
   /// Key bytes per chunk (64 KiB); a longer key gets a chunk of its own.
@@ -174,20 +241,22 @@ class KvStore {
     mutable bool dirty = false;
     // Tag of the tx that last journaled this entry (0 = none).
     std::uint16_t journaled_in = 0;
-    std::uint64_t key_hash = 0;
     std::array<std::uint8_t, kInlineValue> inline_val{};
     util::Bytes spill;  // value bytes when val_len > kInlineValue
     // Cached SHA-256 contribution to the set-hash root, so the first write
     // since a root read backs the old value out without rehashing it.
     mutable crypto::Digest hash{};
   };
-  // The flags sit in the padding after `live`: a larger entry costs tens
-  // of MiB at 10^6 accounts.
-  static_assert(sizeof(Entry) == 112, "Entry grew");
+  // The flags sit in the padding after `live`, and the index's tags stand
+  // in for a stored key hash: each 8 bytes here is 16 MiB at 10^6 accounts.
+  static_assert(sizeof(Entry) == 104, "Entry grew");
 
   static crypto::Digest entry_hash(std::string_view key,
                                    util::BytesView value);
-  static std::uint64_t hash_key(std::string_view key);
+  /// Tag byte of an occupied index slot: never 0, which marks a free one.
+  static std::uint8_t tag_of(std::uint64_t h) {
+    return static_cast<std::uint8_t>(0x80 | (h >> 57));
+  }
   void xor_into_root(const crypto::Digest& h) const;
 
   Entry& entry(std::uint32_t idx) {
@@ -216,9 +285,18 @@ class KvStore {
   std::uint32_t append_entry(Entry&& e);
   std::uint32_t append_key(std::string_view key);
 
-  /// Bucket holding `key`, or the empty bucket where it would be inserted.
-  std::size_t find_bucket(std::string_view key, std::uint64_t h) const;
+  /// Bucket holding `key` and its entry, or the free bucket where it would
+  /// be inserted and kNoEntry. The index must not be empty.
+  struct Probe {
+    std::size_t bucket;
+    std::uint32_t idx;
+  };
+  Probe find(std::string_view key, std::uint64_t h) const;
   std::uint32_t find_entry(std::string_view key) const;
+  Slot probe(std::string_view key);
+  /// The one write step: journals, calls the hook and applies `value` to
+  /// the probed slot (nullopt erases), keeping the slot current.
+  void write(Slot& slot, std::optional<util::BytesView> value);
   void grow_index(std::size_t min_buckets);
   void index_remove(std::size_t bucket);
   void maybe_compact();
@@ -237,7 +315,8 @@ class KvStore {
   std::vector<std::vector<Entry>> entries_;  // chunks, each reserved once
   std::uint32_t entry_count_ = 0;            // appended, live or dead
   std::vector<std::string> keys_;            // chunks, each reserved once
-  std::vector<std::uint32_t> index_;  // bucket -> entry idx (kNoEntry = free)
+  std::vector<std::uint32_t> index_;  // bucket -> entry idx (if tagged)
+  std::vector<std::uint8_t> tags_;    // bucket -> tag_of(hash), 0 = free
   std::size_t live_count_ = 0;
   std::size_t dead_count_ = 0;
   mutable crypto::Digest root_{};

@@ -1,5 +1,6 @@
 #include "check/invariant.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "ibc/client.hpp"
@@ -35,11 +36,6 @@ std::optional<std::string_view> balance_denom(std::string_view key) {
   const std::size_t sep = key.find('|', kBalancePrefix.size());
   if (sep == std::string_view::npos) return std::nullopt;
   return key.substr(sep + 1);
-}
-
-/// Only 8-byte values are balances (BankKeeper's big-endian u64).
-std::uint64_t balance_of(std::optional<util::BytesView> value) {
-  return value && value->size() == 8 ? util::read_u64_be(*value, 0) : 0;
 }
 
 /// map[key] for a key of views, allocating the key only when it is new.
@@ -147,6 +143,30 @@ std::uint64_t& InvariantChecker::escrow_of(ChainState& c,
 InvariantChecker::ChainState* InvariantChecker::counterparty_of(
     ChainState& c, const std::string& port, const std::string& channel,
     chain::Height height) {
+  // Every recv, ack and timeout event asks; the answer changes only if one
+  // of the three stored values does. A memo validated by all three costs
+  // three probes and compares instead of three decodes, a validator set
+  // among them.
+  CounterpartyMemo& memo = track(c, port, channel).counterparty;
+  const chain::KvStore& store = c.h.app->store();
+  const auto stored = [&store](std::string_view key) {
+    const auto v = store.get_view(key);
+    return v ? util::Bytes(v->begin(), v->end()) : util::Bytes();
+  };
+  const auto unchanged = [&store](std::string_view key,
+                                  const util::Bytes& bytes) {
+    const auto v = store.get_view(key);
+    return v && std::ranges::equal(*v, bytes);
+  };
+  if (memo.chain != nullptr &&
+      unchanged(ibc::host::channel_key(port, channel), memo.channel_end) &&
+      unchanged(ibc::host::connection_key(memo.connection),
+                memo.connection_end) &&
+      unchanged(ibc::host::client_state_key(memo.client),
+                memo.client_state)) {
+    return memo.chain;
+  }
+
   ibc::ChannelKeeper channels(c.h.app->store());
   auto end = channels.get(port, channel);
   if (!end.is_ok()) {
@@ -177,7 +197,13 @@ InvariantChecker::ChainState* InvariantChecker::counterparty_of(
              client.value().chain_id);
     return nullptr;
   }
-  return &chains_[it->second];
+  const ibc::ConnectionId& connection = end.value().connection;
+  const ibc::ClientId& client_id = conn.value().client_id;
+  memo = CounterpartyMemo{stored(ibc::host::channel_key(port, channel)),
+                          stored(ibc::host::connection_key(connection)),
+                          stored(ibc::host::client_state_key(client_id)),
+                          connection, client_id, &chains_[it->second]};
+  return memo.chain;
 }
 
 std::string InvariantChecker::report() const {
@@ -230,7 +256,9 @@ void InvariantChecker::observe(ChainState& c, std::string_view key,
     const auto denom = balance_denom(key);
     if (!denom) return;
     DenomTrack& d = slot(c.denoms, *denom);
-    d.balance_sum += balance_of(after) - balance_of(before);  // wrapping
+    // Only 8-byte values are balances (BankKeeper's big-endian u64).
+    d.balance_sum +=
+        util::stored_u64(after) - util::stored_u64(before);  // wrapping
     d.dirty = true;
   } else if (key.starts_with(kSupplyPrefix)) {
     slot(c.denoms, key.substr(kSupplyPrefix.size())).dirty = true;

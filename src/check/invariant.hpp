@@ -161,6 +161,18 @@ class InvariantChecker {
     ibc::Sequence send = 0, recv = 0, ack = 0;  // 0 = not yet seen
   };
 
+  struct ChainState;
+
+  /// counterparty_of()'s last resolution of a channel and the stored bytes
+  /// it was decoded from: the channel end, its connection end and that
+  /// connection's client state. Valid while all three read back the same.
+  struct CounterpartyMemo {
+    util::Bytes channel_end, connection_end, client_state;
+    ibc::ConnectionId connection;
+    ibc::ClientId client;
+    ChainState* chain = nullptr;  // nullptr = nothing memoised
+  };
+
   struct ChannelTrack {
     // Event-derived.
     ibc::Sequence last_send = 0;  // send_packet events must run 1,2,3,...
@@ -174,6 +186,7 @@ class InvariantChecker {
 
     /// Store counters at the previous commit and at the previous audit.
     CounterSnap snap, audit_snap;
+    CounterpartyMemo counterparty;
   };
 
   /// A light client's latest height as of a previous check.
@@ -236,7 +249,9 @@ class InvariantChecker {
   /// Chain hosting the counterparty end of `c`'s channel (port, channel),
   /// resolved through the channel's connection and light client. Reports an
   /// "unknown-counterparty" violation and returns nullptr when any link of
-  /// the chain is missing — cross-chain assertions are then skipped.
+  /// the chain is missing — cross-chain assertions are then skipped. A
+  /// resolution is reused while the three values it was decoded from read
+  /// back unchanged (ChannelTrack::counterparty).
   ChainState* counterparty_of(ChainState& c, const std::string& port,
                               const std::string& channel,
                               chain::Height height);

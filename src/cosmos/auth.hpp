@@ -21,6 +21,7 @@ class AuthKeeper {
   explicit AuthKeeper(chain::KvStore& store) : store_(store) {}
 
   bool account_exists(std::string_view addr) const;
+  /// Creates the account at sequence 0; an existing one is left as it is.
   void create_account(std::string_view addr);
 
   /// The sequence the account's *next* transaction must carry.
@@ -31,7 +32,6 @@ class AuthKeeper {
   static util::Key seq_key(std::string_view addr);
 
  private:
-  std::uint64_t read_seq(std::string_view key) const;
   chain::KvStore& store_;
 };
 

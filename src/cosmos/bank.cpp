@@ -11,32 +11,51 @@ util::Key BankKeeper::supply_key(std::string_view denom) {
   return util::Key("bank/supply/", denom);
 }
 
-std::uint64_t BankKeeper::read_u64(std::string_view key) const {
-  const auto v = store_.get_view(key);  // zero-copy: ante checks are hot
-  if (!v || v->size() != 8) return 0;
-  return util::read_u64_be(*v, 0);
+namespace {
+
+using U64 = std::optional<std::uint64_t>;
+
+/// Read-modify-write of a balance or supply in one probe: writes next(old),
+/// erasing at 0 to keep the state (and its root) canonical, or leaves the
+/// key as it is when next returns nullopt. Returns old.
+template <typename F>
+std::uint64_t update_u64(chain::KvStore& store, std::string_view key,
+                         F&& next) {
+  std::uint64_t old = 0;
+  store.update(key, [&](chain::KvStore::Slot& slot) {
+    old = util::stored_u64(slot.value());
+    const U64 v = next(old);
+    if (!v) return;
+    if (*v == 0) {
+      slot.erase();
+    } else {
+      slot.set(util::u64_be(*v));
+    }
+  });
+  return old;
 }
 
-void BankKeeper::write_u64(std::string_view key, std::uint64_t v) {
-  if (v == 0) {
-    store_.erase(key);  // keep the state (and its root) canonical
-    return;
-  }
-  store_.set(key, util::u64_be(v));
+void add_u64(chain::KvStore& store, std::string_view key,
+             std::uint64_t amount) {
+  update_u64(store, key, [amount](std::uint64_t v) { return U64(v + amount); });
 }
+
+}  // namespace
 
 std::uint64_t BankKeeper::balance(std::string_view addr,
                                   std::string_view denom) const {
-  return read_u64(balance_key(addr, denom));
+  // Zero-copy: ante checks are hot.
+  return util::stored_u64(store_.get_view(balance_key(addr, denom)));
 }
 
 void BankKeeper::set_balance(std::string_view addr, const Coin& coin) {
-  const util::Key key = balance_key(addr, coin.denom);
-  const std::uint64_t before = read_u64(key);
-  write_u64(key, coin.amount);
+  const std::uint64_t before =
+      update_u64(store_, balance_key(addr, coin.denom),
+                 [&](std::uint64_t) { return U64(coin.amount); });
   // Genesis allocations count toward supply so invariants hold from block 1.
-  write_u64(supply_key(coin.denom),
-            supply(coin.denom) - before + coin.amount);
+  update_u64(store_, supply_key(coin.denom), [&](std::uint64_t supply) {
+    return U64(supply - before + coin.amount);
+  });
 }
 
 void BankKeeper::fund_many(const std::vector<chain::Address>& addrs,
@@ -45,54 +64,56 @@ void BankKeeper::fund_many(const std::vector<chain::Address>& addrs,
   // read-modify-write happens once instead of once per account. The net
   // delta accumulates in wrapping u64 arithmetic, which commutes with the
   // sequential per-account adjustments.
+  constexpr std::size_t kAhead = chain::KvStore::kPrefetchDistance;
   std::uint64_t minted = 0;
-  for (const chain::Address& addr : addrs) {
-    const util::Key key = balance_key(addr, coin.denom);
-    const std::uint64_t before = read_u64(key);
-    write_u64(key, coin.amount);
-    minted += coin.amount - before;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    if (i + kAhead < addrs.size()) {
+      store_.prefetch(balance_key(addrs[i + kAhead], coin.denom));
+    }
+    minted += coin.amount -
+              update_u64(store_, balance_key(addrs[i], coin.denom),
+                         [&](std::uint64_t) { return U64(coin.amount); });
   }
-  write_u64(supply_key(coin.denom), supply(coin.denom) + minted);
+  add_u64(store_, supply_key(coin.denom), minted);
 }
 
 util::Status BankKeeper::send(std::string_view from, std::string_view to,
                               const Coin& coin) {
-  const util::Key from_key = balance_key(from, coin.denom);
-  const std::uint64_t from_bal = read_u64(from_key);
+  const std::uint64_t from_bal = update_u64(
+      store_, balance_key(from, coin.denom), [&](std::uint64_t bal) {
+        return bal < coin.amount ? std::nullopt : U64(bal - coin.amount);
+      });
   if (from_bal < coin.amount) {
     return util::Status::error(util::ErrorCode::kFailedPrecondition,
                                "insufficient funds: " + std::string(from) +
                                    " has " + std::to_string(from_bal) +
                                    coin.denom + ", needs " + coin.to_string());
   }
-  write_u64(from_key, from_bal - coin.amount);
-  const util::Key to_key = balance_key(to, coin.denom);
-  write_u64(to_key, read_u64(to_key) + coin.amount);
+  add_u64(store_, balance_key(to, coin.denom), coin.amount);
   return util::Status::ok();
 }
 
 void BankKeeper::mint(std::string_view to, const Coin& coin) {
-  const util::Key key = balance_key(to, coin.denom);
-  write_u64(key, read_u64(key) + coin.amount);
-  const util::Key supply = supply_key(coin.denom);
-  write_u64(supply, read_u64(supply) + coin.amount);
+  add_u64(store_, balance_key(to, coin.denom), coin.amount);
+  add_u64(store_, supply_key(coin.denom), coin.amount);
 }
 
 util::Status BankKeeper::burn(std::string_view from, const Coin& coin) {
-  const util::Key key = balance_key(from, coin.denom);
-  const std::uint64_t bal = read_u64(key);
+  const std::uint64_t bal = update_u64(
+      store_, balance_key(from, coin.denom), [&](std::uint64_t v) {
+        return v < coin.amount ? std::nullopt : U64(v - coin.amount);
+      });
   if (bal < coin.amount) {
     return util::Status::error(util::ErrorCode::kFailedPrecondition,
                                "insufficient funds to burn " + coin.to_string());
   }
-  write_u64(key, bal - coin.amount);
-  const util::Key supply = supply_key(coin.denom);
-  write_u64(supply, read_u64(supply) - coin.amount);
+  update_u64(store_, supply_key(coin.denom),
+             [&](std::uint64_t supply) { return U64(supply - coin.amount); });
   return util::Status::ok();
 }
 
 std::uint64_t BankKeeper::supply(std::string_view denom) const {
-  return read_u64(supply_key(denom));
+  return util::stored_u64(store_.get_view(supply_key(denom)));
 }
 
 }  // namespace cosmos

@@ -30,8 +30,9 @@ class BankKeeper {
   void set_balance(std::string_view addr, const Coin& coin);
 
   /// Bulk genesis funding: sets every address's balance to `coin` with a
-  /// single supply update at the end. Byte-identical final state (and
-  /// store root) to calling set_balance() per address.
+  /// single supply update at the end, one prefetched probe per account.
+  /// Byte-identical final state (and store root) to calling set_balance()
+  /// per address.
   void fund_many(const std::vector<chain::Address>& addrs, const Coin& coin);
 
   /// Moves `coin` from `from` to `to`; fails on insufficient funds.
@@ -52,9 +53,6 @@ class BankKeeper {
   static util::Key supply_key(std::string_view denom);
 
  private:
-  std::uint64_t read_u64(std::string_view key) const;
-  void write_u64(std::string_view key, std::uint64_t v);
-
   chain::KvStore& store_;
 };
 

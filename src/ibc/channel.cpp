@@ -96,9 +96,7 @@ bool ChannelKeeper::exists(const PortId& port, const ChannelId& id) const {
 }
 
 Sequence ChannelKeeper::read_seq(std::string_view key) const {
-  const auto raw = store_.get_view(key);
-  if (!raw || raw->size() != 8) return 0;
-  return util::read_u64_be(*raw, 0);
+  return util::stored_u64(store_.get_view(key));
 }
 
 void ChannelKeeper::write_seq(std::string_view key, Sequence s) {

@@ -6,6 +6,7 @@
 // UNORDERED in any order — the paper's testbed uses UNORDERED), exactly-once
 // delivery, and permissioning. Multiple channels can share one connection.
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -66,6 +67,17 @@ class ChannelKeeper {
   void set_next_sequence_send(const PortId& port, const ChannelId& id, Sequence s);
   void set_next_sequence_recv(const PortId& port, const ChannelId& id, Sequence s);
   void set_next_sequence_ack(const PortId& port, const ChannelId& id, Sequence s);
+  /// Read-modify-write of the counter at `key` (a host::next_sequence_*_key)
+  /// in one probe: stores advance(current) unless it returns nullopt, which
+  /// leaves the counter as it is.
+  template <typename F>
+  void update_sequence(std::string_view key, F&& advance) {
+    store_.update(key, [&](chain::KvStore::Slot& slot) {
+      const std::optional<Sequence> next =
+          advance(util::stored_u64(slot.value()));
+      if (next) slot.set(util::u64_be(*next));
+    });
+  }
 
  private:
   Sequence read_seq(std::string_view key) const;

@@ -566,24 +566,30 @@ util::Status IbcKeeper::handle_recv_packet(const chain::Msg& msg,
   const util::Key receipt_key = host::packet_receipt_key(
       p.destination_port, p.destination_channel, p.sequence);
   if (chan.ordering == ChannelOrdering::kOrdered) {
-    const Sequence next = channels_.next_sequence_recv(p.destination_port,
-                                                       p.destination_channel);
-    if (!faults_.skip_replay_check) {
-      if (p.sequence < next) {
-        ++redundant_messages_;
-        return err(util::ErrorCode::kRedundantPacket,
-                   "packet messages are redundant: sequence " +
-                       std::to_string(p.sequence));
-      }
-      if (p.sequence > next) {
-        return err(util::ErrorCode::kFailedPrecondition,
-                   "ordered channel: expected sequence " +
-                       std::to_string(next) + ", got " +
-                       std::to_string(p.sequence));
-      }
-    }
-    channels_.set_next_sequence_recv(p.destination_port, p.destination_channel,
-                                     std::max(next, p.sequence) + 1);
+    util::Status order = util::Status::ok();
+    channels_.update_sequence(
+        host::next_sequence_recv_key(p.destination_port,
+                                     p.destination_channel),
+        [&](Sequence next) -> std::optional<Sequence> {
+          if (!faults_.skip_replay_check) {
+            if (p.sequence < next) {
+              ++redundant_messages_;
+              order = err(util::ErrorCode::kRedundantPacket,
+                          "packet messages are redundant: sequence " +
+                              std::to_string(p.sequence));
+              return std::nullopt;
+            }
+            if (p.sequence > next) {
+              order = err(util::ErrorCode::kFailedPrecondition,
+                          "ordered channel: expected sequence " +
+                              std::to_string(next) + ", got " +
+                              std::to_string(p.sequence));
+              return std::nullopt;
+            }
+          }
+          return std::max(next, p.sequence) + 1;
+        });
+    if (!order.is_ok()) return order;
   } else if (store_.contains(receipt_key) && !faults_.skip_replay_check) {
     ++redundant_messages_;
     return err(util::ErrorCode::kRedundantPacket,
@@ -685,15 +691,20 @@ util::Status IbcKeeper::handle_acknowledgement(const chain::Msg& msg,
     return err(util::ErrorCode::kFailedPrecondition, "channel not open");
   }
   if (chan_res.value().ordering == ChannelOrdering::kOrdered) {
-    const Sequence next =
-        channels_.next_sequence_ack(p.source_port, p.source_channel);
-    if (p.sequence != next) {
-      return err(util::ErrorCode::kFailedPrecondition,
-                 "ordered channel: expected ack sequence " +
-                     std::to_string(next) + ", got " +
-                     std::to_string(p.sequence));
-    }
-    channels_.set_next_sequence_ack(p.source_port, p.source_channel, next + 1);
+    util::Status order = util::Status::ok();
+    channels_.update_sequence(
+        host::next_sequence_ack_key(p.source_port, p.source_channel),
+        [&](Sequence next) -> std::optional<Sequence> {
+          if (p.sequence != next) {
+            order = err(util::ErrorCode::kFailedPrecondition,
+                        "ordered channel: expected ack sequence " +
+                            std::to_string(next) + ", got " +
+                            std::to_string(p.sequence));
+            return std::nullopt;
+          }
+          return next + 1;
+        });
+    if (!order.is_ok()) return order;
   }
 
   // The commitment must still exist (deleted = already acknowledged or

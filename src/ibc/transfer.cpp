@@ -1,6 +1,7 @@
 #include "ibc/transfer.hpp"
 
 #include <algorithm>
+#include <deque>
 
 namespace ibc {
 
@@ -12,11 +13,25 @@ util::Key denom_trace_key(std::string_view voucher) {
 }  // namespace
 
 std::string voucher_denom(std::string_view trace_path) {
+  // Memoised by the full trace path, which is all the result depends on,
+  // so an entry never goes stale. Shared by every chain and the checker on
+  // this thread; a deployment has few paths. Bounded; the oldest goes first.
+  struct Memo {
+    std::string path;
+    std::string denom;
+  };
+  constexpr std::size_t kMemoSize = 64;
+  thread_local std::deque<Memo> memo;
+  for (const Memo& m : memo) {
+    if (m.path == trace_path) return m.denom;
+  }
   const crypto::Digest d = crypto::sha256(util::as_bytes(trace_path));
   std::string hex = crypto::digest_hex(d);
   std::transform(hex.begin(), hex.end(), hex.begin(),
                  [](unsigned char c) { return std::toupper(c); });
-  return "ibc/" + hex;
+  if (memo.size() == kMemoSize) memo.pop_front();
+  memo.push_back(Memo{std::string(trace_path), "ibc/" + hex});
+  return memo.back().denom;
 }
 
 util::Key escrow_address(const PortId& port, const ChannelId& channel) {

@@ -17,7 +17,8 @@
 
 namespace ibc {
 
-/// Voucher denomination for a trace path: "ibc/" + uppercase hex SHA-256.
+/// Voucher denomination for a trace path: "ibc/" + uppercase hex SHA-256,
+/// memoised per path (thread-local, bounded).
 std::string voucher_denom(std::string_view trace_path);
 
 /// Escrow account owning tokens locked for a channel,

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,5 +59,11 @@ void append_u32_be(Bytes& dst, std::uint32_t v);
 /// validated bounds.
 std::uint64_t read_u64_be(BytesView data, std::size_t offset);
 std::uint32_t read_u32_be(BytesView data, std::size_t offset);
+
+/// A stored u64 value (a balance, supply or sequence: 8 big-endian bytes);
+/// 0 when absent or of another size.
+inline std::uint64_t stored_u64(std::optional<BytesView> value) {
+  return value && value->size() == 8 ? read_u64_be(*value, 0) : 0;
+}
 
 }  // namespace util

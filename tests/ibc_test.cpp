@@ -579,6 +579,35 @@ TEST_F(TwoChains, VoucherDenomIsPathHash) {
   }
 }
 
+// voucher_denom memoises per trace path in a bounded table. More distinct
+// paths than it holds, asked in rising, falling and strided order and
+// repeated, must each get the hash of their own path: no answer may come
+// from an evicted or a neighbouring entry.
+TEST(VoucherDenomMemo, EveryPathGetsItsOwnHash) {
+  const auto expected = [](const std::string& path) {
+    std::string hex =
+        util::to_hex(crypto::sha256(util::as_bytes(std::string_view(path))));
+    for (char& c : hex) c = static_cast<char>(std::toupper(c));
+    return "ibc/" + hex;
+  };
+  constexpr int kPaths = 200;  // the table holds 64
+  std::vector<std::string> paths;
+  for (int i = 0; i < kPaths; ++i) {
+    paths.push_back("transfer/channel-" + std::to_string(i % 7) +
+                    "/transfer/channel-" + std::to_string(i) + "/uatom");
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < kPaths; ++i) {
+      const int j = round == 0 ? i : round == 1 ? kPaths - 1 - i
+                                                : (i * 37) % kPaths;
+      ASSERT_EQ(ibc::voucher_denom(paths[j]), expected(paths[j]))
+          << "round " << round << " path " << paths[j];
+      ASSERT_EQ(ibc::voucher_denom(paths[j]), expected(paths[j]))
+          << "repeated, round " << round << " path " << paths[j];
+    }
+  }
+}
+
 TEST_F(TwoChains, DenomTraceRecordedOnMint) {
   const ibc::Packet packet = send_transfer(10);
   ASSERT_TRUE(relay_recv(packet).status.is_ok());

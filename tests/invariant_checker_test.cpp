@@ -4,8 +4,9 @@
 // planted past the keepers are caught at the next commit and again by the
 // full-walk audit; a write the checker's store hook never saw is caught only
 // by the audit, as checker drift; escrow moved behind a committed transfer's
-// back breaks the packet-event escrow model; and the audit stays silent when
-// it runs after every commit of clean scenarios and campaigns.
+// back breaks the packet-event escrow model; a memoised counterparty still
+// fails once its connection end is gone; and the audit stays silent when it
+// runs after every commit of clean scenarios and campaigns.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "ibc/channel.hpp"
 #include "ibc/client.hpp"
 #include "ibc/host.hpp"
+#include "ibc/packet.hpp"
 #include "ibc/transfer.hpp"
 #include "xcc/handshake.hpp"
 #include "xcc/testbed.hpp"
@@ -73,13 +75,16 @@ TEST(InvariantChecker, ScenarioIsDeterministicPerSeed) {
 
 // --- Planted store state --------------------------------------------------
 
-/// Runs `plant` inside a delivered transaction on chain A's app.
+/// Runs `plant` inside a delivered transaction on chain A's app, and emits
+/// `emit` from it.
 struct PlantHandler : cosmos::MsgHandler {
   std::function<void()> plant;
+  std::vector<chain::Event> emit;
   chain::Height height = 0;
   util::Status handle(const chain::Msg&, cosmos::MsgContext& ctx) override {
     ctx.gas_used += 1'000;
-    plant();
+    if (plant) plant();
+    ctx.events->insert(ctx.events->end(), emit.begin(), emit.end());
     height = ctx.height;
     return util::Status::ok();
   }
@@ -338,6 +343,66 @@ TEST_F(InvariantCheckerEscrow, SendPacketPayloadDrivesTheEscrowModel) {
   const check::Violation want{
       "escrow-conservation", app().chain_id(), h,
       escrow + " holds 0 " + t.denom + ", packet history implies 5"};
+  EXPECT_EQ(count_of(checker().violations(), want), 1u) << checker().report();
+}
+
+// --- Counterparty resolution ----------------------------------------------
+
+using InvariantCheckerCounterparty = PlantedStateFixture;
+
+// The checker memoises a channel's counterparty chain with the stored bytes
+// of the channel end, connection end and client state it resolved it from.
+// A connection end deleted after the memo is warm must still fail
+// "unknown-counterparty" at the next recv event; a memo validated by the
+// channel end alone would keep answering.
+TEST_F(InvariantCheckerCounterparty, MissingConnectionFailsWithWarmMemo) {
+  app().register_handler("/test.Plant", &handler);
+  // Announces a receive on channel A of a packet chain B never sent (the
+  // checker reports it as recv-unsent; only the resolution matters here).
+  const auto deliver_recv = [&](ibc::Sequence seq) {
+    ibc::Packet p;
+    p.sequence = seq;
+    p.source_port = ibc::kTransferPort;
+    p.source_channel = channel.channel_b;
+    p.destination_port = ibc::kTransferPort;
+    p.destination_channel = channel.channel_a;
+    p.timeout_height = 1'000'000;
+    handler.emit = {ibc::make_packet_event(ibc::PacketEventKind::kRecv, p,
+                                           util::to_bytes("ack"))};
+    handler.height = 0;
+    chain::Tx tx;
+    tx.sender = "user-0";
+    tx.sequence = app().auth().sequence(tx.sender);
+    tx.gas_limit = 200'000;
+    tx.fee = 2'000;
+    tx.msgs.push_back(chain::Msg{"/test.Plant", {}});
+    ASSERT_TRUE(
+        tb->chain_a().mempool->add(chain::seal(std::move(tx))).is_ok());
+    while ((handler.height == 0 ||
+            tb->chain_a().ledger->height() < handler.height) &&
+           tb->scheduler().step()) {
+    }
+    ASSERT_GT(handler.height, 0);
+  };
+  const auto unknown = [&] {
+    std::size_t n = 0;
+    for (const check::Violation& v : checker().violations()) {
+      n += v.invariant == "unknown-counterparty" ? 1 : 0;
+    }
+    return n;
+  };
+
+  deliver_recv(1);  // resolves chain B and warms the memo
+  deliver_recv(2);  // served by the memo
+  ASSERT_EQ(unknown(), 0u) << checker().report();
+
+  store().erase(ibc::host::connection_key(channel.connection_a));
+  commit_next();
+  deliver_recv(3);
+  const check::Violation want{
+      "unknown-counterparty", app().chain_id(), handler.height,
+      ibc::kTransferPort + "/" + channel.channel_a +
+          " references missing connection " + channel.connection_a};
   EXPECT_EQ(count_of(checker().violations(), want), 1u) << checker().report();
 }
 

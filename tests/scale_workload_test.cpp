@@ -17,24 +17,35 @@ namespace {
 
 // add_genesis_accounts must produce the same state — and therefore the same
 // app hash — as the per-account loop it replaces, including when some
-// accounts were already funded (the supply delta is a read-modify-write).
+// accounts were already funded (the supply delta is a read-modify-write),
+// when the bulk list names an account twice, and when the amount is 0 (the
+// balance write erases).
 TEST(BulkGenesisTest, MatchesPerAccountFunding) {
   std::vector<chain::Address> addrs;
   for (int i = 0; i < 500; ++i) addrs.push_back("user-" + std::to_string(i));
+  addrs.push_back("user-7");   // duplicates, one of them pre-funded
+  addrs.push_back("user-3");
+  addrs.push_back("user-499");
 
-  cosmos::CosmosApp bulk("chain-bulk");
-  bulk.add_genesis_account("user-3", 77);  // pre-existing balance
-  bulk.add_genesis_accounts(addrs, 1'000);
+  for (const std::uint64_t amount : {std::uint64_t{1'000}, std::uint64_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "amount " << amount);
+    cosmos::CosmosApp bulk("chain-bulk");
+    bulk.add_genesis_account("user-3", 77);  // pre-existing balance
+    bulk.add_genesis_accounts(addrs, amount);
 
-  cosmos::CosmosApp loop("chain-bulk");
-  loop.add_genesis_account("user-3", 77);
-  for (const chain::Address& a : addrs) loop.add_genesis_account(a, 1'000);
+    cosmos::CosmosApp loop("chain-bulk");
+    loop.add_genesis_account("user-3", 77);
+    for (const chain::Address& a : addrs) loop.add_genesis_account(a, amount);
 
-  EXPECT_EQ(bulk.store().root(), loop.store().root());
-  EXPECT_EQ(bulk.store().size(), loop.store().size());
-  EXPECT_EQ(bulk.bank().supply(cosmos::kNativeDenom),
-            loop.bank().supply(cosmos::kNativeDenom));
-  EXPECT_EQ(bulk.bank().balance("user-3", cosmos::kNativeDenom), 1'000u);
+    EXPECT_EQ(bulk.store().root(), loop.store().root());
+    EXPECT_EQ(bulk.store().size(), loop.store().size());
+    EXPECT_EQ(bulk.bank().supply(cosmos::kNativeDenom),
+              loop.bank().supply(cosmos::kNativeDenom));
+    EXPECT_EQ(bulk.bank().balance("user-3", cosmos::kNativeDenom), amount);
+    EXPECT_EQ(bulk.bank().supply(cosmos::kNativeDenom), 500 * amount);
+    EXPECT_TRUE(bulk.auth().account_exists("user-499"));
+    EXPECT_EQ(bulk.auth().sequence("user-7"), 0u);
+  }
 }
 
 TEST(ZipfSamplerTest, DeterministicAndInRange) {

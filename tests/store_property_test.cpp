@@ -3,7 +3,9 @@
 // begin/commit/revert cycles, plus root-consistency invariants. The write
 // hook and the unordered walk are held to the same model. The store folds
 // writes into its root lazily; every root it reports is compared with an
-// eagerly hashed reference over the model's contents.
+// eagerly hashed reference over the model's contents. Keys that collide in
+// the tagged index, and the one-probe writes (insert_new, update), are held
+// to the same model and to the get-then-write paths they replace.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -166,11 +169,44 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
   for (int step = 0; step < 1'000; ++step) {
     const double dice = rng.next_double();
     bool read_root = rng.chance(0.1);
-    if (dice < 0.45) {
+    if (dice < 0.30) {
       const std::string k = random_key(rng);
       const util::Bytes v = random_value(rng);
       store.set(k, v);
       model[k] = v;
+    } else if (dice < 0.36) {
+      const std::string k = random_key(rng);
+      const util::Bytes v = random_value(rng);
+      EXPECT_EQ(store.insert_new(k, v), !model.contains(k)) << "step " << step;
+      model.try_emplace(k, v);
+    } else if (dice < 0.45) {
+      // One probe: read the value, then write, erase or leave it. A derived
+      // write depends on the value read through the slot.
+      const std::string k = random_key(rng);
+      const std::uint64_t outcome = rng.next_below(4);
+      const util::Bytes v = random_value(rng);
+      store.update(k, [&](chain::KvStore::Slot& slot) {
+        const auto cur = slot.value();
+        ASSERT_EQ(cur.has_value(), model.contains(k)) << "step " << step;
+        if (outcome == 0) {
+          slot.set(v);
+        } else if (outcome == 1) {
+          slot.erase();
+        } else if (outcome == 3) {
+          util::Bytes next = cur ? util::Bytes(cur->begin(), cur->end())
+                                 : util::Bytes();
+          next.push_back(static_cast<std::uint8_t>(next.size()));
+          slot.set(next);
+        }
+      });
+      if (outcome == 0) {
+        model[k] = v;
+      } else if (outcome == 1) {
+        model.erase(k);
+      } else if (outcome == 3) {
+        util::Bytes& next = model[k];
+        next.push_back(static_cast<std::uint8_t>(next.size()));
+      }
     } else if (dice < 0.65) {
       const std::string k = random_key(rng);
       store.erase(k);
@@ -511,6 +547,269 @@ TEST(StorePropertyTest, PrefixScanMatchesModel) {
       if (k.compare(0, prefix.size(), prefix) == 0) expected.push_back(k);
     }
     EXPECT_EQ(keys, expected);
+  }
+}
+
+/// Keys "<prefix><n>" whose index hashes agree in their low `bits` bits and
+/// in their tag (the top 7 bits): in an index of up to 2^bits buckets they
+/// share a home bucket, and a probe for one matches the tag of every other.
+std::vector<std::string> same_home_and_tag(const std::string& prefix,
+                                           unsigned bits, std::size_t want) {
+  const auto signature = [bits](std::uint64_t h) {
+    return static_cast<std::size_t>((h & ((1ull << bits) - 1)) |
+                                    ((h >> 57) << bits));
+  };
+  std::vector<std::uint8_t> seen(std::size_t{1} << (bits + 7));
+  for (std::uint64_t n = 0;; ++n) {
+    const std::string key = prefix + std::to_string(n);
+    const std::size_t sig = signature(chain::KvStore::hash_key(key));
+    if (++seen[sig] < want) continue;
+    std::vector<std::string> out;
+    for (std::uint64_t m = 0; m <= n; ++m) {
+      std::string k = prefix + std::to_string(m);
+      if (signature(chain::KvStore::hash_key(k)) == sig) {
+        out.push_back(std::move(k));
+      }
+    }
+    return out;
+  }
+}
+
+/// Keys sharing `key`'s low `bits` hash bits but not its tag.
+std::vector<std::string> same_home_other_tag(const std::string& key,
+                                             const std::string& prefix,
+                                             unsigned bits, std::size_t want) {
+  const std::uint64_t mask = (1ull << bits) - 1;
+  const std::uint64_t h = chain::KvStore::hash_key(key);
+  std::vector<std::string> out;
+  for (std::uint64_t n = 0; out.size() < want; ++n) {
+    std::string k = prefix + std::to_string(n);
+    const std::uint64_t g = chain::KvStore::hash_key(k);
+    if ((g & mask) == (h & mask) && (g >> 57) != (h >> 57)) {
+      out.push_back(std::move(k));
+    }
+  }
+  return out;
+}
+
+/// get() of each colliding key agrees with the model, present or absent.
+void expect_keys_match_model(const chain::KvStore& store, const Model& model,
+                             const std::vector<std::string>& keys,
+                             const std::string& where) {
+  for (const std::string& k : keys) {
+    const auto it = model.find(k);
+    const auto got = store.get(k);
+    ASSERT_EQ(got.has_value(), it != model.end()) << where << " key " << k;
+    if (got) {
+      EXPECT_EQ(*got, it->second) << where << " key " << k;
+    }
+  }
+}
+
+// Keys whose probes collide in both the home bucket and the tag byte, so
+// only the key compare tells them apart, mixed with keys that share the
+// home bucket alone. Every get, set and erase must reach its own key,
+// including after an erase from the middle of the cluster shifts later
+// keys back, after the index grows and after a compaction rebuilds it.
+// 12 bits of home bucket cover every index this test grows (at most 3,072
+// live keys, so at most 4,096 buckets).
+TEST(StorePropertyTest, TagCollisionsKeepKeysApart) {
+  constexpr unsigned kBits = 12;
+  const std::vector<std::string> twins = same_home_and_tag("t/", kBits, 6);
+  ASSERT_EQ(twins.size(), 6u);
+  const std::vector<std::string> cousins =
+      same_home_other_tag(twins[0], "o/", kBits, 2);
+  // twins[5] stays absent: its probes run the whole cluster and must miss.
+  const std::vector<std::string> order = {twins[0], cousins[0], twins[1],
+                                          twins[2], cousins[1], twins[3],
+                                          twins[4]};
+  std::vector<std::string> all = order;
+  all.push_back(twins[5]);
+
+  util::Rng rng(5150);
+  chain::KvStore store;
+  Model model, mirror;
+  mirror_writes(store, mirror);
+  const auto check = [&](const std::string& where) {
+    expect_keys_match_model(store, model, all, where);
+    expect_matches_model(store, model, 0);
+    EXPECT_EQ(mirror, model) << where;
+    EXPECT_EQ(store.root(), reference_root(model)) << where;
+    const chain::StoreProof absent = store.prove(twins[5]);
+    EXPECT_FALSE(absent.exists) << where;
+  };
+
+  for (const std::string& k : order) {
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  check("inserted");
+  for (const std::string& k : order) {
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  check("overwritten");
+
+  // Erase from the middle of the cluster: the later keys shift back.
+  store.erase(twins[2]);
+  model.erase(twins[2]);
+  store.erase(twins[5]);  // absent: writes nothing
+  check("erased mid-cluster");
+  model[twins[2]] = random_value(rng);
+  store.set(twins[2], model[twins[2]]);
+  check("re-inserted");
+
+  // Grow the index from 16 to 2,048 buckets past the cluster.
+  for (int i = 0; i < 1'200; ++i) {
+    const std::string k = "fill/" + std::to_string(i);
+    model[k] = random_value(rng);
+    store.set(k, model[k]);
+  }
+  check("grown");
+
+  // Churn past the compaction threshold (4,096 dead entries) while the
+  // cluster stays live; the rebuild recomputes every tag from the keys.
+  for (int i = 0; i < 5'000; ++i) {
+    const std::string k = "churn/" + std::to_string(i);
+    store.set(k, util::to_bytes("x"));
+    store.erase(k);
+  }
+  check("compacted");
+
+  for (const std::string& k : order) {
+    store.erase(k);
+    model.erase(k);
+    expect_keys_match_model(store, model, all, "drained " + k);
+  }
+  check("drained");
+}
+
+// The probe that finds a present key is insert_new's existence check, and
+// update()'s "leave as is" outcome writes nothing: neither journals, calls
+// the hook or moves the root, so a revert has nothing to restore.
+TEST(StorePropertyTest, NoOpWritesLeaveNoTrace) {
+  chain::KvStore store;
+  store.set("a", util::to_bytes("1"));
+  store.set("b", util::Bytes(48, 0x0b));
+  const crypto::Digest root = store.root();
+  int hooks = 0;
+  store.set_write_hook([&hooks](std::string_view, auto, auto) { ++hooks; });
+
+  for (const bool in_tx : {false, true}) {
+    SCOPED_TRACE(in_tx ? "in a tx" : "outside a tx");
+    if (in_tx) store.begin_tx();
+    EXPECT_FALSE(store.insert_new("a", util::to_bytes("2")));
+    EXPECT_FALSE(store.insert_new("b", util::to_bytes("2")));
+    for (const char* key : {"a", "b", "absent"}) {
+      store.update(key, [&](chain::KvStore::Slot& slot) {
+        EXPECT_EQ(slot.value().has_value(), std::string_view(key) != "absent");
+      });
+    }
+    store.update("absent", [](chain::KvStore::Slot& slot) { slot.erase(); });
+    if (in_tx) store.revert_tx();  // a journal record would write here
+    EXPECT_EQ(hooks, 0);
+    EXPECT_EQ(store.root(), root);
+    EXPECT_EQ(store.get("a"), util::to_bytes("1"));
+    EXPECT_EQ(store.get("b"), util::Bytes(48, 0x0b));
+    EXPECT_FALSE(store.contains("absent"));
+    EXPECT_EQ(store.size(), 2u);
+  }
+
+  EXPECT_TRUE(store.insert_new("c", util::to_bytes("3")));
+  EXPECT_EQ(hooks, 1);
+  EXPECT_EQ(store.get("c"), util::to_bytes("3"));
+}
+
+/// One update() outcome, or the get-then-write sequence it replaces.
+enum class Rmw { kSet, kErase, kKeep, kEraseThenSet, kSetThenErase };
+
+void apply_update(chain::KvStore& store, const std::string& key, Rmw op,
+                  const util::Bytes& v) {
+  store.update(key, [&](chain::KvStore::Slot& slot) {
+    switch (op) {
+      case Rmw::kSet: slot.set(v); break;
+      case Rmw::kErase: slot.erase(); break;
+      case Rmw::kKeep: break;
+      case Rmw::kEraseThenSet: slot.erase(); slot.set(v); break;
+      case Rmw::kSetThenErase: slot.set(v); slot.erase(); break;
+    }
+  });
+}
+
+void apply_get_then_write(chain::KvStore& store, const std::string& key,
+                          Rmw op, const util::Bytes& v) {
+  (void)store.get_view(key);
+  switch (op) {
+    case Rmw::kSet: store.set(key, v); break;
+    case Rmw::kErase: store.erase(key); break;
+    case Rmw::kKeep: break;
+    case Rmw::kEraseThenSet: store.erase(key); store.set(key, v); break;
+    case Rmw::kSetThenErase: store.set(key, v); store.erase(key); break;
+  }
+}
+
+using HookLog = std::vector<std::tuple<std::string, std::optional<util::Bytes>,
+                                       std::optional<util::Bytes>>>;
+
+void log_writes(chain::KvStore& store, HookLog& log) {
+  const auto copy = [](std::optional<util::BytesView> v) {
+    return v ? std::optional<util::Bytes>(util::Bytes(v->begin(), v->end()))
+             : std::nullopt;
+  };
+  store.set_write_hook([&log, copy](std::string_view key,
+                                    std::optional<util::BytesView> before,
+                                    std::optional<util::BytesView> after) {
+    log.emplace_back(std::string(key), copy(before), copy(after));
+  });
+}
+
+// Every update() outcome, on a present and an absent key, inside and
+// outside a tx: the hook sees the (key, before, after) that the get and
+// set/erase it replaces shows it, the contents and root agree, and a revert
+// restores the exact state and root.
+TEST(StorePropertyTest, UpdateMatchesGetThenWrite) {
+  const Model initial = {{"k/inline", util::to_bytes("v")},
+                         {"k/spill", util::Bytes(40, 0x44)},
+                         {"k/other", util::to_bytes("o")}};
+  const util::Bytes v = util::to_bytes("new");
+  for (const Rmw op : {Rmw::kSet, Rmw::kErase, Rmw::kKeep, Rmw::kEraseThenSet,
+                       Rmw::kSetThenErase}) {
+    for (const std::string key : {"k/inline", "k/spill", "k/absent"}) {
+      for (const bool revert : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "op " << static_cast<int>(op)
+                                          << " key " << key
+                                          << " revert " << revert);
+        chain::KvStore a, b;
+        for (const auto& [k, val] : initial) {
+          a.set(k, val);
+          b.set(k, val);
+        }
+        const crypto::Digest before = a.root();
+        HookLog log_a, log_b;
+        log_writes(a, log_a);
+        log_writes(b, log_b);
+        a.begin_tx();
+        b.begin_tx();
+        apply_update(a, key, op, v);
+        apply_get_then_write(b, key, op, v);
+        EXPECT_EQ(log_a, log_b);
+        EXPECT_EQ(a.get(key), b.get(key));
+        EXPECT_EQ(a.size(), b.size());
+        EXPECT_EQ(a.root(), b.root());
+        if (!revert) {
+          a.commit_tx();
+          b.commit_tx();
+          continue;
+        }
+        a.revert_tx();
+        b.revert_tx();
+        EXPECT_EQ(log_a, log_b);  // the restoring writes too
+        expect_matches_model(a, initial, 0);
+        EXPECT_FALSE(a.contains("k/absent"));
+        EXPECT_EQ(a.root(), before);
+        expect_root_matches_model(a, initial, key, 0);
+      }
+    }
   }
 }
 
