@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <utility>
 
@@ -380,6 +381,59 @@ TEST_F(RpcFixture, QueueOverflowRejects) {
   EXPECT_GT(ok, 0);
   EXPECT_EQ(ok + rejected, 20);
   EXPECT_EQ(server->requests_rejected(), static_cast<std::uint64_t>(rejected));
+}
+
+TEST_F(RpcFixture, DuplicatedFramesAreServedAndAnsweredOnce) {
+  // The network delivers every frame twice, but RPC runs over a reliable
+  // stream: the server serves each request once and each caller hears back
+  // once. Ten requests over all nine endpoints fill the server (one in
+  // service, nine queued); an eleventh finds the queue full.
+  cost.request_queue_capacity = 9;
+  server = std::make_unique<rpc::Server>(sched, network, 0, ledger, mempool,
+                                         app, cost);
+  const chain::TxPtr tx = make_tx(0);
+  commit_block({tx});
+  app.store().set("pre/a", {});
+  network.set_fault_profile({.duplicate_probability = 1.0});
+
+  std::array<int, 10> answers{};
+  server->broadcast_tx_sync(0, make_tx(0), [&](util::Status) { ++answers[0]; });
+  server->query_tx(0, tx->hash(),
+                   [&](util::Result<rpc::TxResponse>) { ++answers[1]; });
+  server->query_tx(0, crypto::sha256(util::to_bytes("nope")),
+                   [&](util::Result<rpc::TxResponse>) { ++answers[2]; });
+  server->tx_search_height(
+      0, 1, 1, 30, [&](util::Result<rpc::TxSearchPage>) { ++answers[3]; });
+  server->query_packet_events(
+      0, 1, "send_packet", 1, 10,
+      [&](util::Result<rpc::TxSearchPage>) { ++answers[4]; });
+  server->query_packet_events_range(
+      0, 1, 1, "send_packet", 1, 10,
+      [&](util::Result<rpc::TxSearchPage>) { ++answers[5]; });
+  server->abci_query(0, "pre/a", true,
+                     [&](util::Result<rpc::Server::AbciQueryResult>) {
+                       ++answers[6];
+                     });
+  server->abci_query_prefix(0, "pre/",
+                            [&](std::vector<std::string>) { ++answers[7]; });
+  server->query_header(0, 1, [&](util::Result<rpc::Server::HeaderInfo>) {
+    ++answers[8];
+  });
+  server->status(0, [&](rpc::Server::StatusInfo) { ++answers[9]; });
+  sched.run_until(sched.now() + sim::millis(1));
+  ASSERT_EQ(server->queue_depth(), 10u);
+
+  std::vector<util::ErrorCode> rejected;
+  server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
+    rejected.push_back(res.status().code());
+  });
+  sched.run_until(sched.now() + sim::seconds(10));
+
+  EXPECT_GT(network.messages_duplicated(), 0u);
+  EXPECT_EQ(answers, (std::array<int, 10>{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(rejected, std::vector<util::ErrorCode>{util::ErrorCode::kUnavailable});
+  EXPECT_EQ(server->requests_served(), 10u);
+  EXPECT_EQ(server->requests_rejected(), 1u);
 }
 
 TEST_F(RpcFixture, WebSocketDeliversEventFrames) {
