@@ -8,13 +8,8 @@
 #   ./run_benches.sh            run all benches (cached)
 #   ./run_benches.sh --check    run the check phases, then a summary table:
 #     TSan over the parallel runner, determinism and telemetry tests;
-#     ASan+UBSan over the checker, fuzz, relayer, store-property,
-#     packet-index (IndexedTxSearch, RpcFixture), packet-event
-#     (PacketEventOracle, PacketEventSharing), sim::Task (SimTask),
-#     handshake-pin (HandshakePinned) and tx-lifecycle (TxTest, BlockTest,
-#     MempoolTest, LedgerTest, ConsensusTest, WalletFixture, TxSharing)
-#     tests;
-#     chaos campaigns; the golden-figure suite; a fig12 --trace smoke;
+#     ASan+UBSan (LeakSanitizer on) over every tier-1 test and 40 fuzz
+#     seeds; chaos campaigns; the golden-figure suite; a fig12 --trace smoke;
 #     bench reports (mitigations --smoke: schema, self and same-seed
 #     compare, perturbed copy, strict flags); the bench_scale smoke; the
 #     mitigations and mesh-routing smokes vs bench/baselines/; and
@@ -59,32 +54,13 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store + genesis + packet index + packet events + tasks + tx lifecycle + app layer"
+  phase "ASan+UBSan: every tier-1 test, LeakSanitizer on"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
-    test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
-    test_mitigations test_packet_events test_foundation test_chain test_app test_protocol \
-    test_scale
-  # StoreModelProperty/StoreProperty run the randomized-op store model tests
-  # (tagged hash index, tag collisions, one-probe writes, arena, spill
-  # values, compaction) under ASan, KvStoreTest the store's unit tests and
-  # BulkGenesisTest the prefetched bulk genesis loops.
-  # IndexedTxSearch/RpcFixture cover the ledger's lazily built packet-event
-  # rows, which const accessors write on a block's first query.
-  # PacketEventOracle/PacketEventSharing cover the packet-event payloads the
-  # ledger, RPC pages, WebSocket frames and QueryCache entries share.
-  # SimTask covers the coroutine frames the relayer and the channel handshake
-  # run on (abandoned chains must free every frame: LeakSanitizer is on), and
-  # HandshakePinned the handshake's schedule.
-  # TxTest..TxSharing cover the sealed txs the wallet, mempool, proposals and
-  # ledger share by pointer, and the responses and frames that point into
-  # the ledger's per-block results.
-  # AppFixture..PinnedBytes cover the bank, auth, keeper, codec and byte
-  # helpers that build keys and values in place (util::Key) and read store
-  # memory through views, and the channel-end memo; VoucherDenomMemo the
-  # per-path voucher denom memo.
-  (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|IndexedTxSearch|RpcFixture|PacketEventOracle|PacketEventSharing|SimTask|HandshakePinned|TxTest|BlockTest|MempoolTest|LedgerTest|ConsensusTest|WalletFixture|TxSharing|AppFixture|TwoChains|MsgCodec|PacketCodec|ConservationProperty|BytesTest|OrderedChannels|PinnedBytes|KvStoreTest|BulkGenesisTest|VoucherDenomMemo')
+  cmake --build build-asan -j
+  # The whole suite, not a hand-kept list: coroutine frames (the RPC
+  # endpoints, the wallet, the workloads, the relayer and the handshake) must
+  # be freed when their chain is abandoned, so leaks fail the run.
+  (cd build-asan && ASAN_OPTIONS=detect_leaks=1 ctest --output-on-failure -j4)
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

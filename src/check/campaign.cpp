@@ -161,11 +161,11 @@ class CampaignRun {
                                               std::uint64_t gas) {
     auto resolved = std::make_shared<bool>(false);
     auto out = std::make_shared<relayer::Wallet::SubmitOutcome>();
-    wallet.submit(std::move(msgs), gas,
-                  [resolved, out](const relayer::Wallet::SubmitOutcome& o) {
-                    *out = o;
-                    *resolved = true;
-                  });
+    sim::spawn(wallet.submit(std::move(msgs), gas),
+               [resolved, out](const relayer::Wallet::SubmitOutcome& o) {
+                 *out = o;
+                 *resolved = true;
+               });
     const sim::TimePoint deadline = now() + sim::seconds(120);
     while (!aborted_ && !*resolved && now() < deadline) {
       if (!step_guarded()) break;
@@ -694,8 +694,8 @@ void CampaignRun::submit_transfer_storm(int txs, int msgs_per_tx) {
     }
     const std::uint64_t gas =
         100'000 + 80'000 * static_cast<std::uint64_t>(msgs_per_tx);
-    probe_a_->submit(std::move(msgs), gas,
-                     [](const relayer::Wallet::SubmitOutcome&) {});
+    sim::spawn(probe_a_->submit(std::move(msgs), gas),
+               [](const relayer::Wallet::SubmitOutcome&) {});
   }
 }
 

@@ -104,117 +104,91 @@ void QueryCache::evict_coldest() {
   erase(index_.find(lru_.back().key));
 }
 
-void QueryCache::serve_hit(const rpc::Server& server, const char* what,
-                           std::function<void()> deliver) {
+sim::Duration QueryCache::book_hit(const rpc::Server& server,
+                                   const char* what) {
   bump(&Stats::hits);
   const sim::Duration cost = server.cost_model().cache_hit_cost;
   if (auto* t = telemetry::tracer(hub_)) {
     t->complete(track_, what, sched_.now(), cost);
   }
-  sched_.schedule_after(cost, std::move(deliver));
+  return cost;
 }
 
-void QueryCache::query_packet_events(
+sim::Task<util::Result<rpc::TxSearchPage>> QueryCache::query_packet_events(
     rpc::Server& server, net::MachineId client, chain::Height height,
-    const std::string& event_type, std::uint64_t seq_begin,
-    std::uint64_t seq_end,
-    std::function<void(util::Result<rpc::TxSearchPage>)> cb) {
+    std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end) {
   if (!config_.enabled) {
-    server.query_packet_events(client, height, event_type, seq_begin, seq_end,
-                               std::move(cb));
-    return;
+    co_return co_await server.query_packet_events(
+        client, height, std::move(event_type), seq_begin, seq_end);
   }
   Key key{&server, Kind::kPage, height, seq_begin, seq_end, false, event_type};
   if (const Entry* e = lookup(key)) {
-    serve_hit(server, "hit_page",
-              [cb = std::move(cb),
-               page = std::get<rpc::TxSearchPage>(e->payload)]() mutable {
-                cb(std::move(page));
-              });
-    return;
+    // A copy, taken now: the entry may be evicted while the hit is served.
+    rpc::TxSearchPage page = std::get<rpc::TxSearchPage>(e->payload);
+    co_await sim::delay(sched_, book_hit(server, "hit_page"));
+    co_return std::move(page);
   }
   bump(&Stats::misses);
-  server.query_packet_events(
-      client, height, event_type, seq_begin, seq_end,
-      [this, key = std::move(key),
-       cb = std::move(cb)](util::Result<rpc::TxSearchPage> res) mutable {
-        if (res.is_ok()) {
-          insert(std::move(key), res.value(), page_bytes(res.value()));
-        }
-        cb(std::move(res));
-      });
+  util::Result<rpc::TxSearchPage> res = co_await server.query_packet_events(
+      client, height, std::move(event_type), seq_begin, seq_end);
+  if (res.is_ok()) {
+    insert(std::move(key), res.value(), page_bytes(res.value()));
+  }
+  co_return std::move(res);
 }
 
-void QueryCache::query_header(
-    rpc::Server& server, net::MachineId client, chain::Height height,
-    std::function<void(util::Result<rpc::Server::HeaderInfo>)> cb) {
-  if (!config_.enabled) {
-    server.query_header(client, height, std::move(cb));
-    return;
-  }
+sim::Task<util::Result<rpc::Server::HeaderInfo>> QueryCache::query_header(
+    rpc::Server& server, net::MachineId client, chain::Height height) {
+  if (!config_.enabled) co_return co_await server.query_header(client, height);
   Key key{&server, Kind::kHeader, height, 0, 0, false, {}};
   if (const Entry* e = lookup(key)) {
-    serve_hit(server, "hit_header",
-              [cb = std::move(cb),
-               info = std::get<rpc::Server::HeaderInfo>(e->payload)]() mutable {
-                cb(std::move(info));
-              });
-    return;
+    rpc::Server::HeaderInfo info =
+        std::get<rpc::Server::HeaderInfo>(e->payload);
+    co_await sim::delay(sched_, book_hit(server, "hit_header"));
+    co_return std::move(info);
   }
   bump(&Stats::misses);
-  server.query_header(
-      client, height,
-      [this, key = std::move(key), cb = std::move(cb)](
-          util::Result<rpc::Server::HeaderInfo> res) mutable {
-        if (res.is_ok()) {
-          insert(std::move(key), res.value(), header_bytes(res.value()));
-        }
-        cb(std::move(res));
-      });
+  util::Result<rpc::Server::HeaderInfo> res =
+      co_await server.query_header(client, height);
+  if (res.is_ok()) {
+    insert(std::move(key), res.value(), header_bytes(res.value()));
+  }
+  co_return std::move(res);
 }
 
-void QueryCache::abci_query(
-    rpc::Server& server, net::MachineId client, const std::string& key_str,
-    bool prove,
-    std::function<void(util::Result<rpc::Server::AbciQueryResult>)> cb) {
+sim::Task<util::Result<rpc::Server::AbciQueryResult>> QueryCache::abci_query(
+    rpc::Server& server, net::MachineId client, std::string key_str,
+    bool prove) {
   if (!config_.enabled) {
-    server.abci_query(client, key_str, prove, std::move(cb));
-    return;
+    co_return co_await server.abci_query(client, std::move(key_str), prove);
   }
   // Store queries answer at the latest committed height, so kAbci entries
   // key at height 0; the answer height rides in the cached payload itself
   // and on_height_advance judges staleness from it.
   Key probe{&server, Kind::kAbci, 0, 0, 0, prove, key_str};
   if (const Entry* e = lookup(probe)) {
-    serve_hit(
-        server, "hit_proof",
-        [cb = std::move(cb),
-         res = std::get<rpc::Server::AbciQueryResult>(e->payload)]() mutable {
-          cb(std::move(res));
-        });
-    return;
+    rpc::Server::AbciQueryResult res =
+        std::get<rpc::Server::AbciQueryResult>(e->payload);
+    co_await sim::delay(sched_, book_hit(server, "hit_proof"));
+    co_return std::move(res);
   }
   bump(&Stats::misses);
-  server.abci_query(
-      client, key_str, prove,
-      [this, &server, probe = std::move(probe), cb = std::move(cb)](
-          util::Result<rpc::Server::AbciQueryResult> res) mutable {
-        if (res.is_ok()) {
-          // Guard against caching a response the chain has already moved
-          // past: when this query was queued the height watermark may have
-          // advanced (the worker pool reorders completions freely), and
-          // on_height_advance has already swept — a late insert would pin a
-          // stale proof until the next advance.
-          const auto seen = observed_height_.find(&server);
-          if (seen != observed_height_.end() &&
-              res.value().height < seen->second) {
-            bump(&Stats::stale_rejections);
-          } else {
-            insert(std::move(probe), res.value(), abci_bytes(res.value()));
-          }
-        }
-        cb(std::move(res));
-      });
+  util::Result<rpc::Server::AbciQueryResult> res =
+      co_await server.abci_query(client, std::move(key_str), prove);
+  if (res.is_ok()) {
+    // Guard against caching a response the chain has already moved past:
+    // when this query was queued the height watermark may have advanced
+    // (the worker pool reorders completions freely), and on_height_advance
+    // has already swept — a late insert would pin a stale proof until the
+    // next advance.
+    const auto seen = observed_height_.find(&server);
+    if (seen != observed_height_.end() && res.value().height < seen->second) {
+      bump(&Stats::stale_rejections);
+    } else {
+      insert(std::move(probe), res.value(), abci_bytes(res.value()));
+    }
+  }
+  co_return std::move(res);
 }
 
 void QueryCache::on_height_advance(const rpc::Server& server,

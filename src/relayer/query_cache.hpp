@@ -16,18 +16,18 @@
 //     (on_height_advance).
 //   * Entries live under one LRU byte budget; inserting past the budget
 //     evicts from the cold end.
-//   * A hit skips the RPC round trip entirely and delivers a copy of the
+//   * A hit skips the RPC round trip entirely and answers a copy of the
 //     response after CostModel::cache_hit_cost of local work — the server's
 //     request queue never sees the request, which is exactly the relief the
-//     paper predicts for its serial-RPC bottleneck.
+//     paper predicts for its serial-RPC bottleneck. A miss awaits the server
+//     and inserts what it answers.
 //
-// Disabled (the default, paper-faithful mode) the cache is a zero-state
-// pass-through: every call forwards verbatim to the server, no counters
-// move, and simulation timing is untouched — the golden figures depend on
-// this.
+// Each wrapper is a task, awaited like the endpoint it wraps. Disabled (the
+// default, paper-faithful mode) the cache is a zero-state pass-through:
+// every call awaits the server verbatim, no counters move, and simulation
+// timing is untouched — the golden figures depend on this.
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <string>
@@ -36,6 +36,7 @@
 
 #include "rpc/server.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace relayer {
@@ -64,20 +65,15 @@ class QueryCache {
   void set_telemetry(telemetry::Hub* hub, const std::string& name);
 
   // --- memoizing wrappers over the rpc::Server read endpoints --------------
-  void query_packet_events(
+  sim::Task<util::Result<rpc::TxSearchPage>> query_packet_events(
       rpc::Server& server, net::MachineId client, chain::Height height,
-      const std::string& event_type, std::uint64_t seq_begin,
-      std::uint64_t seq_end,
-      std::function<void(util::Result<rpc::TxSearchPage>)> cb);
+      std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end);
 
-  void query_header(
-      rpc::Server& server, net::MachineId client, chain::Height height,
-      std::function<void(util::Result<rpc::Server::HeaderInfo>)> cb);
+  sim::Task<util::Result<rpc::Server::HeaderInfo>> query_header(
+      rpc::Server& server, net::MachineId client, chain::Height height);
 
-  void abci_query(
-      rpc::Server& server, net::MachineId client, const std::string& key,
-      bool prove,
-      std::function<void(util::Result<rpc::Server::AbciQueryResult>)> cb);
+  sim::Task<util::Result<rpc::Server::AbciQueryResult>> abci_query(
+      rpc::Server& server, net::MachineId client, std::string key, bool prove);
 
   /// The relayer observed `height` on `server`'s chain: every ABCI entry for
   /// that server answering at an older height is stale (store queries read
@@ -147,9 +143,9 @@ class QueryCache {
   Index::iterator erase(Index::iterator it);
   void evict_coldest();
 
-  /// Books a hit and delivers `deliver` after cache_hit_cost of local work.
-  void serve_hit(const rpc::Server& server, const char* what,
-                 std::function<void()> deliver);
+  /// Books a hit; returns the local work it costs (cache_hit_cost), which
+  /// the caller waits out before answering.
+  sim::Duration book_hit(const rpc::Server& server, const char* what);
   /// The one increment site of a Stats counter and its Registry mirror.
   void bump(std::uint64_t Stats::*field);
 

@@ -121,7 +121,7 @@ void Relayer::start() {
     op_running_[lane] = false;
   }
   // Nothing is genuinely in flight after a restart: every op and wallet
-  // callback of the previous life dropped its continuation. Surviving table
+  // submission of the previous life dropped its continuation. Surviving table
   // entries parked in transient stages would otherwise be skipped by both
   // the clear pass and the ack scan and strand forever.
   for (auto& [seq, ps] : packets_) {
@@ -156,16 +156,24 @@ void Relayer::start() {
   // queryable chain state — outstanding commitments on the source (a clear
   // pass over a bounded window) and recent write_acknowledgement events on
   // the destination (packets delivered but never acknowledged).
-  a_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
-    if (!running_ || info.height == 0) return;
-    last_clear_height_ = info.height;
-    enqueue(ClearOp{rescan_from(info.height), info.height});
-  });
-  b_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
-    if (!running_ || info.height == 0) return;
-    last_seen_b_height_ = std::max(last_seen_b_height_, info.height);
-    enqueue(AckScanOp{rescan_from(info.height), info.height});
-  });
+  // A node too busy to answer leaves nothing to re-scan, as a chain at
+  // height 0 does.
+  sim::spawn(a_.server->status(config_.machine),
+             [this](util::Result<rpc::Server::StatusInfo> info) {
+               if (!running_ || !info.is_ok()) return;
+               const chain::Height h = info.value().height;
+               if (h == 0) return;
+               last_clear_height_ = h;
+               enqueue(ClearOp{rescan_from(h), h});
+             });
+  sim::spawn(b_.server->status(config_.machine),
+             [this](util::Result<rpc::Server::StatusInfo> info) {
+               if (!running_ || !info.is_ok()) return;
+               const chain::Height h = info.value().height;
+               if (h == 0) return;
+               last_seen_b_height_ = std::max(last_seen_b_height_, h);
+               enqueue(AckScanOp{rescan_from(h), h});
+             });
 }
 
 void Relayer::stop() {
@@ -352,16 +360,17 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
 
   if (!new_seqs.empty()) {
     // Confirm the transfers committed (one status round trip covers the
-    // batch — near-instant in Fig. 12).
-    a_.server->status(config_.machine,
-                      [this, h = frame.height, seqs = std::move(new_seqs)](
-                          rpc::Server::StatusInfo) {
-                        if (!running_) return;
-                        for (ibc::Sequence s : seqs) {
-                          record(Step::kTransferConfirmation, s);
-                        }
-                        enqueue(RelayBatchOp{h, seqs});
-                      });
+    // batch — near-instant in Fig. 12). The answer's content is not needed,
+    // so a busy node's refusal confirms them just the same.
+    sim::spawn(a_.server->status(config_.machine),
+               [this, h = frame.height, seqs = std::move(new_seqs)](
+                   const util::Result<rpc::Server::StatusInfo>&) {
+                 if (!running_) return;
+                 for (ibc::Sequence s : seqs) {
+                   record(Step::kTransferConfirmation, s);
+                 }
+                 enqueue(RelayBatchOp{h, seqs});
+               });
   }
 
   check_timeouts();
@@ -380,7 +389,7 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
     bump(&Stats::frames_failed);
     if (config_.websocket_failure_sticky) ws_wedged_b_ = true;
   }
-  // A wedged source extracts nothing (the commit-callback path still drives
+  // A wedged source extracts nothing (the commit bookkeeping still drives
   // acks for our own recv txs); an oversized frame carries no events.
   if (ws_wedged_b_ || !frame.results) return;
 
@@ -537,11 +546,8 @@ sim::Task<PullResult> Relayer::pull_chunks(
     const ibc::Sequence hi = seqs[end - 1];
 
     bump(&Stats::chunk_queries);
-    const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
-        [&](auto resume) {
-          cache_.query_packet_events(*server, config_.machine, height,
-                                     event_type, lo, hi, std::move(resume));
-        });
+    const auto res = co_await cache_.query_packet_events(
+        *server, config_.machine, height, event_type, lo, hi);
     if (!running_) co_await sim::abandon();
     // Host-side pull cost: scanning returned pages for packet events.
     telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
@@ -704,14 +710,10 @@ sim::Task<> Relayer::build_and_submit(const Leg& leg,
         !has_msg_data(leg, it->second)) {
       continue;
     }
-    const auto res =
-        co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
-            [&](auto resume) {
-              cache_.abci_query(
-                  *leg.server, config_.machine,
-                  leg.proof_key(path_.port, leg.proof_channel, seq).str(),
-                  /*prove=*/true, std::move(resume));
-            });
+    const auto res = co_await cache_.abci_query(
+        *leg.server, config_.machine,
+        leg.proof_key(path_.port, leg.proof_channel, seq).str(),
+        /*prove=*/true);
     if (!running_) co_await sim::abandon();
     {
       telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
@@ -745,25 +747,26 @@ sim::Task<> Relayer::send_txs(const Leg& leg, std::vector<BuiltMsg> msgs) {
     begin = end;
     TxPlan plan = co_await with_client_updates(leg, std::move(tx));
     // The pipeline advances to the next tx as soon as this one is in the
-    // mempool (optimistic submission); the commit callback only does
-    // bookkeeping, and advances the pipeline itself if the broadcast fails.
+    // mempool (optimistic submission), so the submission forks: its commit
+    // bookkeeping runs as a task of its own, which advances the pipeline
+    // itself if the broadcast fails.
     co_await sim::callback([&](sim::Resume<> advance) {
       telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-      leg.wallet->submit(
-          std::move(plan.msgs), plan.gas,
+      auto on_broadcast = [this, &leg, tx_seqs, advance] {
+        for (ibc::Sequence s : tx_seqs) {
+          record(leg.broadcast, s);
+          const auto it = packets_.find(s);
+          if (it != packets_.end() && it->second.stage == leg.ready) {
+            it->second.stage = leg.in_flight;
+          }
+        }
+        advance();
+      };
+      sim::spawn(
+          leg.wallet->submit(std::move(plan.msgs), plan.gas, on_broadcast),
           [this, &leg, tx_seqs, advance](const Wallet::SubmitOutcome& out) {
             if (!running_) return;
             (this->*leg.committed)(tx_seqs, out);
-            advance();
-          },
-          [this, &leg, tx_seqs, advance] {
-            for (ibc::Sequence s : tx_seqs) {
-              record(leg.broadcast, s);
-              const auto it = packets_.find(s);
-              if (it != packets_.end() && it->second.stage == leg.ready) {
-                it->second.stage = leg.in_flight;
-              }
-            }
             advance();
           });
     });
@@ -782,11 +785,7 @@ sim::Task<Relayer::TxPlan> Relayer::with_client_updates(
     // Headers are immutable once committed — ideal cache fodder: every tx in
     // a batch containing the same proof height re-fetches the same header.
     const auto res =
-        co_await sim::callback<util::Result<rpc::Server::HeaderInfo>>(
-            [&](auto resume) {
-              cache_.query_header(*leg.server, config_.machine, height,
-                                  std::move(resume));
-            });
+        co_await cache_.query_header(*leg.server, config_.machine, height);
     if (res.is_ok()) {
       telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
       plan.msgs.push_back(update_client_msg(leg.client, res.value()));
@@ -948,16 +947,10 @@ sim::Task<> Relayer::run(TimeoutBatchOp op) {
     // cached: a receipt can appear at any commit, and a stale "not received"
     // answer would produce a doomed MsgTimeout (timeouts are rare, so there
     // is no win to chase either).
-    const auto res =
-        co_await sim::callback<util::Result<rpc::Server::AbciQueryResult>>(
-            [&](auto resume) {
-              b_.server->abci_query(
-                  config_.machine,
-                  ibc::host::packet_receipt_key(path_.port, path_.channel_b,
-                                                seq)
-                      .str(),
-                  /*prove=*/true, std::move(resume));
-            });
+    const auto res = co_await b_.server->abci_query(
+        config_.machine,
+        ibc::host::packet_receipt_key(path_.port, path_.channel_b, seq).str(),
+        /*prove=*/true);
     if (!running_) co_await sim::abandon();
     const auto it2 = packets_.find(seq);
     if (res.is_ok() && !res.value().exists && it2 != packets_.end() &&
@@ -976,10 +969,7 @@ sim::Task<> Relayer::run(TimeoutBatchOp op) {
   for (const BuiltMsg& m : msgs) tx_seqs.push_back(m.seq);
   TxPlan plan = co_await with_client_updates(ack_leg_, std::move(msgs));
   const auto out =
-      co_await sim::callback<Wallet::SubmitOutcome>([&](auto resume) {
-        ack_leg_.wallet->submit(std::move(plan.msgs), plan.gas,
-                                std::move(resume));
-      });
+      co_await ack_leg_.wallet->submit(std::move(plan.msgs), plan.gas);
   if (!running_) co_await sim::abandon();
   for (ibc::Sequence s : tx_seqs) {
     const auto it = packets_.find(s);
@@ -1001,16 +991,15 @@ sim::Task<> Relayer::run(ClearOp op) {
   // 1. Enumerate outstanding commitments on the source chain.
   const std::string prefix =
       ibc::host::packet_commitment_prefix(path_.port, path_.channel_a).str();
-  const auto keys =
-      co_await sim::callback<std::vector<std::string>>([&](auto resume) {
-        a_.server->abci_query_prefix(config_.machine, prefix,
-                                     std::move(resume));
-      });
+  const auto keys = co_await a_.server->abci_query_prefix(config_.machine,
+                                                          prefix);
   if (!running_) co_await sim::abandon();
+  // A node too busy to list them leaves nothing to clear this pass.
+  if (!keys.is_ok()) co_return;
   std::vector<ibc::Sequence> unknown;
   std::vector<ibc::Sequence> stuck_acks;
   bool ackless = false;
-  for (const std::string& key : keys) {
+  for (const std::string& key : keys.value()) {
     const ibc::Sequence seq =
         std::strtoull(key.c_str() + prefix.size(), nullptr, 10);
     if (seq == 0) continue;
@@ -1057,12 +1046,9 @@ sim::Task<> Relayer::run(ClearOp op) {
   if (!unknown.empty()) {
     std::sort(unknown.begin(), unknown.end());
     // 2. Recover packet data with an (expensive) height-range scan.
-    const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
-        [&](auto resume) {
-          a_.server->query_packet_events_range(
-              config_.machine, op.scan_from, op.scan_to, "send_packet",
-              unknown.front(), unknown.back(), std::move(resume));
-        });
+    const auto res = co_await a_.server->query_packet_events_range(
+        config_.machine, op.scan_from, op.scan_to, "send_packet",
+        unknown.front(), unknown.back());
     if (!running_) co_await sim::abandon();
     if (!res.is_ok()) {
       // Same defect class as the chunked pulls: a failed recovery scan used
@@ -1104,14 +1090,9 @@ sim::Task<> Relayer::run(AckScanOp op) {
   // so clearing would resubmit the recv (failing as redundant) instead of
   // the ack. Walk the window once and restore them to kRecvDone with their
   // decoded ack, then drive the acks.
-  const auto res = co_await sim::callback<util::Result<rpc::TxSearchPage>>(
-      [&](auto resume) {
-        b_.server->query_packet_events_range(
-            config_.machine, op.scan_from, op.scan_to,
-            "write_acknowledgement", /*seq_begin=*/1,
-            /*seq_end=*/std::numeric_limits<std::uint64_t>::max(),
-            std::move(resume));
-      });
+  const auto res = co_await b_.server->query_packet_events_range(
+      config_.machine, op.scan_from, op.scan_to, "write_acknowledgement",
+      /*seq_begin=*/1, /*seq_end=*/std::numeric_limits<std::uint64_t>::max());
   if (!running_) co_await sim::abandon();
   if (!res.is_ok()) {
     bump(&Stats::pull_query_failures);

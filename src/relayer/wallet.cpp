@@ -1,9 +1,9 @@
 #include "relayer/wallet.hpp"
 
 #include <cassert>
+#include <cmath>
 
 #include "util/log.hpp"
-#include <cmath>
 
 namespace relayer {
 
@@ -17,12 +17,23 @@ Wallet::Wallet(sim::Scheduler& sched, rpc::Server& server,
   }
 }
 
-void Wallet::submit(std::vector<chain::Msg> msgs, std::uint64_t gas_limit,
-                    SubmitCallback cb, std::function<void()> on_broadcast) {
-  waiting_.push_back(PendingSubmit{
-      std::make_shared<const std::vector<chain::Msg>>(std::move(msgs)),
-      gas_limit, std::move(cb), std::move(on_broadcast)});
-  pump();
+sim::Task<Wallet::SubmitOutcome> Wallet::submit(
+    std::vector<chain::Msg> msgs, std::uint64_t gas_limit,
+    std::function<void()> on_broadcast) {
+  // The submission runs as a task of its own, so that the wallet can pump
+  // its queue after the caller has taken the outcome: the account it frees
+  // goes to the next queued submission only once the caller's continuation
+  // has run (a burst's read-back of its committed tx is sent before the
+  // queued tx's broadcast, and each send draws network jitter in turn).
+  SubmitOutcome outcome = co_await sim::callback<SubmitOutcome>(
+      [&](sim::Resume<SubmitOutcome> done) {
+        sim::spawn(run(std::move(msgs), gas_limit, std::move(on_broadcast)),
+                   [this, done](SubmitOutcome out) {
+                     done(std::move(out));
+                     pump();
+                   });
+      });
+  co_return outcome;
 }
 
 Wallet::Account* Wallet::pick_account() {
@@ -37,194 +48,142 @@ Wallet::Account* Wallet::pick_account() {
   return nullptr;
 }
 
+std::size_t Wallet::take(Account& acct) {
+  acct.busy = true;
+  ++in_flight_;
+  return static_cast<std::size_t>(&acct - accounts_.data());
+}
+
+void Wallet::release(Account& acct) {
+  acct.busy = false;
+  assert(in_flight_ > 0);
+  --in_flight_;
+}
+
 void Wallet::pump() {
   while (!waiting_.empty()) {
     Account* acct = pick_account();
     if (!acct) return;
-    PendingSubmit work = std::move(waiting_.front());
+    const sim::Resume<std::size_t> next = std::move(waiting_.front());
     waiting_.pop_front();
-    const auto idx = static_cast<std::size_t>(acct - accounts_.data());
-    start_submit(idx, std::move(work));
+    next(take(*acct));  // runs that submission to its first RPC
   }
 }
 
-void Wallet::refresh_sequence(std::size_t account_idx,
-                              std::function<void()> then) {
-  Account& acct = accounts_[account_idx];
-  server_.abci_query(machine_, "auth/seq/" + acct.address, /*prove=*/false,
-                     [this, account_idx, then = std::move(then)](
-                         util::Result<rpc::Server::AbciQueryResult> res) {
-                       Account& a = accounts_[account_idx];
-                       if (res.is_ok() && res.value().exists &&
-                           res.value().value.size() == 8) {
-                         a.next_sequence =
-                             util::read_u64_be(res.value().value, 0);
-                         a.sequence_known = true;
-                       }
-                       then();
-                     });
-}
-
-void Wallet::start_submit(std::size_t account_idx, PendingSubmit work) {
-  Account& acct = accounts_[account_idx];
-  acct.busy = true;
-  ++in_flight_;
-
-  auto proceed = [this, account_idx, work = std::move(work)]() mutable {
-    chain::TxPtr tx = seal_next(account_idx, work);
-    broadcast(account_idx, std::move(tx), std::move(work),
-              config_.max_sequence_retries, config_.max_broadcast_retries);
-  };
-
-  if (!acct.sequence_known) {
-    refresh_sequence(account_idx, std::move(proceed));
-  } else {
-    proceed();
-  }
-}
-
-chain::TxPtr Wallet::seal_next(std::size_t account_idx,
-                               const PendingSubmit& work) const {
+chain::TxPtr Wallet::seal_next(const Account& acct,
+                               const std::vector<chain::Msg>& msgs,
+                               std::uint64_t gas_limit) const {
   chain::Tx tx;
-  tx.sender = accounts_[account_idx].address;
-  tx.sequence = accounts_[account_idx].next_sequence;
-  tx.gas_limit = work.gas_limit;
+  tx.sender = acct.address;
+  tx.sequence = acct.next_sequence;
+  tx.gas_limit = gas_limit;
   tx.fee = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(work.gas_limit) * config_.gas_price));
-  // A copy: `work` keeps its msgs for a re-sequenced retry.
-  tx.msgs = *work.msgs;
+      std::ceil(static_cast<double>(gas_limit) * config_.gas_price));
+  // A copy: the submission keeps its msgs for a re-sequenced retry.
+  tx.msgs = msgs;
   return chain::seal(std::move(tx));
 }
 
-void Wallet::finish(std::size_t account_idx, const SubmitOutcome& outcome,
-                    const SubmitCallback& cb) {
-  Account& acct = accounts_[account_idx];
-  acct.busy = false;
-  assert(in_flight_ > 0);
-  --in_flight_;
-  if (cb) cb(outcome);
-  pump();
-}
-
-void Wallet::broadcast(std::size_t account_idx, chain::TxPtr tx,
-                       PendingSubmit work, int seq_retries_left,
-                       int broadcast_retries_left) {
-  server_.broadcast_tx_sync(
-      machine_, tx,
-      [this, account_idx, tx, work = std::move(work), seq_retries_left,
-       broadcast_retries_left](util::Status status) mutable {
-        Account& acct = accounts_[account_idx];
-        const chain::TxHash hash = tx->hash();
-        if (status.is_ok()) {
-          // Accepted into the mempool: optimistically advance the sequence
-          // and track to commitment.
-          acct.next_sequence = tx->sequence + 1;
-          ++acct.unconfirmed;
-          if (work.on_broadcast) work.on_broadcast();
-          const sim::TimePoint deadline = sched_.now() + config_.confirm_timeout;
-          if (config_.optimistic_sequencing) {
-            // Free the account for the next submission immediately; the
-            // confirmation loop runs in the background.
-            SubmitCallback cb = std::move(work.cb);
-            acct.busy = false;
-            --in_flight_;
-            pump();
-            confirm_loop(account_idx, hash, std::move(cb), deadline);
-          } else {
-            // Hold the account until this tx commits (CLI behaviour).
-            confirm_loop(account_idx, hash,
-                         [this, account_idx, cb = std::move(work.cb)](
-                             const SubmitOutcome& outcome) {
-                           finish(account_idx, outcome, cb);
-                         },
-                         deadline);
-          }
-          return;
-        }
-
-        if (status.code() == util::ErrorCode::kSequenceMismatch &&
-            seq_retries_left > 0) {
-          ++seq_mismatch_;
-          IBC_LOG(kWarn, "wallet") << acct.address << " seq mismatch on tx seq "
-                                   << tx->sequence << ": " << status.message()
-                                   << " (retrying)";
-          acct.sequence_known = false;
-          refresh_sequence(account_idx, [this, account_idx,
-                                         work = std::move(work),
-                                         seq_retries_left,
-                                         broadcast_retries_left]() mutable {
-            chain::TxPtr retry = seal_next(account_idx, work);
-            broadcast(account_idx, std::move(retry), std::move(work),
-                      seq_retries_left - 1, broadcast_retries_left);
-          });
-          return;
-        }
-        if (status.code() == util::ErrorCode::kSequenceMismatch) {
-          ++seq_mismatch_;
-        }
-
-        if (status.code() == util::ErrorCode::kUnavailable &&
-            broadcast_retries_left > 0) {
-          ++rpc_unavailable_;
-          sched_.schedule_after(
-              config_.broadcast_retry_backoff,
-              [this, account_idx, tx = std::move(tx), work = std::move(work),
-               seq_retries_left, broadcast_retries_left]() mutable {
-                broadcast(account_idx, std::move(tx), std::move(work),
-                          seq_retries_left, broadcast_retries_left - 1);
-              });
-          return;
-        }
-        if (status.code() == util::ErrorCode::kUnavailable) {
-          ++rpc_unavailable_;
-        }
-
-        SubmitOutcome outcome;
-        outcome.status = status;
-        outcome.hash = hash;
-        finish(account_idx, outcome, work.cb);
+sim::Task<Wallet::SubmitOutcome> Wallet::run(
+    std::vector<chain::Msg> msgs, std::uint64_t gas_limit,
+    std::function<void()> on_broadcast) {
+  // A free account, FIFO behind earlier submissions.
+  const std::size_t idx =
+      co_await sim::callback<std::size_t>([this](sim::Resume<std::size_t> r) {
+        waiting_.push_back(std::move(r));
+        pump();
       });
-}
+  Account& acct = accounts_[idx];
 
-void Wallet::confirm_loop(std::size_t account_idx, chain::TxHash hash,
-                          SubmitCallback cb, sim::TimePoint deadline) {
-  server_.query_tx(
-      machine_, hash,
-      [this, account_idx, hash, cb = std::move(cb),
-       deadline](util::Result<rpc::TxResponse> res) mutable {
-        Account& acct = accounts_[account_idx];
-        if (res.is_ok()) {
-          if (acct.unconfirmed > 0) --acct.unconfirmed;
-          ++txs_committed_;
-          fees_paid_ += res.value().tx->fee;
-          SubmitOutcome outcome;
-          outcome.status = res.value().result->status;
-          outcome.hash = hash;
-          outcome.height = res.value().height;
-          outcome.committed = true;
-          if (cb) cb(outcome);
-          return;
+  // Seal and broadcast. A sequence mismatch re-reads the account's sequence
+  // and reseals; a full RPC queue re-sends the same tx after a backoff.
+  int seq_retries_left = config_.max_sequence_retries;
+  int broadcast_retries_left = config_.max_broadcast_retries;
+  chain::TxPtr tx;
+  util::Status status;
+  for (;;) {
+    if (!tx) {
+      if (!acct.sequence_known) {
+        const auto res = co_await server_.abci_query(
+            machine_, "auth/seq/" + acct.address, /*prove=*/false);
+        if (res.is_ok() && res.value().exists &&
+            res.value().value.size() == 8) {
+          acct.next_sequence = util::read_u64_be(res.value().value, 0);
+          acct.sequence_known = true;
         }
-        if (sched_.now() >= deadline) {
-          // The paper's "failed tx: no confirmation".
-          ++no_confirmation_;
-          if (acct.unconfirmed > 0) --acct.unconfirmed;
-          // The account's on-chain sequence is now uncertain; force a
-          // refresh before its next use.
-          acct.sequence_known = false;
-          SubmitOutcome outcome;
-          outcome.status = util::Status::error(
-              util::ErrorCode::kTimeout, "failed tx: no confirmation");
-          outcome.hash = hash;
-          if (cb) cb(outcome);
-          return;
-        }
-        sched_.schedule_after(
-            config_.confirm_poll_interval,
-            [this, account_idx, hash, cb = std::move(cb), deadline]() mutable {
-              confirm_loop(account_idx, hash, std::move(cb), deadline);
-            });
-      });
+      }
+      tx = seal_next(acct, msgs, gas_limit);
+    }
+    status = co_await server_.broadcast_tx_sync(machine_, tx);
+    if (status.code() == util::ErrorCode::kSequenceMismatch) {
+      ++seq_mismatch_;
+      if (seq_retries_left == 0) break;
+      --seq_retries_left;
+      IBC_LOG(kWarn, "wallet") << acct.address << " seq mismatch on tx seq "
+                               << tx->sequence << ": " << status.message()
+                               << " (retrying)";
+      acct.sequence_known = false;
+      tx = nullptr;
+      continue;
+    }
+    if (status.code() == util::ErrorCode::kUnavailable) {
+      ++rpc_unavailable_;
+      if (broadcast_retries_left == 0) break;
+      --broadcast_retries_left;
+      co_await sim::delay(sched_, config_.broadcast_retry_backoff);
+      continue;
+    }
+    break;
+  }
+  SubmitOutcome outcome;
+  outcome.hash = tx->hash();
+  if (!status.is_ok()) {
+    release(acct);
+    outcome.status = std::move(status);
+    co_return outcome;
+  }
+
+  // Accepted into the mempool: optimistically advance the sequence and track
+  // the tx to commitment. Only a reseal needed the msgs; the sealed tx holds
+  // its own copy, so they are not kept through the confirmation polls.
+  msgs = std::vector<chain::Msg>();
+  acct.next_sequence = tx->sequence + 1;
+  ++acct.unconfirmed;
+  if (on_broadcast) on_broadcast();
+  const sim::TimePoint deadline = sched_.now() + config_.confirm_timeout;
+  if (config_.optimistic_sequencing) {
+    // Free the account for the next submission now; the confirmation polls
+    // run in the background. In wait-for-commit mode the account is held
+    // until this tx commits (CLI behaviour).
+    release(acct);
+    pump();
+  }
+  for (;;) {
+    const auto res = co_await server_.query_tx(machine_, outcome.hash);
+    if (res.is_ok()) {
+      if (acct.unconfirmed > 0) --acct.unconfirmed;
+      ++txs_committed_;
+      fees_paid_ += res.value().tx->fee;
+      outcome.status = res.value().result->status;
+      outcome.height = res.value().height;
+      outcome.committed = true;
+      break;
+    }
+    if (sched_.now() >= deadline) {
+      // The paper's "failed tx: no confirmation".
+      ++no_confirmation_;
+      if (acct.unconfirmed > 0) --acct.unconfirmed;
+      // The account's on-chain sequence is now uncertain; force a refresh
+      // before its next use.
+      acct.sequence_known = false;
+      outcome.status = util::Status::error(util::ErrorCode::kTimeout,
+                                           "failed tx: no confirmation");
+      break;
+    }
+    co_await sim::delay(sched_, config_.confirm_poll_interval);
+  }
+  if (!config_.optimistic_sequencing) release(acct);
+  co_return outcome;
 }
 
 }  // namespace relayer

@@ -11,11 +11,18 @@
 //     account submits its next transaction only after the previous one
 //     commits — which is what limits each account to one transaction per
 //     block and forces multi-account submission (§III-D).
+//
+// A submission is one coroutine, written as the CLI's loop: wait for a free
+// account (FIFO behind earlier submissions), refresh its sequence if
+// unknown, seal and broadcast, retry on a sequence mismatch or a full RPC
+// queue, then poll query_tx until the tx commits or the deadline passes.
+// The caller learns the outcome before the account it frees takes the next
+// queued submission; in optimistic mode the account is freed, and the queue
+// pumped, right after `on_broadcast`, before the first confirmation poll.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +30,7 @@
 #include "net/network.hpp"
 #include "rpc/server.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 
 namespace relayer {
 
@@ -48,7 +56,6 @@ class Wallet {
     chain::Height height = 0;      // inclusion height (0 if never committed)
     bool committed = false;        // included in a block (even if it failed)
   };
-  using SubmitCallback = std::function<void(const SubmitOutcome&)>;
 
   Wallet(sim::Scheduler& sched, rpc::Server& server, net::MachineId machine,
          WalletConfig config);
@@ -57,12 +64,14 @@ class Wallet {
   Wallet& operator=(const Wallet&) = delete;
 
   /// Builds a transaction carrying `msgs`, assigns an account and sequence,
-  /// broadcasts it and tracks it to commitment. `gas_limit` should cover the
-  /// messages (the fee is gas_limit * gas_price). Submissions beyond account
-  /// capacity queue FIFO. `on_broadcast` (optional) fires as soon as the
-  /// mempool accepts the transaction — before commitment.
-  void submit(std::vector<chain::Msg> msgs, std::uint64_t gas_limit,
-              SubmitCallback cb, std::function<void()> on_broadcast = {});
+  /// broadcasts it and tracks it to commitment; the task finishes with the
+  /// outcome. `gas_limit` should cover the messages (the fee is gas_limit *
+  /// gas_price). Submissions beyond account capacity queue FIFO.
+  /// `on_broadcast` (optional) fires as soon as the mempool accepts the
+  /// transaction — before commitment.
+  sim::Task<SubmitOutcome> submit(std::vector<chain::Msg> msgs,
+                                  std::uint64_t gas_limit,
+                                  std::function<void()> on_broadcast = {});
 
   std::size_t queued() const { return waiting_.size(); }
   std::size_t in_flight() const { return in_flight_; }
@@ -83,35 +92,29 @@ class Wallet {
     bool busy = false;              // submission in progress on this account
   };
 
-  struct PendingSubmit {
-    /// Shared: the RPC callbacks that carry a submission through sequence
-    /// refreshes and retries copy a pointer, and each seal copies the msgs.
-    std::shared_ptr<const std::vector<chain::Msg>> msgs;
-    std::uint64_t gas_limit;
-    SubmitCallback cb;
-    std::function<void()> on_broadcast;
-  };
-
+  /// The submission proper; submit() hands its outcome to the caller, then
+  /// pumps the queue.
+  sim::Task<SubmitOutcome> run(std::vector<chain::Msg> msgs,
+                               std::uint64_t gas_limit,
+                               std::function<void()> on_broadcast);
+  /// Hands free accounts to queued submissions, oldest first.
   void pump();
   Account* pick_account();
-  void start_submit(std::size_t account_idx, PendingSubmit work);
-  /// Seals a tx from `account_idx`'s next sequence and `work`'s msgs.
-  chain::TxPtr seal_next(std::size_t account_idx,
-                         const PendingSubmit& work) const;
-  void broadcast(std::size_t account_idx, chain::TxPtr tx, PendingSubmit work,
-                 int seq_retries_left, int broadcast_retries_left);
-  void confirm_loop(std::size_t account_idx, chain::TxHash hash,
-                    SubmitCallback cb, sim::TimePoint deadline);
-  void refresh_sequence(std::size_t account_idx, std::function<void()> then);
-  void finish(std::size_t account_idx, const SubmitOutcome& outcome,
-              const SubmitCallback& cb);
+  /// Takes `acct` for a submission; release() gives it back.
+  std::size_t take(Account& acct);
+  void release(Account& acct);
+  /// Seals a tx from `acct`'s next sequence carrying a copy of `msgs`.
+  chain::TxPtr seal_next(const Account& acct,
+                         const std::vector<chain::Msg>& msgs,
+                         std::uint64_t gas_limit) const;
 
   sim::Scheduler& sched_;
   rpc::Server& server_;
   net::MachineId machine_;
   WalletConfig config_;
   std::vector<Account> accounts_;
-  std::deque<PendingSubmit> waiting_;
+  /// Queued submissions, each resumed with the account it is given.
+  std::deque<sim::Resume<std::size_t>> waiting_;
   std::size_t in_flight_ = 0;
 
   std::uint64_t seq_mismatch_ = 0;

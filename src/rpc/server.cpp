@@ -38,50 +38,25 @@ sim::Duration Server::jittered(sim::Duration base) {
   return static_cast<sim::Duration>(static_cast<double>(base) * f);
 }
 
-void Server::roundtrip(net::MachineId client, std::uint64_t request_bytes,
-                       std::function<sim::Duration()> service_cost,
-                       std::uint64_t response_bytes_hint,
-                       std::function<void()> deliver,
-                       std::function<void()> on_reject, const char* label) {
+template <typename R, typename Cost, typename Respond>
+sim::Task<R> Server::roundtrip(net::MachineId client,
+                               std::uint64_t request_bytes, Cost service_cost,
+                               std::uint64_t response_bytes, const char* label,
+                               Respond respond) {
   // RPC runs over a reliable stream (TCP) in the real deployment, so even
   // when the fault-injected network duplicates a frame, the server handles
-  // each request once and the client handles each response once. Duplication
-  // therefore only reaches gossip and WebSocket push traffic end to end;
-  // RPC callers still see at-most-once callbacks.
-  auto served = std::make_shared<bool>(false);
-  auto delivered = std::make_shared<bool>(false);
-  // Inbound leg.
-  network_.send(client, machine_, request_bytes, [this, client, served,
-                                                  delivered,
-                                                  service_cost =
-                                                      std::move(service_cost),
-                                                  response_bytes_hint,
-                                                  deliver = std::move(deliver),
-                                                  on_reject =
-                                                      std::move(on_reject),
-                                                  label]() mutable {
-    if (*served) return;
-    *served = true;
-    // Service cost is computed when service *starts*... more precisely when
-    // the request is enqueued; for ledger-reading queries the difference is
-    // immaterial because reads happen in `deliver` at completion time.
-    const sim::Duration st = jittered(service_cost());
-    const bool accepted = queue_.enqueue(
-        st, [this, client, response_bytes_hint, delivered,
-             deliver = std::move(deliver)]() mutable {
-          // Outbound leg.
-          network_.send(machine_, client, response_bytes_hint,
-                        [delivered, deliver = std::move(deliver)]() mutable {
-                          if (*delivered) return;
-                          *delivered = true;
-                          // `deliver` reads the ledger and builds the
-                          // response — the RPC path's host-side cost.
-                          telemetry::ProfileScope prof(
-                              telemetry::ProfileKey::kRpcService);
-                          deliver();
-                        });
-        },
-        label);
+  // each request once and the client each response once: a leg's second
+  // arrival calls a sim::Resume that has already fired. Duplication
+  // therefore only reaches gossip and WebSocket push traffic end to end.
+  co_await sim::callback([&](sim::Resume<> arrived) {
+    network_.send(client, machine_, request_bytes, std::move(arrived));
+  });
+  // Service cost is priced when the request is enqueued; for ledger-reading
+  // queries that is immaterial, because `respond` reads at completion time.
+  const sim::Duration service = jittered(service_cost());
+  bool accepted = false;
+  co_await sim::callback([&](sim::Resume<> served) {
+    accepted = queue_.enqueue(service, served, label);
     if (auto* f = telemetry::flight(hub_)) {
       // Journal the admission decision (the interesting outcome): a rejected
       // request is the overload signature the post-mortem needs to show.
@@ -89,35 +64,37 @@ void Server::roundtrip(net::MachineId client, std::uint64_t request_bytes,
                 flight_name_ + " " + (label ? label : "request") +
                     (accepted ? " accepted" : " rejected"));
     }
-    if (!accepted && on_reject) {
-      network_.send(machine_, client, 128,
-                    [delivered, on_reject = std::move(on_reject)]() mutable {
-                      if (*delivered) return;
-                      *delivered = true;
-                      on_reject();
-                    });
-    }
+    if (!accepted) served();
   });
+  co_await sim::callback([&](sim::Resume<> answered) {
+    network_.send(machine_, client, accepted ? response_bytes : 128,
+                  std::move(answered));
+  });
+  if (!accepted) {
+    co_return util::Status::error(util::ErrorCode::kUnavailable,
+                                  "RPC request queue full");
+  }
+  // Reading the ledger and building the response is the RPC path's host-side
+  // cost; the scope closes before the caller resumes.
+  R response = [&] {
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kRpcService);
+    return respond();
+  }();
+  co_return std::move(response);
 }
 
-void Server::broadcast_tx_sync(net::MachineId client, chain::TxPtr tx,
-                               std::function<void(util::Status)> cb) {
+sim::Task<util::Status> Server::broadcast_tx_sync(net::MachineId client,
+                                                  chain::TxPtr tx) {
   const std::uint64_t req_bytes = tx->size_bytes();
   const sim::Duration service =
       cost_.broadcast_base +
       cost_.broadcast_per_msg * static_cast<sim::Duration>(tx->msgs.size());
-  roundtrip(
+  // Admission happens at service completion: CheckTx against the
+  // then-current committed state.
+  return roundtrip<util::Status>(
       client, req_bytes, [service] { return service; }, 256,
-      [this, tx = std::move(tx), cb]() {
-        // Admission happens at service completion: CheckTx against the
-        // then-current committed state.
-        cb(mempool_.add(tx));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "broadcast_tx_sync");
+      "broadcast_tx_sync",
+      [this, tx = std::move(tx)] { return mempool_.add(tx); });
 }
 
 TxResponse Server::make_response(chain::Height height,
@@ -129,31 +106,24 @@ TxResponse Server::make_response(chain::Height height,
                     {results, &(*results)[index]}};
 }
 
-void Server::query_tx(net::MachineId client, chain::TxHash hash,
-                      std::function<void(util::Result<TxResponse>)> cb) {
-  roundtrip(
-      client, 128, [this] { return cost_.lookup_service; }, 2048,
-      [this, hash, cb]() {
+sim::Task<util::Result<TxResponse>> Server::query_tx(net::MachineId client,
+                                                     chain::TxHash hash) {
+  return roundtrip<util::Result<TxResponse>>(
+      client, 128, [this] { return cost_.lookup_service; }, 2048, "query_tx",
+      [this, hash]() -> util::Result<TxResponse> {
         const chain::TxLocation* loc = ledger_.find_tx(hash);
         if (!loc) {
-          cb(util::Status::error(util::ErrorCode::kNotFound,
-                                 "tx not found: " + util::to_hex(util::BytesView(
-                                                       hash.data(), 8))));
-          return;
+          return util::Status::error(
+              util::ErrorCode::kNotFound,
+              "tx not found: " + util::to_hex(util::BytesView(hash.data(), 8)));
         }
-        cb(make_response(loc->height, loc->index));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "query_tx");
+        return make_response(loc->height, loc->index);
+      });
 }
 
-void Server::tx_search_height(
+sim::Task<util::Result<TxSearchPage>> Server::tx_search_height(
     net::MachineId client, chain::Height height, std::uint32_t page,
-    std::uint32_t per_page,
-    std::function<void(util::Result<TxSearchPage>)> cb) {
+    std::uint32_t per_page) {
   // Service cost: scan the block's whole event payload; marshal one page.
   auto service = [this, height, per_page]() -> sim::Duration {
     const std::size_t block_bytes = ledger_.block_event_bytes(height);
@@ -168,15 +138,14 @@ void Server::tx_search_height(
   };
   const std::uint64_t resp_hint =
       std::min<std::uint64_t>(ledger_.block_event_bytes(height), 4 << 20);
-  roundtrip(
-      client, 192, service, resp_hint,
-      [this, height, page, per_page, cb]() {
+  return roundtrip<util::Result<TxSearchPage>>(
+      client, 192, service, resp_hint, "tx_search",
+      [this, height, page, per_page]() -> util::Result<TxSearchPage> {
         const chain::Block* block = ledger_.block_at(height);
         if (!block) {
-          cb(util::Status::error(util::ErrorCode::kNotFound,
-                                 "no block at height " +
-                                     std::to_string(height)));
-          return;
+          return util::Status::error(
+              util::ErrorCode::kNotFound,
+              "no block at height " + std::to_string(height));
         }
         TxSearchPage out;
         out.total_count = static_cast<std::uint32_t>(block->txs.size());
@@ -187,13 +156,8 @@ void Server::tx_search_height(
         for (std::size_t i = begin; i < end; ++i) {
           out.txs.push_back(make_response(height, static_cast<std::uint32_t>(i)));
         }
-        cb(std::move(out));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "tx_search");
+        return out;
+      });
 }
 
 Server::TxLocations Server::packet_matches(chain::Height height_begin,
@@ -220,27 +184,21 @@ std::size_t Server::event_bytes(const TxLocations& locs) const {
   return bytes;
 }
 
-void Server::deliver_page(
-    const TxLocations& locs,
-    const std::function<void(util::Result<TxSearchPage>)>& cb) const {
+util::Result<TxSearchPage> Server::make_page(const TxLocations& locs) const {
   TxSearchPage out;
   out.total_count = static_cast<std::uint32_t>(locs.size());
   out.txs.reserve(locs.size());
   for (const auto& [h, i] : locs) out.txs.push_back(make_response(h, i));
   if (tamper_) {
-    const util::Status st = tamper_(out);
-    if (!st.is_ok()) {
-      cb(st);
-      return;
-    }
+    util::Status st = tamper_(out);
+    if (!st.is_ok()) return st;
   }
-  cb(std::move(out));
+  return out;
 }
 
-void Server::query_packet_events(
-    net::MachineId client, chain::Height height, const std::string& event_type,
-    std::uint64_t seq_begin, std::uint64_t seq_end,
-    std::function<void(util::Result<TxSearchPage>)> cb) {
+sim::Task<util::Result<TxSearchPage>> Server::query_packet_events(
+    net::MachineId client, chain::Height height, std::string event_type,
+    std::uint64_t seq_begin, std::uint64_t seq_end) {
   // Tendermint's indexer evaluates the query against every event in the
   // block, then marshals only the matching transactions. That scan is what
   // the query is charged (with the indexed-tx_search mitigation, an index
@@ -256,31 +214,23 @@ void Server::query_packet_events(
             : cost_.scan_cost(ledger_.block_event_bytes(height));
     return cost_.base_service + scan + cost_.marshal_cost(event_bytes(locs));
   };
-
-  roundtrip(
-      client, 256, service, 1 << 20,
-      [this, height, event_type, seq_begin, seq_end, cb]() {
+  return roundtrip<util::Result<TxSearchPage>>(
+      client, 256, service, 1 << 20, "query_packet_events",
+      [this, height, event_type = std::move(event_type), seq_begin,
+       seq_end]() -> util::Result<TxSearchPage> {
         if (!ledger_.block_at(height)) {
-          cb(util::Status::error(util::ErrorCode::kNotFound,
-                                 "no block at height " +
-                                     std::to_string(height)));
-          return;
+          return util::Status::error(
+              util::ErrorCode::kNotFound,
+              "no block at height " + std::to_string(height));
         }
-        deliver_page(
-            packet_matches(height, height, event_type, seq_begin, seq_end),
-            cb);
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "query_packet_events");
+        return make_page(
+            packet_matches(height, height, event_type, seq_begin, seq_end));
+      });
 }
 
-void Server::query_packet_events_range(
+sim::Task<util::Result<TxSearchPage>> Server::query_packet_events_range(
     net::MachineId client, chain::Height height_begin, chain::Height height_end,
-    const std::string& event_type, std::uint64_t seq_begin,
-    std::uint64_t seq_end, std::function<void(util::Result<TxSearchPage>)> cb) {
+    std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end) {
   auto service = [this, height_begin, height_end, event_type, seq_begin,
                   seq_end]() -> sim::Duration {
     const chain::Height lo = std::max<chain::Height>(height_begin, 1);
@@ -301,90 +251,74 @@ void Server::query_packet_events_range(
     }
     return cost_.base_service + scan + cost_.marshal_cost(event_bytes(locs));
   };
-
-  roundtrip(
-      client, 256, service, 1 << 20,
-      [this, height_begin, height_end, event_type, seq_begin, seq_end, cb]() {
-        deliver_page(packet_matches(height_begin, height_end, event_type,
-                                    seq_begin, seq_end),
-                     cb);
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "query_packet_events_range");
+  return roundtrip<util::Result<TxSearchPage>>(
+      client, 256, service, 1 << 20, "query_packet_events_range",
+      [this, height_begin, height_end, event_type = std::move(event_type),
+       seq_begin, seq_end] {
+        return make_page(packet_matches(height_begin, height_end, event_type,
+                                        seq_begin, seq_end));
+      });
 }
 
-void Server::abci_query(
-    net::MachineId client, const std::string& key, bool prove,
-    std::function<void(util::Result<AbciQueryResult>)> cb) {
+sim::Task<util::Result<Server::AbciQueryResult>> Server::abci_query(
+    net::MachineId client, std::string key, bool prove) {
   const sim::Duration service =
       cost_.abci_query_service + (prove ? cost_.proof_generation : sim::kDurationZero);
-  roundtrip(
-      client, 192, [service] { return service; }, 2048,
-      [this, key, prove, cb]() {
+  return roundtrip<util::Result<AbciQueryResult>>(
+      client, 192, [service] { return service; }, 2048, "abci_query",
+      [this, key = std::move(key), prove]() -> util::Result<AbciQueryResult> {
         AbciQueryResult out;
         out.height = ledger_.height();
         const auto value = app_.store().get(key);
         out.exists = value.has_value();
         if (value) out.value = *value;
         if (prove) out.proof = app_.store().prove(key);
-        cb(std::move(out));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "abci_query");
+        return out;
+      });
 }
 
-void Server::abci_query_prefix(net::MachineId client, const std::string& prefix,
-                               std::function<void(std::vector<std::string>)> cb) {
-  roundtrip(
+sim::Task<util::Result<std::vector<std::string>>> Server::abci_query_prefix(
+    net::MachineId client, std::string prefix) {
+  return roundtrip<util::Result<std::vector<std::string>>>(
       client, 192, [this] { return cost_.abci_query_service; }, 64 << 10,
-      [this, prefix, cb]() { cb(app_.store().keys_with_prefix(prefix)); },
-      [cb]() { cb({}); }, "abci_query_prefix");
+      "abci_query_prefix", [this, prefix = std::move(prefix)] {
+        return util::Result<std::vector<std::string>>(
+            app_.store().keys_with_prefix(prefix));
+      });
 }
 
-void Server::query_header(net::MachineId client, chain::Height height,
-                          std::function<void(util::Result<HeaderInfo>)> cb) {
-  roundtrip(
+sim::Task<util::Result<Server::HeaderInfo>> Server::query_header(
+    net::MachineId client, chain::Height height) {
+  return roundtrip<util::Result<HeaderInfo>>(
       client, 96, [this] { return cost_.lookup_service; }, 2048,
-      [this, height, cb]() {
+      "query_header", [this, height]() -> util::Result<HeaderInfo> {
         const chain::Block* block = ledger_.block_at(height);
         const chain::Commit* commit = ledger_.seen_commit(height);
         const crypto::Digest* app_hash = ledger_.app_hash_after(height);
         if (!block || !commit || !app_hash) {
-          cb(util::Status::error(util::ErrorCode::kNotFound,
-                                 "no header at height " +
-                                     std::to_string(height)));
-          return;
+          return util::Status::error(
+              util::ErrorCode::kNotFound,
+              "no header at height " + std::to_string(height));
         }
         HeaderInfo info;
         info.header = block->header;
         info.commit = *commit;
         info.app_hash_after = *app_hash;
-        cb(std::move(info));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "query_header");
+        return info;
+      });
 }
 
-void Server::status(net::MachineId client, std::function<void(StatusInfo)> cb) {
-  roundtrip(
-      client, 64, [this] { return cost_.lookup_service; }, 512,
-      [this, cb]() {
+sim::Task<util::Result<Server::StatusInfo>> Server::status(
+    net::MachineId client) {
+  return roundtrip<util::Result<StatusInfo>>(
+      client, 64, [this] { return cost_.lookup_service; }, 512, "status",
+      [this] {
         StatusInfo info;
         info.height = ledger_.height();
         const chain::Block* b = ledger_.block_at(info.height);
         info.block_time = b ? b->header.time : 0;
-        cb(info);
-      },
-      [cb]() { cb(StatusInfo{}); }, "status");
+        return util::Result<StatusInfo>(info);
+      });
 }
 
 Server::SubscriptionId Server::subscribe_new_block(net::MachineId client,

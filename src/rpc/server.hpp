@@ -13,6 +13,15 @@
 //   packet-event queries (chunked, what Hermes data pulls use),
 //   abci_query (store reads with proofs), status, and a WebSocket
 //   new-block event subscription with the 16 MB frame limit.
+//
+// Each request endpoint is one sim::Task: `co_await server.query_tx(...)`
+// from a task, or sim::spawn(server.query_tx(...), on_done) from plain code.
+// The request runs as one coroutine over three awaited legs (inbound frame,
+// queue admission and service, outbound frame). RPC rides a reliable stream,
+// so a frame the fault-injected network duplicates is served once and
+// answered once: each leg resumes through a sim::Resume, which counts only
+// its first call. The WebSocket subscription stays a callback: it is a push
+// stream, not a round trip.
 
 #include <cstdint>
 #include <functional>
@@ -28,6 +37,7 @@
 #include "rpc/cost_model.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/service_queue.hpp"
+#include "sim/task.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -109,46 +119,48 @@ class Server {
   void set_query_tamper(QueryTamper tamper) { tamper_ = std::move(tamper); }
 
   // --- transaction submission -------------------------------------------
+  // Each request endpoint is a task that finishes with the response at the
+  // client; a request the full queue turns away finishes with kUnavailable.
+  // Parameters are taken by value: the task runs long after the call.
+
   /// CheckTx + mempool admission of the sealed `tx`, which the mempool then
-  /// holds as is. The callback receives the admission status;
+  /// holds as is. Answers the admission status;
   /// kResourceExhausted/kUnavailable indicate an overloaded server.
-  void broadcast_tx_sync(net::MachineId client, chain::TxPtr tx,
-                         std::function<void(util::Status)> cb);
+  sim::Task<util::Status> broadcast_tx_sync(net::MachineId client,
+                                            chain::TxPtr tx);
 
   // --- queries ------------------------------------------------------------
   /// Single transaction by hash (confirmation checks).
-  void query_tx(net::MachineId client, chain::TxHash hash,
-                std::function<void(util::Result<TxResponse>)> cb);
+  sim::Task<util::Result<TxResponse>> query_tx(net::MachineId client,
+                                               chain::TxHash hash);
 
   /// All transactions in block `height`, paginated (`page` is 1-based).
   /// Models `tx_search tx.height=H` — the expensive full-data query the
   /// paper's data collection uses (§V).
-  void tx_search_height(net::MachineId client, chain::Height height,
-                        std::uint32_t page, std::uint32_t per_page,
-                        std::function<void(util::Result<TxSearchPage>)> cb);
+  sim::Task<util::Result<TxSearchPage>> tx_search_height(
+      net::MachineId client, chain::Height height, std::uint32_t page,
+      std::uint32_t per_page);
 
   /// Chunked packet-event query: the Hermes "data pull". Returns the txs in
   /// block `height` that contain events of `event_type` whose packet
   /// sequence attribute falls in [seq_begin, seq_end]. Service cost
   /// scans the whole block's events and marshals the matches; the host looks
   /// the matches up in the ledger's packet-event index.
-  void query_packet_events(net::MachineId client, chain::Height height,
-                           const std::string& event_type,
-                           std::uint64_t seq_begin, std::uint64_t seq_end,
-                           std::function<void(util::Result<TxSearchPage>)> cb);
+  sim::Task<util::Result<TxSearchPage>> query_packet_events(
+      net::MachineId client, chain::Height height, std::string event_type,
+      std::uint64_t seq_begin, std::uint64_t seq_end);
 
   /// Range variant used by packet clearing: scans every block in
   /// [height_begin, height_end] for matching packet events. Far more
   /// expensive than the single-block form — the indexer walks each block's
   /// event payload.
-  void query_packet_events_range(
+  sim::Task<util::Result<TxSearchPage>> query_packet_events_range(
       net::MachineId client, chain::Height height_begin,
-      chain::Height height_end, const std::string& event_type,
-      std::uint64_t seq_begin, std::uint64_t seq_end,
-      std::function<void(util::Result<TxSearchPage>)> cb);
+      chain::Height height_end, std::string event_type,
+      std::uint64_t seq_begin, std::uint64_t seq_end);
 
   /// ABCI store query at the latest committed height; optionally with an
-  /// existence proof. The callback also receives the height the data/proof
+  /// existence proof. The result also carries the height the data/proof
   /// commits to.
   struct AbciQueryResult {
     chain::Height height = 0;
@@ -156,13 +168,14 @@ class Server {
     util::Bytes value;
     chain::StoreProof proof;  // populated when prove=true
   };
-  void abci_query(net::MachineId client, const std::string& key, bool prove,
-                  std::function<void(util::Result<AbciQueryResult>)> cb);
+  sim::Task<util::Result<AbciQueryResult>> abci_query(net::MachineId client,
+                                                      std::string key,
+                                                      bool prove);
 
   /// Keys under a store prefix (paginated upstream; full list here, the
   /// relayer chunks downstream). Used for packet clearing.
-  void abci_query_prefix(net::MachineId client, const std::string& prefix,
-                         std::function<void(std::vector<std::string>)> cb);
+  sim::Task<util::Result<std::vector<std::string>>> abci_query_prefix(
+      net::MachineId client, std::string prefix);
 
   /// Block header + the commit that finalized it + the post-execution app
   /// hash — everything a relayer needs to build a light-client update.
@@ -171,15 +184,15 @@ class Server {
     chain::Commit commit;
     crypto::Digest app_hash_after{};
   };
-  void query_header(net::MachineId client, chain::Height height,
-                    std::function<void(util::Result<HeaderInfo>)> cb);
+  sim::Task<util::Result<HeaderInfo>> query_header(net::MachineId client,
+                                                   chain::Height height);
 
   /// Node status: latest height and block time.
   struct StatusInfo {
     chain::Height height = 0;
     sim::TimePoint block_time = 0;
   };
-  void status(net::MachineId client, std::function<void(StatusInfo)> cb);
+  sim::Task<util::Result<StatusInfo>> status(net::MachineId client);
 
   // --- WebSocket subscription ---------------------------------------------
   using SubscriptionId = std::uint64_t;
@@ -209,16 +222,16 @@ class Server {
   }
 
  private:
-  /// Round-trips a request: client->server latency, serialized service,
-  /// server->client latency, then `deliver` runs at the client. When the
-  /// request queue is full, `on_reject` runs instead (after the inbound
-  /// latency). `label` (string literal) names the service span in traces.
-  void roundtrip(net::MachineId client, std::uint64_t request_bytes,
-                 std::function<sim::Duration()> service_cost,
-                 std::uint64_t response_bytes_hint,
-                 std::function<void()> deliver,
-                 std::function<void()> on_reject,
-                 const char* label = nullptr);
+  /// Round-trips a request: the client->server leg, admission to the
+  /// serialized queue (its service time, `service_cost()`, priced when the
+  /// request arrives), the server->client leg, then `respond()` builds the
+  /// response at the client. A request the full queue turns away is answered
+  /// kUnavailable instead. `label` (string literal) names the service span
+  /// in traces.
+  template <typename R, typename Cost, typename Respond>
+  sim::Task<R> roundtrip(net::MachineId client, std::uint64_t request_bytes,
+                         Cost service_cost, std::uint64_t response_bytes,
+                         const char* label, Respond respond);
 
   TxResponse make_response(chain::Height height, std::uint32_t index) const;
 
@@ -233,11 +246,9 @@ class Server {
                              std::uint64_t seq_end) const;
   /// Event bytes the responses for `locs` carry (drives marshal cost).
   std::size_t event_bytes(const TxLocations& locs) const;
-  /// Builds the page for `locs`, passes it through the tamper hook and hands
-  /// it (or the hook's error) to `cb`.
-  void deliver_page(
-      const TxLocations& locs,
-      const std::function<void(util::Result<TxSearchPage>)>& cb) const;
+  /// Builds the page for `locs` and passes it through the tamper hook, whose
+  /// error replaces the page.
+  util::Result<TxSearchPage> make_page(const TxLocations& locs) const;
 
   sim::Scheduler& sched_;
   net::Network& network_;

@@ -2,44 +2,31 @@
 
 namespace xcc {
 
-void RpcDataConnector::collect_block(chain::Height height,
-                                     std::function<void(BlockData)> cb) {
-  auto data = std::make_shared<BlockData>();
-  data->height = height;
-  fetch_page(data, sched_.now(), 1, std::move(cb));
-}
-
-void RpcDataConnector::fetch_page(std::shared_ptr<BlockData> data,
-                                  sim::TimePoint started, std::uint32_t page,
-                                  std::function<void(BlockData)> cb) {
-  server_.tx_search_height(
-      machine_, data->height, page, per_page_,
-      [this, data, started, page,
-       cb = std::move(cb)](util::Result<rpc::TxSearchPage> res) mutable {
-        if (!res.is_ok()) {
-          data->elapsed = sched_.now() - started;
-          cb(std::move(*data));
-          return;
-        }
-        ++data->pages;
-        for (auto& tx : res.value().txs) {
-          data->txs.push_back(std::move(tx));
-        }
-        if (data->txs.size() < res.value().total_count) {
-          fetch_page(data, started, page + 1, std::move(cb));
-          return;
-        }
-        data->ok = true;
-        data->elapsed = sched_.now() - started;
-        cb(std::move(*data));
-      });
+sim::Task<RpcDataConnector::BlockData> RpcDataConnector::collect_block(
+    chain::Height height) {
+  BlockData data;
+  data.height = height;
+  const sim::TimePoint started = sched_.now();
+  for (std::uint32_t page = 1;; ++page) {
+    auto res =
+        co_await server_.tx_search_height(machine_, height, page, per_page_);
+    if (!res.is_ok()) break;
+    ++data.pages;
+    for (auto& tx : res.value().txs) data.txs.push_back(std::move(tx));
+    if (data.txs.size() >= res.value().total_count) {
+      data.ok = true;
+      break;
+    }
+  }
+  data.elapsed = sched_.now() - started;
+  co_return data;
 }
 
 RpcDataConnector::BlockData RpcDataConnector::collect_block_blocking(
     chain::Height height, sim::TimePoint limit) {
   BlockData out;
   bool done = false;
-  collect_block(height, [&](BlockData d) {
+  sim::spawn(collect_block(height), [&](BlockData d) {
     out = std::move(d);
     done = true;
   });

@@ -10,11 +10,11 @@
 // block took, so the tooling overhead itself can be measured
 // (bench_sec5_data_collection).
 
-#include <functional>
 #include <vector>
 
 #include "rpc/server.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 
 namespace xcc {
 
@@ -33,18 +33,15 @@ class RpcDataConnector {
     bool ok = false;
   };
 
-  /// Collects every transaction of block `height` via paginated tx_search.
-  void collect_block(chain::Height height,
-                     std::function<void(BlockData)> cb);
+  /// Collects every transaction of block `height` via paginated tx_search,
+  /// one page after another.
+  sim::Task<BlockData> collect_block(chain::Height height);
 
   /// Convenience: runs collect_block to completion on the scheduler.
   BlockData collect_block_blocking(chain::Height height,
                                    sim::TimePoint limit);
 
  private:
-  void fetch_page(std::shared_ptr<BlockData> data, sim::TimePoint started,
-                  std::uint32_t page, std::function<void(BlockData)> cb);
-
   sim::Scheduler& sched_;
   rpc::Server& server_;
   net::MachineId machine_;

@@ -10,6 +10,7 @@
 #include "ibc/forward.hpp"
 #include "ibc/msgs.hpp"
 #include "util/bytes.hpp"
+#include "xcc/workload.hpp"
 
 namespace xcc {
 
@@ -245,7 +246,7 @@ sim::TimePoint MeshWorkload::start() {
             }
           });
 
-  for (std::size_t i = 0; i < wallets_.size(); ++i) account_loop(i);
+  for (std::size_t i = 0; i < wallets_.size(); ++i) sim::spawn(send(i));
   return testbed_.scheduler().now();
 }
 
@@ -253,79 +254,48 @@ bool MeshWorkload::submissions_resolved() const {
   return started_ && remaining_ == 0 && outstanding_ == 0;
 }
 
-void MeshWorkload::account_loop(std::size_t account_idx) {
-  if (remaining_ == 0) return;
-  const std::uint64_t count =
-      std::min<std::uint64_t>(remaining_, config_.msgs_per_tx);
-  remaining_ -= count;
-  ++outstanding_;
-
-  const chain::Address& sender = testbed_.user_accounts()[account_idx];
-  std::vector<chain::Msg> msgs;
-  msgs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ibc::MsgTransfer t;
-    t.source_port = ibc::kTransferPort;
-    t.source_channel = source_channel_;
-    t.denom = cosmos::kNativeDenom;
-    t.amount = config_.transfer_amount;
-    t.sender = sender;
-    t.receiver = receiver_;
-    t.timeout_height = testbed_.chain(route_[1]).ledger->height() +
-                       config_.timeout_height_offset;
-    msgs.push_back(t.to_msg());
+sim::Task<> MeshWorkload::send(std::size_t account) {
+  while (remaining_ > 0) {
+    const std::uint64_t count =
+        std::min<std::uint64_t>(remaining_, config_.msgs_per_tx);
+    remaining_ -= count;
+    ++outstanding_;
+    TransferBatch batch = transfer_batch(
+        source_channel_, testbed_.user_accounts()[account], receiver_,
+        config_.transfer_amount, count,
+        testbed_.chain(route_[1]).ledger->height() +
+            config_.timeout_height_offset);
+    sim::TimePoint broadcast_time = 0;
+    auto on_broadcast = [this, count, &broadcast_time] {
+      broadcast_time = testbed_.scheduler().now();
+      if (first_broadcast_ == 0) first_broadcast_ = broadcast_time;
+      for (std::uint64_t i = 0; i < count; ++i) {
+        live_->pending.push_back(broadcast_time);
+      }
+    };
+    const relayer::Wallet::SubmitOutcome out =
+        co_await wallets_[account]->submit(std::move(batch.msgs), batch.gas,
+                                           on_broadcast);
+    --outstanding_;
+    if (out.status.is_ok()) {
+      committed_ += count;
+      if (step_log_) {
+        sim::spawn(backfill_broadcast_records(*server_, config_.machine,
+                                              out.hash, source_channel_,
+                                              broadcast_time, *step_log_));
+      }
+    } else {
+      failed_ += count;
+      // FIFO matching assumed these would deliver; drop their slots so
+      // later deliveries pair with the right broadcast time. The slots
+      // sit in submission order, so dropping from the tail is correct
+      // only when nothing newer was broadcast — otherwise accept the
+      // (bounded, rare) skew rather than re-sorting history.
+      const std::size_t unmatched = live_->pending.size() - live_->head;
+      live_->pending.resize(live_->pending.size() -
+                            std::min<std::size_t>(count, unmatched));
+    }
   }
-
-  const std::uint64_t gas = static_cast<std::uint64_t>(
-      std::ceil((69'000.0 + 36'000.0 * static_cast<double>(count)) * 1.10));
-
-  auto broadcast_time = std::make_shared<sim::TimePoint>(0);
-  wallets_[account_idx]->submit(
-      std::move(msgs), gas,
-      [this, account_idx, count,
-       broadcast_time](const relayer::Wallet::SubmitOutcome& out) {
-        --outstanding_;
-        if (out.status.is_ok()) {
-          committed_ += count;
-          if (step_log_) backfill_broadcast_records(out.hash, *broadcast_time);
-        } else {
-          failed_ += count;
-          // FIFO matching assumed these would deliver; drop their slots so
-          // later deliveries pair with the right broadcast time. The slots
-          // sit in submission order, so dropping from the tail is correct
-          // only when nothing newer was broadcast — otherwise accept the
-          // (bounded, rare) skew rather than re-sorting history.
-          const std::size_t unmatched = live_->pending.size() - live_->head;
-          live_->pending.resize(live_->pending.size() -
-                                std::min<std::size_t>(count, unmatched));
-        }
-        account_loop(account_idx);
-      },
-      [this, count, broadcast_time]() {
-        *broadcast_time = testbed_.scheduler().now();
-        if (first_broadcast_ == 0) first_broadcast_ = *broadcast_time;
-        for (std::uint64_t i = 0; i < count; ++i) {
-          live_->pending.push_back(*broadcast_time);
-        }
-      });
-}
-
-void MeshWorkload::backfill_broadcast_records(chain::TxHash hash,
-                                              sim::TimePoint broadcast_time) {
-  server_->query_tx(
-      config_.machine, hash,
-      [this, broadcast_time](util::Result<rpc::TxResponse> res) {
-        if (!res.is_ok() || !step_log_) return;
-        for (const chain::Event& ev : res.value().result->events) {
-          const ibc::PacketEvent* pe = ibc::packet_event(ev);
-          if (pe == nullptr || pe->kind != ibc::PacketEventKind::kSend ||
-              pe->packet.source_channel != source_channel_) {
-            continue;
-          }
-          step_log_->record(relayer::Step::kTransferBroadcast,
-                            pe->packet.sequence, broadcast_time);
-        }
-      });
 }
 
 // --- Experiment runner ------------------------------------------------------

@@ -147,9 +147,9 @@ class MeshWorkload {
     sim::TimePoint last_delivery = 0;
   };
 
-  void account_loop(std::size_t account_idx);
-  void backfill_broadcast_records(chain::TxHash hash,
-                                  sim::TimePoint broadcast_time);
+  /// Submits `account`'s txs one after another, booking each outcome,
+  /// until nothing is left to submit.
+  sim::Task<> send(std::size_t account);
 
   Testbed& testbed_;
   MeshWorkloadConfig config_;

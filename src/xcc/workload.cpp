@@ -8,6 +8,48 @@
 
 namespace xcc {
 
+TransferBatch transfer_batch(const ibc::ChannelId& channel,
+                             const chain::Address& sender,
+                             const chain::Address& receiver,
+                             std::uint64_t amount, std::uint64_t count,
+                             std::int64_t timeout_height) {
+  TransferBatch batch;
+  batch.msgs.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ibc::MsgTransfer t;
+    t.source_port = ibc::kTransferPort;
+    t.source_channel = channel;
+    t.denom = cosmos::kNativeDenom;
+    t.amount = amount;
+    t.sender = sender;
+    t.receiver = receiver;
+    t.timeout_height = timeout_height;
+    batch.msgs.push_back(t.to_msg());
+  }
+  batch.gas = static_cast<std::uint64_t>(
+      std::ceil((69'000.0 + 36'000.0 * static_cast<double>(count)) * 1.10));
+  return batch;
+}
+
+sim::Task<> backfill_broadcast_records(rpc::Server& server,
+                                       net::MachineId machine,
+                                       chain::TxHash hash,
+                                       ibc::ChannelId channel,
+                                       sim::TimePoint broadcast_time,
+                                       relayer::StepLog& log) {
+  const auto res = co_await server.query_tx(machine, hash);
+  if (!res.is_ok()) co_return;
+  for (const chain::Event& ev : res.value().result->events) {
+    const ibc::PacketEvent* pe = ibc::packet_event(ev);
+    if (pe == nullptr || pe->kind != ibc::PacketEventKind::kSend ||
+        pe->packet.source_channel != channel) {
+      continue;
+    }
+    log.record(relayer::Step::kTransferBroadcast, pe->packet.sequence,
+               broadcast_time);
+  }
+}
+
 TransferWorkload::TransferWorkload(Testbed& testbed,
                                    const ChannelSetupResult& channel,
                                    WorkloadConfig config,
@@ -77,8 +119,9 @@ sim::TimePoint TransferWorkload::start() {
         });
     submit_burst_batches();
   } else {
-    for (std::size_t i = 0; i < wallets_.size(); ++i) {
-      account_loop(i);
+    for (std::size_t i = 0; i < wallets_.size() && remaining_ > 0; ++i) {
+      sim::spawn(
+          send(i, std::min<std::uint64_t>(remaining_, config_.msgs_per_tx)));
     }
   }
   return start_time_;
@@ -114,86 +157,46 @@ void TransferWorkload::submit_burst_batches() {
   while (batch > 0 && account < wallets_.size()) {
     const std::uint64_t count =
         std::min<std::uint64_t>(batch, config_.msgs_per_tx);
-    submit_one_tx(account, count);
+    sim::spawn(send(account, count));
     batch -= count;
     ++account;
   }
 }
 
-void TransferWorkload::account_loop(std::size_t account_idx) {
-  if (remaining_ == 0) return;
-  const std::uint64_t count =
-      std::min<std::uint64_t>(remaining_, config_.msgs_per_tx);
-  submit_one_tx(account_idx, count);
-}
-
-void TransferWorkload::submit_one_tx(std::size_t account_idx,
-                                     std::uint64_t count) {
-  assert(count > 0 && remaining_ >= count);
-  remaining_ -= count;
-  ++outstanding_;
-
-  const chain::Address& sender =
-      testbed_.user_accounts()[config_.account_offset + account_idx];
-  std::vector<chain::Msg> msgs;
-  msgs.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ibc::MsgTransfer t;
-    t.source_port = ibc::kTransferPort;
-    t.source_channel = channel_.channel_a;
-    t.denom = cosmos::kNativeDenom;
-    t.amount = config_.transfer_amount;
-    t.sender = sender;
-    t.receiver = "recv-" + sender;
-    t.timeout_height =
-        testbed_.chain_b().ledger->height() + config_.timeout_height_offset;
-    msgs.push_back(t.to_msg());
-  }
-
-  // Gas: ante base + per-transfer gas with ~1% jitter headroom.
-  const std::uint64_t gas = static_cast<std::uint64_t>(
-      std::ceil((69'000.0 + 36'000.0 * static_cast<double>(count)) * 1.10));
-
-  auto broadcast_time = std::make_shared<sim::TimePoint>(0);
+sim::Task<> TransferWorkload::send(std::size_t account, std::uint64_t count) {
   const bool rate_mode = config_.total_transfers == 0;
-  wallets_[account_idx]->submit(
-      std::move(msgs), gas,
-      [this, account_idx, count, rate_mode,
-       broadcast_time](const relayer::Wallet::SubmitOutcome& out) {
-        --outstanding_;
-        if (out.status.is_ok()) {
-          stats_.committed += count;
-          if (step_log_) backfill_broadcast_records(out.hash, *broadcast_time);
-        } else {
-          stats_.failed_submission += count;
-        }
-        if (rate_mode) account_loop(account_idx);
-      },
-      [this, count, broadcast_time]() {
-        stats_.broadcast += count;
-        *broadcast_time = testbed_.scheduler().now();
-      });
-}
-
-void TransferWorkload::backfill_broadcast_records(
-    chain::TxHash hash, sim::TimePoint broadcast_time) {
-  // The CLI learns the assigned packet sequences only from the committed
-  // transaction's events (this post-hoc query is itself part of the paper's
-  // tooling overhead, §V "Transaction data collection").
-  server_a_->query_tx(
-      config_.machine, hash,
-      [this, broadcast_time](util::Result<rpc::TxResponse> res) {
-        if (!res.is_ok() || !step_log_) return;
-        for (const chain::Event& ev : res.value().result->events) {
-          const ibc::PacketEvent* pe = ibc::packet_event(ev);
-          if (pe == nullptr || pe->kind != ibc::PacketEventKind::kSend ||
-              pe->packet.source_channel != channel_.channel_a) {
-            continue;
-          }
-          step_log_->record(relayer::Step::kTransferBroadcast,
-                            pe->packet.sequence, broadcast_time);
-        }
-      });
+  for (;;) {
+    assert(count > 0 && remaining_ >= count);
+    remaining_ -= count;
+    ++outstanding_;
+    const chain::Address& sender =
+        testbed_.user_accounts()[config_.account_offset + account];
+    TransferBatch batch = transfer_batch(
+        channel_.channel_a, sender, "recv-" + sender, config_.transfer_amount,
+        count,
+        testbed_.chain_b().ledger->height() + config_.timeout_height_offset);
+    sim::TimePoint broadcast_time = 0;
+    auto on_broadcast = [this, count, &broadcast_time] {
+      stats_.broadcast += count;
+      broadcast_time = testbed_.scheduler().now();
+    };
+    const relayer::Wallet::SubmitOutcome out =
+        co_await wallets_[account]->submit(std::move(batch.msgs), batch.gas,
+                                           on_broadcast);
+    --outstanding_;
+    if (out.status.is_ok()) {
+      stats_.committed += count;
+      if (step_log_) {
+        sim::spawn(backfill_broadcast_records(*server_a_, config_.machine,
+                                              out.hash, channel_.channel_a,
+                                              broadcast_time, *step_log_));
+      }
+    } else {
+      stats_.failed_submission += count;
+    }
+    if (!rate_mode || remaining_ == 0) co_return;
+    count = std::min<std::uint64_t>(remaining_, config_.msgs_per_tx);
+  }
 }
 
 // --- ZipfSampler -----------------------------------------------------------
@@ -267,19 +270,18 @@ sim::TimePoint OpenLoopWorkload::start() {
         if (any) ++counts->blocks_with_inclusions;
       });
 
-  schedule_tick();
+  sim::spawn(tick_loop());
   return start_time_;
 }
 
-void OpenLoopWorkload::schedule_tick() {
-  if (remaining_ == 0) return;
+sim::Task<> OpenLoopWorkload::tick_loop() {
   const double rate = std::max(config_.open_loop_tx_rate, 1e-3);
   const sim::Duration step =
       std::max<sim::Duration>(1, sim::seconds(1.0 / rate));
-  testbed_.scheduler().schedule_after(step, [this]() {
+  while (remaining_ > 0) {
+    co_await sim::delay(testbed_.scheduler(), step);
     submit_next();
-    schedule_tick();
-  });
+  }
 }
 
 void OpenLoopWorkload::submit_next() {
@@ -293,20 +295,10 @@ void OpenLoopWorkload::submit_next() {
   const chain::Address& sender =
       testbed_.user_accounts()[config_.account_offset + pick];
 
-  std::vector<chain::Msg> msgs;
-  msgs.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ibc::MsgTransfer t;
-    t.source_port = ibc::kTransferPort;
-    t.source_channel = channel_.channel_a;
-    t.denom = cosmos::kNativeDenom;
-    t.amount = config_.transfer_amount;
-    t.sender = sender;
-    t.receiver = "recv-" + sender;
-    t.timeout_height =
-        testbed_.chain_b().ledger->height() + config_.timeout_height_offset;
-    msgs.push_back(t.to_msg());
-  }
+  const TransferBatch batch = transfer_batch(
+      channel_.channel_a, sender, "recv-" + sender, config_.transfer_amount,
+      count,
+      testbed_.chain_b().ledger->height() + config_.timeout_height_offset);
   chain::Tx tx;
   tx.sender = sender;
   tx.sequence = next_sequence_[pick]++;
@@ -314,9 +306,8 @@ void OpenLoopWorkload::submit_next() {
   // the rest of the run, and one copying pass packs them together instead of
   // among the temporaries built above (moving them in raised
   // scale-1m-accounts' peak RSS by 1.4 MiB).
-  tx.msgs = msgs;
-  tx.gas_limit = static_cast<std::uint64_t>(
-      std::ceil((69'000.0 + 36'000.0 * static_cast<double>(count)) * 1.10));
+  tx.msgs = batch.msgs;
+  tx.gas_limit = batch.gas;
   tx.fee = static_cast<std::uint64_t>(
       std::ceil(static_cast<double>(tx.gas_limit) * config_.gas_price));
 
@@ -327,9 +318,10 @@ void OpenLoopWorkload::submit_next() {
                          submit_index_++) %
                         servers.size();
   const std::uint64_t seq = tx.sequence;
-  servers[m]->broadcast_tx_sync(
-      static_cast<net::MachineId>(m), chain::seal(std::move(tx)),
-      [this, count, pick, seq](util::Status status) {
+  sim::spawn(
+      servers[m]->broadcast_tx_sync(static_cast<net::MachineId>(m),
+                                    chain::seal(std::move(tx))),
+      [this, count, pick, seq](const util::Status& status) {
         --outstanding_;
         if (status.is_ok()) {
           stats_.broadcast += count;

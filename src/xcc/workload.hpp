@@ -13,11 +13,15 @@
 //     (Figs. 6-11, Table I);
 //   * burst mode — submit `total_transfers` spread evenly over
 //     `spread_blocks` consecutive blocks (Figs. 12-13, §V).
+//
+// Each submission is a task: it builds the tx, awaits the account's wallet
+// and books the outcome. In rate mode one such task per account loops until
+// nothing is left to submit, as one CLI instance per account would; in burst
+// mode each block's batch spawns one per account, and a batch that reaches
+// an account whose previous tx is unconfirmed queues in its wallet.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <set>
 
 #include "relayer/events.hpp"
 #include "util/rng.hpp"
@@ -73,6 +77,33 @@ class ZipfSampler {
   std::vector<double> cdf_;  // empty when exponent == 0 (uniform)
 };
 
+/// One tx's worth of ICS-20 transfers as the CLI builds it: `count`
+/// MsgTransfer of `amount` native tokens from `sender` to `receiver` over
+/// `channel`, timing out at destination height `timeout_height`, and the
+/// gas budgeted for them (ante base + per-transfer gas with ~1% jitter
+/// headroom).
+struct TransferBatch {
+  std::vector<chain::Msg> msgs;
+  std::uint64_t gas = 0;
+};
+TransferBatch transfer_batch(const ibc::ChannelId& channel,
+                             const chain::Address& sender,
+                             const chain::Address& receiver,
+                             std::uint64_t amount, std::uint64_t count,
+                             std::int64_t timeout_height);
+
+/// Reads the committed tx `hash` back from `server` and logs a
+/// transfer-broadcast step at `broadcast_time` for each packet it sent over
+/// `channel`: the CLI learns the assigned packet sequences only from the
+/// committed transaction's events (this post-hoc query is itself part of the
+/// paper's tooling overhead, §V "Transaction data collection").
+sim::Task<> backfill_broadcast_records(rpc::Server& server,
+                                       net::MachineId machine,
+                                       chain::TxHash hash,
+                                       ibc::ChannelId channel,
+                                       sim::TimePoint broadcast_time,
+                                       relayer::StepLog& log);
+
 class TransferWorkload {
  public:
   TransferWorkload(Testbed& testbed, const ChannelSetupResult& channel,
@@ -106,10 +137,9 @@ class TransferWorkload {
 
  private:
   void submit_burst_batches();
-  void account_loop(std::size_t account_idx);
-  void submit_one_tx(std::size_t account_idx, std::uint64_t count);
-  void backfill_broadcast_records(chain::TxHash hash,
-                                  sim::TimePoint broadcast_time);
+  /// Submits a tx of `count` transfers from `account` and books its
+  /// outcome; in rate mode the account goes on until nothing is left.
+  sim::Task<> send(std::size_t account, std::uint64_t count);
 
   Testbed& testbed_;
   ChannelSetupResult channel_;
@@ -169,8 +199,9 @@ class OpenLoopWorkload {
     std::uint64_t blocks_with_inclusions = 0;
   };
 
+  /// Submits one tx per tick until every transfer is submitted.
+  sim::Task<> tick_loop();
   void submit_next();
-  void schedule_tick();
 
   Testbed& testbed_;
   ChannelSetupResult channel_;

@@ -61,11 +61,11 @@ struct ClientLifecycleFixture : ::testing::Test {
   relayer::Wallet::SubmitOutcome submit_b(std::vector<chain::Msg> msgs) {
     auto resolved = std::make_shared<bool>(false);
     auto out = std::make_shared<relayer::Wallet::SubmitOutcome>();
-    probe_b->submit(std::move(msgs), 2'000'000,
-                    [resolved, out](const relayer::Wallet::SubmitOutcome& o) {
-                      *out = o;
-                      *resolved = true;
-                    });
+    sim::spawn(probe_b->submit(std::move(msgs), 2'000'000),
+               [resolved, out](const relayer::Wallet::SubmitOutcome& o) {
+                 *out = o;
+                 *resolved = true;
+               });
     const sim::TimePoint deadline =
         tb->scheduler().now() + sim::seconds(120);
     while (!*resolved && tb->scheduler().now() < deadline) {

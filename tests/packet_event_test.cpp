@@ -303,24 +303,24 @@ TEST_F(PacketEventSharing, ResponsesPagesFramesAndCacheHoldTheLedgersPayloads) {
 
   // query_tx.
   std::optional<util::Result<rpc::TxResponse>> tx_res;
-  server.query_tx(0, ledger.block_at(1)->txs[2]->hash(),
-                  [&](util::Result<rpc::TxResponse> r) { tx_res = std::move(r); });
+  sim::spawn(server.query_tx(0, ledger.block_at(1)->txs[2]->hash()),
+             [&](util::Result<rpc::TxResponse> r) { tx_res = std::move(r); });
   // A packet-event page, straight from the server and through the cache
   // (a miss, then a hit served from the cached page).
   std::optional<util::Result<rpc::TxSearchPage>> page;
-  server.query_packet_events(
-      0, 1, "send_packet", 2, 3,
-      [&](util::Result<rpc::TxSearchPage> r) { page = std::move(r); });
+  sim::spawn(server.query_packet_events(0, 1, "send_packet", 2, 3),
+             [&](util::Result<rpc::TxSearchPage> r) { page = std::move(r); });
   relayer::QueryCacheConfig qc;
   qc.enabled = true;
   relayer::QueryCache cache(sched, qc);
   std::vector<rpc::TxSearchPage> cached;
   for (int round = 0; round < 2; ++round) {
-    cache.query_packet_events(server, 0, 1, "write_acknowledgement", 1, 4,
-                              [&](util::Result<rpc::TxSearchPage> r) {
-                                ASSERT_TRUE(r.is_ok());
-                                cached.push_back(r.take());
-                              });
+    sim::spawn(
+        cache.query_packet_events(server, 0, 1, "write_acknowledgement", 1, 4),
+        [&](util::Result<rpc::TxSearchPage> r) {
+          ASSERT_TRUE(r.is_ok());
+          cached.push_back(r.take());
+        });
     sched.run_until(sched.now() + sim::seconds(5));
   }
   EXPECT_EQ(cache.stats().hits, 1u);

@@ -30,15 +30,15 @@ struct QueryCacheFixture : ::testing::Test {
     const sim::TimePoint start = tb->scheduler().now();
     sim::TimePoint finish = start;
     bool done = false;
-    cache.query_header(server(), /*client=*/0, height,
-                       [&](util::Result<rpc::Server::HeaderInfo> res) {
-                         EXPECT_TRUE(res.is_ok()) << res.status().to_string();
-                         if (res.is_ok()) {
-                           EXPECT_EQ(res.value().header.height, height);
-                         }
-                         finish = tb->scheduler().now();
-                         done = true;
-                       });
+    sim::spawn(cache.query_header(server(), /*client=*/0, height),
+               [&](util::Result<rpc::Server::HeaderInfo> res) {
+                 EXPECT_TRUE(res.is_ok()) << res.status().to_string();
+                 if (res.is_ok()) {
+                   EXPECT_EQ(res.value().header.height, height);
+                 }
+                 finish = tb->scheduler().now();
+                 done = true;
+               });
     while (!done && tb->scheduler().step()) {
     }
     EXPECT_TRUE(done);
@@ -48,12 +48,12 @@ struct QueryCacheFixture : ::testing::Test {
   void page_query(relayer::QueryCache& cache, chain::Height height,
                   std::uint64_t lo, std::uint64_t hi) {
     bool done = false;
-    cache.query_packet_events(server(), /*client=*/0, height, "send_packet",
-                              lo, hi,
-                              [&](util::Result<rpc::TxSearchPage> res) {
-                                EXPECT_TRUE(res.is_ok());
-                                done = true;
-                              });
+    sim::spawn(cache.query_packet_events(server(), /*client=*/0, height,
+                                         "send_packet", lo, hi),
+               [&](util::Result<rpc::TxSearchPage> res) {
+                 EXPECT_TRUE(res.is_ok());
+                 done = true;
+               });
     while (!done && tb->scheduler().step()) {
     }
     EXPECT_TRUE(done);
@@ -63,12 +63,12 @@ struct QueryCacheFixture : ::testing::Test {
                             const std::string& key) {
     chain::Height answered = 0;
     bool done = false;
-    cache.abci_query(server(), /*client=*/0, key, /*prove=*/true,
-                     [&](util::Result<rpc::Server::AbciQueryResult> res) {
-                       ASSERT_TRUE(res.is_ok());
-                       answered = res.value().height;
-                       done = true;
-                     });
+    sim::spawn(cache.abci_query(server(), /*client=*/0, key, /*prove=*/true),
+               [&](util::Result<rpc::Server::AbciQueryResult> res) {
+                 ASSERT_TRUE(res.is_ok());
+                 answered = res.value().height;
+                 done = true;
+               });
     while (!done && tb->scheduler().step()) {
     }
     EXPECT_TRUE(done);
@@ -170,12 +170,13 @@ TEST_F(QueryCacheFixture, LateAbciResponseIsNotCachedPastTheWatermark) {
   // complete after the relayer already saw the next block's frame.
   chain::Height answered = 0;
   bool done = false;
-  cache.abci_query(server(), /*client=*/0, "commitments/late", /*prove=*/true,
-                   [&](util::Result<rpc::Server::AbciQueryResult> res) {
-                     ASSERT_TRUE(res.is_ok());
-                     answered = res.value().height;
-                     done = true;
-                   });
+  sim::spawn(cache.abci_query(server(), /*client=*/0, "commitments/late",
+                              /*prove=*/true),
+             [&](util::Result<rpc::Server::AbciQueryResult> res) {
+               ASSERT_TRUE(res.is_ok());
+               answered = res.value().height;
+               done = true;
+             });
   cache.on_height_advance(server(), tb->chain_a().ledger->height() + 3);
   while (!done && tb->scheduler().step()) {
   }
@@ -241,14 +242,13 @@ TEST_F(QueryCacheFixture, PageHitsStayConsistentUnderWorkerPool) {
   std::vector<std::uint32_t> first_counts;
   int pending = 2;
   for (chain::Height h = 2; h <= 3; ++h) {
-    cache.query_packet_events(server(), /*client=*/0, h, "send_packet", 1,
-                              100,
-                              [&](util::Result<rpc::TxSearchPage> res) {
-                                ASSERT_TRUE(res.is_ok());
-                                first_counts.push_back(
-                                    res.value().total_count);
-                                --pending;
-                              });
+    sim::spawn(cache.query_packet_events(server(), /*client=*/0, h,
+                                         "send_packet", 1, 100),
+               [&](util::Result<rpc::TxSearchPage> res) {
+                 ASSERT_TRUE(res.is_ok());
+                 first_counts.push_back(res.value().total_count);
+                 --pending;
+               });
   }
   while (pending > 0 && tb->scheduler().step()) {
   }
@@ -258,14 +258,13 @@ TEST_F(QueryCacheFixture, PageHitsStayConsistentUnderWorkerPool) {
   std::vector<std::uint32_t> again_counts;
   pending = 2;
   for (chain::Height h = 2; h <= 3; ++h) {
-    cache.query_packet_events(server(), /*client=*/0, h, "send_packet", 1,
-                              100,
-                              [&](util::Result<rpc::TxSearchPage> res) {
-                                ASSERT_TRUE(res.is_ok());
-                                again_counts.push_back(
-                                    res.value().total_count);
-                                --pending;
-                              });
+    sim::spawn(cache.query_packet_events(server(), /*client=*/0, h,
+                                         "send_packet", 1, 100),
+               [&](util::Result<rpc::TxSearchPage> res) {
+                 ASSERT_TRUE(res.is_ok());
+                 again_counts.push_back(res.value().total_count);
+                 --pending;
+               });
   }
   while (pending > 0 && tb->scheduler().step()) {
   }

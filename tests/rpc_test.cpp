@@ -182,8 +182,8 @@ TxLocations scan_range(const chain::Ledger& ledger, chain::Height lo,
 
 TEST_F(RpcFixture, BroadcastAdmitsValidTx) {
   util::Status result = util::Status::error(util::ErrorCode::kInternal, "no cb");
-  server->broadcast_tx_sync(0, make_tx(0),
-                            [&](util::Status s) { result = s; });
+  sim::spawn(server->broadcast_tx_sync(0, make_tx(0)),
+             [&](util::Status s) { result = s; });
   sched.run_until(sim::seconds(1));
   EXPECT_TRUE(result.is_ok());
   EXPECT_EQ(mempool.size(), 1u);
@@ -191,8 +191,8 @@ TEST_F(RpcFixture, BroadcastAdmitsValidTx) {
 
 TEST_F(RpcFixture, BroadcastRejectsBadSequence) {
   util::Status result;
-  server->broadcast_tx_sync(0, make_tx(9),
-                            [&](util::Status s) { result = s; });
+  sim::spawn(server->broadcast_tx_sync(0, make_tx(9)),
+             [&](util::Status s) { result = s; });
   sched.run_until(sim::seconds(1));
   EXPECT_EQ(result.code(), util::ErrorCode::kSequenceMismatch);
 }
@@ -206,9 +206,10 @@ TEST_F(RpcFixture, RequestsAreServicedSerially) {
 
   std::vector<sim::TimePoint> done;
   for (int i = 0; i < 2; ++i) {
-    server->tx_search_height(0, 1, 1, 30, [&](util::Result<rpc::TxSearchPage>) {
-      done.push_back(sched.now());
-    });
+    sim::spawn(server->tx_search_height(0, 1, 1, 30),
+               [&](util::Result<rpc::TxSearchPage>) {
+                 done.push_back(sched.now());
+               });
   }
   sched.run_until(sim::seconds(60));
   ASSERT_EQ(done.size(), 2u);
@@ -225,9 +226,10 @@ TEST_F(RpcFixture, ParallelAblationOverlapsRequests) {
 
   std::vector<sim::TimePoint> done;
   for (int i = 0; i < 2; ++i) {
-    server->tx_search_height(0, 1, 1, 30, [&](util::Result<rpc::TxSearchPage>) {
-      done.push_back(sched.now());
-    });
+    sim::spawn(server->tx_search_height(0, 1, 1, 30),
+               [&](util::Result<rpc::TxSearchPage>) {
+                 done.push_back(sched.now());
+               });
   }
   sched.run_until(sim::seconds(60));
   ASSERT_EQ(done.size(), 2u);
@@ -238,23 +240,24 @@ TEST_F(RpcFixture, QueryTxFindsCommittedTx) {
   const chain::TxPtr tx = make_tx(0);
   commit_block({tx});
   bool found = false;
-  server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
-    ASSERT_TRUE(res.is_ok());
-    EXPECT_EQ(res.value().height, 1);
-    EXPECT_EQ(res.value().tx, tx);
-    found = true;
-  });
+  sim::spawn(server->query_tx(0, tx->hash()),
+             [&](util::Result<rpc::TxResponse> res) {
+               ASSERT_TRUE(res.is_ok());
+               EXPECT_EQ(res.value().height, 1);
+               EXPECT_EQ(res.value().tx, tx);
+               found = true;
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_TRUE(found);
 }
 
 TEST_F(RpcFixture, QueryTxNotFound) {
   bool called = false;
-  server->query_tx(0, crypto::sha256(util::to_bytes("nope")),
-                   [&](util::Result<rpc::TxResponse> res) {
-                     EXPECT_EQ(res.status().code(), util::ErrorCode::kNotFound);
-                     called = true;
-                   });
+  sim::spawn(server->query_tx(0, crypto::sha256(util::to_bytes("nope"))),
+             [&](util::Result<rpc::TxResponse> res) {
+               EXPECT_EQ(res.status().code(), util::ErrorCode::kNotFound);
+               called = true;
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_TRUE(called);
 }
@@ -267,12 +270,12 @@ TEST_F(RpcFixture, TxSearchPagination) {
   std::vector<std::size_t> page_sizes;
   std::uint32_t total = 0;
   for (std::uint32_t page = 1; page <= 3; ++page) {
-    server->tx_search_height(0, 1, page, 30,
-                             [&](util::Result<rpc::TxSearchPage> res) {
-                               ASSERT_TRUE(res.is_ok());
-                               page_sizes.push_back(res.value().txs.size());
-                               total = res.value().total_count;
-                             });
+    sim::spawn(server->tx_search_height(0, 1, page, 30),
+               [&](util::Result<rpc::TxSearchPage> res) {
+                 ASSERT_TRUE(res.is_ok());
+                 page_sizes.push_back(res.value().txs.size());
+                 total = res.value().total_count;
+               });
   }
   sched.run_until(sim::seconds(60));
   EXPECT_EQ(page_sizes, (std::vector<std::size_t>{30, 30, 15}));
@@ -285,11 +288,11 @@ TEST_F(RpcFixture, PacketEventQueryFiltersBySequenceRange) {
   commit_block(std::move(txs));  // packet_sequence attributes 1..10
 
   std::size_t matches = 0;
-  server->query_packet_events(0, 1, "send_packet", 3, 7,
-                              [&](util::Result<rpc::TxSearchPage> res) {
-                                ASSERT_TRUE(res.is_ok());
-                                matches = res.value().txs.size();
-                              });
+  sim::spawn(server->query_packet_events(0, 1, "send_packet", 3, 7),
+             [&](util::Result<rpc::TxSearchPage> res) {
+               ASSERT_TRUE(res.is_ok());
+               matches = res.value().txs.size();
+             });
   sched.run_until(sim::seconds(30));
   EXPECT_EQ(matches, 5u);
 }
@@ -299,11 +302,11 @@ TEST_F(RpcFixture, PacketEventRangeQueryScansMultipleBlocks) {
   commit_block({make_tx(1)});
   commit_block({make_tx(2)});
   std::size_t matches = 0;
-  server->query_packet_events_range(0, 1, 3, "send_packet", 1, 100,
-                                    [&](util::Result<rpc::TxSearchPage> res) {
-                                      ASSERT_TRUE(res.is_ok());
-                                      matches = res.value().txs.size();
-                                    });
+  sim::spawn(server->query_packet_events_range(0, 1, 3, "send_packet", 1, 100),
+             [&](util::Result<rpc::TxSearchPage> res) {
+               ASSERT_TRUE(res.is_ok());
+               matches = res.value().txs.size();
+             });
   sched.run_until(sim::seconds(60));
   EXPECT_EQ(matches, 3u);
 }
@@ -311,28 +314,28 @@ TEST_F(RpcFixture, PacketEventRangeQueryScansMultipleBlocks) {
 TEST_F(RpcFixture, AbciQueryReturnsValueAndProof) {
   app.store().set("some/key", util::to_bytes("payload"));
   bool called = false;
-  server->abci_query(0, "some/key", true,
-                     [&](util::Result<rpc::Server::AbciQueryResult> res) {
-                       ASSERT_TRUE(res.is_ok());
-                       EXPECT_TRUE(res.value().exists);
-                       EXPECT_EQ(util::to_string(res.value().value), "payload");
-                       EXPECT_TRUE(chain::verify_store_proof(
-                           res.value().proof, app.store().root()));
-                       called = true;
-                     });
+  sim::spawn(server->abci_query(0, "some/key", true),
+             [&](util::Result<rpc::Server::AbciQueryResult> res) {
+               ASSERT_TRUE(res.is_ok());
+               EXPECT_TRUE(res.value().exists);
+               EXPECT_EQ(util::to_string(res.value().value), "payload");
+               EXPECT_TRUE(chain::verify_store_proof(
+                   res.value().proof, app.store().root()));
+               called = true;
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_TRUE(called);
 }
 
 TEST_F(RpcFixture, AbciQueryNonExistence) {
   bool called = false;
-  server->abci_query(0, "missing", true,
-                     [&](util::Result<rpc::Server::AbciQueryResult> res) {
-                       ASSERT_TRUE(res.is_ok());
-                       EXPECT_FALSE(res.value().exists);
-                       EXPECT_FALSE(res.value().proof.exists);
-                       called = true;
-                     });
+  sim::spawn(server->abci_query(0, "missing", true),
+             [&](util::Result<rpc::Server::AbciQueryResult> res) {
+               ASSERT_TRUE(res.is_ok());
+               EXPECT_FALSE(res.value().exists);
+               EXPECT_FALSE(res.value().proof.exists);
+               called = true;
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_TRUE(called);
 }
@@ -342,8 +345,11 @@ TEST_F(RpcFixture, PrefixQueryListsKeys) {
   app.store().set("pre/b", {});
   app.store().set("other", {});
   std::vector<std::string> keys;
-  server->abci_query_prefix(0, "pre/",
-                            [&](std::vector<std::string> k) { keys = k; });
+  sim::spawn(server->abci_query_prefix(0, "pre/"),
+             [&](util::Result<std::vector<std::string>> k) {
+               ASSERT_TRUE(k.is_ok());
+               keys = k.value();
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_EQ(keys, (std::vector<std::string>{"pre/a", "pre/b"}));
 }
@@ -351,7 +357,11 @@ TEST_F(RpcFixture, PrefixQueryListsKeys) {
 TEST_F(RpcFixture, StatusReportsHeight) {
   commit_block({make_tx(0)});
   chain::Height h = 0;
-  server->status(0, [&](rpc::Server::StatusInfo info) { h = info.height; });
+  sim::spawn(server->status(0),
+             [&](util::Result<rpc::Server::StatusInfo> info) {
+               ASSERT_TRUE(info.is_ok());
+               h = info.value().height;
+             });
   sched.run_until(sim::seconds(1));
   EXPECT_EQ(h, 1);
 }
@@ -367,20 +377,45 @@ TEST_F(RpcFixture, QueueOverflowRejects) {
   commit_block(std::move(txs), 50'000);
 
   int ok = 0, rejected = 0;
+  const auto count = [&](const util::Status& status) {
+    if (status.is_ok()) ++ok;
+    else if (status.code() == util::ErrorCode::kUnavailable) ++rejected;
+  };
   for (int i = 0; i < 20; ++i) {
-    server->tx_search_height(0, 1, 1, 30,
-                             [&](util::Result<rpc::TxSearchPage> res) {
-                               if (res.is_ok()) ++ok;
-                               else if (res.status().code() ==
-                                        util::ErrorCode::kUnavailable)
-                                 ++rejected;
-                             });
+    sim::spawn(server->tx_search_height(0, 1, 1, 30),
+               [&](util::Result<rpc::TxSearchPage> res) {
+                 count(res.status());
+               });
+  }
+  // Status and prefix queries sent into the full queue report it the same
+  // way; neither answers as a chain at height 0 or a prefix with no keys
+  // would.
+  sched.run_until(sched.now() + sim::millis(1));
+  std::vector<util::Result<rpc::Server::StatusInfo>> heads;
+  std::vector<util::Result<std::vector<std::string>>> key_lists;
+  for (int i = 0; i < 2; ++i) {
+    sim::spawn(server->status(0),
+               [&](util::Result<rpc::Server::StatusInfo> res) {
+                 count(res.status());
+                 heads.push_back(std::move(res));
+               });
+    sim::spawn(server->abci_query_prefix(0, "pre/"),
+               [&](util::Result<std::vector<std::string>> res) {
+                 count(res.status());
+                 key_lists.push_back(std::move(res));
+               });
   }
   sched.run_until(sim::seconds(600));
   EXPECT_GT(rejected, 0);
   EXPECT_GT(ok, 0);
-  EXPECT_EQ(ok + rejected, 20);
+  EXPECT_EQ(ok + rejected, 24);
   EXPECT_EQ(server->requests_rejected(), static_cast<std::uint64_t>(rejected));
+  ASSERT_EQ(heads.size(), 2u);
+  ASSERT_EQ(key_lists.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(heads[i].status().code(), util::ErrorCode::kUnavailable);
+    EXPECT_EQ(key_lists[i].status().code(), util::ErrorCode::kUnavailable);
+  }
 }
 
 TEST_F(RpcFixture, DuplicatedFramesAreServedAndAnsweredOnce) {
@@ -397,41 +432,45 @@ TEST_F(RpcFixture, DuplicatedFramesAreServedAndAnsweredOnce) {
   network.set_fault_profile({.duplicate_probability = 1.0});
 
   std::array<int, 10> answers{};
-  server->broadcast_tx_sync(0, make_tx(0), [&](util::Status) { ++answers[0]; });
-  server->query_tx(0, tx->hash(),
-                   [&](util::Result<rpc::TxResponse>) { ++answers[1]; });
-  server->query_tx(0, crypto::sha256(util::to_bytes("nope")),
-                   [&](util::Result<rpc::TxResponse>) { ++answers[2]; });
-  server->tx_search_height(
-      0, 1, 1, 30, [&](util::Result<rpc::TxSearchPage>) { ++answers[3]; });
-  server->query_packet_events(
-      0, 1, "send_packet", 1, 10,
-      [&](util::Result<rpc::TxSearchPage>) { ++answers[4]; });
-  server->query_packet_events_range(
-      0, 1, 1, "send_packet", 1, 10,
-      [&](util::Result<rpc::TxSearchPage>) { ++answers[5]; });
-  server->abci_query(0, "pre/a", true,
-                     [&](util::Result<rpc::Server::AbciQueryResult>) {
-                       ++answers[6];
-                     });
-  server->abci_query_prefix(0, "pre/",
-                            [&](std::vector<std::string>) { ++answers[7]; });
-  server->query_header(0, 1, [&](util::Result<rpc::Server::HeaderInfo>) {
-    ++answers[8];
-  });
-  server->status(0, [&](rpc::Server::StatusInfo) { ++answers[9]; });
+  sim::spawn(server->broadcast_tx_sync(0, make_tx(0)),
+             [&](util::Status) { ++answers[0]; });
+  sim::spawn(server->query_tx(0, tx->hash()),
+             [&](util::Result<rpc::TxResponse>) { ++answers[1]; });
+  sim::spawn(server->query_tx(0, crypto::sha256(util::to_bytes("nope"))),
+             [&](util::Result<rpc::TxResponse>) { ++answers[2]; });
+  sim::spawn(server->tx_search_height(0, 1, 1, 30),
+             [&](util::Result<rpc::TxSearchPage>) { ++answers[3]; });
+  sim::spawn(server->query_packet_events(0, 1, "send_packet", 1, 10),
+             [&](util::Result<rpc::TxSearchPage>) { ++answers[4]; });
+  sim::spawn(server->query_packet_events_range(0, 1, 1, "send_packet", 1,
+                                               10),
+             [&](util::Result<rpc::TxSearchPage>) { ++answers[5]; });
+  sim::spawn(server->abci_query(0, "pre/a", true),
+             [&](util::Result<rpc::Server::AbciQueryResult>) {
+               ++answers[6];
+             });
+  sim::spawn(server->abci_query_prefix(0, "pre/"),
+             [&](util::Result<std::vector<std::string>>) { ++answers[7]; });
+  sim::spawn(server->query_header(0, 1),
+             [&](util::Result<rpc::Server::HeaderInfo>) {
+               ++answers[8];
+             });
+  sim::spawn(server->status(0),
+             [&](util::Result<rpc::Server::StatusInfo>) { ++answers[9]; });
   sched.run_until(sched.now() + sim::millis(1));
   ASSERT_EQ(server->queue_depth(), 10u);
 
   std::vector<util::ErrorCode> rejected;
-  server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
-    rejected.push_back(res.status().code());
-  });
+  sim::spawn(server->query_tx(0, tx->hash()),
+             [&](util::Result<rpc::TxResponse> res) {
+               rejected.push_back(res.status().code());
+             });
   sched.run_until(sched.now() + sim::seconds(10));
 
   EXPECT_GT(network.messages_duplicated(), 0u);
   EXPECT_EQ(answers, (std::array<int, 10>{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}));
-  EXPECT_EQ(rejected, std::vector<util::ErrorCode>{util::ErrorCode::kUnavailable});
+  EXPECT_EQ(rejected,
+            std::vector<util::ErrorCode>{util::ErrorCode::kUnavailable});
   EXPECT_EQ(server->requests_served(), 10u);
   EXPECT_EQ(server->requests_rejected(), 1u);
 }
@@ -485,10 +524,16 @@ TEST_F(RpcFixture, RemoteClientPaysNetworkLatency) {
   commit_block({make_tx(0)});
   sim::TimePoint local_done = 0, remote_done = 0;
   const sim::TimePoint t0 = sched.now();
-  server->status(0, [&](rpc::Server::StatusInfo) { local_done = sched.now(); });
+  sim::spawn(server->status(0),
+             [&](const util::Result<rpc::Server::StatusInfo>&) {
+               local_done = sched.now();
+             });
   sched.run_until(sched.now() + sim::seconds(5));
   const sim::TimePoint t1 = sched.now();
-  server->status(1, [&](rpc::Server::StatusInfo) { remote_done = sched.now(); });
+  sim::spawn(server->status(1),
+             [&](const util::Result<rpc::Server::StatusInfo>&) {
+               remote_done = sched.now();
+             });
   sched.run_until(sched.now() + sim::seconds(5));
   const sim::Duration local_rtt = local_done - t0;
   const sim::Duration remote_rtt = remote_done - t1;
@@ -516,9 +561,10 @@ TEST_F(RpcFixture, PacketEventQueryPagesMatchScanAndChargeTheCostModel) {
         const std::uint64_t hi = lo + rng.next_below(6);
         std::optional<util::Result<rpc::TxSearchPage>> got;
         const sim::Duration charged = charged_by([&] {
-          server->query_packet_events(
-              0, h, type, lo, hi,
-              [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+          sim::spawn(server->query_packet_events(0, h, type, lo, hi),
+                     [&](util::Result<rpc::TxSearchPage> res) {
+                       got = std::move(res);
+                     });
         });
         ASSERT_TRUE(got.has_value());
         const TxLocations want = scan_range(ledger, h, h, type, lo, hi);
@@ -565,9 +611,11 @@ TEST_F(RpcFixture, PacketEventRangeQueryPagesMatchScanAndChargeTheCostModel) {
         const std::uint64_t hi = lo + rng.next_below(6);
         std::optional<util::Result<rpc::TxSearchPage>> got;
         const sim::Duration charged = charged_by([&] {
-          server->query_packet_events_range(
-              0, h_lo, h_hi, type, lo, hi,
-              [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+          sim::spawn(
+              server->query_packet_events_range(0, h_lo, h_hi, type, lo, hi),
+              [&](util::Result<rpc::TxSearchPage> res) {
+                got = std::move(res);
+              });
         });
         const chain::Height first = std::max<chain::Height>(h_lo, 1);
         const chain::Height last = std::min(h_hi, ledger.height());
@@ -605,9 +653,10 @@ TEST_F(RpcFixture, PacketQueryChargeIsFixedAtAdmissionAndPageReadAtCompletion) {
     const chain::Height h = ledger.height() + 1;
     std::optional<util::Result<rpc::TxSearchPage>> got;
     const sim::Duration charged = charged_by([&] {
-      server->query_packet_events(
-          0, h, "send_packet", 2, 3,
-          [&](util::Result<rpc::TxSearchPage> res) { got = std::move(res); });
+      sim::spawn(server->query_packet_events(0, h, "send_packet", 2, 3),
+                 [&](util::Result<rpc::TxSearchPage> res) {
+                   got = std::move(res);
+                 });
       while (server->queue_depth() == 0) ASSERT_TRUE(sched.step());
       commit_block({make_tx(next_tx_seq_++), make_tx(next_tx_seq_++),
                     make_tx(next_tx_seq_++), make_tx(next_tx_seq_++)});
@@ -629,17 +678,20 @@ TEST_F(RpcFixture, EveryResponseCarriesTheHashOfItsTx) {
     for (rpc::TxResponse& r : res.value().txs) seen.push_back(std::move(r));
   };
   for (chain::Height h = 1; h <= ledger.height(); ++h) {
-    server->tx_search_height(0, h, 1, 100, keep_page);
+    sim::spawn(server->tx_search_height(0, h, 1, 100), keep_page);
     for (const chain::TxPtr& tx : ledger.block_at(h)->txs) {
-      server->query_tx(0, tx->hash(), [&](util::Result<rpc::TxResponse> res) {
-        ASSERT_TRUE(res.is_ok());
-        seen.push_back(res.take());
-      });
+      sim::spawn(server->query_tx(0, tx->hash()),
+                 [&](util::Result<rpc::TxResponse> res) {
+                   ASSERT_TRUE(res.is_ok());
+                   seen.push_back(res.take());
+                 });
     }
   }
-  server->query_packet_events(0, 1, "send_packet", 1, 100, keep_page);
-  server->query_packet_events_range(0, 1, 2, "write_acknowledgement", 1, 100,
-                                    keep_page);
+  sim::spawn(server->query_packet_events(0, 1, "send_packet", 1, 100),
+             keep_page);
+  sim::spawn(server->query_packet_events_range(0, 1, 2,
+                                               "write_acknowledgement", 1, 100),
+             keep_page);
   sched.run_until(sched.now() + sim::seconds(600));
   ASSERT_GE(seen.size(), 2u * 14u);
   for (const rpc::TxResponse& r : seen) {

@@ -86,8 +86,10 @@ TEST_F(TxSharing, WalletSealedTxIsTheOneEveryLayerHolds) {
   });
   relayer::Wallet wallet(sched, *server, 0, config());
   std::optional<relayer::Wallet::SubmitOutcome> outcome;
-  wallet.submit(std::vector<chain::Msg>(3, chain::Msg{"/ack", {}}), 200'000,
-                [&](const relayer::Wallet::SubmitOutcome& o) { outcome = o; });
+  sim::spawn(
+      wallet.submit(std::vector<chain::Msg>(3, chain::Msg{"/ack", {}}),
+                    200'000),
+      [&](const relayer::Wallet::SubmitOutcome& o) { outcome = o; });
 
   // Admitted: the pool holds it, and reap() (what fills a proposal's
   // Block::txs) hands out the same pointer.
@@ -114,14 +116,13 @@ TEST_F(TxSharing, WalletSealedTxIsTheOneEveryLayerHolds) {
   // query_tx and a tx_search page: the ledger's tx and a pointer into the
   // ledger's results for that height.
   std::optional<util::Result<rpc::TxResponse>> by_hash;
-  server->query_tx(0, hash, [&](util::Result<rpc::TxResponse> r) {
-    by_hash = std::move(r);
-  });
+  sim::spawn(server->query_tx(0, hash),
+             [&](util::Result<rpc::TxResponse> r) { by_hash = std::move(r); });
   std::optional<util::Result<rpc::TxSearchPage>> page;
-  server->tx_search_height(0, loc->height, 1, 100,
-                           [&](util::Result<rpc::TxSearchPage> r) {
-                             page = std::move(r);
-                           });
+  sim::spawn(server->tx_search_height(0, loc->height, 1, 100),
+             [&](util::Result<rpc::TxSearchPage> r) {
+               page = std::move(r);
+             });
   run_until([&] { return by_hash.has_value() && page.has_value(); });
   ASSERT_TRUE(by_hash->is_ok());
   EXPECT_EQ(by_hash->value().tx.get(), broadcast);
@@ -148,8 +149,10 @@ TEST_F(TxSharing, WalletSealedTxIsTheOneEveryLayerHolds) {
 TEST_F(TxSharing, TamperedPageChangesOnlyThatPage) {
   relayer::Wallet wallet(sched, *server, 0, config());
   std::optional<relayer::Wallet::SubmitOutcome> outcome;
-  wallet.submit(std::vector<chain::Msg>(2, chain::Msg{"/ack", {}}), 200'000,
-                [&](const relayer::Wallet::SubmitOutcome& o) { outcome = o; });
+  sim::spawn(
+      wallet.submit(std::vector<chain::Msg>(2, chain::Msg{"/ack", {}}),
+                    200'000),
+      [&](const relayer::Wallet::SubmitOutcome& o) { outcome = o; });
   run_until([&] { return outcome.has_value(); });
   ASSERT_TRUE(outcome->status.is_ok());
   const chain::Height h = outcome->height;
@@ -176,11 +179,12 @@ TEST_F(TxSharing, TamperedPageChangesOnlyThatPage) {
   });
   std::vector<rpc::TxSearchPage> pages;
   for (int i = 0; i < 2; ++i) {
-    server->query_packet_events(0, h, "write_acknowledgement", 1, 2,
-                                [&](util::Result<rpc::TxSearchPage> r) {
-                                  ASSERT_TRUE(r.is_ok());
-                                  pages.push_back(r.take());
-                                });
+    sim::spawn(
+        server->query_packet_events(0, h, "write_acknowledgement", 1, 2),
+        [&](util::Result<rpc::TxSearchPage> r) {
+          ASSERT_TRUE(r.is_ok());
+          pages.push_back(r.take());
+        });
   }
   run_until([&] { return pages.size() == 2; });
   ASSERT_TRUE(tampered);

@@ -55,8 +55,9 @@ TEST_F(OverloadFixture, BroadcastRetriesAfterQueueRejection) {
   // Entrench two slow status requests (one serving until t=2 s, one
   // pending until t=4 s) before the wallet acts: its broadcast is rejected
   // deterministically, then the retry loop succeeds once the queue drains.
-  server->status(0, [](rpc::Server::StatusInfo) {});
-  server->status(0, [](rpc::Server::StatusInfo) {});
+  const auto ignore = [](const util::Result<rpc::Server::StatusInfo>&) {};
+  sim::spawn(server->status(0), ignore);
+  sim::spawn(server->status(0), ignore);
   sched.run_until(sim::millis(10));  // both are now occupying the server
 
   relayer::WalletConfig wc;
@@ -67,9 +68,8 @@ TEST_F(OverloadFixture, BroadcastRetriesAfterQueueRejection) {
   relayer::Wallet wallet(sched, *server, 0, wc);
 
   bool resolved = false;
-  wallet.submit({chain::Msg{"/noop", {}}}, 200'000,
-                [&](const relayer::Wallet::SubmitOutcome&) { resolved = true; },
-                [&] {});
+  sim::spawn(wallet.submit({chain::Msg{"/noop", {}}}, 200'000, [&] {}),
+             [&](const relayer::Wallet::SubmitOutcome&) { resolved = true; });
   sched.run_until(sim::seconds(60));
   // The first attempt was rejected; a retry got the tx into the mempool.
   EXPECT_GE(wallet.rpc_unavailable_errors(), 1u);
@@ -82,11 +82,12 @@ TEST_F(OverloadFixture, ExhaustedRetriesSurfaceUnavailable) {
   // One status serves until t=2 s; a dense refill keeps the pending slot
   // occupied throughout, so every broadcast attempt within the first two
   // seconds is rejected and the wallet gives up.
-  server->status(0, [](rpc::Server::StatusInfo) {});
+  const auto ignore = [](const util::Result<rpc::Server::StatusInfo>&) {};
+  sim::spawn(server->status(0), ignore);
   sim::TimePoint stop_flood = sim::seconds(1'500) / 1'000;  // 1.5 s
   std::function<void()> refill = [&] {
     if (sched.now() > stop_flood) return;
-    server->status(0, [](rpc::Server::StatusInfo) {});
+    sim::spawn(server->status(0), ignore);
     sched.schedule_after(sim::micros(200), refill);
   };
   refill();
@@ -100,11 +101,11 @@ TEST_F(OverloadFixture, ExhaustedRetriesSurfaceUnavailable) {
 
   util::Status status;
   bool resolved = false;
-  wallet.submit({chain::Msg{"/noop", {}}}, 200'000,
-                [&](const relayer::Wallet::SubmitOutcome& o) {
-                  status = o.status;
-                  resolved = true;
-                });
+  sim::spawn(wallet.submit({chain::Msg{"/noop", {}}}, 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               status = o.status;
+               resolved = true;
+             });
   sched.run_until(sim::seconds(10));
   ASSERT_TRUE(resolved);
   EXPECT_EQ(status.code(), util::ErrorCode::kUnavailable);

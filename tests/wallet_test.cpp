@@ -61,10 +61,11 @@ TEST_F(WalletFixture, SubmitsAndConfirms) {
   relayer::Wallet wallet(sched, *server, 0, config(false));
   relayer::Wallet::SubmitOutcome outcome;
   bool done = false;
-  wallet.submit(msgs(), 200'000, [&](const relayer::Wallet::SubmitOutcome& o) {
-    outcome = o;
-    done = true;
-  });
+  sim::spawn(wallet.submit(msgs(), 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               outcome = o;
+               done = true;
+             });
   sched.run_until(sim::seconds(30));
   ASSERT_TRUE(done);
   EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
@@ -79,11 +80,11 @@ TEST_F(WalletFixture, WaitForCommitAllowsOneTxPerBlock) {
   relayer::Wallet wallet(sched, *server, 0, config(false));
   std::vector<chain::Height> heights;
   for (int i = 0; i < 2; ++i) {
-    wallet.submit(msgs(), 200'000,
-                  [&](const relayer::Wallet::SubmitOutcome& o) {
-                    ASSERT_TRUE(o.status.is_ok());
-                    heights.push_back(o.height);
-                  });
+    sim::spawn(wallet.submit(msgs(), 200'000),
+               [&](const relayer::Wallet::SubmitOutcome& o) {
+                 ASSERT_TRUE(o.status.is_ok());
+                 heights.push_back(o.height);
+               });
   }
   sched.run_until(sim::seconds(40));
   ASSERT_EQ(heights.size(), 2u);
@@ -94,11 +95,11 @@ TEST_F(WalletFixture, OptimisticSequencingFitsManyTxsInOneBlock) {
   relayer::Wallet wallet(sched, *server, 0, config(true));
   std::vector<chain::Height> heights;
   for (int i = 0; i < 4; ++i) {
-    wallet.submit(msgs(), 200'000,
-                  [&](const relayer::Wallet::SubmitOutcome& o) {
-                    ASSERT_TRUE(o.status.is_ok()) << o.status.to_string();
-                    heights.push_back(o.height);
-                  });
+    sim::spawn(wallet.submit(msgs(), 200'000),
+               [&](const relayer::Wallet::SubmitOutcome& o) {
+                 ASSERT_TRUE(o.status.is_ok()) << o.status.to_string();
+                 heights.push_back(o.height);
+               });
   }
   sched.run_until(sim::seconds(40));
   ASSERT_EQ(heights.size(), 4u);
@@ -112,11 +113,11 @@ TEST_F(WalletFixture, MultipleAccountsSubmitInParallel) {
   relayer::Wallet wallet(sched, *server, 0, wc);
   std::vector<chain::Height> heights;
   for (int i = 0; i < 2; ++i) {
-    wallet.submit(msgs(), 200'000,
-                  [&](const relayer::Wallet::SubmitOutcome& o) {
-                    ASSERT_TRUE(o.status.is_ok());
-                    heights.push_back(o.height);
-                  });
+    sim::spawn(wallet.submit(msgs(), 200'000),
+               [&](const relayer::Wallet::SubmitOutcome& o) {
+                 ASSERT_TRUE(o.status.is_ok());
+                 heights.push_back(o.height);
+               });
   }
   sched.run_until(sim::seconds(30));
   ASSERT_EQ(heights.size(), 2u);
@@ -130,10 +131,11 @@ TEST_F(WalletFixture, RecoversFromExternalSequenceBump) {
 
   // First tx through the wallet: sequence 0.
   bool first_done = false;
-  wallet.submit(msgs(), 200'000, [&](const relayer::Wallet::SubmitOutcome& o) {
-    ASSERT_TRUE(o.status.is_ok());
-    first_done = true;
-  });
+  sim::spawn(wallet.submit(msgs(), 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               ASSERT_TRUE(o.status.is_ok());
+               first_done = true;
+             });
   sched.run_until(sim::seconds(30));
   ASSERT_TRUE(first_done);
 
@@ -149,10 +151,11 @@ TEST_F(WalletFixture, RecoversFromExternalSequenceBump) {
 
   // Wallet still believes the next sequence is 1 -> mismatch -> retry.
   bool second_done = false;
-  wallet.submit(msgs(), 200'000, [&](const relayer::Wallet::SubmitOutcome& o) {
-    EXPECT_TRUE(o.status.is_ok()) << o.status.to_string();
-    second_done = true;
-  });
+  sim::spawn(wallet.submit(msgs(), 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               EXPECT_TRUE(o.status.is_ok()) << o.status.to_string();
+               second_done = true;
+             });
   sched.run_until(sched.now() + sim::seconds(30));
   EXPECT_TRUE(second_done);
   EXPECT_GE(wallet.sequence_mismatch_errors(), 1u);
@@ -169,10 +172,11 @@ TEST_F(WalletFixture, NoConfirmationTimeout) {
   relayer::Wallet wallet(sched, *server, 0, wc);
   util::Status status;
   bool done = false;
-  wallet.submit(msgs(), 200'000, [&](const relayer::Wallet::SubmitOutcome& o) {
-    status = o.status;
-    done = true;
-  });
+  sim::spawn(wallet.submit(msgs(), 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               status = o.status;
+               done = true;
+             });
   sched.run_until(sched.now() + sim::seconds(60));
   ASSERT_TRUE(done);
   EXPECT_EQ(status.code(), util::ErrorCode::kTimeout);
@@ -185,11 +189,11 @@ TEST_F(WalletFixture, ReportsDeliverTxFailure) {
   relayer::Wallet wallet(sched, *server, 0, config(false));
   util::Status status;
   bool done = false;
-  wallet.submit({chain::Msg{"/unknown.Msg", {}}}, 200'000,
-                [&](const relayer::Wallet::SubmitOutcome& o) {
-                  status = o.status;
-                  done = o.committed;
-                });
+  sim::spawn(wallet.submit({chain::Msg{"/unknown.Msg", {}}}, 200'000),
+             [&](const relayer::Wallet::SubmitOutcome& o) {
+               status = o.status;
+               done = o.committed;
+             });
   sched.run_until(sim::seconds(30));
   ASSERT_TRUE(done);
   EXPECT_EQ(status.code(), util::ErrorCode::kNotFound);
@@ -198,10 +202,9 @@ TEST_F(WalletFixture, ReportsDeliverTxFailure) {
 TEST_F(WalletFixture, BroadcastCallbackFiresBeforeCommit) {
   relayer::Wallet wallet(sched, *server, 0, config(false));
   sim::TimePoint broadcast_at = 0, commit_at = 0;
-  wallet.submit(
-      msgs(), 200'000,
-      [&](const relayer::Wallet::SubmitOutcome&) { commit_at = sched.now(); },
-      [&] { broadcast_at = sched.now(); });
+  sim::spawn(
+      wallet.submit(msgs(), 200'000, [&] { broadcast_at = sched.now(); }),
+      [&](const relayer::Wallet::SubmitOutcome&) { commit_at = sched.now(); });
   sched.run_until(sim::seconds(30));
   EXPECT_GT(broadcast_at, 0);
   EXPECT_GT(commit_at, broadcast_at + sim::seconds(1));
@@ -211,11 +214,11 @@ TEST_F(WalletFixture, QueuesBeyondAccountCapacity) {
   relayer::Wallet wallet(sched, *server, 0, config(false));
   int completed = 0;
   for (int i = 0; i < 3; ++i) {
-    wallet.submit(msgs(), 200'000,
-                  [&](const relayer::Wallet::SubmitOutcome& o) {
-                    EXPECT_TRUE(o.status.is_ok());
-                    ++completed;
-                  });
+    sim::spawn(wallet.submit(msgs(), 200'000),
+               [&](const relayer::Wallet::SubmitOutcome& o) {
+                 EXPECT_TRUE(o.status.is_ok());
+                 ++completed;
+               });
   }
   EXPECT_GE(wallet.queued(), 1u);
   sched.run_until(sim::seconds(60));

@@ -64,8 +64,10 @@ struct FrameFixture : ::testing::Test {
             tb->chain_b().ledger->height() + 100'000);
         msgs.push_back(t.to_msg());
       }
-      storm_wallet->submit(
-          msgs, 100'000 + 80'000 * static_cast<std::uint64_t>(kStormMsgsPerTx),
+      sim::spawn(
+          storm_wallet->submit(
+              msgs,
+              100'000 + 80'000 * static_cast<std::uint64_t>(kStormMsgsPerTx)),
           [](const relayer::Wallet::SubmitOutcome&) {});
     }
   }
