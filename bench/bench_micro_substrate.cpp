@@ -6,7 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,6 +16,7 @@
 
 #include "chain/store.hpp"
 #include "chain/tx.hpp"
+#include "cosmos/app.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "ibc/msgs.hpp"
@@ -209,6 +212,43 @@ void BM_KvStoreBlockCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_KvStoreBlockCommit)->Unit(benchmark::kMicrosecond);
+
+// Bulk genesis as the scale tier runs it: N accounts through
+// CosmosApp::add_genesis_accounts (a sequence and a balance entry each,
+// plus the supply), then the first root(), which folds every entry. The
+// counters split the two: ns_per_insert over the entries written,
+// ns_per_fold_entry over the entries folded.
+void BM_KvStoreGenesisFold(benchmark::State& state) {
+  std::vector<chain::Address> addrs;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    addrs.push_back("user-" + std::to_string(i));
+  }
+  double insert_ns = 0;
+  double fold_ns = 0;
+  double entries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto app = std::make_unique<cosmos::CosmosApp>("chain-a");
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    app->add_genesis_accounts(addrs, 1'000'000);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(app->store().root());
+    const auto t2 = std::chrono::steady_clock::now();
+    insert_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    fold_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
+    entries += static_cast<double>(app->store().size());
+    state.PauseTiming();
+    app.reset();
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_insert"] = insert_ns / entries;
+  state.counters["ns_per_fold_entry"] = fold_ns / entries;
+}
+BENCHMARK(BM_KvStoreGenesisFold)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 // Churn: insert + erase keeps the store at a steady ~10k live entries while
 // exercising tombstones, index deletion and the periodic compaction.

@@ -29,8 +29,8 @@
 // match, so a miss or a collision stays inside the index and a key compare
 // happens about once per 128 occupied slots passed. Every lookup and write
 // is one probe: insert_new() does its own existence check, update() reads
-// and writes through the slot it probed, and prefetch() lets bulk loops
-// overlap the cache misses of the probes ahead of them.
+// and writes through the slot it probed, and update_many() overlaps the
+// cache misses of a bulk load's successive probes.
 //
 // Ordered prefix scans run over a lazily maintained sorted view of the entry
 // indices; for_each_unordered() walks the entries instead and never builds
@@ -121,11 +121,35 @@ class KvStore {
     fn(slot);
   }
 
-  /// Hashes `key` and prefetches its index slot. A bulk loop calls it
-  /// kPrefetchDistance keys ahead of the key it writes, so the cache misses
-  /// of successive probes overlap instead of queueing.
-  void prefetch(std::string_view key) const;
-  static constexpr std::size_t kPrefetchDistance = 16;
+  /// Bulk update(): for i in [0, n), calls fn(slot) with the slot of
+  /// key_of(i), in order. A bulk load's probes each miss the cache, so each
+  /// key is built and hashed once, kPrefetchDistance keys ahead of its
+  /// write, and its index slot prefetched then: the misses of successive
+  /// probes overlap instead of queueing. key_of returns a key by value
+  /// (a util::Key, say) that converts to std::string_view; fn follows
+  /// update()'s rules.
+  template <typename KeyOf, typename F>
+  void update_many(std::size_t n, KeyOf&& key_of, F&& fn) {
+    using Key = decltype(key_of(std::size_t{0}));
+    std::array<Key, kPrefetchDistance> keys;  // key i is at i % the size
+    std::array<std::uint64_t, kPrefetchDistance> hashes;
+    const auto admit = [&](std::size_t i) {
+      const std::size_t r = i % kPrefetchDistance;
+      keys[r] = key_of(i);
+      hashes[r] = hash_key(keys[r]);
+      prefetch_slot(hashes[r]);
+    };
+    for (std::size_t i = 0; i < n && i < kPrefetchDistance; ++i) admit(i);
+    for (std::size_t i = 0; i < n; ++i) {
+      {
+        telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+        const std::size_t r = i % kPrefetchDistance;
+        Slot slot = probe(keys[r], hashes[r]);
+        fn(slot);
+      }
+      if (i + kPrefetchDistance < n) admit(i + kPrefetchDistance);
+    }
+  }
 
   /// The index hash of a key (a pure function of its bytes). It only places
   /// keys: nothing iterates in index order, so no result depends on it.
@@ -194,8 +218,9 @@ class KvStore {
 
   std::size_t size() const { return live_count_; }
 
-  /// Pre-sizes the hash index for an expected total entry count (bulk-load
-  /// fast path). Entries and key bytes grow in chunks and need no reserve.
+  /// Pre-sizes the hash index and the root fold's queue for an expected
+  /// total entry count (bulk-load fast path). Entries and key bytes grow in
+  /// chunks and need no reserve.
   void reserve(std::size_t expected_entries);
 
   /// Current commitment root. Folds in the entries written since the last
@@ -222,6 +247,8 @@ class KvStore {
 
  private:
   static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  /// How many keys ahead of its write update_many() prefetches a slot.
+  static constexpr std::size_t kPrefetchDistance = 16;
   /// Values up to this many bytes live inline in the entry (covers u64
   /// balances/sequences and 32-byte commitments/acks).
   static constexpr std::size_t kInlineValue = 32;
@@ -251,6 +278,12 @@ class KvStore {
   // in for a stored key hash: each 8 bytes here is 16 MiB at 10^6 accounts.
   static_assert(sizeof(Entry) == 104, "Entry grew");
 
+  /// Writes an entry's hash input, u32_be(key size) || key || value, to
+  /// `out`.
+  static void write_entry_input(std::uint8_t* out, std::string_view key,
+                                util::BytesView value);
+  /// The digest of an entry's hash input, for inputs too long for the
+  /// fold's batches.
   static crypto::Digest entry_hash(std::string_view key,
                                    util::BytesView value);
   /// Tag byte of an occupied index slot: never 0, which marks a free one.
@@ -280,9 +313,11 @@ class KvStore {
     return util::BytesView(p, e.val_len);
   }
   static void assign_value(Entry& e, util::BytesView value);
-  /// Appends to the last chunk (opening a new one when full); returns the
-  /// entry index / the key's key_off.
-  std::uint32_t append_entry(Entry&& e);
+  /// Constructs an entry for `key` in the last chunk (opening a new one when
+  /// full) and appends the key's bytes; returns the entry's index. Every
+  /// entry the store holds, a compacted one included, is made here.
+  std::uint32_t append_entry(std::string_view key);
+  /// Appends to the last key chunk; returns the key's key_off.
   std::uint32_t append_key(std::string_view key);
 
   /// Bucket holding `key` and its entry, or the free bucket where it would
@@ -293,7 +328,11 @@ class KvStore {
   };
   Probe find(std::string_view key, std::uint64_t h) const;
   std::uint32_t find_entry(std::string_view key) const;
-  Slot probe(std::string_view key);
+  /// The slot of `key`, whose hash_key() is `h`.
+  Slot probe(std::string_view key, std::uint64_t h);
+  Slot probe(std::string_view key) { return probe(key, hash_key(key)); }
+  /// Prefetches the index lines of the home bucket of hash `h`.
+  void prefetch_slot(std::uint64_t h) const;
   /// The one write step: journals, calls the hook and applies `value` to
   /// the probed slot (nullopt erases), keeping the slot current.
   void write(Slot& slot, std::optional<util::BytesView> value);

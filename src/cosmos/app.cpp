@@ -30,13 +30,7 @@ void CosmosApp::add_genesis_accounts(const std::vector<chain::Address>& addrs,
                                      std::uint64_t amount) {
   // Two entries per account (sequence + balance) plus the supply key.
   store_.reserve(store_.size() + 2 * addrs.size() + 1);
-  constexpr std::size_t kAhead = chain::KvStore::kPrefetchDistance;
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (i + kAhead < addrs.size()) {
-      store_.prefetch(AuthKeeper::seq_key(addrs[i + kAhead]));
-    }
-    auth_.create_account(addrs[i]);
-  }
+  auth_.create_accounts(addrs);
   bank_.fund_many(addrs, Coin{kNativeDenom, amount});
 }
 

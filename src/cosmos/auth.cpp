@@ -16,6 +16,14 @@ void AuthKeeper::create_account(std::string_view addr) {
   store_.insert_new(seq_key(addr), util::u64_be(0));
 }
 
+void AuthKeeper::create_accounts(const std::vector<chain::Address>& addrs) {
+  store_.update_many(
+      addrs.size(), [&addrs](std::size_t i) { return seq_key(addrs[i]); },
+      [](chain::KvStore::Slot& slot) {
+        if (!slot.value()) slot.set(util::u64_be(0));
+      });
+}
+
 std::uint64_t AuthKeeper::sequence(std::string_view addr) const {
   return util::stored_u64(store_.get_view(seq_key(addr)));  // ante-hot
 }

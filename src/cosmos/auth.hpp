@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "chain/store.hpp"
 #include "chain/types.hpp"
@@ -23,6 +24,8 @@ class AuthKeeper {
   bool account_exists(std::string_view addr) const;
   /// Creates the account at sequence 0; an existing one is left as it is.
   void create_account(std::string_view addr);
+  /// create_account() for each address in order, as one bulk store load.
+  void create_accounts(const std::vector<chain::Address>& addrs);
 
   /// The sequence the account's *next* transaction must carry.
   std::uint64_t sequence(std::string_view addr) const;

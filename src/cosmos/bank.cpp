@@ -15,22 +15,31 @@ namespace {
 
 using U64 = std::optional<std::uint64_t>;
 
-/// Read-modify-write of a balance or supply in one probe: writes next(old),
-/// erasing at 0 to keep the state (and its root) canonical, or leaves the
-/// key as it is when next returns nullopt. Returns old.
+/// Read-modify-write of a balance or supply through its probed slot:
+/// writes next(old), erasing at 0 to keep the state (and its root)
+/// canonical, or leaves the key as it is when next returns nullopt.
+/// Returns old.
 template <typename F>
-std::uint64_t update_u64(chain::KvStore& store, std::string_view key,
-                         F&& next) {
-  std::uint64_t old = 0;
-  store.update(key, [&](chain::KvStore::Slot& slot) {
-    old = util::stored_u64(slot.value());
-    const U64 v = next(old);
-    if (!v) return;
+std::uint64_t update_u64(chain::KvStore::Slot& slot, F&& next) {
+  const std::uint64_t old = util::stored_u64(slot.value());
+  const U64 v = next(old);
+  if (v) {
     if (*v == 0) {
       slot.erase();
     } else {
       slot.set(util::u64_be(*v));
     }
+  }
+  return old;
+}
+
+/// update_u64() of `key` in one probe.
+template <typename F>
+std::uint64_t update_u64(chain::KvStore& store, std::string_view key,
+                         F&& next) {
+  std::uint64_t old = 0;
+  store.update(key, [&](chain::KvStore::Slot& slot) {
+    old = update_u64(slot, next);
   });
   return old;
 }
@@ -64,16 +73,15 @@ void BankKeeper::fund_many(const std::vector<chain::Address>& addrs,
   // read-modify-write happens once instead of once per account. The net
   // delta accumulates in wrapping u64 arithmetic, which commutes with the
   // sequential per-account adjustments.
-  constexpr std::size_t kAhead = chain::KvStore::kPrefetchDistance;
   std::uint64_t minted = 0;
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (i + kAhead < addrs.size()) {
-      store_.prefetch(balance_key(addrs[i + kAhead], coin.denom));
-    }
-    minted += coin.amount -
-              update_u64(store_, balance_key(addrs[i], coin.denom),
-                         [&](std::uint64_t) { return U64(coin.amount); });
-  }
+  store_.update_many(
+      addrs.size(),
+      [&](std::size_t i) { return balance_key(addrs[i], coin.denom); },
+      [&](chain::KvStore::Slot& slot) {
+        minted += coin.amount - update_u64(slot, [&](std::uint64_t) {
+                    return U64(coin.amount);
+                  });
+      });
   add_u64(store_, supply_key(coin.denom), minted);
 }
 

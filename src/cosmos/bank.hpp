@@ -30,7 +30,8 @@ class BankKeeper {
   void set_balance(std::string_view addr, const Coin& coin);
 
   /// Bulk genesis funding: sets every address's balance to `coin` with a
-  /// single supply update at the end, one prefetched probe per account.
+  /// single supply update at the end, one bulk store load
+  /// (KvStore::update_many) over the balance keys.
   /// Byte-identical final state (and store root) to calling set_balance()
   /// per address.
   void fund_many(const std::vector<chain::Address>& addrs, const Coin& coin);

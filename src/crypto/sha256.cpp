@@ -1,7 +1,11 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
+#include "crypto/sha256_kernels.hpp"
 #include "telemetry/profiler.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -113,249 +117,213 @@ void compress_portable(std::uint32_t* state, const std::uint8_t* data,
 #undef XCC_BS0
 #undef XCC_ROTR
 
-#if XCC_SHA256_X86
-// x86 SHA-NI compression (Intel SHA extensions reference flow). Compiled
-// with a per-function target attribute so the TU itself needs no -msha;
-// only called after __builtin_cpu_supports confirms support.
-__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
-    std::uint32_t* state, const std::uint8_t* data, std::size_t nblocks) {
-  const __m128i kShuf =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i st1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB
-  st1 = _mm_shuffle_epi32(st1, 0x1B);                 // EFGH
-  __m128i st0 = _mm_alignr_epi8(tmp, st1, 8);         // ABEF
-  st1 = _mm_blend_epi16(st1, tmp, 0xF0);              // CDGH
-
-  while (nblocks--) {
-    const __m128i abef_save = st0;
-    const __m128i cdgh_save = st1;
-    __m128i msg, msgtmp;
-
-    // Rounds 0-3
-    __m128i msg0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 0));
-    msg0 = _mm_shuffle_epi8(msg0, kShuf);
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-    // Rounds 4-7
-    __m128i msg1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16));
-    msg1 = _mm_shuffle_epi8(msg1, kShuf);
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 8-11
-    __m128i msg2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 32));
-    msg2 = _mm_shuffle_epi8(msg2, kShuf);
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 12-15
-    __m128i msg3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 48));
-    msg3 = _mm_shuffle_epi8(msg3, kShuf);
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, msgtmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 16-19
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(0x240CA1CC0FC19DC6ULL, 0xEFBE4786E49B69C1ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, msgtmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 20-23
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(0x76F988DA5CB0A9DCULL, 0x4A7484AA2DE92C6FULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, msgtmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 24-27
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(0xBF597FC7B00327C8ULL, 0xA831C66D983E5152ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, msgtmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 28-31
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(0x1429296706CA6351ULL, 0xD5A79147C6E00BF3ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, msgtmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 32-35
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(0x53380D134D2C6DFCULL, 0x2E1B213827B70A85ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, msgtmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 36-39
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(0x92722C8581C2C92EULL, 0x766A0ABB650A7354ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, msgtmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-    // Rounds 40-43
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(0xC76C51A3C24B8B70ULL, 0xA81A664BA2BFE8A1ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, msgtmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-    // Rounds 44-47
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(0x106AA070F40E3585ULL, 0xD6990624D192E819ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg3, msg2, 4);
-    msg0 = _mm_add_epi32(msg0, msgtmp);
-    msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-    // Rounds 48-51
-    msg = _mm_add_epi32(
-        msg0, _mm_set_epi64x(0x34B0BCB52748774CULL, 0x1E376C0819A4C116ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, msgtmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-
-    // Rounds 52-55
-    msg = _mm_add_epi32(
-        msg1, _mm_set_epi64x(0x682E6FF35B9CCA4FULL, 0x4ED8AA4A391C0CB3ULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg1, msg0, 4);
-    msg2 = _mm_add_epi32(msg2, msgtmp);
-    msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-    // Rounds 56-59
-    msg = _mm_add_epi32(
-        msg2, _mm_set_epi64x(0x8CC7020884C87814ULL, 0x78A5636F748F82EEULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msgtmp = _mm_alignr_epi8(msg2, msg1, 4);
-    msg3 = _mm_add_epi32(msg3, msgtmp);
-    msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-    // Rounds 60-63
-    msg = _mm_add_epi32(
-        msg3, _mm_set_epi64x(0xC67178F2BEF9A3F7ULL, 0xA4506CEB90BEFFFAULL));
-    st1 = _mm_sha256rnds2_epu32(st1, st0, msg);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    st0 = _mm_sha256rnds2_epu32(st0, st1, msg);
-
-    st0 = _mm_add_epi32(st0, abef_save);
-    st1 = _mm_add_epi32(st1, cdgh_save);
-    data += 64;
+void hash_padded_portable(const std::uint8_t* blocks, std::size_t n,
+                          std::size_t nblocks, Digest* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t state[8];
+    std::memcpy(state, kInit.data(), sizeof(state));
+    compress_portable(state, blocks + i * nblocks * 64, nblocks);
+    out[i] = detail::extract_digest(state);
   }
-
-  tmp = _mm_shuffle_epi32(st0, 0x1B);                 // FEBA
-  st1 = _mm_shuffle_epi32(st1, 0xB1);                 // DCHG
-  st0 = _mm_blend_epi16(tmp, st1, 0xF0);              // DCBA
-  st1 = _mm_alignr_epi8(st1, tmp, 8);                 // HGFE
-
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), st0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), st1);
 }
+
+#if XCC_SHA256_X86
+// x86 SHA-NI (the Intel SHA extensions' reference flow), written once for
+// L independent messages ("lanes"). One block's 32 sha256rnds2 form a
+// serial chain, so a single lane waits out each instruction's latency;
+// interleaving four lanes' rounds keeps the unit at its throughput limit.
+// Compiled with per-function target attributes so the TU itself needs no
+// -msha; only called after __builtin_cpu_supports confirms support.
+#define XCC_SHANI __attribute__((target("sha,sse4.1,ssse3")))
+#define XCC_SHANI_INLINE XCC_SHANI __attribute__((always_inline)) inline
+
+// Reverses the bytes of each 32-bit word: big-endian message and digest
+// words to and from the unit's little-endian lanes.
+XCC_SHANI_INLINE __m128i bswap_words(__m128i x) {
+  return _mm_shuffle_epi8(
+      x, _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL));
+}
+
+// Rounds 4Q..4Q+3 of one block in every lane. w[Q % 4] holds the message
+// words of these rounds; w is a ring of the 16 words the schedule needs,
+// each extended in place (sha256msg1 from round group 1, sha256msg2 from 3).
+template <std::size_t Q, std::size_t L>
+XCC_SHANI_INLINE void shani_quad(__m128i (&abef)[L], __m128i (&cdgh)[L],
+                                 __m128i (&w)[4][L],
+                                 const std::uint8_t* const* data) {
+  const __m128i k =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * Q]));
+#pragma GCC unroll 4
+  for (std::size_t l = 0; l < L; ++l) {
+    if constexpr (Q < 4) {
+      w[Q][l] = bswap_words(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data[l] + 16 * Q)));
+    }
+    __m128i msg = _mm_add_epi32(w[Q % 4][l], k);
+    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], msg);
+    if constexpr (Q >= 3 && Q <= 14) {
+      const __m128i tmp = _mm_alignr_epi8(w[Q % 4][l], w[(Q + 3) % 4][l], 4);
+      w[(Q + 1) % 4][l] = _mm_sha256msg2_epu32(
+          _mm_add_epi32(w[(Q + 1) % 4][l], tmp), w[Q % 4][l]);
+    }
+    msg = _mm_shuffle_epi32(msg, 0x0E);
+    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], msg);
+    if constexpr (Q >= 1 && Q <= 12) {
+      w[(Q + 3) % 4][l] = _mm_sha256msg1_epu32(w[(Q + 3) % 4][l], w[Q % 4][l]);
+    }
+  }
+}
+
+// Compresses one 64-byte block per lane (data[l]) into abef/cdgh.
+template <std::size_t L, std::size_t... Q>
+XCC_SHANI_INLINE void shani_block(__m128i (&abef)[L], __m128i (&cdgh)[L],
+                                  const std::uint8_t* const* data,
+                                  std::index_sequence<Q...>) {
+  __m128i abef_save[L], cdgh_save[L], w[4][L];
+#pragma GCC unroll 4
+  for (std::size_t l = 0; l < L; ++l) {
+    abef_save[l] = abef[l];
+    cdgh_save[l] = cdgh[l];
+  }
+  (shani_quad<Q, L>(abef, cdgh, w, data), ...);
+#pragma GCC unroll 4
+  for (std::size_t l = 0; l < L; ++l) {
+    abef[l] = _mm_add_epi32(abef[l], abef_save[l]);
+    cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_save[l]);
+  }
+}
+
+// The unit keeps the state as ABEF and CDGH; memory holds it as ABCD EFGH.
+XCC_SHANI_INLINE void shani_load(const std::uint32_t* state, __m128i& abef,
+                                 __m128i& cdgh) {
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  abef = _mm_alignr_epi8(dcba, efgh, 8);
+  cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+}
+
+// The state words A..D and E..H in memory order.
+XCC_SHANI_INLINE void shani_unload(__m128i abef, __m128i cdgh, __m128i& abcd,
+                                   __m128i& efgh) {
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+  efgh = _mm_alignr_epi8(dchg, feba, 8);
+}
+
+XCC_SHANI void compress_shani(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t nblocks) {
+  __m128i abef[1], cdgh[1];
+  shani_load(state, abef[0], cdgh[0]);
+  for (; nblocks > 0; --nblocks, data += 64) {
+    shani_block<1>(abef, cdgh, &data, std::make_index_sequence<16>{});
+  }
+  __m128i abcd, efgh;
+  shani_unload(abef[0], cdgh[0], abcd, efgh);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abcd);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), efgh);
+}
+
+// Hashes L padded messages of nblocks blocks each, from the initial state.
+template <std::size_t L>
+XCC_SHANI_INLINE void shani_hash_lanes(const std::uint8_t* blocks,
+                                       std::size_t nblocks, Digest* out) {
+  __m128i abef[L], cdgh[L];
+  const std::uint8_t* data[L];
+  for (std::size_t l = 0; l < L; ++l) {
+    shani_load(kInit.data(), abef[l], cdgh[l]);
+    data[l] = blocks + l * nblocks * 64;
+  }
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    shani_block<L>(abef, cdgh, data, std::make_index_sequence<16>{});
+    for (std::size_t l = 0; l < L; ++l) data[l] += 64;
+  }
+  for (std::size_t l = 0; l < L; ++l) {
+    __m128i abcd, efgh;
+    shani_unload(abef[l], cdgh[l], abcd, efgh);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out[l].data()),
+                     bswap_words(abcd));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out[l].data() + 16),
+                     bswap_words(efgh));
+  }
+}
+
+XCC_SHANI void hash_padded_shani(const std::uint8_t* blocks, std::size_t n,
+                                 std::size_t nblocks, Digest* out) {
+  constexpr std::size_t kLanes = 4;
+  const std::size_t stride = nblocks * 64;
+  for (; n >= kLanes; n -= kLanes) {
+    shani_hash_lanes<kLanes>(blocks, nblocks, out);
+    blocks += kLanes * stride;
+    out += kLanes;
+  }
+  for (; n > 0; --n) {
+    shani_hash_lanes<1>(blocks, nblocks, out);
+    blocks += stride;
+    ++out;
+  }
+}
+
+#undef XCC_SHANI_INLINE
+#undef XCC_SHANI
 #endif  // XCC_SHA256_X86
 
-using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+void store_be64(std::uint8_t* out, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(out, &v, sizeof(v));
+}
 
-CompressFn pick_compress() {
+// Pads a message's last `rem` (< 64) bytes, already at `tail`, for a
+// message of `total_len` bytes; returns the number of tail blocks.
+std::size_t pad_tail(std::uint8_t* tail, std::size_t rem,
+                     std::uint64_t total_len) {
+  const std::size_t tail_len = padded_blocks(rem) * 64;
+  tail[rem] = 0x80;
+  std::memset(tail + rem + 1, 0, tail_len - 8 - (rem + 1));
+  store_be64(tail + tail_len - 8, total_len * 8);
+  return tail_len / 64;
+}
+
+}  // namespace
+
+namespace detail {
+
+const Kernel kPortableKernel{&compress_portable, &hash_padded_portable};
+
+const Kernel* shani_kernel() {
 #if XCC_SHA256_X86
+  static const Kernel kShani{&compress_shani, &hash_padded_shani};
   if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
       __builtin_cpu_supports("ssse3")) {
-    return &compress_shani;
+    return &kShani;
   }
 #endif
-  return &compress_portable;
+  return nullptr;
 }
 
-CompressFn compress_fn() {
-  static const CompressFn fn = pick_compress();
-  return fn;
-}
-
-void store_be64(std::uint8_t* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(v >> (56 - i * 8));
-  }
+const Kernel& kernel() {
+  static const Kernel& k =
+      shani_kernel() != nullptr ? *shani_kernel() : kPortableKernel;
+  return k;
 }
 
 Digest extract_digest(const std::uint32_t* state) {
   Digest out;
   for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state[i]);
+    std::uint32_t word = state[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(out.data() + 4 * i, &word, sizeof(word));
   }
   return out;
 }
 
-}  // namespace
+}  // namespace detail
 
 Sha256::Sha256() { reset(); }
 
@@ -368,6 +336,7 @@ void Sha256::reset() {
 void Sha256::update(const void* vdata, std::size_t len) {
   if (len == 0) return;
   telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
+  const auto compress = detail::kernel().compress;
   const auto* data = static_cast<const std::uint8_t*>(vdata);
   total_len_ += len;
   std::size_t offset = 0;
@@ -377,12 +346,12 @@ void Sha256::update(const void* vdata, std::size_t len) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      compress_fn()(state_.data(), buffer_.data(), 1);
+      compress(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
   if (const std::size_t nblocks = (len - offset) / 64; nblocks > 0) {
-    compress_fn()(state_.data(), data + offset, nblocks);
+    compress(state_.data(), data + offset, nblocks);
     offset += nblocks * 64;
   }
   if (offset < len) {
@@ -393,17 +362,18 @@ void Sha256::update(const void* vdata, std::size_t len) {
 
 Digest Sha256::finalize() {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
+  const auto compress = detail::kernel().compress;
   const std::uint64_t bit_len = total_len_ * 8;
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
-    compress_fn()(state_.data(), buffer_.data(), 1);
+    compress(state_.data(), buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   store_be64(buffer_.data() + 56, bit_len);
-  compress_fn()(state_.data(), buffer_.data(), 1);
-  const Digest out = extract_digest(state_.data());
+  compress(state_.data(), buffer_.data(), 1);
+  const Digest out = detail::extract_digest(state_.data());
   reset();
   return out;
 }
@@ -411,30 +381,28 @@ Digest Sha256::finalize() {
 Digest sha256(util::BytesView data) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
   // Pads into a stack tail block; never touches heap.
-  const CompressFn fn = compress_fn();
+  const auto compress = detail::kernel().compress;
   const std::size_t len = data.size();
   std::uint32_t state[8];
   std::memcpy(state, kInit.data(), sizeof(state));
   const std::size_t nblocks = len / 64;
-  if (nblocks > 0) fn(state, data.data(), nblocks);
+  if (nblocks > 0) compress(state, data.data(), nblocks);
   const std::size_t rem = len - nblocks * 64;
 
   std::uint8_t tail[128];
   if (rem > 0) std::memcpy(tail, data.data() + nblocks * 64, rem);
-  tail[rem] = 0x80;
-  const std::size_t tail_len = (rem + 9 <= 64) ? 64 : 128;
-  std::memset(tail + rem + 1, 0, tail_len - 8 - (rem + 1));
-  store_be64(tail + tail_len - 8, static_cast<std::uint64_t>(len) * 8);
-  fn(state, tail, tail_len / 64);
-  return extract_digest(state);
+  compress(state, tail, pad_tail(tail, rem, len));
+  return detail::extract_digest(state);
 }
 
-bool sha256_hw_accelerated() {
-#if XCC_SHA256_X86
-  return compress_fn() == &compress_shani;
-#else
-  return false;
-#endif
+void pad_message(std::uint8_t* blocks, std::size_t len) {
+  pad_tail(blocks + len / 64 * 64, len % 64, len);
+}
+
+void sha256_padded(const std::uint8_t* blocks, std::size_t n,
+                   std::size_t nblocks, Digest* out) {
+  telemetry::ProfileScope prof(telemetry::ProfileKey::kCryptoHash);
+  detail::kernel().hash_padded(blocks, n, nblocks, out);
 }
 
 util::Bytes digest_to_bytes(const Digest& d) {

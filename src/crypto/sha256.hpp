@@ -1,13 +1,19 @@
 #pragma once
 // SHA-256 (FIPS 180-4).
 //
-// Used for block hashes, transaction hashes, packet commitments and Merkle
-// trees. A real Tendermint node uses the same primitive; implementing it
-// here keeps hashes stable across platforms and avoids external deps.
+// Used for block hashes, transaction hashes, packet commitments, Merkle
+// trees and the store's set-hash root. A real Tendermint node uses the same
+// primitive; implementing it here keeps hashes stable across platforms and
+// avoids external deps.
 //
-// The compression function is selected once at runtime: an x86 SHA-NI
-// implementation when the CPU supports it, otherwise a portable unrolled
-// scalar loop. Both produce identical digests; only throughput differs.
+// The kernels are selected once at runtime: x86 SHA-NI when the CPU
+// supports it, otherwise portable unrolled scalar loops. Both produce
+// identical digests; only throughput differs. One SHA-NI block is a serial
+// chain of sha256rnds2 instructions, so a single message leaves the unit
+// idle most of each instruction's latency. sha256_padded() hashes many
+// short independent messages (the store's root fold) four at a time,
+// interleaving their rounds, which keeps the unit at its throughput limit.
+// The compression kernels are exposed to tests in sha256_kernels.hpp.
 
 #include <array>
 #include <cstddef>
@@ -45,10 +51,23 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// True when the runtime-selected compression loop uses the x86 SHA
-/// extensions. Digest bytes are identical either way; exposed for bench
-/// labelling and tests that force-compare both paths.
-bool sha256_hw_accelerated();
+/// The number of 64-byte blocks a `len`-byte message pads to: one up to 55
+/// bytes, two up to 119.
+constexpr std::size_t padded_blocks(std::size_t len) {
+  return (len + 9 + 63) / 64;
+}
+
+/// Pads the `len`-byte message at the start of `blocks` in place (0x80,
+/// zeros, then its bit length as a big-endian u64), filling
+/// padded_blocks(len) blocks.
+void pad_message(std::uint8_t* blocks, std::size_t len);
+
+/// Hashes `n` independent padded messages of `nblocks` blocks each: message
+/// i is the nblocks * 64 bytes at blocks + i * nblocks * 64, laid out by
+/// pad_message(), and its digest, the sha256() of the unpadded bytes, goes
+/// to out[i].
+void sha256_padded(const std::uint8_t* blocks, std::size_t n,
+                   std::size_t nblocks, Digest* out);
 
 /// Digest helpers.
 util::Bytes digest_to_bytes(const Digest& d);

@@ -118,9 +118,30 @@ sim::Task<util::Result<rpc::TxSearchPage>> QueryCache::query_packet_events(
     rpc::Server& server, net::MachineId client, chain::Height height,
     std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end) {
   if (!config_.enabled) {
-    co_return co_await server.query_packet_events(
-        client, height, std::move(event_type), seq_begin, seq_end);
+    return server.query_packet_events(client, height, std::move(event_type),
+                                      seq_begin, seq_end);
   }
+  return cached_packet_events(server, client, height, std::move(event_type),
+                              seq_begin, seq_end);
+}
+
+sim::Task<util::Result<rpc::Server::HeaderInfo>> QueryCache::query_header(
+    rpc::Server& server, net::MachineId client, chain::Height height) {
+  if (!config_.enabled) return server.query_header(client, height);
+  return cached_header(server, client, height);
+}
+
+sim::Task<util::Result<rpc::Server::AbciQueryResult>> QueryCache::abci_query(
+    rpc::Server& server, net::MachineId client, std::string key, bool prove) {
+  if (!config_.enabled) {
+    return server.abci_query(client, std::move(key), prove);
+  }
+  return cached_abci(server, client, std::move(key), prove);
+}
+
+sim::Task<util::Result<rpc::TxSearchPage>> QueryCache::cached_packet_events(
+    rpc::Server& server, net::MachineId client, chain::Height height,
+    std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end) {
   Key key{&server, Kind::kPage, height, seq_begin, seq_end, false, event_type};
   if (const Entry* e = lookup(key)) {
     // A copy, taken now: the entry may be evicted while the hit is served.
@@ -137,9 +158,8 @@ sim::Task<util::Result<rpc::TxSearchPage>> QueryCache::query_packet_events(
   co_return std::move(res);
 }
 
-sim::Task<util::Result<rpc::Server::HeaderInfo>> QueryCache::query_header(
+sim::Task<util::Result<rpc::Server::HeaderInfo>> QueryCache::cached_header(
     rpc::Server& server, net::MachineId client, chain::Height height) {
-  if (!config_.enabled) co_return co_await server.query_header(client, height);
   Key key{&server, Kind::kHeader, height, 0, 0, false, {}};
   if (const Entry* e = lookup(key)) {
     rpc::Server::HeaderInfo info =
@@ -156,12 +176,9 @@ sim::Task<util::Result<rpc::Server::HeaderInfo>> QueryCache::query_header(
   co_return std::move(res);
 }
 
-sim::Task<util::Result<rpc::Server::AbciQueryResult>> QueryCache::abci_query(
+sim::Task<util::Result<rpc::Server::AbciQueryResult>> QueryCache::cached_abci(
     rpc::Server& server, net::MachineId client, std::string key_str,
     bool prove) {
-  if (!config_.enabled) {
-    co_return co_await server.abci_query(client, std::move(key_str), prove);
-  }
   // Store queries answer at the latest committed height, so kAbci entries
   // key at height 0; the answer height rides in the cached payload itself
   // and on_height_advance judges staleness from it.

@@ -22,10 +22,11 @@
 //     paper predicts for its serial-RPC bottleneck. A miss awaits the server
 //     and inserts what it answers.
 //
-// Each wrapper is a task, awaited like the endpoint it wraps. Disabled (the
-// default, paper-faithful mode) the cache is a zero-state pass-through:
-// every call awaits the server verbatim, no counters move, and simulation
-// timing is untouched — the golden figures depend on this.
+// Each wrapper returns a task, awaited like the endpoint it wraps. Disabled
+// (the default, paper-faithful mode) the cache is a zero-state
+// pass-through: every call returns the server's own task, no counters
+// move, and simulation timing is untouched — the golden figures depend on
+// this.
 
 #include <cstdint>
 #include <list>
@@ -136,6 +137,15 @@ class QueryCache {
     Payload payload;
   };
   using Index = std::map<Key, std::list<Entry>::iterator>;
+
+  /// The wrappers' enabled paths.
+  sim::Task<util::Result<rpc::TxSearchPage>> cached_packet_events(
+      rpc::Server& server, net::MachineId client, chain::Height height,
+      std::string event_type, std::uint64_t seq_begin, std::uint64_t seq_end);
+  sim::Task<util::Result<rpc::Server::HeaderInfo>> cached_header(
+      rpc::Server& server, net::MachineId client, chain::Height height);
+  sim::Task<util::Result<rpc::Server::AbciQueryResult>> cached_abci(
+      rpc::Server& server, net::MachineId client, std::string key, bool prove);
 
   /// LRU touch + lookup; nullptr on miss.
   const Entry* lookup(const Key& key);

@@ -71,7 +71,8 @@ void ServiceQueue::try_start() {
     while (w < servers_ && workers_[w].busy) ++w;
     if (w >= servers_) break;
 
-    Job job = std::move(pending_.front());
+    Job& job = workers_[w].job;
+    job = std::move(pending_.front());
     pending_.pop_front();
     workers_[w].busy = true;
     ++busy_;
@@ -90,14 +91,14 @@ void ServiceQueue::try_start() {
     }
     // The completion event re-checks the queue, so back-to-back jobs chain
     // without gaps (work-conserving workers).
-    sched_.schedule_after(job.service_time,
-                          [this, w, job = std::move(job)]() mutable {
-                            finish(w, job);
-                          });
+    sched_.schedule_after(job.service_time, [this, w] { finish(w); });
   }
 }
 
-void ServiceQueue::finish(std::size_t worker, const Job& job) {
+void ServiceQueue::finish(std::size_t worker) {
+  // Moved out first: on_done may enqueue a job that starts at once on this
+  // worker, now idle, and so overwrites its job.
+  const Job job = std::move(workers_[worker].job);
   workers_[worker].busy = false;
   workers_[worker].completed += 1;
   workers_[worker].busy_time += job.service_time;

@@ -79,7 +79,7 @@ class ServiceQueue {
 
  private:
   struct Job {
-    Duration service_time;
+    Duration service_time = 0;
     std::function<void()> on_done;
     const char* label = nullptr;
     TimePoint enqueued = 0;
@@ -91,10 +91,13 @@ class ServiceQueue {
     Duration busy_time = 0;
     telemetry::TrackId track = 0;
     bool track_ready = false;
+    // The job in service while busy. It stays here, so the completion event
+    // captures only the worker's index and needs no heap allocation.
+    Job job;
   };
 
   void try_start();
-  void finish(std::size_t worker, const Job& job);
+  void finish(std::size_t worker);
   void trace_depth();
   telemetry::TrackId worker_track(std::size_t w);
 

@@ -1,13 +1,16 @@
-// Unit + property tests for the crypto substrate: SHA-256 (FIPS vectors),
+// Unit + property tests for the crypto substrate: SHA-256 (FIPS vectors,
+// on both the portable and the SHA-NI kernels wherever the host has them),
 // Merkle trees with proofs, and the simulation signature scheme.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/signature.hpp"
 #include "util/rng.hpp"
 
@@ -114,6 +117,111 @@ TEST(Sha256Test, DigestHexRoundTrip) {
 TEST(Sha256Test, ShortHexIsPrefix) {
   const crypto::Digest d = crypto::sha256(util::to_bytes("x"));
   EXPECT_EQ(crypto::digest_short_hex(d), crypto::digest_hex(d).substr(0, 16));
+}
+
+// The kernel sets to test: the portable one always, SHA-NI where the host
+// has it (the process-wide dispatch runs only one of them).
+std::vector<const crypto::detail::Kernel*> kernels() {
+  std::vector<const crypto::detail::Kernel*> out{
+      &crypto::detail::kPortableKernel};
+  if (const crypto::detail::Kernel* k = crypto::detail::shani_kernel()) {
+    out.push_back(k);
+  }
+  return out;
+}
+
+// SHA-256 of `msg` through one kernel's compression loop.
+crypto::Digest hash_with(const crypto::detail::Kernel& kernel,
+                         util::BytesView msg) {
+  std::vector<std::uint8_t> blocks(crypto::padded_blocks(msg.size()) * 64);
+  std::copy(msg.begin(), msg.end(), blocks.begin());
+  crypto::pad_message(blocks.data(), msg.size());
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  kernel.compress(state, blocks.data(), blocks.size() / 64);
+  return crypto::detail::extract_digest(state);
+}
+
+TEST(Sha256Kernels, FipsVectorsOnEveryKernel) {
+  const std::string two_block =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  const struct {
+    util::Bytes msg;
+    const char* hex;
+  } vectors[] = {
+      {{},
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {util::to_bytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {util::to_bytes(two_block),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {util::Bytes(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const crypto::detail::Kernel* kernel : kernels()) {
+    for (const auto& v : vectors) {
+      EXPECT_EQ(crypto::digest_hex(hash_with(*kernel, v.msg)), v.hex)
+          << v.msg.size() << " bytes";
+      // The batch kernel takes messages of up to two padded blocks.
+      const std::size_t nblocks = crypto::padded_blocks(v.msg.size());
+      if (nblocks > 2) continue;
+      std::vector<std::uint8_t> blocks(nblocks * 64);
+      std::copy(v.msg.begin(), v.msg.end(), blocks.begin());
+      crypto::pad_message(blocks.data(), v.msg.size());
+      crypto::Digest out{};
+      kernel->hash_padded(blocks.data(), 1, nblocks, &out);
+      EXPECT_EQ(crypto::digest_hex(out), v.hex) << v.msg.size() << " bytes";
+    }
+  }
+}
+
+// Every message length a one- or two-block batch takes (0..119), in batches
+// of 1 to 5 messages (so the four-lane kernel runs full groups and
+// remainders), on each kernel and through the dispatched sha256_padded:
+// each digest must be the streaming hasher's.
+TEST(Sha256Kernels, PaddedBatchesMatchStreamingHasher) {
+  crypto::Sha256 streaming;
+  for (std::size_t len = 0; len <= 119; ++len) {
+    const std::size_t nblocks = crypto::padded_blocks(len);
+    ASSERT_EQ(nblocks, len <= 55 ? 1u : 2u) << len;
+    for (std::size_t n = 1; n <= 5; ++n) {
+      std::vector<std::uint8_t> blocks(n * nblocks * 64, 0xee);
+      std::vector<crypto::Digest> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t* msg = blocks.data() + i * nblocks * 64;
+        for (std::size_t b = 0; b < len; ++b) {
+          msg[b] = static_cast<std::uint8_t>(b * 31 + i * 7 + len);
+        }
+        streaming.update(msg, len);
+        expected[i] = streaming.finalize();
+        crypto::pad_message(msg, len);
+      }
+      for (const crypto::detail::Kernel* kernel : kernels()) {
+        std::vector<crypto::Digest> got(n);
+        kernel->hash_padded(blocks.data(), n, nblocks, got.data());
+        EXPECT_EQ(got, expected) << "len " << len << ", " << n << " lanes";
+      }
+      std::vector<crypto::Digest> got(n);
+      crypto::sha256_padded(blocks.data(), n, nblocks, got.data());
+      EXPECT_EQ(got, expected) << "len " << len << ", " << n << " lanes";
+    }
+  }
+}
+
+// Both compression loops agree with each other across block counts and
+// with the dispatched one-shot hash.
+TEST(Sha256Kernels, CompressLoopsAgreeAcrossLengths) {
+  util::Bytes data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const util::BytesView msg(data.data(), len);
+    const crypto::Digest expect = crypto::sha256(msg);
+    for (const crypto::detail::Kernel* kernel : kernels()) {
+      EXPECT_EQ(hash_with(*kernel, msg), expect) << "len " << len;
+    }
+  }
 }
 
 TEST(MerkleTest, EmptyTreeRootIsEmptyHash) {

@@ -51,13 +51,17 @@ void expect_root_matches_model(const chain::KvStore& store, const Model& model,
 }
 
 std::string random_key(util::Rng& rng) {
-  return "k/" + std::to_string(rng.next_below(40));
+  // One of 40 keys, 3 to 62 bytes long: with random_value() an entry's
+  // hash input (4 + key + value bytes) spans one SHA-256 block, two, and
+  // more, crossing both padding boundaries (55/56 and 119/120 bytes).
+  const std::uint64_t id = rng.next_below(40);
+  return "k/" + std::to_string(id) + std::string(id * 3 / 2, '~');
 }
 
 util::Bytes random_value(util::Rng& rng) {
   // Straddle the store's 32-byte inline-value threshold: small values hit
-  // the inline path, the tail of this range exercises spill storage.
-  util::Bytes v(1 + rng.next_below(48));
+  // the inline path, the longer ones spill storage.
+  util::Bytes v(1 + rng.next_below(96));
   for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_below(256));
   return v;
 }
@@ -338,6 +342,54 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
   for (const auto& [k, v] : model) store.erase(k);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.root(), root_when_empty);
+}
+
+// One bulk load, one root read: the first fold hashes 10^4 queued entries
+// in batches by block count (one, two, or longer and hashed alone), each
+// kind ending in a partial batch, and the root must be the one hashed from
+// scratch. Half the keys arrive through update_many(), half through set().
+TEST(StorePropertyTest, BulkFoldMatchesReference) {
+  util::Rng rng(2718);
+  chain::KvStore store;
+  Model model;
+  std::vector<std::string> keys;
+  std::vector<util::Bytes> values;
+  for (int i = 0; i < 10'007; ++i) {
+    keys.push_back("bulk/" + std::to_string(i) +
+                   std::string(rng.next_below(70), 'k'));
+    values.push_back(random_value(rng));
+    model[keys.back()] = values.back();
+  }
+  const std::size_t half = keys.size() / 2;
+  store.reserve(keys.size());
+  std::size_t next = 0;
+  store.update_many(
+      half, [&keys](std::size_t i) { return keys[i]; },
+      [&](chain::KvStore::Slot& slot) {
+        ASSERT_FALSE(slot.value().has_value());
+        slot.set(values[next++]);
+      });
+  for (std::size_t i = half; i < keys.size(); ++i) {
+    store.set(keys[i], values[i]);
+  }
+  EXPECT_EQ(next, half);
+  EXPECT_EQ(store.root(), reference_root(model));
+
+  // A block-sized fold: rewrite, erase and re-add a few hundred scattered
+  // keys.
+  for (int i = 0; i < 300; ++i) {
+    const std::string& k = keys[rng.next_below(keys.size())];
+    if (rng.chance(0.3)) {
+      store.erase(k);
+      model.erase(k);
+    } else {
+      const util::Bytes v = random_value(rng);
+      store.set(k, v);
+      model[k] = v;
+    }
+  }
+  expect_matches_model(store, model, -1);
+  expect_root_matches_model(store, model, keys[7], -1);
 }
 
 // Journal semantics across erase-heavy transactions: revert must restore
